@@ -19,18 +19,22 @@ Matching compose_matching_coresets(const std::vector<EdgeList>& coresets,
 VertexCover compose_vc_coresets(const std::vector<VcCoresetOutput>& coresets,
                                 VertexId num_vertices, Rng& rng) {
   VertexCover cover(num_vertices);
-  std::vector<EdgeList> residuals;
-  residuals.reserve(coresets.size());
+  std::size_t total = 0;
   for (const auto& c : coresets) {
+    RCC_CHECK(c.residual_edges.num_vertices() == num_vertices);
     for (VertexId v : c.fixed_vertices) cover.insert(v);
-    residuals.push_back(c.residual_edges);
+    total += c.residual_edges.num_edges();
   }
-  EdgeList residual_union = EdgeList::union_of(residuals);
   // The coordinator knows the fixed sets; edges they already cover need no
-  // further cover vertices.
-  residual_union = residual_union.filter(
-      [&](const Edge& e) { return !cover.contains(e.u) && !cover.contains(e.v); });
-  cover.merge(vc_two_approximation(residual_union, rng));
+  // further cover vertices. One pass gathers the rest, in machine order.
+  std::vector<Edge> open;
+  open.reserve(total);
+  for (const auto& c : coresets) {
+    for (const Edge& e : c.residual_edges) {
+      if (!cover.contains(e.u) && !cover.contains(e.v)) open.push_back(e);
+    }
+  }
+  cover_by_random_greedy(open, cover, rng);
   return cover;
 }
 

@@ -24,6 +24,8 @@ Matching compose_matching_coresets(const std::vector<EdgeList>& coresets,
 /// Vertex cover: union all fixed vertices, drop residual edges they already
 /// cover, and 2-approximate the rest (Section 3.2: "compute a vertex cover
 /// of union G_Delta^(i) and return it together with union V_cs^(i)").
+/// Shuffling the open edges themselves takes the draws an index shuffle
+/// would, so cover_by_random_greedy is vc_two_approximation, copy-free.
 VertexCover compose_vc_coresets(const std::vector<VcCoresetOutput>& coresets,
                                 VertexId num_vertices, Rng& rng);
 

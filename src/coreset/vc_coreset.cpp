@@ -9,7 +9,9 @@ namespace rcc {
 namespace {
 
 /// Reusable buffers of the per-machine peeling build (stashed in the
-/// machine's workspace slot; contents are garbage between calls).
+/// machine's workspace slot; contents are garbage between calls). `current`
+/// holds the survivor set once some level has peeled; until then the
+/// survivors are the piece itself and are read in place.
 struct PeelScratch {
   std::vector<VertexId> deg;
   EdgeList current;
@@ -36,44 +38,42 @@ VcCoresetOutput PeelingVcCoreset::build(EdgeSpan piece,
   const int delta = num_levels(ctx.num_vertices, ctx.k);
 
   VcCoresetOutput out;
-  if (delta <= 1) {
-    // No peeling levels: the whole piece is the residual summary.
-    out.residual_edges = piece.to_edge_list();
-    return out;
-  }
   MachineScratch local;
   MachineScratch& scratch = ctx.scratch != nullptr ? *ctx.scratch : local;
   PeelScratch& s = scratch.state<PeelScratch>();
   EpochMarks& removed = scratch.vertex_marks(piece.num_vertices());
-  // Level 1 reads the span in place; only the (shrinking) survivor set is
-  // ever materialized, so the machine never copies its input piece. The
-  // degree buffer and the survivor lists double-buffer through the
+  // Only a level that peels something changes the survivor set, and with it
+  // the degrees: a level that peels nothing skips both rebuilds, so until
+  // the first peel the machine reads its piece in place and never copies
+  // it. The degree buffer and the survivor lists double-buffer through the
   // machine's workspace across levels (and across rounds).
-  s.current.reset(piece.num_vertices());
-  s.next.reset(piece.num_vertices());
+  bool peeled = false;
+  bool degrees_stale = true;
   for (int j = 1; j <= delta - 1; ++j) {
-    const double thr = n / (k * std::exp2(j + 1));
-    if (j == 1) {
-      piece.degrees_into(s.deg);
-    } else {
-      EdgeSpan(s.current).degrees_into(s.deg);
+    const EdgeSpan survivors = peeled ? EdgeSpan(s.current) : piece;
+    if (degrees_stale) {
+      survivors.degrees_into(s.deg);
+      degrees_stale = false;
     }
+    const double thr = n / (k * std::exp2(j + 1));
+    const std::size_t fixed_before = out.fixed_vertices.size();
     for (VertexId v = 0; v < piece.num_vertices(); ++v) {
       if (!removed.test(v) && static_cast<double>(s.deg[v]) >= thr) {
         removed.set(v);
         out.fixed_vertices.push_back(v);
       }
     }
-    const auto survives = [&](const Edge& e) {
+    if (out.fixed_vertices.size() == fixed_before) continue;
+    s.next.assign_filtered(survivors, [&](const Edge& e) {
       return !removed.test(e.u) && !removed.test(e.v);
-    };
-    s.next.assign_filtered(j == 1 ? EdgeSpan(piece) : EdgeSpan(s.current),
-                           survives);
+    });
     std::swap(s.current, s.next);
+    peeled = true;
+    degrees_stale = true;
   }
   // The summary owns its edges (the engine retains it past this call), so
   // the final survivor set is copied out rather than moved from the scratch.
-  out.residual_edges.assign(s.current);
+  out.residual_edges.assign(peeled ? EdgeSpan(s.current) : piece);
   return out;
 }
 

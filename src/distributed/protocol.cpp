@@ -1,6 +1,7 @@
 #include "distributed/protocol.hpp"
 
 #include <utility>
+#include <vector>
 
 #include "matching/greedy.hpp"
 #include "matching/max_matching.hpp"
@@ -78,24 +79,26 @@ struct MatchingStreamFold {
 };
 
 /// StreamingFold of the VC protocol: absorb accumulates fixed vertices and
-/// the raw residual union; finish drops residual edges the complete fixed
-/// set already covers and 2-approximates the rest — the exact
-/// compose_vc_coresets pipeline with its first loop streamed.
+/// the raw residual union; finish drops, in place, the residual edges the
+/// complete fixed set already covers and covers the rest with the shared
+/// random-greedy finish — compose_vc_coresets with its first loop streamed.
 struct VcStreamFold {
   VertexCover cover;
-  EdgeList residual_union;
+  std::vector<Edge> open;
 
-  explicit VcStreamFold(VertexId n) : cover(n), residual_union(n) {}
+  explicit VcStreamFold(VertexId n) : cover(n) {}
 
   void absorb(VcCoresetOutput& summary, std::size_t /*machine*/) {
+    RCC_CHECK(summary.residual_edges.num_vertices() == cover.num_vertices());
     for (VertexId v : summary.fixed_vertices) cover.insert(v);
-    residual_union.append(summary.residual_edges);
+    open.insert(open.end(), summary.residual_edges.begin(),
+                summary.residual_edges.end());
   }
   VertexCover finish(std::vector<VcCoresetOutput>& /*summaries*/, Rng& rng) {
-    const EdgeList open = residual_union.filter([&](const Edge& e) {
-      return !cover.contains(e.u) && !cover.contains(e.v);
+    std::erase_if(open, [&](const Edge& e) {
+      return cover.contains(e.u) || cover.contains(e.v);
     });
-    cover.merge(vc_two_approximation(open, rng));
+    cover_by_random_greedy(open, cover, rng);
     return std::move(cover);
   }
 };

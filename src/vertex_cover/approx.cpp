@@ -4,18 +4,25 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "matching/greedy.hpp"
 
 namespace rcc {
 
 VertexCover vc_two_approximation(const EdgeList& edges, Rng& rng) {
-  const Matching m = greedy_maximal_matching(edges, GreedyOrder::kRandom, rng);
+  std::vector<Edge> open(edges.begin(), edges.end());
   VertexCover cover(edges.num_vertices());
-  for (const Edge& e : m.to_edge_list()) {
-    cover.insert(e.u);
-    cover.insert(e.v);
-  }
+  cover_by_random_greedy(open, cover, rng);
   return cover;
+}
+
+void cover_by_random_greedy(std::vector<Edge>& open, VertexCover& cover,
+                            Rng& rng) {
+  rng.shuffle(open);
+  for (const Edge& e : open) {
+    if (!cover.contains(e.u) && !cover.contains(e.v)) {
+      cover.insert(e.u);
+      cover.insert(e.v);
+    }
+  }
 }
 
 VertexCover vc_greedy_max_degree(const EdgeList& edges) {

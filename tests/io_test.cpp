@@ -67,5 +67,39 @@ TEST(IODeathTest, TruncatedFileAborts) {
   std::remove(path.c_str());
 }
 
+/// Writes `contents` to a temp file and expects read_edge_list to die
+/// through RCC_CHECK on it.
+void expect_read_dies(const char* name, const char* contents) {
+  const std::string path = temp_path(name);
+  {
+    std::ofstream out(path);
+    out << contents;
+  }
+  EXPECT_DEATH(read_edge_list(path), "RCC_CHECK") << contents;
+  std::remove(path.c_str());
+}
+
+TEST(IODeathTest, VertexCountBeyondVertexIdAborts) {
+  // 2^32 vertices cannot be named by 32-bit ids (the top one is reserved).
+  expect_read_dies("wide_n.txt", "4294967296 1\n0 1\n");
+}
+
+TEST(IODeathTest, EndpointBeyondThirtyTwoBitsAborts) {
+  // 2^32 + 1 used to narrow silently to vertex 1.
+  expect_read_dies("wide_u.txt", "3 1\n4294967297 2\n");
+}
+
+TEST(IODeathTest, EndpointOutOfRangeAborts) {
+  // Fits in 32 bits but not in the declared universe [0, 3).
+  expect_read_dies("out_of_range_v.txt", "3 1\n0 5\n");
+}
+
+TEST(IODeathTest, HugeEdgeCountIsNotReservedUpFront) {
+  // The header promises 2^62 edges; the reservation must be bounded by the
+  // file, so the reader reaches the truncation check instead of failing
+  // the allocation.
+  expect_read_dies("huge_m.txt", "3 4611686018427387904\n0 1\n");
+}
+
 }  // namespace
 }  // namespace rcc
