@@ -32,12 +32,12 @@ using VcProtocolResult = ProtocolResult<VertexCover, VcCoresetOutput>;
 /// `pool` may be null for sequential execution. `graph` is an EdgeSource —
 /// implicit from an EdgeList or an mmap-backed MappedGraph, same protocol
 /// seed-for-seed either way (this holds for every entry point below).
-MatchingProtocolResult run_matching_protocol(EdgeSource graph,
-                                             std::size_t k,
-                                             const MatchingCoreset& coreset,
-                                             ComposeSolver solver,
-                                             VertexId left_size, Rng& rng,
-                                             ThreadPool* pool = nullptr);
+/// `streaming` picks the machine-phase transport (in-process by default);
+/// every transport returns the same result seed for seed.
+MatchingProtocolResult run_matching_protocol(
+    EdgeSource graph, std::size_t k, const MatchingCoreset& coreset,
+    ComposeSolver solver, VertexId left_size, Rng& rng,
+    ThreadPool* pool = nullptr, const StreamingOptions& streaming = {});
 
 /// Same engine over a pre-made partition (lets experiments contrast random
 /// vs adversarial partitionings on identical edges).
@@ -49,28 +49,11 @@ MatchingProtocolResult run_matching_protocol_on_partition(
 /// Runs the simultaneous vertex cover protocol.
 VcProtocolResult run_vc_protocol(EdgeSource graph, std::size_t k,
                                  const VertexCoverCoreset& coreset, Rng& rng,
-                                 ThreadPool* pool = nullptr);
+                                 ThreadPool* pool = nullptr,
+                                 const StreamingOptions& streaming = {});
 
 VcProtocolResult run_vc_protocol_on_partition(
     const std::vector<EdgeList>& pieces, const VertexCoverCoreset& coreset,
     VertexId num_vertices, Rng& rng, ThreadPool* pool = nullptr);
-
-/// Streaming variants of the two protocols above: the coordinator absorbs
-/// each machine's summary as it lands (union building, fixed-vertex
-/// accumulation) instead of waiting for the slowest machine, and only the
-/// final solve runs after the last summary. In StreamingOrder::kCanonical
-/// the result is seed-for-seed identical to the barrier entry points; in
-/// kArrival the absorb order follows completion, so only the protocol's
-/// invariants (validity / feasibility) are guaranteed, not the exact
-/// solution.
-MatchingProtocolResult run_matching_protocol_streaming(
-    EdgeSource graph, std::size_t k, const MatchingCoreset& coreset,
-    ComposeSolver solver, VertexId left_size, Rng& rng,
-    ThreadPool* pool = nullptr, const StreamingOptions& streaming = {});
-
-VcProtocolResult run_vc_protocol_streaming(
-    EdgeSource graph, std::size_t k, const VertexCoverCoreset& coreset,
-    Rng& rng, ThreadPool* pool = nullptr,
-    const StreamingOptions& streaming = {});
 
 }  // namespace rcc

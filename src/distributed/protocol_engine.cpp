@@ -1,5 +1,6 @@
 #include "distributed/protocol_engine.hpp"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -11,20 +12,11 @@ namespace rcc {
 void add_streaming_flags(Options& options) {
   // Idempotent: add_mpc_engine_flags registers this bundle too, and a
   // driver may legitimately call both.
-  if (options.has("engine-streaming")) return;
+  if (options.has("engine-transport")) return;
   options
-      .flag("engine-streaming", "false",
-            "stream machine summaries into the coordinator fold as they "
-            "finish (overlaps the machine and combine phases)")
-      .flag("engine-streaming-order", "canonical",
-            "streaming absorb order: 'canonical' (reorder buffer, "
-            "seed-for-seed identical to the barrier fold) or 'arrival'")
-      .flag("engine-queue-capacity", "0",
-            "completion-queue slots between machines and the coordinator "
-            "(0 = one per machine, producers never block)")
       .flag("engine-transport", "inproc",
-            "machine-phase transport: 'inproc' (threads + completion "
-            "queue), 'socket' (forked worker processes streaming framed "
+            "machine-phase transport: 'inproc' (one thread-pool task per "
+            "machine), 'socket' (forked worker processes streaming framed "
             "summaries over loopback TCP), or 'shm' (forked worker "
             "processes exchanging the same frames through shared-memory "
             "rings; persistent workers under multi-round executors)")
@@ -43,26 +35,6 @@ void add_streaming_flags(Options& options) {
 
 StreamingOptions streaming_options_from_options(const Options& options) {
   StreamingOptions opts;
-  const std::string order = options.get_string("engine-streaming-order");
-  if (order == "canonical") {
-    opts.order = StreamingOrder::kCanonical;
-  } else if (order == "arrival") {
-    opts.order = StreamingOrder::kArrival;
-  } else {
-    std::fprintf(stderr,
-                 "flag --engine-streaming-order: '%s' is not one of "
-                 "'arrival', 'canonical'\n",
-                 order.c_str());
-    std::exit(2);
-  }
-  const std::int64_t capacity = options.get_int("engine-queue-capacity");
-  if (capacity < 0) {
-    std::fprintf(stderr,
-                 "flag --engine-queue-capacity: %lld must be >= 0\n",
-                 static_cast<long long>(capacity));
-    std::exit(2);
-  }
-  opts.queue_capacity = static_cast<std::size_t>(capacity);
   const std::string transport = options.get_string("engine-transport");
   if (transport == "inproc") {
     opts.transport = EngineTransport::kInproc;
@@ -86,10 +58,13 @@ StreamingOptions streaming_options_from_options(const Options& options) {
   }
   opts.socket.leader_port = static_cast<std::uint16_t>(port);
   const std::int64_t timeout = options.get_int("engine-transport-timeout-ms");
-  if (timeout <= 0) {
+  // Both transports hold the deadline as int milliseconds: a value past
+  // INT_MAX would wrap instead of waiting longer.
+  if (timeout <= 0 || timeout > INT_MAX) {
     std::fprintf(stderr,
-                 "flag --engine-transport-timeout-ms: %lld must be > 0\n",
-                 static_cast<long long>(timeout));
+                 "flag --engine-transport-timeout-ms: %lld must be in [1, "
+                 "%d]\n",
+                 static_cast<long long>(timeout), INT_MAX);
     std::exit(2);
   }
   opts.socket.timeout_ms = static_cast<int>(timeout);
@@ -103,10 +78,6 @@ StreamingOptions streaming_options_from_options(const Options& options) {
   }
   opts.shm.ring_bytes = static_cast<std::size_t>(ring_bytes);
   return opts;
-}
-
-bool streaming_enabled_from_options(const Options& options) {
-  return options.get_bool("engine-streaming");
 }
 
 }  // namespace rcc

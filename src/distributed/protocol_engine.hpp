@@ -25,26 +25,14 @@
 // in protocol.cpp for the pattern; no new driver loop, accounting, or
 // timing code.
 //
-// The combine phase has two shapes:
-//
-//   * the ALL-SUMMARIES fold `combine(summaries, rng)` — the coordinator
-//     waits for every machine (a barrier) and folds the whole vector, and
-//   * the STREAMING fold — machines push completed summaries into a bounded
-//     completion queue and a StreamingFold (`init / absorb(summary, machine)
-//     / finish`) consumes them as they land, overlapping the machine and
-//     combine phases so the coordinator is not gated on the slowest shard.
-//
-// run_protocol_on_pieces (the all-summaries shape) is a thin wrapper over
-// the streaming core with a no-op absorb. Streaming keeps the repo's
-// seed-for-seed determinism contract in StreamingOrder::kCanonical: a small
-// reorder buffer keyed on machine id makes the absorb order canonical, so a
-// canonical streaming run is draw-for-draw identical to the barrier fold.
-// StreamingOrder::kArrival absorbs in completion order — the fastest
-// overlap, for folds whose result is absorb-order independent.
+// The coordinator combine runs once, after the machine phase, on every
+// transport: machines (threads, forked socket workers, or shm ring workers)
+// fill the k-slot summary vector, the engine accounts the summaries in
+// machine order, and combine(summaries, rng) folds them. Combiners never
+// race a build.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <span>
 #include <type_traits>
 #include <utility>
@@ -57,7 +45,6 @@
 #include "graph/edge_source.hpp"
 #include "partition/partition.hpp"
 #include "partition/sharded_partition.hpp"
-#include "util/completion.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 #include "util/workspace.hpp"
@@ -69,24 +56,14 @@ class Options;
 /// Wall time of each engine phase.
 struct ProtocolTiming {
   double partition_seconds = 0.0;
-  double summaries_seconds = 0.0;  // wall time of the parallel machine phase
-                                   // (streaming: machine phase + overlapped
-                                   // absorbs, until the last absorb returns)
-  double combine_seconds = 0.0;    // barrier: the whole fold;
-                                   // streaming: the finish call only
-};
-
-/// Absorb scheduling of the streaming combine path.
-enum class StreamingOrder {
-  kCanonical,  // absorb in machine-id order via a reorder buffer —
-               // seed-for-seed identical to the all-summaries fold
-  kArrival,    // absorb in completion order — maximal overlap, only for
-               // folds whose result is absorb-order independent
+  double summaries_seconds = 0.0;  // wall time of the machine phase,
+                                   // including the transport's decode
+  double combine_seconds = 0.0;    // wall time of the coordinator combine
 };
 
 /// How machine summaries reach the coordinator.
 enum class EngineTransport {
-  kInproc,  // shared address space: thread pool + completion queue
+  kInproc,  // shared address space: one thread-pool task per machine
   kSocket,  // k forked worker processes streaming framed summaries over
             // loopback TCP (summary_wire.hpp / socket_transport.hpp)
   kShm,     // k forked worker processes exchanging the same frames through
@@ -94,12 +71,8 @@ enum class EngineTransport {
             // when a multi-round executor provides a pool
 };
 
-/// Knobs of the streaming combine path.
+/// How the machine phase reaches the coordinator.
 struct StreamingOptions {
-  StreamingOrder order = StreamingOrder::kCanonical;
-  /// Completion-queue slots between the machines and the coordinator;
-  /// 0 sizes the queue to k so producers never block on a slow consumer.
-  std::size_t queue_capacity = 0;
   /// Where the machine phase runs. kSocket and kShm require a
   /// WireSerializable summary type and ignore the thread pool — the worker
   /// processes ARE the parallelism.
@@ -136,82 +109,49 @@ struct TransportTelemetry {
   std::uint64_t forks = 0;
 };
 
-/// What the streaming path observed; all zeros for barrier runs.
-struct StreamingTelemetry {
-  bool streamed = false;
-  StreamingOrder order = StreamingOrder::kCanonical;
-  /// Summaries the coordinator absorbed BEFORE the machine phase finished
-  /// (i.e. before the last summary was built): the pipelining the streaming
-  /// path exists to create — 0 on a barrier run (everything is absorbed
-  /// after the phase), up to k-1 on a perfectly skewed one. With a thread
-  /// pool this is wall-clock machine/combine overlap; on a sequential run
-  /// it measures the same interleaving (absorb i precedes build i+1), just
-  /// without concurrency.
-  std::size_t absorbed_while_machines_ran = 0;
-};
-
 /// What every protocol run returns: the coordinator's solution, the machine
 /// summaries (retained for probes and experiments), the communication
-/// ledger, per-phase timings, and the streaming overlap telemetry.
+/// ledger, per-phase timings, and what crossed a process boundary.
 template <typename Solution, typename Summary>
 struct ProtocolResult {
   Solution solution;
   std::vector<Summary> summaries;
   CommStats comm;
   ProtocolTiming timing;
-  StreamingTelemetry streaming;
   TransportTelemetry transport;
 };
 
-/// Machine phases + STREAMING combine over pre-made pieces. This is the
-/// engine core; the all-summaries shape below wraps it.
+/// Machine + combine phases over pre-made pieces (arena shards, or any
+/// contiguous edge storage — experiments use this to contrast random vs
+/// adversarial partitionings on identical edges). This is the engine core.
 ///
 ///   build(piece, ctx, machine_rng) -> Summary   one machine's summary,
 ///       where piece is the typed view (EdgeSpan / WeightedEdgeSpan) over
 ///       the machine's shard
 ///   account(summary)               -> MessageSize   word-exact message cost
+///   combine(summaries, rng)        -> Solution   the coordinator phase,
+///       once every machine's summary has arrived
 ///
-/// The StreamingFold contract:
-///
-///   fold.init(k)                      optional; before any machine runs
-///   fold.absorb(summary, machine)     once per machine, in opts.order; runs
-///       on the CALLER's thread, overlapped with other machines' build calls
-///       — it must not mutate state the build phase reads. The summary's
-///       message cost is accounted before the call, so absorb may move the
-///       summary's contents out. A fold that needs the cost (e.g. to charge
-///       a ledger) declares absorb(summary, machine, const MessageSize&)
-///       instead and receives the recorded cost — account is never
-///       re-evaluated
-///   fold.finish(summaries, rng) -> Solution   after every absorb; the
-///       retained summary vector is passed for folds (like the barrier
-///       wrapper) that want the whole collection
-///
-/// RNG discipline matches the barrier path exactly: k machine streams are
-/// forked up front, absorb draws nothing, finish gets the coordinator's rng —
-/// so a canonical-order streaming run consumes the identical stream.
-template <typename EdgeT, typename Build, typename Account, typename StreamFold>
-auto run_protocol_streaming_on_pieces(
-    const std::vector<std::span<const EdgeT>>& pieces, VertexId num_vertices,
-    VertexId left_size, Rng& rng, ThreadPool* pool, const Build& build,
-    const Account& account, StreamFold&& fold,
-    const StreamingOptions& opts = {},
-    ProtocolWorkspace* workspace = nullptr) {
+/// RNG discipline: k machine streams are forked up front, in the caller's
+/// process, and combine gets the coordinator's rng — so the outcome is
+/// independent of the thread pool and of the transport.
+template <typename EdgeT, typename Build, typename Account, typename Combine>
+auto run_protocol_on_pieces(const std::vector<std::span<const EdgeT>>& pieces,
+                            VertexId num_vertices, VertexId left_size, Rng& rng,
+                            ThreadPool* pool, const Build& build,
+                            const Account& account, const Combine& combine,
+                            const StreamingOptions& opts = {},
+                            ProtocolWorkspace* workspace = nullptr) {
   using View = typename EdgeViewOf<EdgeT>::type;
   using Summary = std::decay_t<std::invoke_result_t<
       const Build&, View, const PartitionContext&, Rng&>>;
-  using Solution = std::decay_t<decltype(fold.finish(
-      std::declval<std::vector<Summary>&>(), std::declval<Rng&>()))>;
+  using Solution = std::decay_t<
+      std::invoke_result_t<const Combine&, std::vector<Summary>&, Rng&>>;
 
   const std::size_t k = pieces.size();
   RCC_CHECK(k >= 1);
   ProtocolResult<Solution, Summary> result;
-  result.streaming.streamed = true;
-  result.streaming.order = opts.order;
 
-  if constexpr (requires { fold.init(k); }) fold.init(k);
-
-  // RNG streams are forked up front so the outcome does not depend on
-  // thread scheduling.
   WallTimer timer;
   std::vector<Rng> machine_rngs;
   machine_rngs.reserve(k);
@@ -229,50 +169,20 @@ auto run_protocol_streaming_on_pieces(
     result.summaries[i] = build(piece, ctx, machine_rngs[i]);
   };
 
-  // A summary's word-exact cost is recorded the moment it is handed to the
-  // coordinator — before absorb, which is thereby free to consume (move out
-  // of) the retained summary; cost-aware folds get the recorded MessageSize
-  // instead of re-running account.
-  result.comm.per_machine.resize(k);
-  const auto deliver = [&](std::size_t id) {
-    result.comm.per_machine[id] = account(result.summaries[id]);
-    if constexpr (requires {
-                    fold.absorb(result.summaries[id], id,
-                                result.comm.per_machine[id]);
-                  }) {
-      fold.absorb(result.summaries[id], id, result.comm.per_machine[id]);
-    } else {
-      fold.absorb(result.summaries[id], id);
-    }
-  };
   // Cross-process transports share one collect loop: pull k frames off the
-  // transport in arrival order — the exact role CompletionQueue::pop plays
-  // in-process — decode, and absorb through the same CanonicalReorder, so
-  // folds, accounting, and RNG draws carry over unchanged. (A generic
-  // lambda, called only from the WireSerializable branches below; `frame`
-  // stays type-dependent on the lambda parameter so the decode call is not
-  // checked for non-serializable summaries.)
+  // transport in arrival order and decode each into its machine's slot.
+  // (A generic lambda, called only from the WireSerializable branches
+  // below; `frame` stays type-dependent on the lambda parameter so the
+  // decode call is not checked for non-serializable summaries.)
   const auto collect_frames = [&](auto&& next_frame) {
-    CanonicalReorder reorder(k);
+    std::vector<char> arrived(k, 0);
     for (std::size_t received = 0; received < k; ++received) {
       auto frame = next_frame();
       const std::size_t id = frame.header.machine;
+      RCC_CHECK(id < k && arrived[id] == 0);
+      arrived[id] = 1;
       result.summaries[id] =
           decode_frame_payload<Summary>(frame.header, frame.payload.data());
-      const auto absorb = [&](std::size_t m) {
-        if (received + 1 < k) {
-          ++result.streaming.absorbed_while_machines_ran;
-        }
-        deliver(m);
-      };
-      if (opts.order == StreamingOrder::kArrival) {
-        absorb(id);
-      } else {
-        reorder.complete(id, absorb);
-      }
-    }
-    if (opts.order == StreamingOrder::kCanonical) {
-      RCC_CHECK(reorder.drained());
     }
   };
   if (opts.transport == EngineTransport::kSocket) {
@@ -392,97 +302,22 @@ auto run_protocol_streaming_on_pieces(
       RCC_CHECK(
           !"engine transport 'shm' requires a wire-serializable summary");
     }
-  } else if (pool == nullptr || pool->size() == 1 || k == 1) {
-    // Sequential: build and absorb alternate machine by machine, so arrival
-    // order IS canonical order and every absorb but the last overlaps an
-    // unfinished machine in the schedule sense. A one-worker pool takes this
-    // branch too — it admits no machine/absorb overlap, so the dispatch
-    // (one futex wake per machine while the coordinator blocks on the
-    // completion queue) is pure overhead on top of the same schedule.
-    for (std::size_t i = 0; i < k; ++i) {
-      machine_work(i);
-      deliver(i);
-      if (i + 1 < k) ++result.streaming.absorbed_while_machines_ran;
-    }
+  } else if (pool != nullptr) {
+    // Machines write disjoint summary slots, so the schedule cannot leak
+    // into the result.
+    parallel_for(*pool, k, machine_work);
   } else {
-    CompletionQueue queue(opts.queue_capacity == 0 ? k : opts.queue_capacity);
-    std::atomic<std::size_t> building{k};
-    for (std::size_t i = 0; i < k; ++i) {
-      pool->submit([&, i] {
-        machine_work(i);
-        building.fetch_sub(1, std::memory_order_release);
-        queue.push(i);
-      });
-    }
-    const auto absorb = [&](std::size_t id) {
-      if (building.load(std::memory_order_acquire) > 0) {
-        ++result.streaming.absorbed_while_machines_ran;
-      }
-      deliver(id);
-    };
-    if (opts.order == StreamingOrder::kArrival) {
-      for (std::size_t done = 0; done < k; ++done) absorb(queue.pop());
-    } else {
-      // Canonical order: the reorder buffer releases machine ids in
-      // ascending order; an id is absorbable once every lower id has been.
-      // The same CanonicalReorder sits on top of the socket transport's
-      // frame collector above — one copy of the determinism mechanism.
-      CanonicalReorder reorder(k);
-      for (std::size_t done = 0; done < k; ++done) {
-        reorder.complete(queue.pop(), absorb);
-      }
-      RCC_CHECK(reorder.drained());
-    }
-    pool->wait_idle();
+    for (std::size_t i = 0; i < k; ++i) machine_work(i);
+  }
+  result.comm.per_machine.resize(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    result.comm.per_machine[i] = account(result.summaries[i]);
   }
   result.timing.summaries_seconds = timer.seconds();
 
   timer.reset();
-  result.solution = fold.finish(result.summaries, rng);
+  result.solution = combine(result.summaries, rng);
   result.timing.combine_seconds = timer.seconds();
-  return result;
-}
-
-namespace engine_detail {
-
-/// Adapts an all-summaries combine into the StreamingFold contract: absorb
-/// is a no-op (the summaries already land in the engine's retained vector)
-/// and finish is the barrier fold.
-template <typename Combine>
-struct BarrierFold {
-  const Combine& combine;
-
-  template <typename Summary>
-  void absorb(Summary&, std::size_t) {}
-  template <typename Summary>
-  auto finish(std::vector<Summary>& summaries, Rng& rng) {
-    return combine(summaries, rng);
-  }
-};
-
-}  // namespace engine_detail
-
-/// Machine + combine phases over pre-made pieces (arena shards, or any
-/// contiguous edge storage — experiments use this to contrast random vs
-/// adversarial partitionings on identical edges). The all-summaries shape:
-///
-///   combine(summaries, rng) -> Solution   the coordinator phase, after a
-///       barrier on the whole machine phase
-///
-/// Implemented as a no-op-absorb wrapper over the streaming core above, so
-/// both shapes share one driver loop and accounting path.
-template <typename EdgeT, typename Build, typename Account, typename Combine>
-auto run_protocol_on_pieces(const std::vector<std::span<const EdgeT>>& pieces,
-                            VertexId num_vertices, VertexId left_size, Rng& rng,
-                            ThreadPool* pool, const Build& build,
-                            const Account& account, const Combine& combine,
-                            ProtocolWorkspace* workspace = nullptr) {
-  engine_detail::BarrierFold<Combine> fold{combine};
-  auto result = run_protocol_streaming_on_pieces<EdgeT>(
-      pieces, num_vertices, left_size, rng, pool, build, account, fold,
-      StreamingOptions{}, workspace);
-  // The fold saw nothing before the barrier; report barrier semantics.
-  result.streaming = StreamingTelemetry{};
   return result;
 }
 
@@ -505,14 +340,14 @@ template <typename EdgeT, typename Build, typename Account, typename Combine>
 auto run_protocol(std::span<const EdgeT> edges, VertexId num_vertices,
                   std::size_t k, VertexId left_size, Rng& rng, ThreadPool* pool,
                   const Build& build, const Account& account,
-                  const Combine& combine) {
+                  const Combine& combine, const StreamingOptions& opts = {}) {
   WallTimer timer;
   const ShardedPartition<EdgeT> parts(edges, num_vertices, k, rng, pool);
   const double partition_seconds = timer.seconds();
 
   auto result = run_protocol_on_pieces<EdgeT>(pieces_of(parts), num_vertices,
                                               left_size, rng, pool, build,
-                                              account, combine);
+                                              account, combine, opts);
   result.timing.partition_seconds = partition_seconds;
   return result;
 }
@@ -525,50 +360,29 @@ auto run_protocol(std::span<const EdgeT> edges, VertexId num_vertices,
 template <typename Build, typename Account, typename Combine>
 auto run_protocol(EdgeSource graph, std::size_t k, VertexId left_size,
                   Rng& rng, ThreadPool* pool, const Build& build,
-                  const Account& account, const Combine& combine) {
+                  const Account& account, const Combine& combine,
+                  const StreamingOptions& opts = {}) {
   return run_protocol<Edge>(
       std::span<const Edge>(graph.edges().data(), graph.num_edges()),
-      graph.num_vertices(), k, left_size, rng, pool, build, account, combine);
+      graph.num_vertices(), k, left_size, rng, pool, build, account, combine,
+      opts);
 }
 
 template <typename Build, typename Account, typename Combine>
 auto run_protocol(WeightedEdgeSource graph, std::size_t k,
                   VertexId left_size, Rng& rng, ThreadPool* pool,
                   const Build& build, const Account& account,
-                  const Combine& combine) {
+                  const Combine& combine, const StreamingOptions& opts = {}) {
   return run_protocol<WeightedEdge>(
       std::span<const WeightedEdge>(graph.edges().data(), graph.num_edges()),
-      graph.num_vertices(), k, left_size, rng, pool, build, account, combine);
+      graph.num_vertices(), k, left_size, rng, pool, build, account, combine,
+      opts);
 }
 
-/// The full streaming pipeline: sharded random partition, then machines
-/// streaming their summaries into the fold as they finish.
-template <typename EdgeT, typename Build, typename Account, typename StreamFold>
-auto run_protocol_streaming(std::span<const EdgeT> edges,
-                            VertexId num_vertices, std::size_t k,
-                            VertexId left_size, Rng& rng, ThreadPool* pool,
-                            const Build& build, const Account& account,
-                            StreamFold&& fold,
-                            const StreamingOptions& opts = {}) {
-  WallTimer timer;
-  const ShardedPartition<EdgeT> parts(edges, num_vertices, k, rng, pool);
-  const double partition_seconds = timer.seconds();
-
-  auto result = run_protocol_streaming_on_pieces<EdgeT>(
-      pieces_of(parts), num_vertices, left_size, rng, pool, build, account,
-      std::forward<StreamFold>(fold), opts);
-  result.timing.partition_seconds = partition_seconds;
-  return result;
-}
-
-/// Registers the streaming combine + transport knobs on an Options parser:
-///   --engine-streaming             stream summaries into the coordinator fold
-///   --engine-streaming-order       arrival | canonical (reorder buffer)
-///   --engine-queue-capacity        completion-queue slots (0 = one/machine)
+/// Registers the machine-phase transport knobs on an Options parser:
 ///   --engine-transport             inproc | socket (forked workers over
 ///                                  loopback) | shm (forked workers over
-///                                  shared-memory rings); both cross-process
-///                                  values imply the streaming path
+///                                  shared-memory rings)
 ///   --engine-transport-port        coordinator port (0 = ephemeral)
 ///   --engine-transport-timeout-ms  socket/shm deadline per wait
 ///   --engine-shm-ring-bytes        per-direction ring capacity for shm
@@ -577,9 +391,6 @@ void add_streaming_flags(Options& options);
 /// Reads the knobs registered by add_streaming_flags back; exits(2) on an
 /// unknown enum value or out-of-range number (strict Options philosophy).
 StreamingOptions streaming_options_from_options(const Options& options);
-
-/// True when --engine-streaming was set.
-bool streaming_enabled_from_options(const Options& options);
 
 /// Adapts a vector of owning edge lists into engine pieces (zero-copy views;
 /// the lists must outlive the call). All pieces must share one vertex

@@ -7,13 +7,12 @@
 
 namespace rcc {
 
-MatchingProtocolResult coreset_matching_protocol(EdgeSource graph,
-                                                 std::size_t k,
-                                                 VertexId left_size, Rng& rng,
-                                                 ThreadPool* pool) {
+MatchingProtocolResult coreset_matching_protocol(
+    EdgeSource graph, std::size_t k, VertexId left_size, Rng& rng,
+    ThreadPool* pool, const StreamingOptions& streaming) {
   const MaximumMatchingCoreset coreset;
   return run_matching_protocol(graph, k, coreset, ComposeSolver::kMaximum,
-                               left_size, rng, pool);
+                               left_size, rng, pool, streaming);
 }
 
 MatchingProtocolResult subsampled_matching_protocol(EdgeSource graph,
@@ -26,15 +25,15 @@ MatchingProtocolResult subsampled_matching_protocol(EdgeSource graph,
 }
 
 VcProtocolResult coreset_vc_protocol(EdgeSource graph, std::size_t k,
-                                     Rng& rng, ThreadPool* pool) {
+                                     Rng& rng, ThreadPool* pool,
+                                     const StreamingOptions& streaming) {
   const PeelingVcCoreset coreset;
-  return run_vc_protocol(graph, k, coreset, rng, pool);
+  return run_vc_protocol(graph, k, coreset, rng, pool, streaming);
 }
 
 namespace {
 
-/// The grouping geometry plus the machine phase shared by the barrier and
-/// streaming grouped drivers.
+/// The grouping geometry plus the machine phase of the grouped driver.
 struct GroupedVcPhases {
   VertexId n;
   VertexId g;         // group width
@@ -95,40 +94,11 @@ struct GroupedVcPhases {
   }
 };
 
-/// StreamingFold of the grouped protocol: absorb stages each machine's core
-/// (moved out of the retained summary) and expands its pinned groups;
-/// finish composes the group-universe coresets and expands the group cover.
-/// Pinned expansion is a set insert, so absorb order cannot change it.
-struct GroupedVcStreamFold {
-  const GroupedVcPhases& phases;
-  std::vector<VcCoresetOutput> cores;
-  VertexCover expanded;
-
-  explicit GroupedVcStreamFold(const GroupedVcPhases& phases)
-      : phases(phases), expanded(phases.n) {}
-
-  void init(std::size_t k) { cores.resize(k); }
-  void absorb(GroupedVcSummary& summary, std::size_t machine) {
-    cores[machine] = std::move(summary.core);
-    for (VertexId group : summary.pinned_groups) {
-      phases.expand_group(expanded, group);
-    }
-  }
-  VertexCover finish(std::vector<GroupedVcSummary>& /*summaries*/, Rng& rng) {
-    const VertexCover group_cover =
-        compose_vc_coresets(cores, phases.n_groups, rng);
-    for (VertexId group = 0; group < phases.n_groups; ++group) {
-      if (group_cover.contains(group)) phases.expand_group(expanded, group);
-    }
-    return std::move(expanded);
-  }
-};
-
 }  // namespace
 
-GroupedVcProtocolResult grouped_vc_protocol(EdgeSource graph,
-                                            std::size_t k, double alpha,
-                                            Rng& rng, ThreadPool* pool) {
+GroupedVcProtocolResult grouped_vc_protocol(
+    EdgeSource graph, std::size_t k, double alpha, Rng& rng,
+    ThreadPool* pool, const StreamingOptions& streaming) {
   const PeelingVcCoreset coreset;
   const GroupedVcPhases phases = GroupedVcPhases::make(graph, alpha, coreset);
 
@@ -156,7 +126,7 @@ GroupedVcProtocolResult grouped_vc_protocol(EdgeSource graph,
 
   GroupedVcProtocolResult result =
       run_protocol(graph, k, /*left_size=*/0, rng, pool, phases.build(),
-                   &GroupedVcPhases::account, combine);
+                   &GroupedVcPhases::account, combine, streaming);
   RCC_CHECK(result.solution.covers(graph.edges()));
   return result;
 }
@@ -164,31 +134,13 @@ GroupedVcProtocolResult grouped_vc_protocol(EdgeSource graph,
 MatchingProtocolResult coreset_matching_protocol_streaming(
     EdgeSource graph, std::size_t k, VertexId left_size, Rng& rng,
     ThreadPool* pool, const StreamingOptions& streaming) {
-  const MaximumMatchingCoreset coreset;
-  return run_matching_protocol_streaming(graph, k, coreset,
-                                         ComposeSolver::kMaximum, left_size,
-                                         rng, pool, streaming);
+  return coreset_matching_protocol(graph, k, left_size, rng, pool, streaming);
 }
 
 VcProtocolResult coreset_vc_protocol_streaming(
     EdgeSource graph, std::size_t k, Rng& rng, ThreadPool* pool,
     const StreamingOptions& streaming) {
-  const PeelingVcCoreset coreset;
-  return run_vc_protocol_streaming(graph, k, coreset, rng, pool, streaming);
-}
-
-GroupedVcProtocolResult grouped_vc_protocol_streaming(
-    EdgeSource graph, std::size_t k, double alpha, Rng& rng,
-    ThreadPool* pool, const StreamingOptions& streaming) {
-  const PeelingVcCoreset coreset;
-  const GroupedVcPhases phases = GroupedVcPhases::make(graph, alpha, coreset);
-  GroupedVcStreamFold fold(phases);
-  GroupedVcProtocolResult result = run_protocol_streaming<Edge>(
-      std::span<const Edge>(graph.edges().data(), graph.num_edges()),
-      graph.num_vertices(), k, /*left_size=*/0, rng, pool, phases.build(),
-      &GroupedVcPhases::account, fold, streaming);
-  RCC_CHECK(result.solution.covers(graph.edges()));
-  return result;
+  return coreset_vc_protocol(graph, k, rng, pool, streaming);
 }
 
 }  // namespace rcc

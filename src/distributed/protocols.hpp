@@ -14,10 +14,9 @@
 
 namespace rcc {
 
-MatchingProtocolResult coreset_matching_protocol(EdgeSource graph,
-                                                 std::size_t k,
-                                                 VertexId left_size, Rng& rng,
-                                                 ThreadPool* pool = nullptr);
+MatchingProtocolResult coreset_matching_protocol(
+    EdgeSource graph, std::size_t k, VertexId left_size, Rng& rng,
+    ThreadPool* pool = nullptr, const StreamingOptions& streaming = {});
 
 MatchingProtocolResult subsampled_matching_protocol(EdgeSource graph,
                                                     std::size_t k, double alpha,
@@ -25,7 +24,8 @@ MatchingProtocolResult subsampled_matching_protocol(EdgeSource graph,
                                                     ThreadPool* pool = nullptr);
 
 VcProtocolResult coreset_vc_protocol(EdgeSource graph, std::size_t k,
-                                     Rng& rng, ThreadPool* pool = nullptr);
+                                     Rng& rng, ThreadPool* pool = nullptr,
+                                     const StreamingOptions& streaming = {});
 
 /// One machine's message in the grouped protocol: the Theorem 2 summary on
 /// the contracted multigraph, plus the groups the machine pinned locally.
@@ -44,13 +44,12 @@ using GroupedVcProtocolResult = ProtocolResult<VertexCover, GroupedVcSummary>;
 /// into the machine's fixed solution, since any cover must take one of its
 /// endpoints and the group expansion contains both). The returned cover
 /// lives in the *original* vertex universe.
-GroupedVcProtocolResult grouped_vc_protocol(EdgeSource graph,
-                                            std::size_t k, double alpha,
-                                            Rng& rng,
-                                            ThreadPool* pool = nullptr);
+GroupedVcProtocolResult grouped_vc_protocol(
+    EdgeSource graph, std::size_t k, double alpha, Rng& rng,
+    ThreadPool* pool = nullptr, const StreamingOptions& streaming = {});
 
-/// Streaming variants of the named protocols (see
-/// run_matching_protocol_streaming for the order/determinism contract).
+/// Former names of coreset_matching_protocol / coreset_vc_protocol, kept as
+/// plain forwarders for callers that still use them.
 MatchingProtocolResult coreset_matching_protocol_streaming(
     EdgeSource graph, std::size_t k, VertexId left_size, Rng& rng,
     ThreadPool* pool = nullptr, const StreamingOptions& streaming = {});
@@ -58,9 +57,5 @@ MatchingProtocolResult coreset_matching_protocol_streaming(
 VcProtocolResult coreset_vc_protocol_streaming(
     EdgeSource graph, std::size_t k, Rng& rng, ThreadPool* pool = nullptr,
     const StreamingOptions& streaming = {});
-
-GroupedVcProtocolResult grouped_vc_protocol_streaming(
-    EdgeSource graph, std::size_t k, double alpha, Rng& rng,
-    ThreadPool* pool = nullptr, const StreamingOptions& streaming = {});
 
 }  // namespace rcc

@@ -21,7 +21,7 @@
 // all ten driver codecs, the validation funnel, and the seed-for-seed
 // differential suite transfer unchanged. The coordinator-side ShmWorkerPool
 // hands back completed frames in ARRIVAL order exactly like FrameCollector,
-// so the engine's CanonicalReorder sits on top unmodified.
+// so the engine's collect loop serves both transports unmodified.
 //
 // Ring mechanics: each direction is a single-producer single-consumer byte
 // ring with free-running 32-bit cursors (capacity is a power of two below

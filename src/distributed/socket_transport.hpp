@@ -12,13 +12,12 @@
 //
 // The coordinator side is poll()-driven and fully bounded: FrameCollector
 // accepts connections lazily, reassembles length-prefixed frames as bytes
-// arrive, and hands back completed frames in ARRIVAL order — the engine's
-// canonical reorder buffer (util/completion.hpp) sits on top, exactly as it
-// does over the in-process completion queue, which is what makes the socket
-// path seed-for-seed identical to the barrier and in-process streaming
-// paths. Every wait carries a deadline: a worker that dies before (or
-// while) sending its frame surfaces as a transport_fail diagnostic naming
-// the missing machine id within timeout_ms, never a hang.
+// arrive, and hands back completed frames in ARRIVAL order; the engine
+// decodes each into its machine's slot and combines only after all k
+// landed, which is what makes the socket path seed-for-seed identical to
+// the in-process path. Every wait carries a deadline: a worker that dies
+// before (or while) sending its frame surfaces as a transport_fail
+// diagnostic naming the missing machine id within timeout_ms, never a hang.
 //
 // Fault-injection knobs (fault_kill_machine / fault_partial_frame_machine)
 // exist so tests can pin the failure paths; production runs leave them -1.
@@ -106,9 +105,9 @@ struct ReadyFrame {
 /// Coordinator side: accepts up to `expected` connections on the listener
 /// and reassembles their frames. next_ready() blocks (bounded by
 /// timeout_ms) until SOME machine's frame is complete and returns it —
-/// completion order, like CompletionQueue::pop. Duplicate machine ids,
-/// out-of-range ids, torn frames, and deadline overruns all transport_fail
-/// with the offending/missing machine ids.
+/// completion order. Duplicate machine ids, out-of-range ids, torn frames,
+/// and deadline overruns all transport_fail with the offending/missing
+/// machine ids.
 class FrameCollector {
  public:
   FrameCollector(const LoopbackListener& listener, std::size_t expected,

@@ -23,14 +23,6 @@ struct WeightedMatchingProtocolResult
 
 WeightedMatchingProtocolResult weighted_matching_protocol(
     WeightedEdgeSource graph, std::size_t k, VertexId left_size, Rng& rng,
-    ThreadPool* pool = nullptr, double class_base = 2.0);
-
-/// Streaming variant: the coordinator unions the Crouch-Stubbs coresets as
-/// machines finish and runs the weighted merge after the last one. The
-/// weighted merge is deterministic in the union order, so canonical order
-/// is seed-for-seed identical to the barrier entry point.
-WeightedMatchingProtocolResult weighted_matching_protocol_streaming(
-    WeightedEdgeSource graph, std::size_t k, VertexId left_size, Rng& rng,
     ThreadPool* pool = nullptr, double class_base = 2.0,
     const StreamingOptions& streaming = {});
 

@@ -1,7 +1,7 @@
 #include "distributed/weighted_vc_protocol.hpp"
 
 #include <cmath>
-#include <utility>
+#include <algorithm>
 
 #include "coreset/vc_coreset.hpp"
 
@@ -9,8 +9,7 @@ namespace rcc {
 
 namespace {
 
-/// Weight-class geometry plus the machine phase shared by the barrier and
-/// streaming drivers: class(v) = floor(log2(w_v / w_min)), every machine
+/// Weight-class geometry plus the machine phase: class(v) = floor(log2(w_v / w_min)), every machine
 /// builds one peeling summary per class of its shard.
 struct WeightedVcPhases {
   const VertexWeights& weights;
@@ -67,84 +66,42 @@ struct WeightedVcPhases {
   }
 };
 
-/// StreamingFold of the weighted VC coordinator: absorb unions the fixed
-/// vertices and concatenates the residual edges of each machine's class
-/// summaries as they land; finish drops residual edges the complete fixed
-/// union covers and closes with the weighted local-ratio 2-approximation.
-struct WeightedVcStreamFold {
-  const WeightedVcPhases& phases;
-  VertexCover cover;
-  EdgeList residual_union;
+}  // namespace
 
-  explicit WeightedVcStreamFold(const WeightedVcPhases& phases)
-      : phases(phases), cover(phases.n), residual_union(phases.n) {}
+WeightedVcProtocolResult weighted_vc_protocol(
+    EdgeSource graph, const VertexWeights& weights, std::size_t k, Rng& rng,
+    ThreadPool* pool, const StreamingOptions& streaming) {
+  const WeightedVcPhases phases(graph, weights);
 
-  void absorb(std::vector<VcCoresetOutput>& machine_summaries,
-              std::size_t /*machine*/) {
-    for (const VcCoresetOutput& s : machine_summaries) {
-      for (VertexId v : s.fixed_vertices) cover.insert(v);
-      residual_union.append(s.residual_edges);
-    }
-  }
-  VertexCover finish(std::vector<std::vector<VcCoresetOutput>>& /*summaries*/,
-                     Rng& /*rng*/) {
-    const EdgeList open = residual_union.filter([&](const Edge& e) {
-      return !cover.contains(e.u) && !cover.contains(e.v);
-    });
-    const WeightedVcResult residual_cover =
-        local_ratio_weighted_vc(open, phases.weights);
-    cover.merge(residual_cover.cover);
-    return std::move(cover);
-  }
-};
+  // Coordinator: union the fixed vertices and the residual edges of every
+  // machine's class summaries, drop the residual edges the fixed union
+  // covers, and close with the weighted local-ratio 2-approximation.
+  const auto combine =
+      [&](std::vector<std::vector<VcCoresetOutput>>& summaries,
+          Rng& /*coordinator_rng*/) {
+        VertexCover cover(phases.n);
+        EdgeList residual_union(phases.n);
+        for (const std::vector<VcCoresetOutput>& machine : summaries) {
+          for (const VcCoresetOutput& s : machine) {
+            for (VertexId v : s.fixed_vertices) cover.insert(v);
+            residual_union.append(s.residual_edges);
+          }
+        }
+        const EdgeList open = residual_union.filter([&](const Edge& e) {
+          return !cover.contains(e.u) && !cover.contains(e.v);
+        });
+        cover.merge(local_ratio_weighted_vc(open, phases.weights).cover);
+        return cover;
+      };
 
-WeightedVcProtocolResult to_weighted_vc_result(
-    ProtocolResult<VertexCover, std::vector<VcCoresetOutput>>&& engine_result,
-    const WeightedVcPhases& phases) {
   WeightedVcProtocolResult result;
   static_cast<ProtocolResult<VertexCover, std::vector<VcCoresetOutput>>&>(
-      result) = std::move(engine_result);
+      result) = run_protocol(graph, k, /*left_size=*/0, rng, pool,
+                             phases.build(), &WeightedVcPhases::account,
+                             combine, streaming);
   result.cover_cost = cover_weight(result.solution, phases.weights);
   result.weight_classes = static_cast<std::size_t>(phases.num_classes);
   return result;
-}
-
-}  // namespace
-
-WeightedVcProtocolResult weighted_vc_protocol(EdgeSource graph,
-                                              const VertexWeights& weights,
-                                              std::size_t k, Rng& rng,
-                                              ThreadPool* pool) {
-  const WeightedVcPhases phases(graph, weights);
-
-  // Coordinator: fixed union, then weighted local-ratio on the residual —
-  // the barrier shape of WeightedVcStreamFold's absorb + finish.
-  const auto combine =
-      [&](std::vector<std::vector<VcCoresetOutput>>& summaries,
-          Rng& coordinator_rng) {
-        WeightedVcStreamFold fold(phases);
-        for (std::size_t i = 0; i < summaries.size(); ++i) {
-          fold.absorb(summaries[i], i);
-        }
-        return fold.finish(summaries, coordinator_rng);
-      };
-
-  return to_weighted_vc_result(
-      run_protocol(graph, k, /*left_size=*/0, rng, pool, phases.build(),
-                   &WeightedVcPhases::account, combine),
-      phases);
-}
-
-WeightedVcProtocolResult weighted_vc_protocol_streaming(
-    EdgeSource graph, const VertexWeights& weights, std::size_t k,
-    Rng& rng, ThreadPool* pool, const StreamingOptions& streaming) {
-  const WeightedVcPhases phases(graph, weights);
-  WeightedVcStreamFold fold(phases);
-  auto engine_result = run_protocol_streaming<Edge>(
-      std::span<const Edge>(graph.edges().data(), graph.num_edges()),
-      graph.num_vertices(), k, /*left_size=*/0, rng, pool, phases.build(),
-      &WeightedVcPhases::account, fold, streaming);
-  return to_weighted_vc_result(std::move(engine_result), phases);
 }
 
 }  // namespace rcc

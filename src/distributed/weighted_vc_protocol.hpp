@@ -35,18 +35,8 @@ struct WeightedVcProtocolResult
   std::size_t weight_classes = 0;
 };
 
-WeightedVcProtocolResult weighted_vc_protocol(EdgeSource graph,
-                                              const VertexWeights& weights,
-                                              std::size_t k, Rng& rng,
-                                              ThreadPool* pool = nullptr);
-
-/// Streaming variant: the coordinator folds each machine's class summaries
-/// (fixed-vertex union + residual concatenation) as they land and runs the
-/// weighted local-ratio step after the last one. Canonical order is
-/// seed-for-seed identical to the barrier entry point.
-WeightedVcProtocolResult weighted_vc_protocol_streaming(
-    EdgeSource graph, const VertexWeights& weights, std::size_t k,
-    Rng& rng, ThreadPool* pool = nullptr,
-    const StreamingOptions& streaming = {});
+WeightedVcProtocolResult weighted_vc_protocol(
+    EdgeSource graph, const VertexWeights& weights, std::size_t k, Rng& rng,
+    ThreadPool* pool = nullptr, const StreamingOptions& streaming = {});
 
 }  // namespace rcc

@@ -16,7 +16,10 @@ namespace rcc {
 void write_edge_list(const EdgeList& edges, const std::string& path);
 
 /// Reads an edge list written by write_edge_list (or hand-authored in the
-/// same format); aborts with a diagnostic on malformed input.
+/// same format). Strict: an unreadable file, a malformed header or edge
+/// line, extra tokens on a line, an endpoint outside [0, n), a self-loop,
+/// fewer than m edges, or data past the m-th edge all abort with
+/// "edge list <path>:<line>: <what>".
 EdgeList read_edge_list(const std::string& path);
 
 }  // namespace rcc

@@ -21,12 +21,10 @@ std::uint64_t path_words(const std::vector<AugmentingPath>& paths) {
   return words;
 }
 
-/// Streaming-shaped round-combiner: absorb stages pointers into the
-/// machines' path batches as they land (the batches live in the engine's
-/// retained summary vector, which is pre-sized and stable, so the pointers
-/// survive until finish), finish resolves conflicts and applies. Absorb
-/// never touches the matching the machine phase searches against, so it is
-/// safe to overlap with shard searches.
+/// Round-combiner: absorb stages pointers into the machines' path batches
+/// (the batches live in the engine's retained summary vector, which is
+/// pre-sized and stable, so the pointers survive until finish), finish
+/// resolves conflicts and applies.
 struct AugmentingRoundFold {
   Matching& matched;
   const AugmentingRoundsConfig& aug;
@@ -158,10 +156,9 @@ AugmentingMpcResult run_matching_rounds_augmenting(
   exec.round_label = "augmenting-round";
 
   const auto build = [&](EdgeSpan piece, const PartitionContext& ctx, Rng&) {
-    // M is stable for the whole machine phase (the fold's absorb only stages
-    // candidates; all writes happen in finish), so concurrent shard searches
-    // against it are safe — including overlapped with streaming absorbs.
-    // NOT round-invariant, though: finish rewrites M between rounds, so shm
+    // M is stable for the whole machine phase (all writes happen in the
+    // fold's finish, after every machine returned), so concurrent shard
+    // searches against it are safe. NOT round-invariant, though: finish rewrites M between rounds, so shm
     // runs must re-fork per round (the default) rather than ride the
     // persistent pool's fork-time snapshot.
     return find_augmenting_paths(piece, matched, aug.max_path_length,

@@ -22,12 +22,10 @@ MpcEngineConfig single_round_config(const MpcConfig& mpc,
   return config;
 }
 
-/// Streaming-shaped round-combiner of the iterated matching rounds: absorb
-/// unions the coreset subgraphs as they land (in canonical order the union
-/// is byte-identical to compose_matching_coresets' EdgeList::union_of), and
-/// finish solves the union, extends the cumulative matching, and filters the
-/// survivors. Absorb only appends to the coordinator's union — it touches
-/// nothing the machine phase reads, so it is safe to overlap with builds.
+/// Round-combiner of the iterated matching rounds: absorb unions the coreset
+/// subgraphs in machine order (byte-identical to compose_matching_coresets'
+/// EdgeList::union_of), and finish solves the union, extends the cumulative
+/// matching, and filters the survivors.
 ///
 /// All per-round state (the union list, the round matching) clears with
 /// retained capacity, the solve runs on the coordinator scratch, and the
@@ -66,7 +64,7 @@ struct MatchingRoundFold {
   }
 };
 
-/// Streaming-shaped VC round-combiner: absorb accumulates the peeled (fixed)
+/// VC round-combiner: absorb accumulates the peeled (fixed)
 /// vertices per machine; finish either commits them and carries the edges
 /// they leave uncovered, or — on the last round / a stalled intermediate one
 /// — runs the full composition over the retained summaries.

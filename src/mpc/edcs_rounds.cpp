@@ -14,13 +14,9 @@ namespace rcc {
 
 namespace {
 
-/// Streaming-shaped round-combiner: absorb unions the machines' EDCSs as
-/// they land (append order does not matter — the exact solve below sees the
-/// same edge set either way, and maximum_matching_into is a pure function of
-/// it), finish solves the union exactly, extends the cumulative matching,
-/// and recirculates the still-both-unmatched edges. Absorb only appends to
-/// the coordinator's union, touching nothing the machine phase reads, so it
-/// is safe to overlap with EDCS builds.
+/// Round-combiner: absorb unions the machines' EDCSs, finish solves the
+/// union exactly, extends the cumulative matching, and recirculates the
+/// still-both-unmatched edges.
 ///
 /// All per-round state clears with retained capacity and the survivors fill
 /// the executor's double-buffer: steady-state rounds allocate nothing here.

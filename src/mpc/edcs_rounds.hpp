@@ -20,7 +20,7 @@
 //   machines — machine i builds a (beta, beta - lambda)-EDCS of its shard
 //              (IncrementalCsr + MachineScratch: warm rounds allocate
 //              nothing) and ships it to machine M,
-//   fold     — M unions the subgraphs as they land (streaming-shape absorb),
+//   fold     — M unions the subgraphs (the round-combiner's absorb),
 //              runs the exact matching solver on the union, extends the
 //              cumulative matching (round inputs have both endpoints
 //              unmatched, so the extension keeps the whole round matching),

@@ -9,12 +9,9 @@ namespace rcc {
 
 namespace {
 
-/// Streaming-shaped round-combiner of the filtering baseline: absorb greedily
-/// extends the central matching with each machine's sample as it arrives
-/// (canonical order replays the barrier fold's in-order loop draw-for-draw),
-/// finish runs the broadcast-and-filter super-step. Absorb mutates only the
-/// coordinator's matching, which the sampling build phase never reads, so
-/// overlapping it with the machine phase is safe.
+/// Round-combiner of the filtering baseline: absorb greedily extends the
+/// central matching with each machine's sample in machine order, finish runs
+/// the broadcast-and-filter super-step.
 struct FilteringRoundFold {
   FilteringMpcResult& result;
   Matching& m;

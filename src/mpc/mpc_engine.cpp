@@ -72,7 +72,6 @@ MpcEngineConfig mpc_engine_config_from_options(const Options& options,
       static_cast<std::size_t>(flag_at_least(options, "mpc-rounds", 1));
   config.input_already_random = options.get_bool("mpc-random-input");
   config.early_stop = options.get_bool("mpc-early-stop");
-  config.streaming_fold = streaming_enabled_from_options(options);
   config.streaming = streaming_options_from_options(options);
   return config;
 }

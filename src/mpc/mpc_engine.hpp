@@ -17,14 +17,16 @@
 //                 survive into the next round.
 //
 // Instantiating the executor is the engine's three-lambda pattern with the
-// combine phase upgraded to a fold:
+// combine phase upgraded to a round-combiner:
 //
-//   build(piece, ctx, rng)      -> Summary     (unchanged from the engine)
-//   account(summary)            -> MessageSize (unchanged from the engine)
-//   fold(summaries, round, rng) -> EdgeList    survivors for the next round;
-//       `round` is an MpcRoundContext: the round's input edges, the round
-//       index, and ledger access for protocols that model extra super-steps
-//       (e.g. filtering's broadcast round).
+//   build(piece, ctx, rng)            -> Summary     (as in the engine)
+//   account(summary)                  -> MessageSize (as in the engine)
+//   fold.absorb(summary, machine, round)             once per machine, in
+//       machine order, after every summary has arrived
+//   fold.finish(summaries, round, rng) -> EdgeList   survivors for the next
+//       round; `round` is an MpcRoundContext: the round's input edges, the
+//       round index, and ledger access for protocols that model extra
+//       super-steps (e.g. filtering's broadcast round).
 //
 // Resources are accounted like the single-round simulator: every super-step
 // is declared on an MpcLedger, every machine's residency is charged against
@@ -38,7 +40,6 @@
 #pragma once
 
 #include <array>
-#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -80,17 +81,9 @@ struct MpcEngineConfig {
   /// fold requests it.
   bool early_stop = true;
 
-  /// Stream summaries into the round-combiner as machines finish instead of
-  /// folding after the collect barrier. Requires an absorb/finish fold (see
-  /// run_mpc_rounds); ignored for plain callable folds. Canonical order
-  /// preserves seed-for-seed equality with the barrier fold.
-  bool streaming_fold = false;
-
-  /// Absorb order + completion-queue capacity when streaming_fold is set,
-  /// plus the machine-phase transport: EngineTransport::kSocket forks one
-  /// worker process per machine each round and streams framed summaries
-  /// over loopback (requires a streaming-capable fold; takes the streaming
-  /// combine path even when streaming_fold is false).
+  /// The machine-phase transport: EngineTransport::kSocket forks one worker
+  /// process per machine each round and streams framed summaries over
+  /// loopback; kShm exchanges the same frames through shared-memory rings.
   StreamingOptions streaming;
 
   /// Charge every machine 2*|shard| words for holding its piece of the
@@ -177,7 +170,7 @@ class MpcRoundContext {
   ProtocolWorkspace* workspace() { return workspace_; }
 
   /// Coordinator-side scratch for the fold phase. Never shared with the
-  /// machine scratches, so absorb/finish may use it while machines run.
+  /// machine scratches.
   MachineScratch& coordinator_scratch() {
     RCC_CHECK(workspace_ != nullptr);
     return workspace_->coordinator();
@@ -257,19 +250,6 @@ struct MpcExecutionStats {
   std::vector<std::uint64_t> round_peak_words;  // parallel to round_labels
 };
 
-/// True for round-combiners written in the streaming shape: per-machine
-/// absorb plus an end-of-round finish. Such a fold can run behind the
-/// barrier (absorbed in index order after the collect — byte-identical to a
-/// plain callable fold that loops the summaries in order) or streamed
-/// through the engine's completion queue when config.streaming_fold is set.
-template <typename Fold, typename Summary>
-concept StreamingRoundFold =
-    requires(Fold& f, Summary& s, std::vector<Summary>& all,
-             MpcRoundContext& ctx, Rng& rng) {
-      f.absorb(s, std::size_t{0}, ctx);
-      { f.finish(all, ctx, rng) } -> std::convertible_to<EdgeList>;
-    };
-
 /// Drives up to config.max_rounds ProtocolEngine rounds. The caller's
 /// cumulative solution lives in the fold's captures; the executor owns the
 /// shrinking edge set, the ledger, and the per-round accounting. The input
@@ -279,14 +259,9 @@ concept StreamingRoundFold =
 /// the workspace double-buffers from round 1 on, so the source is never
 /// materialized in RAM.
 ///
-/// Two fold shapes are accepted:
-///   fold(summaries, round, rng) -> EdgeList        the plain callable fold
-///   fold.absorb(summary, machine, round)           streaming-capable fold;
-///   fold.finish(summaries, round, rng) -> EdgeList absorbed per machine
-/// Streaming-capable folds run through the engine's streaming combine path
-/// when config.streaming_fold is set (machine M's collect words are then
-/// charged per absorbed summary instead of all at once — same totals, same
-/// peaks) and behind the barrier otherwise.
+/// The fold runs as the engine's combine, after the machine phase, on every
+/// transport: machine M is charged the collected words once, then the fold
+/// absorbs the summaries in machine order and finishes the round.
 template <typename Build, typename Account, typename Fold>
 MpcExecutionStats run_mpc_rounds(EdgeSource graph,
                                  const MpcEngineConfig& config,
@@ -326,20 +301,6 @@ MpcExecutionStats run_mpc_rounds(EdgeSource graph,
 
   using Summary = std::decay_t<std::invoke_result_t<
       const Build&, EdgeSpan, const PartitionContext&, Rng&>>;
-  constexpr bool streaming_capable =
-      StreamingRoundFold<std::remove_reference_t<Fold>, Summary>;
-  // The cross-process transports only exist behind the streaming combine
-  // path (frames arrive one at a time — there is no barrier to fold
-  // behind), so requesting one takes that path even without
-  // --engine-streaming; a plain callable fold cannot ride them.
-  const bool wants_socket =
-      config.streaming.transport == EngineTransport::kSocket;
-  const bool wants_shm = config.streaming.transport == EngineTransport::kShm;
-  if constexpr (!streaming_capable) {
-    RCC_CHECK(!(wants_socket || wants_shm) &&
-              "cross-process engine transports require a streaming-capable "
-              "round fold");
-  }
   // Persistent ring workers: the shm transport forks the k machine
   // processes ONCE per run — inside round 0, just after the first partition,
   // so each worker's copy-on-write snapshot already holds its round-0 shard
@@ -369,8 +330,9 @@ MpcExecutionStats run_mpc_rounds(EdgeSource graph,
                       n, k, rng, pool, &ws.partition());
     const double partition_seconds = timer.seconds();
 
-    if (r == 0 && wants_shm && config.round_invariant_build) {
-      if constexpr (streaming_capable && WireSerializable<Summary>) {
+    if (r == 0 && config.streaming.transport == EngineTransport::kShm &&
+        config.round_invariant_build) {
+      if constexpr (WireSerializable<Summary>) {
         const ShmTransportOptions& shm = config.streaming.shm;
         shm_pool = std::make_unique<ShmWorkerPool>(k, shm);
         shm_pool->spawn([&shm, &build, &ws, &parts, k, n, left_size](
@@ -467,54 +429,27 @@ MpcExecutionStats run_mpc_rounds(EdgeSource graph,
     // Machine + combine phases on the ProtocolEngine. Machine M is charged
     // for the collected summaries before the fold's processing runs (and
     // before any super-step the fold opens), mirroring the coreset round's
-    // "send everything to M" collect; the streaming path charges each
-    // summary as it is absorbed — same totals, same per-round peaks.
+    // "send everything to M" collect.
     spare.reset(n);  // cleared, capacity retained from two rounds ago
     MpcRoundContext round_ctx(
         ledger, EdgeSpan(parts.arena().data(), parts.num_edges(), n), r,
         config.max_rounds, &ws, &spare);
-    const auto run_round = [&] {
-      if constexpr (streaming_capable) {
-        if (config.streaming_fold || wants_socket || wants_shm) {
-          struct RoundStreamAdapter {
-            std::remove_reference_t<Fold>& fold;
-            MpcRoundContext& ctx;
-            MpcLedger& ledger;
-            void absorb(Summary& s, std::size_t machine,
-                        const MessageSize& cost) {
-              ledger.charge(0, cost.words());
-              fold.absorb(s, machine, ctx);
-            }
-            EdgeList finish(std::vector<Summary>& all, Rng& rng) {
-              return fold.finish(all, ctx, rng);
-            }
-          } adapter{fold, round_ctx, ledger};
-          return run_protocol_streaming_on_pieces<Edge>(
-              pieces_of(parts), n, left_size, rng, pool, build, account,
-              adapter, streaming_opts, &ws);
-        }
+    const auto combine = [&](std::vector<Summary>& summaries,
+                             Rng& coordinator_rng) -> EdgeList {
+      // account is a pure cost function (the engine already evaluated it
+      // into comm.per_machine); re-summing here keeps the combine
+      // independent of the engine result's layout.
+      std::uint64_t collected = 0;
+      for (const Summary& s : summaries) collected += account(s).words();
+      ledger.charge(0, collected);
+      for (std::size_t i = 0; i < summaries.size(); ++i) {
+        fold.absorb(summaries[i], i, round_ctx);
       }
-      return run_protocol_on_pieces<Edge>(
-          pieces_of(parts), n, left_size, rng, pool, build, account,
-          [&](auto& summaries, Rng& coordinator_rng) {
-            // account is a pure cost function (the engine already evaluated
-            // it into comm.per_machine); re-summing here keeps the barrier
-            // fold's contract independent of the engine result's layout.
-            std::uint64_t collected = 0;
-            for (const auto& s : summaries) collected += account(s).words();
-            ledger.charge(0, collected);
-            if constexpr (streaming_capable) {
-              for (std::size_t i = 0; i < summaries.size(); ++i) {
-                fold.absorb(summaries[i], i, round_ctx);
-              }
-              return fold.finish(summaries, round_ctx, coordinator_rng);
-            } else {
-              return fold(summaries, round_ctx, coordinator_rng);
-            }
-          },
-          &ws);
+      return fold.finish(summaries, round_ctx, coordinator_rng);
     };
-    auto result = run_round();
+    auto result = run_protocol_on_pieces<Edge>(pieces_of(parts), n, left_size,
+                                               rng, pool, build, account,
+                                               combine, streaming_opts, &ws);
     result.timing.partition_seconds = partition_seconds;
 
     const std::size_t active = input.num_edges();
@@ -591,8 +526,9 @@ MpcExecutionStats run_mpc_rounds(EdgeSource graph,
 ///   --mpc-random-input   input already randomly partitioned (skips the
 ///                        re-partition round)
 ///   --mpc-early-stop     stop when a round makes no progress
-/// plus the engine streaming knobs (add_streaming_flags):
-///   --engine-streaming / --engine-streaming-order / --engine-queue-capacity
+/// plus the engine transport knobs (add_streaming_flags):
+///   --engine-transport / --engine-transport-port /
+///   --engine-transport-timeout-ms / --engine-shm-ring-bytes
 void add_mpc_engine_flags(Options& options);
 
 /// Reads the knobs registered by add_mpc_engine_flags back into a config for

@@ -129,32 +129,6 @@ void ThreadPool::worker_loop(std::size_t id) {
   }
 }
 
-CompletionQueue::CompletionQueue(std::size_t capacity)
-    : ring_(capacity == 0 ? 1 : capacity) {}
-
-void CompletionQueue::push(std::size_t id) {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_not_full_.wait(lock, [this] { return count_ < ring_.size(); });
-    ring_[(head_ + count_) % ring_.size()] = id;
-    ++count_;
-  }
-  cv_not_empty_.notify_one();
-}
-
-std::size_t CompletionQueue::pop() {
-  std::size_t id;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_not_empty_.wait(lock, [this] { return count_ > 0; });
-    id = ring_[head_];
-    head_ = (head_ + 1) % ring_.size();
-    --count_;
-  }
-  cv_not_full_.notify_one();
-  return id;
-}
-
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;

@@ -83,38 +83,6 @@ class ThreadPool {
   std::condition_variable cv_idle_;
 };
 
-/// Bounded MPMC completion queue: machine tasks push their id when their
-/// summary is ready, the coordinator pops ids and absorbs the summaries as
-/// they land (the ProtocolEngine's streaming combine path). Push blocks while
-/// the queue is full (backpressure against a slow consumer), pop blocks while
-/// it is empty. The queue carries ids, not payloads: the payloads stay in the
-/// caller's pre-sized summary vector, so the handoff is zero-copy and the
-/// mutex inside push/pop is the happens-before edge that publishes the
-/// producer's writes to the consumer.
-class CompletionQueue {
- public:
-  explicit CompletionQueue(std::size_t capacity);
-
-  CompletionQueue(const CompletionQueue&) = delete;
-  CompletionQueue& operator=(const CompletionQueue&) = delete;
-
-  std::size_t capacity() const { return ring_.size(); }
-
-  /// Enqueues an id; blocks while the queue is at capacity.
-  void push(std::size_t id);
-
-  /// Dequeues the oldest id; blocks while the queue is empty.
-  std::size_t pop();
-
- private:
-  std::vector<std::size_t> ring_;
-  std::size_t head_ = 0;   // index of the oldest element
-  std::size_t count_ = 0;  // elements currently queued
-  std::mutex mutex_;
-  std::condition_variable cv_not_full_;
-  std::condition_variable cv_not_empty_;
-};
-
 /// Runs fn(i) for i in [0, count) across the pool, blocking until done.
 /// Work is chunked so tiny iterations do not drown in queue overhead; the
 /// chunk count is a pure function of (count, pool size), so the set of

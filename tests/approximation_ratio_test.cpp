@@ -110,13 +110,17 @@ Matching natural_greedy_rounds(const EdgeList& graph, std::size_t max_rounds,
   const auto account = [](const EdgeList& summary) {
     return MessageSize{summary.num_edges(), 0};
   };
-  const auto fold = [&](std::vector<EdgeList>& summaries, MpcRoundContext& ctx,
-                        Rng&) {
-    for (const EdgeList& s : summaries) greedy_extend(matched, s);
-    return ctx.active_edges().filter([&](const Edge& e) {
-      return !matched.is_matched(e.u) && !matched.is_matched(e.v);
-    });
-  };
+  struct GreedyFold {
+    Matching& matched;
+    void absorb(EdgeList& s, std::size_t, MpcRoundContext&) {
+      greedy_extend(matched, s);
+    }
+    EdgeList finish(std::vector<EdgeList>&, MpcRoundContext& ctx, Rng&) {
+      return ctx.active_edges().filter([&](const Edge& e) {
+        return !matched.is_matched(e.u) && !matched.is_matched(e.v);
+      });
+    }
+  } fold{matched};
   run_mpc_rounds(graph, engine_config(graph, max_rounds), 0, rng, nullptr,
                  build, account, fold);
   return matched;

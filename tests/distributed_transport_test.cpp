@@ -3,13 +3,12 @@
 // kSocket/kShm branches of distributed/protocol_engine.hpp):
 //
 //   (a) both multi-process backends must be seed-for-seed IDENTICAL to
-//       both the in-process barrier and in-process canonical streaming —
-//       exact solutions, word-exact communication ledgers, per-machine
+//       the in-process run, sequential and pooled — exact solutions, word-exact communication ledgers, per-machine
 //       summary sizes, round counts, and the caller's RNG stream position —
 //       across a generator x seed x k grid for every single-round protocol
 //       driver (matching, VC, grouped VC, both weighted drivers) and every
-//       streaming-capable multi-round combiner (coreset matching, coreset
-//       VC, filtering, augmenting, EDCS),
+//       multi-round combiner (coreset matching, coreset VC, filtering,
+//       augmenting, EDCS),
 //   (b) transport telemetry reports what actually crossed the process
 //       boundary: k frames, framed bytes >= k headers (byte-identical
 //       between socket and shm — same summary_wire frames), kInproc
@@ -97,6 +96,7 @@ void expect_shm_telemetry(const Result& shm, const Result& socket,
 
 TEST(DistributedTransport, MatchingProtocolMatchesInprocSeedForSeed) {
   const MaximumMatchingCoreset coreset;
+  ThreadPool pool(4);
   for (std::uint64_t seed : {1u, 2u}) {
     Rng gen(seed);
     const std::vector<EdgeList> instances = {
@@ -107,14 +107,14 @@ TEST(DistributedTransport, MatchingProtocolMatchesInprocSeedForSeed) {
         const MatchingProtocolResult barrier = run_matching_protocol(
             el, k, coreset, ComposeSolver::kMaximum, 0, barrier_rng);
         Rng inproc_rng(seed);
-        const MatchingProtocolResult inproc = run_matching_protocol_streaming(
-            el, k, coreset, ComposeSolver::kMaximum, 0, inproc_rng);
+        const MatchingProtocolResult inproc = run_matching_protocol(
+            el, k, coreset, ComposeSolver::kMaximum, 0, inproc_rng, &pool);
         Rng socket_rng(seed);
-        const MatchingProtocolResult socket = run_matching_protocol_streaming(
+        const MatchingProtocolResult socket = run_matching_protocol(
             el, k, coreset, ComposeSolver::kMaximum, 0, socket_rng,
             /*pool=*/nullptr, socket_options());
         Rng shm_rng(seed);
-        const MatchingProtocolResult shm = run_matching_protocol_streaming(
+        const MatchingProtocolResult shm = run_matching_protocol(
             el, k, coreset, ComposeSolver::kMaximum, 0, shm_rng,
             /*pool=*/nullptr, shm_options());
 
@@ -156,10 +156,10 @@ TEST(DistributedTransport, VcProtocolMatchesInprocSeedForSeed) {
       const VcProtocolResult barrier =
           run_vc_protocol(el, k, coreset, barrier_rng);
       Rng socket_rng(seed);
-      const VcProtocolResult socket = run_vc_protocol_streaming(
+      const VcProtocolResult socket = run_vc_protocol(
           el, k, coreset, socket_rng, /*pool=*/nullptr, socket_options());
       Rng shm_rng(seed);
-      const VcProtocolResult shm = run_vc_protocol_streaming(
+      const VcProtocolResult shm = run_vc_protocol(
           el, k, coreset, shm_rng, /*pool=*/nullptr, shm_options());
 
       EXPECT_EQ(barrier.solution.vertices(), socket.solution.vertices())
@@ -191,6 +191,7 @@ TEST(DistributedTransport, VcProtocolMatchesInprocSeedForSeed) {
 TEST(DistributedTransport, GroupedVcProtocolMatchesInprocSeedForSeed) {
   // kGroupedVc on the wire: core coreset in the contracted group universe
   // plus the machine's pinned group ids.
+  ThreadPool pool(4);
   for (std::uint64_t seed : {7u, 8u}) {
     Rng gen(seed);
     const EdgeList el = gnp(240, 6.0 / 240, gen);
@@ -201,12 +202,12 @@ TEST(DistributedTransport, GroupedVcProtocolMatchesInprocSeedForSeed) {
             grouped_vc_protocol(el, k, alpha, barrier_rng);
         Rng inproc_rng(seed);
         const GroupedVcProtocolResult inproc =
-            grouped_vc_protocol_streaming(el, k, alpha, inproc_rng);
+            grouped_vc_protocol(el, k, alpha, inproc_rng, &pool);
         Rng socket_rng(seed);
-        const GroupedVcProtocolResult socket = grouped_vc_protocol_streaming(
+        const GroupedVcProtocolResult socket = grouped_vc_protocol(
             el, k, alpha, socket_rng, /*pool=*/nullptr, socket_options());
         Rng shm_rng(seed);
-        const GroupedVcProtocolResult shm = grouped_vc_protocol_streaming(
+        const GroupedVcProtocolResult shm = grouped_vc_protocol(
             el, k, alpha, shm_rng, /*pool=*/nullptr, shm_options());
 
         EXPECT_EQ(barrier.solution.vertices(), socket.solution.vertices())
@@ -218,8 +219,8 @@ TEST(DistributedTransport, GroupedVcProtocolMatchesInprocSeedForSeed) {
         ASSERT_EQ(barrier.summaries.size(), socket.summaries.size());
         ASSERT_EQ(barrier.summaries.size(), shm.summaries.size());
         for (std::size_t i = 0; i < k; ++i) {
-          // Both folds move the core out of the retained summary; the pinned
-          // groups stay behind and must have crossed the wire intact.
+          // The combine moves the core out of the retained summary; the
+          // pinned groups stay behind and must have crossed the wire intact.
           EXPECT_EQ(barrier.summaries[i].pinned_groups,
                     socket.summaries[i].pinned_groups);
           EXPECT_EQ(barrier.summaries[i].pinned_groups,
@@ -254,16 +255,12 @@ TEST(DistributedTransport, WeightedDriversMatchInprocSeedForSeed) {
         weighted_matching_protocol(w, k, 0, barrier_rng);
     Rng socket_rng(seed);
     const WeightedMatchingProtocolResult socket =
-        weighted_matching_protocol_streaming(w, k, 0, socket_rng,
-                                             /*pool=*/nullptr,
-                                             /*class_base=*/2.0,
-                                             socket_options());
+        weighted_matching_protocol(w, k, 0, socket_rng, /*pool=*/nullptr,
+                                   /*class_base=*/2.0, socket_options());
     Rng shm_rng(seed);
     const WeightedMatchingProtocolResult shm =
-        weighted_matching_protocol_streaming(w, k, 0, shm_rng,
-                                             /*pool=*/nullptr,
-                                             /*class_base=*/2.0,
-                                             shm_options());
+        weighted_matching_protocol(w, k, 0, shm_rng, /*pool=*/nullptr,
+                                   /*class_base=*/2.0, shm_options());
     EXPECT_EQ(sorted_edges(barrier.solution), sorted_edges(socket.solution));
     EXPECT_EQ(sorted_edges(barrier.solution), sorted_edges(shm.solution));
     EXPECT_EQ(barrier.matching_weight, socket.matching_weight)
@@ -286,10 +283,10 @@ TEST(DistributedTransport, WeightedDriversMatchInprocSeedForSeed) {
     const WeightedVcProtocolResult vc_barrier =
         weighted_vc_protocol(el, weights, k, vc_barrier_rng);
     Rng vc_socket_rng(seed);
-    const WeightedVcProtocolResult vc_socket = weighted_vc_protocol_streaming(
+    const WeightedVcProtocolResult vc_socket = weighted_vc_protocol(
         el, weights, k, vc_socket_rng, /*pool=*/nullptr, socket_options());
     Rng vc_shm_rng(seed);
-    const WeightedVcProtocolResult vc_shm = weighted_vc_protocol_streaming(
+    const WeightedVcProtocolResult vc_shm = weighted_vc_protocol(
         el, weights, k, vc_shm_rng, /*pool=*/nullptr, shm_options());
     EXPECT_EQ(vc_barrier.solution.vertices(), vc_socket.solution.vertices());
     EXPECT_EQ(vc_barrier.solution.vertices(), vc_shm.solution.vertices());
@@ -644,7 +641,7 @@ TEST(DistributedTransportDeathTest, KilledWorkerTimesOutNamingMachine) {
   opts.socket.fault_kill_machine = 2;
   Rng rng(31);
   EXPECT_DEATH(
-      (void)run_vc_protocol_streaming(el, 4, coreset, rng, nullptr, opts),
+      (void)run_vc_protocol(el, 4, coreset, rng, nullptr, opts),
       "socket transport: timed out after 2000 ms waiting for machine "
       "frames; missing machine ids: \\[2\\]");
 }
@@ -656,8 +653,8 @@ TEST(DistributedTransportDeathTest, ConcurrentDuplicateMachineIdDies) {
         // Two LIVE connections claim machine 0: the first parks after its
         // header, the second sends a complete frame. The duplicate must die
         // at the second header parse — waiting for the first claimant to
-        // COMPLETE would let both absorb under arrival order while the
-        // genuinely missing machine 1 never times out.
+        // COMPLETE would let both fill machine 0's slot while the genuinely
+        // missing machine 1 never times out.
         LoopbackListener listener(0);
         FrameCollector collector(listener, /*expected=*/2,
                                  /*timeout_ms=*/5000);
@@ -684,7 +681,7 @@ TEST(DistributedTransportDeathTest, PartialFrameFailsNamingMachine) {
   opts.socket.fault_partial_frame_machine = 1;
   Rng rng(32);
   EXPECT_DEATH(
-      (void)run_vc_protocol_streaming(el, 4, coreset, rng, nullptr, opts),
+      (void)run_vc_protocol(el, 4, coreset, rng, nullptr, opts),
       "socket transport: machine 1 closed its connection mid-frame");
 }
 
@@ -704,7 +701,7 @@ TEST(DistributedTransport, ShmBackpressureTinyRingStillCompletes) {
   Rng barrier_rng(33);
   const VcProtocolResult barrier = run_vc_protocol(el, 6, coreset, barrier_rng);
   Rng shm_rng(33);
-  const VcProtocolResult shm = run_vc_protocol_streaming(
+  const VcProtocolResult shm = run_vc_protocol(
       el, 6, coreset, shm_rng, /*pool=*/nullptr,
       shm_options(/*timeout_ms=*/30000, /*ring_bytes=*/256));
   EXPECT_EQ(barrier.solution.vertices(), shm.solution.vertices());
@@ -721,7 +718,7 @@ TEST(DistributedTransportDeathTest, ShmKilledWorkerDiesNamingMachine) {
   opts.shm.fault_kill_machine = 2;
   Rng rng(34);
   EXPECT_DEATH(
-      (void)run_vc_protocol_streaming(el, 4, coreset, rng, nullptr, opts),
+      (void)run_vc_protocol(el, 4, coreset, rng, nullptr, opts),
       "shm transport: machine 2 worker died before sending its round-0 "
       "frame");
 }
@@ -735,7 +732,7 @@ TEST(DistributedTransportDeathTest, ShmPartialFrameDiesNamingMachine) {
   opts.shm.fault_partial_frame_machine = 1;
   Rng rng(35);
   EXPECT_DEATH(
-      (void)run_vc_protocol_streaming(el, 4, coreset, rng, nullptr, opts),
+      (void)run_vc_protocol(el, 4, coreset, rng, nullptr, opts),
       "shm transport: machine 1 worker died mid-frame in round 0");
 }
 

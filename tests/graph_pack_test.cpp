@@ -274,9 +274,8 @@ TEST_F(PackDifferential, MatchingProtocolOverSocketTransport) {
   socket.transport = EngineTransport::kSocket;
   expect_identical(
       [&](EdgeSource src, Rng& rng) {
-        return run_matching_protocol_streaming(src, 5, coreset,
-                                               ComposeSolver::kMaximum, 0, rng,
-                                               /*pool=*/nullptr, socket);
+        return run_matching_protocol(src, 5, coreset, ComposeSolver::kMaximum,
+                                     0, rng, /*pool=*/nullptr, socket);
       },
       [](const MatchingProtocolResult& heap,
          const MatchingProtocolResult& pack) {
@@ -295,9 +294,8 @@ TEST_F(PackDifferential, MatchingProtocolOverShmTransport) {
   shm.transport = EngineTransport::kShm;
   expect_identical(
       [&](EdgeSource src, Rng& rng) {
-        return run_matching_protocol_streaming(src, 5, coreset,
-                                               ComposeSolver::kMaximum, 0, rng,
-                                               /*pool=*/nullptr, shm);
+        return run_matching_protocol(src, 5, coreset, ComposeSolver::kMaximum,
+                                     0, rng, /*pool=*/nullptr, shm);
       },
       [](const MatchingProtocolResult& heap,
          const MatchingProtocolResult& pack) {

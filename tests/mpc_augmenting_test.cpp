@@ -88,16 +88,14 @@ TEST(MpcAugmentingGolden, Seed8PinsMatchedEdgesAndPerRoundCommWords) {
   }
 }
 
-TEST(MpcAugmentingGolden, StreamingCanonicalFoldReproducesTheSeed7Pins) {
-  // The streaming combine path in canonical order must replay the frozen
-  // golden behavior bit for bit: same matched edges, same per-round comm
-  // words, same ledger peaks (collect words are charged per absorbed summary
-  // instead of all at once — totals and peaks must not move).
+TEST(MpcAugmentingGolden, PooledRunReproducesTheSeed7Pins) {
+  // A four-thread machine phase must replay the frozen golden behavior bit
+  // for bit: same matched edges, same per-round comm words, same ledger
+  // peaks.
   const EdgeList el = crown_forest(4, 3);
   AugmentingRoundsConfig aug;
   aug.max_path_length = 3;
-  MpcEngineConfig config = engine_config(el, 32);
-  config.streaming_fold = true;
+  const MpcEngineConfig config = engine_config(el, 32);
   ThreadPool pool(4);
   Rng rng(7);
   const AugmentingMpcResult r =

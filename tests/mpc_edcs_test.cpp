@@ -1,7 +1,7 @@
 // Executor-level tests of the EDCS round-combiner (mpc/edcs_rounds.hpp):
 // golden-seed pins of the matched edge sets and per-round communication
 // words (the reshuffle-charge pinning pattern — future refactors diff
-// against frozen behavior), streaming-canonical replay, thread-count
+// against frozen behavior), pooled replay of the pins, thread-count
 // determinism, ledger/budget accounting, the finish_maximal certificate
 // lifecycle, workspace allocation discipline, and the flag plumbing.
 #include "mpc/edcs_rounds.hpp"
@@ -117,14 +117,11 @@ TEST(MpcEdcsGolden, DegenerateBetaPinsAMultiRoundRun) {
   EXPECT_EQ(r.cover.size(), 70u);
 }
 
-TEST(MpcEdcsGolden, StreamingCanonicalFoldReproducesTheSeed7Pins) {
-  // The streaming combine path in canonical order must replay the frozen
-  // golden behavior bit for bit: same matched edges, same comm words, same
-  // ledger peaks (collect words are charged per absorbed summary instead of
-  // all at once — totals and peaks must not move).
+TEST(MpcEdcsGolden, PooledRunReproducesTheSeed7Pins) {
+  // A four-thread machine phase must replay the frozen golden behavior bit
+  // for bit: same matched edges, same comm words, same ledger peaks.
   const EdgeList el = crown_forest(4, 3);
-  MpcEngineConfig config = engine_config(el, 32);
-  config.streaming_fold = true;
+  const MpcEngineConfig config = engine_config(el, 32);
   ThreadPool pool(4);
   EdcsRoundsConfig edcs;
   Rng rng(7);
@@ -139,13 +136,12 @@ TEST(MpcEdcsGolden, StreamingCanonicalFoldReproducesTheSeed7Pins) {
   EXPECT_EQ(r.max_memory_words, 60u);
   EXPECT_EQ(r.stats.total_comm_words, 48u);
 
-  // ... and the multi-round degenerate pin streams identically too.
+  // ... and the multi-round degenerate pin replays identically too.
   const EdgeList crowns = crown_forest(12, 3);
   EdcsRoundsConfig thin;
   thin.edcs.beta = 2;
   thin.edcs.lambda = 1;
-  MpcEngineConfig multi = roomy_config(4, 32);
-  multi.streaming_fold = true;
+  const MpcEngineConfig multi = roomy_config(4, 32);
   Rng multi_rng(7);
   const EdcsMpcResult m =
       run_matching_rounds_edcs(crowns, multi, thin, 0, multi_rng, &pool);

@@ -11,7 +11,9 @@
 //       never smaller than the single-round one on the same instance/seed,
 //   (c) per-machine memory accounting never exceeds the configured
 //       s-per-machine budget (the ledger aborts on violation; the stats
-//       must agree with it).
+//       must agree with it),
+//   (d) every combiner's result is identical with no pool, a one-thread
+//       pool, and a four-thread pool.
 #include "mpc/mpc_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -328,12 +330,14 @@ TEST(MpcRoundsEarlyStop, ProgressReportingFoldIsNotStoppedWhileItWorks) {
     return piece.num_edges();  // summary: a count, nothing else
   };
   const auto account = [](std::size_t) { return MessageSize{0, 1}; };
-  const auto fold = [&](std::vector<std::size_t>&, MpcRoundContext& ctx,
-                        Rng&) {
-    // Recirculate every edge; "work" happens for the first rounds only.
-    if (ctx.round_index() < kProductiveRounds) ctx.note_progress(1);
-    return ctx.active_edges().to_edge_list();
-  };
+  struct ProgressFold {
+    void absorb(std::size_t&, std::size_t, MpcRoundContext&) {}
+    EdgeList finish(std::vector<std::size_t>&, MpcRoundContext& ctx, Rng&) {
+      // Recirculate every edge; "work" happens for the first rounds only.
+      if (ctx.round_index() < kProductiveRounds) ctx.note_progress(1);
+      return ctx.active_edges().to_edge_list();
+    }
+  } fold;
   Rng rng(80);
   const MpcExecutionStats stats =
       run_mpc_rounds(el, config, 0, rng, nullptr, build, account, fold);
@@ -355,8 +359,12 @@ TEST(MpcRoundsEarlyStop, DisabledEarlyStopStillRunsToTheCap) {
     return piece.num_edges();
   };
   const auto account = [](std::size_t) { return MessageSize{0, 1}; };
-  const auto fold = [&](std::vector<std::size_t>&, MpcRoundContext& ctx,
-                        Rng&) { return ctx.active_edges().to_edge_list(); };
+  struct RecirculatingFold {
+    void absorb(std::size_t&, std::size_t, MpcRoundContext&) {}
+    EdgeList finish(std::vector<std::size_t>&, MpcRoundContext& ctx, Rng&) {
+      return ctx.active_edges().to_edge_list();
+    }
+  } fold;
   Rng rng(81);
   const MpcExecutionStats stats =
       run_mpc_rounds(el, config, 0, rng, nullptr, build, account, fold);
@@ -379,12 +387,14 @@ TEST(MpcRoundsCertificate, UncertifiedLaterRoundClearsAStaleRatio) {
 
   {
     // Certify in round 0, keep mutating without certifying afterwards.
-    const auto fold = [&](std::vector<std::size_t>&, MpcRoundContext& ctx,
-                          Rng&) {
-      if (ctx.round_index() == 0) ctx.certify_ratio(1.5);
-      ctx.note_progress(1);  // keep the run alive
-      return ctx.active_edges().to_edge_list();
-    };
+    struct FirstRoundCertifies {
+      void absorb(std::size_t&, std::size_t, MpcRoundContext&) {}
+      EdgeList finish(std::vector<std::size_t>&, MpcRoundContext& ctx, Rng&) {
+        if (ctx.round_index() == 0) ctx.certify_ratio(1.5);
+        ctx.note_progress(1);  // keep the run alive
+        return ctx.active_edges().to_edge_list();
+      }
+    } fold;
     Rng rng(82);
     const MpcExecutionStats stats =
         run_mpc_rounds(el, config, 0, rng, nullptr, build, account, fold);
@@ -394,12 +404,14 @@ TEST(MpcRoundsCertificate, UncertifiedLaterRoundClearsAStaleRatio) {
   }
   {
     // A certificate in the FINAL round sticks.
-    const auto fold = [&](std::vector<std::size_t>&, MpcRoundContext& ctx,
-                          Rng&) {
-      if (ctx.last_round()) ctx.certify_ratio(1.25);
-      ctx.note_progress(1);
-      return ctx.active_edges().to_edge_list();
-    };
+    struct LastRoundCertifies {
+      void absorb(std::size_t&, std::size_t, MpcRoundContext&) {}
+      EdgeList finish(std::vector<std::size_t>&, MpcRoundContext& ctx, Rng&) {
+        if (ctx.last_round()) ctx.certify_ratio(1.25);
+        ctx.note_progress(1);
+        return ctx.active_edges().to_edge_list();
+      }
+    } fold;
     Rng rng(82);
     const MpcExecutionStats stats =
         run_mpc_rounds(el, config, 0, rng, nullptr, build, account, fold);
@@ -407,59 +419,56 @@ TEST(MpcRoundsCertificate, UncertifiedLaterRoundClearsAStaleRatio) {
   }
 }
 
-TEST(MpcRoundsStreaming, StreamingFoldMatchesBarrierSeedForSeed) {
+TEST(MpcRoundsThreadInvariance, CoresetMatchingIsIdenticalAcrossPoolShapes) {
+  ThreadPool one(1);
+  ThreadPool four(4);
   for (std::uint64_t seed : {90u, 91u}) {
     for (const Instance& inst : grid(seed)) {
-      for (std::size_t threads : {0u, 4u}) {
-        ThreadPool pool(threads == 0 ? 1 : threads);
-        ThreadPool* p = threads == 0 ? nullptr : &pool;
-
-        MpcEngineConfig barrier_cfg = engine_config(inst.edges, 4, true);
-        Rng barrier_rng(seed);
-        const CoresetMpcMatchingResult barrier = coreset_mpc_matching_rounds(
-            inst.edges, barrier_cfg, inst.left_size, barrier_rng, p);
-
-        MpcEngineConfig stream_cfg = barrier_cfg;
-        stream_cfg.streaming_fold = true;  // canonical order by default
-        Rng stream_rng(seed);
-        const CoresetMpcMatchingResult streamed = coreset_mpc_matching_rounds(
-            inst.edges, stream_cfg, inst.left_size, stream_rng, p);
-
-        EXPECT_EQ(sorted_edges(barrier.matching), sorted_edges(streamed.matching))
-            << inst.name << " seed=" << seed << " threads=" << threads;
-        EXPECT_EQ(barrier.rounds, streamed.rounds);
-        EXPECT_EQ(barrier.stats.total_comm_words, streamed.stats.total_comm_words);
-        EXPECT_EQ(barrier.max_memory_words, streamed.max_memory_words);
-        EXPECT_EQ(barrier.stats.engine_rounds, streamed.stats.engine_rounds);
+      const MpcEngineConfig cfg = engine_config(inst.edges, 4, true);
+      Rng base_rng(seed);
+      const CoresetMpcMatchingResult base = coreset_mpc_matching_rounds(
+          inst.edges, cfg, inst.left_size, base_rng);
+      for (ThreadPool* pool : {&one, &four}) {
+        Rng rng(seed);
+        const CoresetMpcMatchingResult got = coreset_mpc_matching_rounds(
+            inst.edges, cfg, inst.left_size, rng, pool);
+        EXPECT_EQ(sorted_edges(base.matching), sorted_edges(got.matching))
+            << inst.name << " seed=" << seed << " threads=" << pool->size();
+        EXPECT_EQ(base.rounds, got.rounds);
+        EXPECT_EQ(base.stats.total_comm_words, got.stats.total_comm_words);
+        EXPECT_EQ(base.max_memory_words, got.max_memory_words);
+        EXPECT_EQ(base.stats.engine_rounds, got.stats.engine_rounds);
+        EXPECT_EQ(base.stats.round_peak_words, got.stats.round_peak_words);
       }
     }
   }
 }
 
-TEST(MpcRoundsStreaming, StreamingVertexCoverMatchesBarrierSeedForSeed) {
+TEST(MpcRoundsThreadInvariance, VertexCoverIsIdenticalAcrossPoolShapes) {
+  ThreadPool one(1);
+  ThreadPool four(4);
   for (std::uint64_t seed : {92u, 93u}) {
     for (const Instance& inst : grid(seed)) {
-      MpcEngineConfig barrier_cfg = engine_config(inst.edges, 3, true);
-      Rng barrier_rng(seed);
-      const CoresetMpcVcResult barrier = coreset_mpc_vertex_cover_rounds(
-          inst.edges, barrier_cfg, barrier_rng);
-
-      MpcEngineConfig stream_cfg = barrier_cfg;
-      stream_cfg.streaming_fold = true;
-      ThreadPool pool(4);
-      Rng stream_rng(seed);
-      const CoresetMpcVcResult streamed = coreset_mpc_vertex_cover_rounds(
-          inst.edges, stream_cfg, stream_rng, &pool);
-
-      EXPECT_EQ(barrier.cover.vertices(), streamed.cover.vertices())
-          << inst.name << " seed=" << seed;
-      EXPECT_EQ(barrier.rounds, streamed.rounds);
-      EXPECT_EQ(barrier.max_memory_words, streamed.max_memory_words);
+      const MpcEngineConfig cfg = engine_config(inst.edges, 3, true);
+      Rng base_rng(seed);
+      const CoresetMpcVcResult base =
+          coreset_mpc_vertex_cover_rounds(inst.edges, cfg, base_rng);
+      for (ThreadPool* pool : {&one, &four}) {
+        Rng rng(seed);
+        const CoresetMpcVcResult got =
+            coreset_mpc_vertex_cover_rounds(inst.edges, cfg, rng, pool);
+        EXPECT_EQ(base.cover.vertices(), got.cover.vertices())
+            << inst.name << " seed=" << seed << " threads=" << pool->size();
+        EXPECT_EQ(base.rounds, got.rounds);
+        EXPECT_EQ(base.max_memory_words, got.max_memory_words);
+      }
     }
   }
 }
 
-TEST(MpcRoundsStreaming, StreamingFilteringMatchesBarrierSeedForSeed) {
+TEST(MpcRoundsThreadInvariance, FilteringIsIdenticalAcrossPoolShapes) {
+  ThreadPool one(1);
+  ThreadPool four(4);
   for (std::uint64_t seed : {94u, 95u}) {
     Rng gen_rng(seed);
     const EdgeList el = gnp(400, 0.08, gen_rng);
@@ -468,44 +477,20 @@ TEST(MpcRoundsStreaming, StreamingFilteringMatchesBarrierSeedForSeed) {
     cfg.mpc.memory_words = 2 * 3000;
     cfg.max_rounds = 1000;
 
-    Rng barrier_rng(seed);
-    const FilteringMpcResult barrier = filtering_mpc_rounds(el, cfg, barrier_rng);
-
-    MpcEngineConfig stream_cfg = cfg;
-    stream_cfg.streaming_fold = true;
-    ThreadPool pool(4);
-    Rng stream_rng(seed);
-    const FilteringMpcResult streamed =
-        filtering_mpc_rounds(el, stream_cfg, stream_rng, &pool);
-
-    EXPECT_EQ(sorted_edges(barrier.maximal_matching),
-              sorted_edges(streamed.maximal_matching));
-    EXPECT_EQ(barrier.rounds, streamed.rounds);
-    EXPECT_EQ(barrier.filter_iterations, streamed.filter_iterations);
-    EXPECT_EQ(barrier.max_memory_words, streamed.max_memory_words);
-    EXPECT_TRUE(streamed.completed);
+    Rng base_rng(seed);
+    const FilteringMpcResult base = filtering_mpc_rounds(el, cfg, base_rng);
+    for (ThreadPool* pool : {&one, &four}) {
+      Rng rng(seed);
+      const FilteringMpcResult got = filtering_mpc_rounds(el, cfg, rng, pool);
+      EXPECT_EQ(sorted_edges(base.maximal_matching),
+                sorted_edges(got.maximal_matching))
+          << "seed=" << seed << " threads=" << pool->size();
+      EXPECT_EQ(base.rounds, got.rounds);
+      EXPECT_EQ(base.filter_iterations, got.filter_iterations);
+      EXPECT_EQ(base.max_memory_words, got.max_memory_words);
+      EXPECT_TRUE(got.completed);
+    }
   }
-}
-
-TEST(MpcRoundsStreaming, ArrivalOrderFilteringStaysMaximal) {
-  // Arrival-order absorbs greedy-extend in completion order: the matching
-  // differs run to run, but maximality and the duality sandwich cannot.
-  Rng gen_rng(96);
-  const EdgeList el = gnp(300, 0.08, gen_rng);
-  MpcEngineConfig cfg;
-  cfg.mpc.num_machines = 8;
-  cfg.mpc.memory_words = 2 * 3000;
-  cfg.max_rounds = 1000;
-  cfg.streaming_fold = true;
-  cfg.streaming.order = StreamingOrder::kArrival;
-  ThreadPool pool(4);
-  Rng rng(96);
-  const FilteringMpcResult r = filtering_mpc_rounds(el, cfg, rng, &pool);
-  EXPECT_TRUE(r.completed);
-  EXPECT_TRUE(r.maximal_matching.valid());
-  EXPECT_TRUE(r.maximal_matching.subset_of(el));
-  EXPECT_TRUE(r.maximal_matching.maximal_in(el));
-  EXPECT_TRUE(r.cover.covers(el));
 }
 
 TEST(MpcRoundsEarlyStop, StopsWhenNoEdgesSurvive) {

@@ -29,6 +29,7 @@
 #include "mpc/augmenting_rounds.hpp"
 #include "mpc/coreset_mpc.hpp"
 #include "mpc/filtering_mpc.hpp"
+#include "util/thread_pool.hpp"
 #include "vertex_cover/approx.hpp"
 
 namespace rcc {
@@ -226,80 +227,55 @@ TEST(ProtocolProperties, FilteringSatisfiesTheDualitySandwich) {
   }
 }
 
-TEST(ProtocolProperties, StreamingCanonicalMatchesBarrierOnTheFullGrid) {
-  // The streaming combine path's determinism contract, pinned on the same
-  // generator x seed grid as every other protocol invariant: in canonical
-  // order, streaming is seed-for-seed identical to the barrier fold — exact
+TEST(ProtocolProperties, ThreadCountInvarianceOnTheFullGrid) {
+  // The engine's determinism contract, pinned on the same generator x seed
+  // grid as every other protocol invariant: a run with no pool, a one-thread
+  // pool, and a four-thread pool is seed-for-seed identical — exact
   // solutions, word-exact communication, and the caller's RNG left at the
   // same stream position.
-  ThreadPool pool(4);
+  ThreadPool one(1);
+  ThreadPool four(4);
   for (std::uint64_t seed : kSeeds) {
     for (const Instance& inst : instance_grid(seed)) {
-      Rng barrier_rng(seed);
-      const MatchingProtocolResult m_barrier = coreset_matching_protocol(
-          inst.edges, kMachines, inst.left_size, barrier_rng, &pool);
-      Rng stream_rng(seed);
-      const MatchingProtocolResult m_streamed =
-          coreset_matching_protocol_streaming(inst.edges, kMachines,
-                                              inst.left_size, stream_rng,
-                                              &pool);
-      EdgeList barrier_edges = m_barrier.solution.to_edge_list();
-      EdgeList streamed_edges = m_streamed.solution.to_edge_list();
-      barrier_edges.sort();
-      streamed_edges.sort();
-      EXPECT_EQ(barrier_edges.edges(), streamed_edges.edges())
-          << "matching on " << inst.name << " seed=" << seed;
-      EXPECT_EQ(m_barrier.comm.total_words(), m_streamed.comm.total_words())
-          << inst.name;
-      EXPECT_EQ(barrier_rng.next_u64(), stream_rng.next_u64()) << inst.name;
+      Rng m_base_rng(seed);
+      const MatchingProtocolResult m_base = coreset_matching_protocol(
+          inst.edges, kMachines, inst.left_size, m_base_rng);
+      EdgeList m_base_edges = m_base.solution.to_edge_list();
+      m_base_edges.sort();
+      Rng c_base_rng(seed);
+      const VcProtocolResult c_base =
+          coreset_vc_protocol(inst.edges, kMachines, c_base_rng);
+      Rng g_base_rng(seed);
+      const GroupedVcProtocolResult g_base = grouped_vc_protocol(
+          inst.edges, kMachines, /*alpha=*/8.0, g_base_rng);
 
-      Rng vc_barrier_rng(seed);
-      const VcProtocolResult c_barrier =
-          coreset_vc_protocol(inst.edges, kMachines, vc_barrier_rng, &pool);
-      Rng vc_stream_rng(seed);
-      const VcProtocolResult c_streamed = coreset_vc_protocol_streaming(
-          inst.edges, kMachines, vc_stream_rng, &pool);
-      EXPECT_EQ(c_barrier.solution.vertices(), c_streamed.solution.vertices())
-          << "cover on " << inst.name << " seed=" << seed;
-      EXPECT_EQ(c_barrier.comm.total_words(), c_streamed.comm.total_words());
-      EXPECT_EQ(vc_barrier_rng.next_u64(), vc_stream_rng.next_u64());
+      for (ThreadPool* pool : {&one, &four}) {
+        const std::string what = inst.name + " seed=" + std::to_string(seed) +
+                                 " threads=" + std::to_string(pool->size());
+        Rng m_rng(seed);
+        const MatchingProtocolResult m = coreset_matching_protocol(
+            inst.edges, kMachines, inst.left_size, m_rng, pool);
+        EdgeList m_edges = m.solution.to_edge_list();
+        m_edges.sort();
+        EXPECT_EQ(m_base_edges.edges(), m_edges.edges()) << "matching " << what;
+        EXPECT_EQ(m_base.comm.total_words(), m.comm.total_words()) << what;
+        EXPECT_EQ(Rng(m_base_rng).next_u64(), m_rng.next_u64()) << what;
 
-      Rng g_barrier_rng(seed);
-      const GroupedVcProtocolResult g_barrier = grouped_vc_protocol(
-          inst.edges, kMachines, /*alpha=*/8.0, g_barrier_rng, &pool);
-      Rng g_stream_rng(seed);
-      const GroupedVcProtocolResult g_streamed = grouped_vc_protocol_streaming(
-          inst.edges, kMachines, /*alpha=*/8.0, g_stream_rng, &pool);
-      EXPECT_EQ(g_barrier.solution.vertices(), g_streamed.solution.vertices())
-          << "grouped cover on " << inst.name << " seed=" << seed;
-      EXPECT_EQ(g_barrier_rng.next_u64(), g_stream_rng.next_u64());
-    }
-  }
-}
+        Rng c_rng(seed);
+        const VcProtocolResult c =
+            coreset_vc_protocol(inst.edges, kMachines, c_rng, pool);
+        EXPECT_EQ(c_base.solution.vertices(), c.solution.vertices())
+            << "cover " << what;
+        EXPECT_EQ(c_base.comm.total_words(), c.comm.total_words()) << what;
+        EXPECT_EQ(Rng(c_base_rng).next_u64(), c_rng.next_u64()) << what;
 
-TEST(ProtocolProperties, ArrivalOrderStreamingKeepsEveryInvariant) {
-  // Arrival order forfeits exact reproducibility, never correctness: every
-  // solution must still satisfy validity, feasibility, and the duality
-  // sandwich on every grid point.
-  StreamingOptions arrival;
-  arrival.order = StreamingOrder::kArrival;
-  ThreadPool pool(4);
-  for (std::uint64_t seed : kSeeds) {
-    for (const Instance& inst : instance_grid(seed)) {
-      const std::size_t opt =
-          maximum_matching_size(inst.edges, inst.left_size);
-      Rng m_rng(seed);
-      const MatchingProtocolResult m = coreset_matching_protocol_streaming(
-          inst.edges, kMachines, inst.left_size, m_rng, &pool, arrival);
-      expect_valid_matching(m.solution, inst, opt, "streaming-arrival");
-      EXPECT_TRUE(
-          m.solution.maximal_in(EdgeList::union_of(m.summaries)))
-          << inst.name;
-
-      Rng c_rng(seed);
-      const VcProtocolResult c = coreset_vc_protocol_streaming(
-          inst.edges, kMachines, c_rng, &pool, arrival);
-      expect_feasible_cover(c.solution, inst, opt, "streaming-arrival-vc");
+        Rng g_rng(seed);
+        const GroupedVcProtocolResult g = grouped_vc_protocol(
+            inst.edges, kMachines, /*alpha=*/8.0, g_rng, pool);
+        EXPECT_EQ(g_base.solution.vertices(), g.solution.vertices())
+            << "grouped cover " << what;
+        EXPECT_EQ(Rng(g_base_rng).next_u64(), g_rng.next_u64()) << what;
+      }
     }
   }
 }

@@ -1,11 +1,13 @@
 // ProtocolEngine tests: the sharded partitioner's exactly-once /
-// determinism guarantees, and equivalence of the engine pipeline with the
-// legacy driver shapes it replaced.
+// determinism guarantees, equivalence of the engine pipeline with the
+// legacy driver shapes it replaced, and the transport flag bundle
+// (add_streaming_flags) with its strict exit(2) on bad values.
 #include "distributed/protocol_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "coreset/matching_coresets.hpp"
 #include "coreset/vc_coreset.hpp"
@@ -14,6 +16,7 @@
 #include "matching/max_matching.hpp"
 #include "partition/partition.hpp"
 #include "partition/sharded_partition.hpp"
+#include "util/options.hpp"
 #include "util/rng.hpp"
 
 namespace rcc {
@@ -232,6 +235,103 @@ TEST(ProtocolEngine, EmptyGraphAndSingleMachine) {
       coreset_matching_protocol(el, 1, 0, rng2, nullptr);
   EXPECT_TRUE(one.solution.valid());
   EXPECT_EQ(one.solution.size(), maximum_matching_size(el));
+}
+
+TEST(EngineFlags, TransportFlagsRoundTripIntoStreamingOptions) {
+  Options options("protocol_engine_test");
+  add_streaming_flags(options);
+  add_streaming_flags(options);  // idempotent: double registration is a no-op
+  const char* argv[] = {"test", "--engine-transport=socket",
+                        "--engine-transport-port=4242"};
+  options.parse(3, const_cast<char**>(argv));
+  const StreamingOptions opts = streaming_options_from_options(options);
+  EXPECT_EQ(opts.transport, EngineTransport::kSocket);
+  EXPECT_EQ(opts.socket.leader_port, 4242);
+}
+
+TEST(EngineFlags, DefaultsSelectTheInprocTransport) {
+  Options options("protocol_engine_test");
+  add_streaming_flags(options);
+  const char* argv[] = {"test"};
+  options.parse(1, const_cast<char**>(argv));
+  const StreamingOptions opts = streaming_options_from_options(options);
+  EXPECT_EQ(opts.transport, EngineTransport::kInproc);
+  EXPECT_EQ(opts.shm_pool, nullptr);
+}
+
+TEST(EngineFlags, ShmTransportFlagsRoundTripIntoStreamingOptions) {
+  Options options("protocol_engine_test");
+  add_streaming_flags(options);
+  const char* argv[] = {"test", "--engine-transport=shm",
+                        "--engine-transport-timeout-ms=2500",
+                        "--engine-shm-ring-bytes=65536"};
+  options.parse(4, const_cast<char**>(argv));
+  const StreamingOptions opts = streaming_options_from_options(options);
+  EXPECT_EQ(opts.transport, EngineTransport::kShm);
+  // One deadline flag feeds both cross-process transports.
+  EXPECT_EQ(opts.shm.timeout_ms, 2500);
+  EXPECT_EQ(opts.socket.timeout_ms, 2500);
+  EXPECT_EQ(opts.shm.ring_bytes, 65536u);
+}
+
+TEST(EngineFlags, LargestTimeoutIsAccepted) {
+  Options options("protocol_engine_test");
+  add_streaming_flags(options);
+  const char* argv[] = {"test", "--engine-transport-timeout-ms=2147483647"};
+  options.parse(2, const_cast<char**>(argv));
+  const StreamingOptions opts = streaming_options_from_options(options);
+  EXPECT_EQ(opts.socket.timeout_ms, 2147483647);
+  EXPECT_EQ(opts.shm.timeout_ms, 2147483647);
+}
+
+TEST(EngineFlagsDeath, UnknownTransportValueExitsStrictly) {
+  Options options("protocol_engine_test");
+  add_streaming_flags(options);
+  const char* argv[] = {"test", "--engine-transport=pipe"};
+  options.parse(2, const_cast<char**>(argv));
+  EXPECT_EXIT(streaming_options_from_options(options),
+              ::testing::ExitedWithCode(2),
+              "flag --engine-transport: 'pipe' is not one of 'inproc', "
+              "'socket', 'shm'");
+}
+
+TEST(EngineFlagsDeath, UndersizedShmRingExitsStrictly) {
+  Options options("protocol_engine_test");
+  add_streaming_flags(options);
+  const char* argv[] = {"test", "--engine-shm-ring-bytes=32"};
+  options.parse(2, const_cast<char**>(argv));
+  EXPECT_EXIT(streaming_options_from_options(options),
+              ::testing::ExitedWithCode(2),
+              "flag --engine-shm-ring-bytes: 32 must be in \\[64, 2\\^30\\]");
+}
+
+TEST(EngineFlagsDeath, TimeoutPastIntRangeExitsStrictly) {
+  // Regression: the deadline used to be narrowed to int unchecked, so 2^32
+  // became a 0 ms deadline and 2^31 a negative one.
+  for (const char* value : {"4294967296", "2147483648"}) {
+    Options options("protocol_engine_test");
+    add_streaming_flags(options);
+    const std::string flag = std::string("--engine-transport-timeout-ms=") +
+                             value;
+    const char* argv[] = {"test", flag.c_str()};
+    options.parse(2, const_cast<char**>(argv));
+    EXPECT_EXIT(streaming_options_from_options(options),
+                ::testing::ExitedWithCode(2),
+                std::string("flag --engine-transport-timeout-ms: ") + value +
+                    " must be in \\[1, 2147483647\\]")
+        << value;
+  }
+}
+
+TEST(EngineFlagsDeath, NonPositiveTimeoutExitsStrictly) {
+  Options options("protocol_engine_test");
+  add_streaming_flags(options);
+  const char* argv[] = {"test", "--engine-transport-timeout-ms=0"};
+  options.parse(2, const_cast<char**>(argv));
+  EXPECT_EXIT(streaming_options_from_options(options),
+              ::testing::ExitedWithCode(2),
+              "flag --engine-transport-timeout-ms: 0 must be in "
+              "\\[1, 2147483647\\]");
 }
 
 }  // namespace

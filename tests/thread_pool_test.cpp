@@ -151,55 +151,6 @@ TEST(ParallelFor, TransientPoolOverload) {
   for (int i = 0; i < 64; ++i) EXPECT_EQ(visits[i].load(), 1);
 }
 
-TEST(CompletionQueue, SingleThreadedFifo) {
-  CompletionQueue queue(4);
-  for (std::size_t i = 0; i < 4; ++i) queue.push(i);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(queue.pop(), i);
-}
-
-TEST(CompletionQueue, ZeroCapacityIsClampedToOne) {
-  CompletionQueue queue(0);
-  EXPECT_EQ(queue.capacity(), 1u);
-  queue.push(7);
-  EXPECT_EQ(queue.pop(), 7u);
-}
-
-TEST(CompletionQueue, DeliversEveryIdExactlyOnceUnderContention) {
-  // Many producers racing into a queue smaller than the id count: the
-  // bounded ring must lose nothing, duplicate nothing, and unblock every
-  // producer (push backpressure) while a single consumer drains.
-  constexpr std::size_t kIds = 512;
-  CompletionQueue queue(3);
-  ThreadPool pool(8);
-  for (std::size_t i = 0; i < kIds; ++i) {
-    pool.submit([&queue, i] { queue.push(i); });
-  }
-  std::vector<int> seen(kIds, 0);
-  for (std::size_t i = 0; i < kIds; ++i) ++seen[queue.pop()];
-  pool.wait_idle();
-  for (std::size_t i = 0; i < kIds; ++i) EXPECT_EQ(seen[i], 1) << i;
-}
-
-TEST(CompletionQueue, PushHappensBeforePop) {
-  // The queue is the publication edge of the streaming engine: a payload
-  // written before push must be visible after the matching pop.
-  constexpr std::size_t kIds = 256;
-  CompletionQueue queue(8);
-  ThreadPool pool(4);
-  std::vector<std::size_t> payload(kIds, 0);
-  for (std::size_t i = 0; i < kIds; ++i) {
-    pool.submit([&, i] {
-      payload[i] = i + 1;  // plain write, published by push's mutex
-      queue.push(i);
-    });
-  }
-  for (std::size_t n = 0; n < kIds; ++n) {
-    const std::size_t id = queue.pop();
-    EXPECT_EQ(payload[id], id + 1);
-  }
-  pool.wait_idle();
-}
-
 // ---------------------------------------------------------------------------
 // Determinism contract: the simulators' results are a function of (input,
 // seed), never of the pool shape. Runs across thread counts, with and

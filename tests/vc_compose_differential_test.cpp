@@ -267,48 +267,27 @@ TEST(VcComposeDifferential, ProtocolMatchesReferenceThroughTheEngine) {
   }
 }
 
-TEST(VcComposeDifferential, StreamingFoldMatchesBarrierInBothOrders) {
-  // Canonical order is draw-for-draw the barrier compose. Arrival order
-  // absorbs the same residual multiset in another order, so the shuffle
-  // consumes the same draws: the RNG position, the ledger and the fixed
-  // part still match, and without a pool arrival order IS machine order.
-  ThreadPool pool(4);
-  StreamingOptions arrival;
-  arrival.order = StreamingOrder::kArrival;
+TEST(VcComposeDifferential, PooledComposeMatchesSequentialDrawForDraw) {
+  // The compose runs once, after the machine phase, whatever ran the
+  // machines: a one-thread and a four-thread pool reproduce the sequential
+  // cover, ledger and RNG position exactly.
+  ThreadPool one(1);
+  ThreadPool four(4);
   for (const Instance& inst : instance_grid(4)) {
     for (std::size_t k : kMachineCounts) {
-      Rng barrier_rng(5 + k);
-      const VcProtocolResult barrier =
-          coreset_vc_protocol(inst.edges, k, barrier_rng, &pool);
-
-      Rng canonical_rng(5 + k);
-      const VcProtocolResult canonical =
-          coreset_vc_protocol_streaming(inst.edges, k, canonical_rng, &pool);
-      EXPECT_EQ(barrier.solution.indicator(), canonical.solution.indicator())
-          << cell(inst, k, 4);
-      EXPECT_EQ(barrier.comm.total_words(), canonical.comm.total_words());
-
       Rng sequential_rng(5 + k);
-      const VcProtocolResult sequential = coreset_vc_protocol_streaming(
-          inst.edges, k, sequential_rng, nullptr, arrival);
-      EXPECT_EQ(barrier.solution.indicator(), sequential.solution.indicator())
-          << cell(inst, k, 4);
-
-      Rng arrival_rng(5 + k);
-      const VcProtocolResult arrived = coreset_vc_protocol_streaming(
-          inst.edges, k, arrival_rng, &pool, arrival);
-      EXPECT_TRUE(arrived.solution.covers(inst.edges)) << cell(inst, k, 4);
-      EXPECT_EQ(barrier.comm.total_words(), arrived.comm.total_words());
-      for (const VcCoresetOutput& s : barrier.summaries) {
-        for (VertexId v : s.fixed_vertices) {
-          EXPECT_TRUE(arrived.solution.contains(v)) << cell(inst, k, 4);
-        }
+      const VcProtocolResult sequential =
+          coreset_vc_protocol(inst.edges, k, sequential_rng);
+      const std::uint64_t next = sequential_rng.next_u64();
+      for (ThreadPool* pool : {&one, &four}) {
+        Rng rng(5 + k);
+        const VcProtocolResult pooled =
+            coreset_vc_protocol(inst.edges, k, rng, pool);
+        EXPECT_EQ(sequential.solution.indicator(), pooled.solution.indicator())
+            << cell(inst, k, 4) << " threads=" << pool->size();
+        EXPECT_EQ(sequential.comm.total_words(), pooled.comm.total_words());
+        EXPECT_EQ(rng.next_u64(), next) << cell(inst, k, 4);
       }
-
-      const std::uint64_t next = barrier_rng.next_u64();
-      EXPECT_EQ(canonical_rng.next_u64(), next) << cell(inst, k, 4);
-      EXPECT_EQ(sequential_rng.next_u64(), next) << cell(inst, k, 4);
-      EXPECT_EQ(arrival_rng.next_u64(), next) << cell(inst, k, 4);
     }
   }
 }

@@ -128,16 +128,11 @@ int run_solve(const Options& opts, Rng& rng) {
   const auto left_size = static_cast<VertexId>(opts.get_int("left-size"));
   ThreadPool pool(static_cast<std::size_t>(opts.get_int("threads")));
   const StreamingOptions streaming = streaming_options_from_options(opts);
-  // Cross-process transports only exist behind the streaming combine path.
-  const bool stream = streaming_enabled_from_options(opts) ||
-                      streaming.transport != EngineTransport::kInproc;
   const std::string problem = opts.get_string("problem");
 
   if (problem == "matching") {
     const MatchingProtocolResult r =
-        stream ? coreset_matching_protocol_streaming(graph, k, left_size, rng,
-                                                     &pool, streaming)
-               : coreset_matching_protocol(graph, k, left_size, rng, &pool);
+        coreset_matching_protocol(graph, k, left_size, rng, &pool, streaming);
     std::printf("matching: %zu edges | comm %" PRIu64 " words | wire %" PRIu64
                 " bytes in %" PRIu64 " frames\n",
                 r.solution.size(), r.comm.total_words(),
@@ -146,8 +141,7 @@ int run_solve(const Options& opts, Rng& rng) {
   }
   if (problem == "vc") {
     const VcProtocolResult r =
-        stream ? coreset_vc_protocol_streaming(graph, k, rng, &pool, streaming)
-               : coreset_vc_protocol(graph, k, rng, &pool);
+        coreset_vc_protocol(graph, k, rng, &pool, streaming);
     std::printf("vertex cover: %zu vertices (feasible=%s) | comm %" PRIu64
                 " words | wire %" PRIu64 " bytes in %" PRIu64 " frames\n",
                 r.solution.size(),
