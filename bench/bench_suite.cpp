@@ -391,8 +391,8 @@ int run_suite(int argc, char** argv) {
       // 1-2 engine rounds, so the multi-round price is measured on a
       // recirculating harness (round-invariant build, every edge survives,
       // early stop off) that pins engine_rounds at 5 on every transport.
-      // worker_forks in the JSON carries the claim: the persistent shm pool
-      // forks k workers once per run, the socket path k per round.
+      // worker_forks in the JSON carries the claim: a round-invariant run
+      // keeps one worker host, k forks per run on either medium.
       const std::string scenario5 = scenario + "_r5";
       if (!wanted(scenario5, f)) continue;
       rows.push_back(measure(

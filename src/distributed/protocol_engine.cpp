@@ -1,8 +1,6 @@
 #include "distributed/protocol_engine.hpp"
 
 #include <climits>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "util/options.hpp"
@@ -19,14 +17,11 @@ void add_streaming_flags(Options& options) {
             "machine), 'socket' (forked worker processes streaming framed "
             "summaries over loopback TCP), or 'shm' (forked worker "
             "processes exchanging the same frames through shared-memory "
-            "rings; persistent workers under multi-round executors)")
-      .flag("engine-transport-port", "0",
-            "coordinator listening port for --engine-transport=socket "
-            "(0 = kernel-assigned ephemeral port)")
+            "rings); both keep their workers across the rounds of a "
+            "round-invariant multi-round run")
       .flag("engine-transport-timeout-ms", "10000",
-            "socket/shm transport deadline for worker connects and frame "
-            "waits; a worker silent this long fails the run with its "
-            "machine id")
+            "socket/shm transport deadline for every frame wait; a worker "
+            "silent this long fails the run with its machine id")
       .flag("engine-shm-ring-bytes", "1048576",
             "per-direction shared-memory ring capacity in bytes for "
             "--engine-transport=shm (rounded up to a power of two; larger "
@@ -43,40 +38,24 @@ StreamingOptions streaming_options_from_options(const Options& options) {
   } else if (transport == "shm") {
     opts.transport = EngineTransport::kShm;
   } else {
-    std::fprintf(stderr,
-                 "flag --engine-transport: '%s' is not one of 'inproc', "
-                 "'socket', 'shm'\n",
-                 transport.c_str());
-    std::exit(2);
+    flag_fail("engine-transport", "'%s' is not one of 'inproc', 'socket', "
+              "'shm'",
+              transport.c_str());
   }
-  const std::int64_t port = options.get_int("engine-transport-port");
-  if (port < 0 || port > 65535) {
-    std::fprintf(stderr,
-                 "flag --engine-transport-port: %lld is not a port number\n",
-                 static_cast<long long>(port));
-    std::exit(2);
-  }
-  opts.socket.leader_port = static_cast<std::uint16_t>(port);
   const std::int64_t timeout = options.get_int("engine-transport-timeout-ms");
-  // Both transports hold the deadline as int milliseconds: a value past
-  // INT_MAX would wrap instead of waiting longer.
+  // The deadline is held as int milliseconds: a value past INT_MAX would
+  // wrap instead of waiting longer.
   if (timeout <= 0 || timeout > INT_MAX) {
-    std::fprintf(stderr,
-                 "flag --engine-transport-timeout-ms: %lld must be in [1, "
-                 "%d]\n",
-                 static_cast<long long>(timeout), INT_MAX);
-    std::exit(2);
+    flag_fail("engine-transport-timeout-ms", "%lld must be in [1, %d]",
+              static_cast<long long>(timeout), INT_MAX);
   }
-  opts.socket.timeout_ms = static_cast<int>(timeout);
-  opts.shm.timeout_ms = static_cast<int>(timeout);
+  opts.timeout_ms = static_cast<int>(timeout);
   const std::int64_t ring_bytes = options.get_int("engine-shm-ring-bytes");
   if (ring_bytes < 64 || ring_bytes > (std::int64_t{1} << 30)) {
-    std::fprintf(stderr,
-                 "flag --engine-shm-ring-bytes: %lld must be in [64, 2^30]\n",
-                 static_cast<long long>(ring_bytes));
-    std::exit(2);
+    flag_fail("engine-shm-ring-bytes", "%lld must be in [64, 2^30]",
+              static_cast<long long>(ring_bytes));
   }
-  opts.shm.ring_bytes = static_cast<std::size_t>(ring_bytes);
+  opts.ring_bytes = static_cast<std::size_t>(ring_bytes);
   return opts;
 }
 

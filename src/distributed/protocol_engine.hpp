@@ -26,22 +26,22 @@
 // timing code.
 //
 // The coordinator combine runs once, after the machine phase, on every
-// transport: machines (threads, forked socket workers, or shm ring workers)
-// fill the k-slot summary vector, the engine accounts the summaries in
-// machine order, and combine(summaries, rng) folds them. Combiners never
-// race a build.
+// transport: machines (threads, or forked workers behind a WorkerHost —
+// worker_host.hpp) fill the k-slot summary vector, the engine accounts the
+// summaries in machine order, and combine(summaries, rng) folds them.
+// Combiners never race a build.
 #pragma once
 
 #include <array>
+#include <optional>
 #include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "distributed/message.hpp"
-#include "distributed/shm_transport.hpp"
-#include "distributed/socket_transport.hpp"
 #include "distributed/summary_wire.hpp"
+#include "distributed/worker_host.hpp"
 #include "graph/edge_source.hpp"
 #include "partition/partition.hpp"
 #include "partition/sharded_partition.hpp"
@@ -61,51 +61,17 @@ struct ProtocolTiming {
   double combine_seconds = 0.0;    // wall time of the coordinator combine
 };
 
-/// How machine summaries reach the coordinator.
-enum class EngineTransport {
-  kInproc,  // shared address space: one thread-pool task per machine
-  kSocket,  // k forked worker processes streaming framed summaries over
-            // loopback TCP (summary_wire.hpp / socket_transport.hpp)
-  kShm,     // k forked worker processes exchanging the same frames through
-            // shared-memory rings (shm_transport.hpp); persistent workers
-            // when a multi-round executor provides a pool
-};
-
-/// How the machine phase reaches the coordinator.
-struct StreamingOptions {
-  /// Where the machine phase runs. kSocket and kShm require a
-  /// WireSerializable summary type and ignore the thread pool — the worker
-  /// processes ARE the parallelism.
-  EngineTransport transport = EngineTransport::kInproc;
-  /// Socket-transport knobs (port, deadline, fault injection); unused for
-  /// kInproc.
-  SocketTransportOptions socket;
-  /// Shm-transport knobs (ring capacity, deadline, fault injection); unused
-  /// unless transport == kShm.
-  ShmTransportOptions shm;
-  /// A live persistent worker pool for transport == kShm, or null. Set by
-  /// multi-round executors (run_mpc_rounds) that forked the pool INSIDE
-  /// round 0, right after the first partition: the engine ships round 0 an
-  /// rng-only control frame (the workers' copy-on-write snapshots already
-  /// hold their round-0 shards) and every later round its piece + forked
-  /// RNG stream DOWN the pool's rings instead of forking fresh workers. The
-  /// workers must be running the executor's round-loop body, which decodes
-  /// that protocol. Null means the engine forks ephemeral ring workers for
-  /// this one call (single-round drivers). Edge-typed pieces only.
-  ShmWorkerPool* shm_pool = nullptr;
-};
-
 /// What crossed a process boundary; all zeros for in-process runs.
 struct TransportTelemetry {
   EngineTransport kind = EngineTransport::kInproc;
   std::uint64_t wire_bytes = 0;  // framed bytes received (headers + payloads)
   std::uint64_t frames = 0;      // summary frames received (== k on success)
-  /// Downlink bytes the coordinator shipped (piece-delivery frames of a
-  /// persistent shm pool); 0 for transports that inherit pieces via fork.
+  /// Piece-frame bytes the coordinator shipped down: the rng-only frame of
+  /// a round whose pieces rode the fork, the whole piece otherwise.
   std::uint64_t piece_bytes = 0;
-  /// Worker processes forked FOR THIS CALL: k for socket and ephemeral shm
-  /// runs, 0 for a round served by a persistent pool (its forks happened at
-  /// spawn — the amortization the pool exists to provide).
+  /// Worker processes forked FOR THIS CALL: k when the call spawned the
+  /// host (every single-round call, and round 0 of a run that keeps one
+  /// host), 0 for a later round served by a kept host.
   std::uint64_t forks = 0;
 };
 
@@ -161,153 +127,130 @@ auto run_protocol_on_pieces(const std::vector<std::span<const EdgeT>>& pieces,
   // (pre-grown here — the set must not grow concurrently), so repeated
   // rounds reuse one warmed working set per machine slot.
   if (workspace != nullptr) workspace->ensure_machines(k);
-  const auto machine_work = [&](std::size_t i) {
+  const auto build_machine = [&](std::size_t i, const View& piece,
+                                 Rng& machine_rng) {
     const PartitionContext ctx{
         num_vertices, k, i, left_size,
         workspace != nullptr ? &workspace->machine(i) : nullptr};
-    const View piece(pieces[i].data(), pieces[i].size(), num_vertices);
-    result.summaries[i] = build(piece, ctx, machine_rngs[i]);
+    return build(piece, ctx, machine_rng);
+  };
+  const auto piece_of = [&](std::size_t i) {
+    return View(pieces[i].data(), pieces[i].size(), num_vertices);
   };
 
-  // Cross-process transports share one collect loop: pull k frames off the
-  // transport in arrival order and decode each into its machine's slot.
-  // (A generic lambda, called only from the WireSerializable branches
-  // below; `frame` stays type-dependent on the lambda parameter so the
-  // decode call is not checked for non-serializable summaries.)
-  const auto collect_frames = [&](auto&& next_frame) {
-    std::vector<char> arrived(k, 0);
-    for (std::size_t received = 0; received < k; ++received) {
-      auto frame = next_frame();
-      const std::size_t id = frame.header.machine;
-      RCC_CHECK(id < k && arrived[id] == 0);
-      arrived[id] = 1;
-      result.summaries[id] =
-          decode_frame_payload<Summary>(frame.header, frame.payload.data());
-    }
-  };
-  if (opts.transport == EngineTransport::kSocket) {
-    // Cross-process machine phase: fork k workers, each builds its summary
-    // on its copy-on-write inherited piece (with the rng stream forked for
-    // it ABOVE, in the parent — so the coordinator rng's position is
-    // identical to the in-process paths), frames it per summary_wire.hpp,
-    // and streams it to this process over loopback. The thread pool is
-    // ignored: workers are the parallelism.
+  if (opts.transport != EngineTransport::kInproc) {
     if constexpr (WireSerializable<Summary>) {
-      const SocketTransportOptions& sock = opts.socket;
-      LoopbackListener listener(sock.leader_port);
-      const std::uint16_t port = listener.port();
-      const auto worker_body = [&](std::size_t i) {
-        if (static_cast<long>(i) == sock.fault_kill_machine) {
-          worker_exit_silently();
-        }
-        machine_work(i);  // fills the CHILD's copy of summaries[i]
-        const std::vector<std::uint8_t> frame =
-            encode_frame(result.summaries[i], static_cast<std::uint32_t>(i));
-        const int fd = connect_to_leader(port, sock.timeout_ms);
-        if (static_cast<long>(i) == sock.fault_partial_frame_machine) {
-          send_partial_frame_and_die(fd, frame.data(), frame.size());
-        }
-        send_all(fd, frame.data(), frame.size());
-      };
-      const std::vector<pid_t> workers = spawn_workers(k, worker_body);
-      {
-        FrameCollector collector(listener, k, sock.timeout_ms);
-        collect_frames([&] { return collector.next_ready(); });
-        result.transport.kind = EngineTransport::kSocket;
-        result.transport.wire_bytes = collector.wire_bytes();
-        result.transport.frames = collector.frames_delivered();
-        result.transport.forks = k;
-      }
-      reap_workers(workers);
-    } else {
-      RCC_CHECK(
-          !"engine transport 'socket' requires a wire-serializable summary");
-    }
-  } else if (opts.transport == EngineTransport::kShm) {
-    if constexpr (WireSerializable<Summary>) {
-      bool served_by_pool = false;
-      if constexpr (std::is_same_v<EdgeT, Edge>) {
-        if (opts.shm_pool != nullptr) {
-          // Persistent pool (multi-round executors): the workers forked
-          // ONCE, inside round 0 right after the first partition, and are
-          // idling in their round loop. Round 0's pieces therefore rode the
-          // fork itself (copy-on-write, the socket transport's free piece
-          // story) and its frames carry only the rng stream forked for each
-          // machine ABOVE (so the coordinator rng's position is identical
-          // to every other path); later rounds repartition after the fork,
-          // so their frames ship the actual piece. Collect the summary
-          // frames back off the rings either way.
-          served_by_pool = true;
-          ShmWorkerPool& worker_pool = *opts.shm_pool;
-          RCC_CHECK(worker_pool.machines() == k);
-          const std::uint64_t wire_before = worker_pool.wire_bytes();
-          const std::uint64_t piece_before = worker_pool.piece_bytes();
-          worker_pool.begin_round();
-          const bool piece_rode_the_fork = worker_pool.round() == 0;
-          for (std::size_t i = 0; i < k; ++i) {
-            // Stack-built prefix + the shard bytes streamed straight from
-            // the partition: the downlink never stages a frame-sized
-            // scratch vector (megabytes per machine per round on dense
-            // multi-round runs).
-            std::array<std::uint8_t, kPieceFramePrefixBytes> prefix;
-            const std::size_t body_edges =
-                piece_rode_the_fork ? 0 : pieces[i].size();
-            encode_piece_frame_prefix(
-                body_edges, num_vertices, machine_rngs[i].state(),
-                worker_pool.round(), static_cast<std::uint32_t>(i),
-                prefix.data());
-            worker_pool.send_frame(
-                i, prefix.data(), prefix.size(),
-                reinterpret_cast<const std::uint8_t*>(pieces[i].data()),
-                body_edges * sizeof(Edge));
+      // Cross-process machine phase. Without a kept host this call spawns
+      // its own for one round and queues every worker's shutdown right
+      // behind its round-0 frame, so workers exit once their summary is
+      // written. The thread pool is ignored: workers are the parallelism.
+      std::optional<WorkerHost> own_host;
+      WorkerHost& host = opts.worker_host != nullptr
+                             ? *opts.worker_host
+                             : own_host.emplace(k, opts);
+      RCC_CHECK(host.machines() == k && host.medium() == opts.transport);
+      const std::uint64_t wire_before = host.wire_bytes();
+      const std::uint64_t piece_before = host.piece_bytes();
+      const std::uint64_t forks_before = host.forks();
+      if (!host.spawned()) {
+        // The one forked-worker body. Round 0's piece rode the fork (the
+        // worker's copy-on-write snapshot of `pieces`), so its frame
+        // carries only the rng stream forked for the machine ABOVE, in the
+        // coordinator — whose rng position is therefore identical to the
+        // in-process paths. Later rounds ship the piece itself, read as a
+        // borrowing view into the frame payload.
+        host.spawn([&](WorkerChannel& channel) {
+          const std::size_t i = channel.machine();
+          for (std::uint32_t round = 0;; ++round) {
+            const ReadyFrame frame = channel.read_frame();
+            if (frame.header.shape == SummaryShape::kShutdown) return;
+            const PieceDeliveryView delivered =
+                decode_piece_frame_view(frame.header, frame.payload.data());
+            if (delivered.round != round) {
+              transport_fail(opts.transport,
+                             "machine %zu expected a round-%u piece, got "
+                             "round %u",
+                             i, round, delivered.round);
+            }
+            Rng machine_rng = Rng::from_state(delivered.rng_state);
+            View piece = piece_of(i);
+            if constexpr (std::is_same_v<EdgeT, Edge>) {
+              if (round > 0) {
+                piece = View(delivered.edges, delivered.num_edges,
+                             delivered.num_vertices);
+              }
+            }
+            const Summary summary = build_machine(i, piece, machine_rng);
+            const auto machine = static_cast<std::uint32_t>(i);
+            if constexpr (std::is_same_v<Summary, EdgeList>) {
+              // The coreset drivers' bulk shape: a stack-built prefix, then
+              // the summary's edge bytes straight off its storage.
+              std::array<std::uint8_t, kEdgeListFramePrefixBytes> prefix;
+              encode_edge_list_frame_prefix(summary, machine, prefix.data());
+              channel.write_frame(
+                  prefix.data(), prefix.size(),
+                  reinterpret_cast<const std::uint8_t*>(
+                      summary.edges().data()),
+                  summary.num_edges() * sizeof(Edge));
+            } else {
+              const std::vector<std::uint8_t> out =
+                  encode_frame(summary, machine);
+              channel.write_frame(out.data(), out.size());
+            }
           }
-          collect_frames([&] { return worker_pool.next_ready(); });
-          result.transport.kind = EngineTransport::kShm;
-          result.transport.wire_bytes = worker_pool.wire_bytes() - wire_before;
-          result.transport.frames = k;
-          result.transport.piece_bytes =
-              worker_pool.piece_bytes() - piece_before;
-          result.transport.forks = 0;  // forked at spawn, not per round
-        }
-      }
-      if (!served_by_pool) {
-        // Ephemeral ring workers: fork k processes for this one call, each
-        // building on its copy-on-write inherited piece (socket-path
-        // discipline) and writing its frame through its uplink ring.
-        const ShmTransportOptions& shm = opts.shm;
-        ShmWorkerPool worker_pool(k, shm);
-        worker_pool.spawn([&](std::size_t i, ShmWorkerEndpoint& endpoint) {
-          if (static_cast<long>(i) == shm.fault_kill_machine) {
-            worker_exit_silently();
-          }
-          machine_work(i);  // fills the CHILD's copy of summaries[i]
-          const std::vector<std::uint8_t> frame =
-              encode_frame(result.summaries[i], static_cast<std::uint32_t>(i));
-          if (static_cast<long>(i) == shm.fault_partial_frame_machine) {
-            endpoint.write_raw(frame.data(),
-                               kFrameHeaderBytes +
-                                   (frame.size() - kFrameHeaderBytes) / 2);
-            worker_exit_silently();
-          }
-          endpoint.write_frame(frame.data(), frame.size());
         });
-        collect_frames([&] { return worker_pool.next_ready(); });
-        result.transport.kind = EngineTransport::kShm;
-        result.transport.wire_bytes = worker_pool.wire_bytes();
-        result.transport.frames = worker_pool.frames_delivered();
-        result.transport.forks = worker_pool.forks();
-        worker_pool.reap();
       }
+      host.begin_round();
+      const bool piece_rode_the_fork = host.round() == 0;
+      for (std::size_t i = 0; i < k; ++i) {
+        // Stack-built prefix + the shard bytes streamed straight from the
+        // partition: the downlink never stages a frame-sized vector.
+        std::size_t body_edges = 0;
+        if constexpr (std::is_same_v<EdgeT, Edge>) {
+          if (!piece_rode_the_fork) body_edges = pieces[i].size();
+        } else {
+          RCC_CHECK(piece_rode_the_fork);  // only Edge pieces ship down
+        }
+        std::array<std::uint8_t, kPieceFramePrefixBytes> prefix;
+        encode_piece_frame_prefix(body_edges, num_vertices,
+                                  machine_rngs[i].state(), host.round(),
+                                  static_cast<std::uint32_t>(i),
+                                  prefix.data());
+        host.send_frame(
+            i, prefix.data(), prefix.size(),
+            reinterpret_cast<const std::uint8_t*>(pieces[i].data()),
+            body_edges * sizeof(Edge));
+      }
+      if (own_host) host.send_shutdown();
+      std::vector<char> arrived(k, 0);
+      for (std::size_t received = 0; received < k; ++received) {
+        const ReadyFrame frame = host.next_ready();
+        const std::size_t id = frame.header.machine;
+        RCC_CHECK(id < k && arrived[id] == 0);
+        arrived[id] = 1;
+        result.summaries[id] =
+            decode_frame_payload<Summary>(frame.header, frame.payload.data());
+      }
+      result.transport.kind = opts.transport;
+      result.transport.wire_bytes = host.wire_bytes() - wire_before;
+      result.transport.frames = k;
+      result.transport.piece_bytes = host.piece_bytes() - piece_before;
+      result.transport.forks = host.forks() - forks_before;
+      if (own_host) host.reap();
     } else {
-      RCC_CHECK(
-          !"engine transport 'shm' requires a wire-serializable summary");
+      RCC_CHECK(!"cross-process engine transports require a "
+                 "wire-serializable summary");
     }
   } else if (pool != nullptr) {
     // Machines write disjoint summary slots, so the schedule cannot leak
     // into the result.
-    parallel_for(*pool, k, machine_work);
+    parallel_for(*pool, k, [&](std::size_t i) {
+      result.summaries[i] = build_machine(i, piece_of(i), machine_rngs[i]);
+    });
   } else {
-    for (std::size_t i = 0; i < k; ++i) machine_work(i);
+    for (std::size_t i = 0; i < k; ++i) {
+      result.summaries[i] = build_machine(i, piece_of(i), machine_rngs[i]);
+    }
   }
   result.comm.per_machine.resize(k);
   for (std::size_t i = 0; i < k; ++i) {
@@ -383,7 +326,6 @@ auto run_protocol(WeightedEdgeSource graph, std::size_t k,
 ///   --engine-transport             inproc | socket (forked workers over
 ///                                  loopback) | shm (forked workers over
 ///                                  shared-memory rings)
-///   --engine-transport-port        coordinator port (0 = ephemeral)
 ///   --engine-transport-timeout-ms  socket/shm deadline per wait
 ///   --engine-shm-ring-bytes        per-direction ring capacity for shm
 void add_streaming_flags(Options& options);

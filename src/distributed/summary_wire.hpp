@@ -2,7 +2,7 @@
 //
 // The coordinator model is only honest about communication once a summary
 // actually crosses a process boundary: this header defines the frame every
-// worker process sends over the loopback transport (socket_transport.hpp).
+// worker process sends through its channel (worker_host.hpp).
 // A frame is a fixed 24-byte header followed by a shape-tagged payload:
 //
 //   offset  size  field
@@ -54,9 +54,9 @@ inline constexpr std::size_t kFrameHeaderBytes = 24;
 inline constexpr std::uint64_t kMaxFramePayloadBytes = std::uint64_t{1} << 30;
 
 /// Payload tag of a frame: one per summary type a round-combiner sends,
-/// plus the coordinator->worker control frames of the persistent shm
-/// transport (pieces ride the same versioned framing as summaries, so one
-/// header decoder and one validation funnel serve both directions).
+/// plus the coordinator->worker frames of the worker host (pieces ride the
+/// same versioned framing as summaries, so one header decoder and one
+/// validation funnel serve both directions).
 enum class SummaryShape : std::uint16_t {
   kEdgeList = 1,       // coreset matching / filtering / EDCS rounds
   kVcCoreset = 2,      // vertex cover: residual edges + fixed vertices
@@ -65,7 +65,7 @@ enum class SummaryShape : std::uint16_t {
   kVcCoresetBatch = 5, // weighted VC: one VcCoresetOutput per weight level
   kGroupedVc = 6,      // grouped VC: core coreset + pinned group ids
   kPieceDelivery = 7,  // downlink: one round's piece + forked RNG stream
-  kShutdown = 8,       // downlink: persistent worker exit handshake (empty)
+  kShutdown = 8,       // downlink: worker exit handshake (empty)
 };
 
 /// Prints "summary wire: <formatted message>" to stderr and aborts. Every
@@ -137,7 +137,7 @@ class WireReader {
 template <typename T>
 struct SummaryCodec;  // specialized per summary shape below
 
-/// A summary type the socket transport can carry.
+/// A summary type the cross-process transports can carry.
 template <typename T>
 concept WireSerializable =
     requires(const T& value, WireWriter& writer, WireReader& reader) {
@@ -200,7 +200,7 @@ struct SummaryCodec<GroupedVcSummary> {
   static GroupedVcSummary decode(WireReader& reader);
 };
 
-/// One round's work order for a persistent shm worker: the machine's shard
+/// One round's work order for a forked worker: the machine's shard
 /// of the surviving edges plus the machine RNG stream the coordinator forked
 /// for this round (so the worker's draws are identical to the in-process and
 /// fork-per-round paths, and the caller's RNG position is untouched).
@@ -256,7 +256,7 @@ void encode_piece_frame_prefix(std::size_t num_edges, VertexId num_vertices,
                                std::uint32_t round, std::uint32_t machine,
                                std::uint8_t* out);
 
-/// Encodes the (payload-free) shutdown frame of the persistent-worker exit
+/// Encodes the (payload-free) shutdown frame of the worker exit
 /// handshake.
 std::vector<std::uint8_t> encode_shutdown_frame(std::uint32_t machine);
 
@@ -276,7 +276,7 @@ FrameHeader decode_frame_header(const std::uint8_t* bytes);
 
 /// Zero-copy view of a received kPieceDelivery payload: `edges` points INTO
 /// the frame payload (the wire's (u32 u, u32 v) records are Edge's memory
-/// layout, asserted in the codec), so a persistent worker reads its piece
+/// layout, asserted in the codec), so a worker reads its piece
 /// without materializing an owning EdgeList. Runs the same validation
 /// funnel as the owning decode — ids in range, no self-loops, exact payload
 /// consumption — just without the copy. The view borrows the payload

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
@@ -158,9 +156,9 @@ AugmentingMpcResult run_matching_rounds_augmenting(
   const auto build = [&](EdgeSpan piece, const PartitionContext& ctx, Rng&) {
     // M is stable for the whole machine phase (all writes happen in the
     // fold's finish, after every machine returned), so concurrent shard
-    // searches against it are safe. NOT round-invariant, though: finish rewrites M between rounds, so shm
-    // runs must re-fork per round (the default) rather than ride the
-    // persistent pool's fork-time snapshot.
+    // searches against it are safe. NOT round-invariant, though: finish
+    // rewrites M between rounds, so cross-process runs must fork per round
+    // (the default) rather than keep workers with a fork-time snapshot.
     return find_augmenting_paths(piece, matched, aug.max_path_length,
                                  ctx.scratch);
   };
@@ -186,11 +184,9 @@ AugmentingRoundsConfig augmenting_config_from_options(const Options& options) {
   if (epsilon > 0.0) return AugmentingRoundsConfig::for_epsilon(epsilon);
   const std::int64_t length = options.get_int("mpc-max-path-length");
   if (length < 1 || length % 2 == 0) {
-    std::fprintf(stderr,
-                 "flag --mpc-max-path-length: %lld must be an odd length "
-                 ">= 1 (2k+1)\n",
-                 static_cast<long long>(length));
-    std::exit(2);
+    flag_fail("mpc-max-path-length", "%lld must be an odd length >= 1 "
+              "(2k+1)",
+              static_cast<long long>(length));
   }
   AugmentingRoundsConfig config;
   config.max_path_length = static_cast<std::size_t>(length);

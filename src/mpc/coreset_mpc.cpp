@@ -122,7 +122,7 @@ CoresetMpcMatchingResult coreset_mpc_matching_rounds(
   MatchingRoundFold fold(matched, graph.num_vertices(), left_size);
 
   // The coreset build reads nothing but its shard and the machine rng, so
-  // every shm round may be served by the one persistent worker pool.
+  // a cross-process run may keep one worker host for every round.
   MpcEngineConfig exec = config;
   exec.round_invariant_build = true;
 
@@ -153,7 +153,7 @@ CoresetMpcVcResult coreset_mpc_vertex_cover_rounds(
   VcRoundFold fold(cover, n);
 
   // Same story as the matching driver: the peeling build is a pure function
-  // of (piece, ctx, rng), so the persistent shm pool is safe.
+  // of (piece, ctx, rng), so keeping one worker host is safe.
   MpcEngineConfig exec = config;
   exec.round_invariant_build = true;
 

@@ -1,7 +1,5 @@
 #include "mpc/edcs_rounds.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
@@ -105,7 +103,7 @@ EdcsMpcResult run_matching_rounds_edcs(EdgeSource graph,
   MpcEngineConfig exec = config;
   exec.round_label = "edcs-round";
   // build_edcs reads only the shard and the const beta/lambda parameters —
-  // round-invariant, so shm runs ride the persistent worker pool.
+  // round-invariant, so cross-process runs keep one worker host.
   exec.round_invariant_build = true;
 
   const auto build = [&](EdgeSpan piece, const PartitionContext& ctx, Rng&) {
@@ -138,17 +136,13 @@ EdcsRoundsConfig edcs_config_from_options(const Options& options) {
   const std::int64_t beta = options.get_int("mpc-edcs-beta");
   const std::int64_t lambda = options.get_int("mpc-edcs-lambda");
   if (beta < 2) {
-    std::fprintf(stderr, "flag --mpc-edcs-beta: %lld must be >= 2\n",
-                 static_cast<long long>(beta));
-    std::exit(2);
+    flag_fail("mpc-edcs-beta", "%lld must be >= 2",
+              static_cast<long long>(beta));
   }
   if (lambda < 1 || lambda >= beta) {
-    std::fprintf(stderr,
-                 "flag --mpc-edcs-lambda: %lld must satisfy "
-                 "1 <= lambda < beta (= %lld)\n",
-                 static_cast<long long>(lambda),
-                 static_cast<long long>(beta));
-    std::exit(2);
+    flag_fail("mpc-edcs-lambda", "%lld must satisfy 1 <= lambda < beta "
+              "(= %lld)",
+              static_cast<long long>(lambda), static_cast<long long>(beta));
   }
   EdcsRoundsConfig config;
   config.edcs.beta = static_cast<std::size_t>(beta);

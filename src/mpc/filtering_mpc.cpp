@@ -107,8 +107,8 @@ FilteringMpcResult filtering_mpc_rounds(EdgeSource graph,
   fold.plan_for(graph.num_edges());
 
   // NOT round-invariant: the build reads fold.rate / fold.finish_round,
-  // which the coordinator rewrites between rounds — shm runs must re-fork
-  // per round (the default) so workers see the fresh schedule.
+  // which the coordinator rewrites between rounds — cross-process runs must
+  // fork per round (the default) so workers see the fresh schedule.
   const auto build = [&](EdgeSpan piece, const PartitionContext&,
                          Rng& machine_rng) {
     if (fold.finish_round) return piece.to_edge_list();  // residual fits

@@ -1,25 +1,19 @@
 #include "mpc/mpc_engine.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "util/options.hpp"
 
 namespace rcc {
 
 namespace {
 
-/// Flag values that parse but make no sense get the same friendly exit(2)
-/// treatment as unparsable ones (Options philosophy: typos in experiment
-/// parameters must not silently run the wrong configuration).
+/// Flag values that parse but make no sense die through the same funnel
+/// as unparsable ones.
 std::int64_t flag_at_least(const Options& options, const char* name,
                            std::int64_t minimum) {
   const std::int64_t value = options.get_int(name);
   if (value < minimum) {
-    std::fprintf(stderr, "flag --%s: %lld is out of range (minimum %lld)\n",
-                 name, static_cast<long long>(value),
-                 static_cast<long long>(minimum));
-    std::exit(2);
+    flag_fail(name, "%lld is out of range (minimum %lld)",
+              static_cast<long long>(value), static_cast<long long>(minimum));
   }
   return value;
 }

@@ -39,9 +39,8 @@
 // the legacy single-round entry points are thin wrappers over them.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -81,9 +80,9 @@ struct MpcEngineConfig {
   /// fold requests it.
   bool early_stop = true;
 
-  /// The machine-phase transport: EngineTransport::kSocket forks one worker
-  /// process per machine each round and streams framed summaries over
-  /// loopback; kShm exchanges the same frames through shared-memory rings.
+  /// The machine-phase transport: kSocket and kShm run every machine in a
+  /// forked worker process that exchanges framed summaries with the
+  /// coordinator over loopback TCP or shared-memory rings.
   StreamingOptions streaming;
 
   /// Charge every machine 2*|shard| words for holding its piece of the
@@ -93,16 +92,15 @@ struct MpcEngineConfig {
 
   /// The build callable is a pure function of (piece, ctx, machine rng): it
   /// reads no captured state the round-combiner mutates between rounds.
-  /// Round-invariant builds let the shm transport serve every round from ONE
-  /// persistent worker pool (fork k processes at round 0 — the first round's
-  /// shards ride the fork copy-on-write, later rounds ship pieces down the
-  /// rings — worker_forks == k however many rounds run). Builds
-  /// that read coordinator-evolving state (filtering's rate schedule,
-  /// augmenting's current matching) must leave this false: each shm round
-  /// then re-forks ephemeral workers whose copy-on-write snapshot sees the
-  /// fresh state — the socket transport's correctness story, minus the
-  /// socket. Drivers set this, not callers: it is a property of the build
-  /// lambda, not of the run.
+  /// Round-invariant builds keep ONE worker host for the whole run on
+  /// either cross-process transport (fork k processes at round 0 — the
+  /// first round's shards ride the fork copy-on-write, later rounds ship
+  /// pieces down the channels — worker_forks == k however many rounds run).
+  /// Builds that read coordinator-evolving state (filtering's rate
+  /// schedule, augmenting's current matching) must leave this false: each
+  /// round then forks fresh workers whose copy-on-write snapshot sees the
+  /// fresh state. Drivers set this, not callers: it is a property of the
+  /// build lambda, not of the run.
   bool round_invariant_build = false;
 
   /// Ledger label prefix for executor-declared super-steps.
@@ -238,9 +236,9 @@ struct MpcExecutionStats {
   double certified_ratio = 0.0;
   /// Transport accounting of cross-process runs (zeros for inproc): worker
   /// processes forked over the whole run, uplink summary-frame bytes, and
-  /// downlink piece-delivery bytes. The fork-amortization claim is read
-  /// here: a persistent shm pool shows worker_forks == k no matter how many
-  /// engine rounds ran, while the socket transport shows k per round.
+  /// downlink piece-frame bytes. The fork-amortization claim is read here:
+  /// a round-invariant run shows worker_forks == k on either medium no
+  /// matter how many engine rounds ran; other builds show k per round.
   std::uint64_t worker_forks = 0;
   std::uint64_t transport_wire_bytes = 0;
   std::uint64_t transport_piece_bytes = 0;
@@ -301,21 +299,20 @@ MpcExecutionStats run_mpc_rounds(EdgeSource graph,
 
   using Summary = std::decay_t<std::invoke_result_t<
       const Build&, EdgeSpan, const PartitionContext&, Rng&>>;
-  // Persistent ring workers: the shm transport forks the k machine
-  // processes ONCE per run — inside round 0, just after the first partition,
-  // so each worker's copy-on-write snapshot already holds its round-0 shard
-  // and the round-0 frame carries only the rng stream (the socket
-  // transport's free piece story, made persistent). Rounds >= 1 repartition
-  // AFTER the fork, so their pieces ship down the rings. Fork amortization
-  // is the point: the socket transport pays k forks per round, a pool pays
-  // k per run. Only builds declared round-invariant may ride the pool: a
-  // persistent worker's captures are frozen at fork time, so a build that
-  // reads state the fold mutates between rounds (filtering's rate,
-  // augmenting's matching) would silently compute against round-0 values —
-  // those drivers fall through to the engine's ephemeral shm path, which
-  // re-forks per round like the socket transport does.
+  // One worker host for the whole run: the engine spawns it inside round 0,
+  // just after the first partition, so each worker's copy-on-write snapshot
+  // already holds its round-0 shard; later rounds ship pieces down the
+  // channels. k forks per run instead of k per round, on either medium.
+  // Only round-invariant builds may keep workers: a worker's captures are
+  // frozen at fork time, so a build that reads state the fold mutates
+  // between rounds (filtering's rate, augmenting's matching) would compute
+  // against round-0 values — those runs spawn a fresh host every round.
+  std::optional<WorkerHost> host;
   StreamingOptions streaming_opts = config.streaming;
-  std::unique_ptr<ShmWorkerPool> shm_pool;
+  if (config.streaming.transport != EngineTransport::kInproc &&
+      config.round_invariant_build) {
+    streaming_opts.worker_host = &host.emplace(k, config.streaming);
+  }
 
   for (std::size_t r = 0; r < config.max_rounds; ++r) {
     // Round 0 reads the source (for a mapped pack: straight off the mmap);
@@ -329,85 +326,6 @@ MpcExecutionStats run_mpc_rounds(EdgeSource graph,
     parts.repartition(std::span<const Edge>(input.data(), input.num_edges()),
                       n, k, rng, pool, &ws.partition());
     const double partition_seconds = timer.seconds();
-
-    if (r == 0 && config.streaming.transport == EngineTransport::kShm &&
-        config.round_invariant_build) {
-      if constexpr (WireSerializable<Summary>) {
-        const ShmTransportOptions& shm = config.streaming.shm;
-        shm_pool = std::make_unique<ShmWorkerPool>(k, shm);
-        shm_pool->spawn([&shm, &build, &ws, &parts, k, n, left_size](
-                            std::size_t machine,
-                            ShmWorkerEndpoint& endpoint) {
-          std::uint32_t expected_round = 0;
-          for (;;) {
-            const ReadyFrame frame = endpoint.read_frame();
-            if (frame.header.shape == SummaryShape::kShutdown) {
-              if (static_cast<long>(machine) ==
-                  shm.fault_ignore_shutdown_machine) {
-                worker_sleep_forever();
-              }
-              break;
-            }
-            const PieceDeliveryView piece =
-                decode_piece_frame_view(frame.header, frame.payload.data());
-            if (piece.round != expected_round) {
-              shm_fail("machine %zu expected a round-%u piece, got round %u",
-                       machine, expected_round, piece.round);
-            }
-            Rng machine_rng = Rng::from_state(piece.rng_state);
-            // Round 0's piece rode the fork: the frame is rng-only and the
-            // shard sits in this worker's copy-on-write snapshot. Later
-            // rounds read the piece the coordinator shipped (a borrowing
-            // view into the frame payload — no copy).
-            const EdgeSpan view =
-                expected_round == 0
-                    ? EdgeSpan(parts.shard(machine).data(),
-                               parts.shard_size(machine), n)
-                    : EdgeSpan(piece.edges, piece.num_edges,
-                               piece.num_vertices);
-            const PartitionContext ctx{view.num_vertices(), k, machine,
-                                       left_size, &ws.machine(machine)};
-            Summary summary = build(view, ctx, machine_rng);
-            if (static_cast<long>(machine) == shm.fault_kill_machine &&
-                static_cast<long>(expected_round) == shm.fault_kill_round) {
-              worker_exit_silently();
-            }
-            const bool tear_this_frame =
-                static_cast<long>(machine) == shm.fault_partial_frame_machine;
-            if constexpr (std::is_same_v<Summary, EdgeList>) {
-              // The summary IS an edge list (the coreset drivers' bulk
-              // shape): stream a stack-built prefix + the summary's raw
-              // edge bytes, skipping the frame-sized staging vector. The
-              // torn-frame fault path keeps the staged encode below — it
-              // needs the materialized frame to cut in half.
-              if (!tear_this_frame) {
-                std::array<std::uint8_t, kEdgeListFramePrefixBytes> prefix;
-                encode_edge_list_frame_prefix(
-                    summary, static_cast<std::uint32_t>(machine),
-                    prefix.data());
-                endpoint.write_frame(prefix.data(), prefix.size(),
-                                     reinterpret_cast<const std::uint8_t*>(
-                                         summary.edges().data()),
-                                     summary.num_edges() * sizeof(Edge));
-                ++expected_round;
-                continue;
-              }
-            }
-            const std::vector<std::uint8_t> out =
-                encode_frame(summary, static_cast<std::uint32_t>(machine));
-            if (tear_this_frame) {
-              endpoint.write_raw(out.data(),
-                                 kFrameHeaderBytes +
-                                     (out.size() - kFrameHeaderBytes) / 2);
-              worker_exit_silently();
-            }
-            endpoint.write_frame(out.data(), out.size());
-            ++expected_round;
-          }
-        });
-        streaming_opts.shm_pool = shm_pool.get();
-      }
-    }
 
     if (r == 0 && !config.input_already_random) {
       // Adversarially placed input pays the shuffle super-step first; the
@@ -503,12 +421,10 @@ MpcExecutionStats run_mpc_rounds(EdgeSource graph,
     }
   }
 
-  if (shm_pool != nullptr) {
-    // Exit handshake: a shutdown frame per worker, a bounded reap, and the
-    // pool's forks land in the stats (per-round telemetry reported 0 — the
-    // pool forked at spawn, which is the claim).
-    shm_pool->shutdown_and_reap();
-    stats.worker_forks += shm_pool->forks();
+  if (host) {
+    // Exit handshake: a shutdown frame per worker, then a bounded reap.
+    host->send_shutdown();
+    host->reap();
   }
 
   stats.mpc_rounds = ledger.rounds();
@@ -527,8 +443,8 @@ MpcExecutionStats run_mpc_rounds(EdgeSource graph,
 ///                        re-partition round)
 ///   --mpc-early-stop     stop when a round makes no progress
 /// plus the engine transport knobs (add_streaming_flags):
-///   --engine-transport / --engine-transport-port /
-///   --engine-transport-timeout-ms / --engine-shm-ring-bytes
+///   --engine-transport / --engine-transport-timeout-ms /
+///   --engine-shm-ring-bytes
 void add_mpc_engine_flags(Options& options);
 
 /// Reads the knobs registered by add_mpc_engine_flags back into a config for

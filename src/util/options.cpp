@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -9,6 +10,16 @@
 #include "util/types.hpp"
 
 namespace rcc {
+
+void flag_fail(const std::string& name, const char* fmt, ...) {
+  if (!name.empty()) std::fprintf(stderr, "flag --%s: ", name.c_str());
+  va_list args;
+  va_start(args, fmt);
+  std::vfprintf(stderr, fmt, args);
+  va_end(args);
+  std::fputc('\n', stderr);
+  std::exit(2);
+}
 
 Options::Options(std::string program_description)
     : description_(std::move(program_description)) {}
@@ -34,8 +45,7 @@ void Options::parse(int argc, char** argv) {
       std::exit(0);
     }
     if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unexpected positional argument: %s\n", arg.c_str());
-      std::exit(2);
+      flag_fail("", "unexpected positional argument: %s", arg.c_str());
     }
     std::string name = arg.substr(2);
     std::string value;
@@ -46,13 +56,11 @@ void Options::parse(int argc, char** argv) {
     } else if (i + 1 < argc) {
       value = argv[++i];
     } else {
-      std::fprintf(stderr, "flag --%s needs a value\n", name.c_str());
-      std::exit(2);
+      flag_fail("", "flag --%s needs a value", name.c_str());
     }
     auto it = flags_.find(name);
     if (it == flags_.end()) {
-      std::fprintf(stderr, "unknown flag --%s (see --help)\n", name.c_str());
-      std::exit(2);
+      flag_fail("", "unknown flag --%s (see --help)", name.c_str());
     }
     it->second.value = value;
   }
@@ -73,15 +81,10 @@ std::int64_t Options::get_int(const std::string& name) const {
   // ERANGE check strtoll clamps out-of-range values to LLONG_MIN/LLONG_MAX,
   // which would run an experiment with a configuration nobody asked for.
   if (end == v.c_str() || *end != '\0') {
-    std::fprintf(stderr, "flag --%s: '%s' is not a representable integer\n",
-                 name.c_str(), v.c_str());
-    std::exit(2);
+    flag_fail(name, "'%s' is not a representable integer", v.c_str());
   }
   if (errno == ERANGE) {
-    std::fprintf(stderr,
-                 "flag --%s: '%s' overflows the 64-bit integer range\n",
-                 name.c_str(), v.c_str());
-    std::exit(2);
+    flag_fail(name, "'%s' overflows the 64-bit integer range", v.c_str());
   }
   return parsed;
 }
@@ -92,9 +95,7 @@ double Options::get_double(const std::string& name) const {
   errno = 0;
   const double parsed = std::strtod(v.c_str(), &end);
   if (end == v.c_str() || *end != '\0') {
-    std::fprintf(stderr, "flag --%s: '%s' is not a representable number\n",
-                 name.c_str(), v.c_str());
-    std::exit(2);
+    flag_fail(name, "'%s' is not a representable number", v.c_str());
   }
   // Same strictness as get_int, but only where the value actually degraded:
   // ERANGE with +-HUGE_VAL is overflow and ERANGE with 0.0 is total
@@ -104,17 +105,17 @@ double Options::get_double(const std::string& name) const {
   // a nonzero finite result passes.
   if (errno == ERANGE && (parsed == HUGE_VAL || parsed == -HUGE_VAL ||
                           parsed == 0.0)) {
-    std::fprintf(stderr,
-                 "flag --%s: '%s' is outside the representable double range\n",
-                 name.c_str(), v.c_str());
-    std::exit(2);
+    flag_fail(name, "'%s' is outside the representable double range",
+              v.c_str());
   }
   return parsed;
 }
 
 bool Options::get_bool(const std::string& name) const {
   const std::string v = get_string(name);
-  return v == "1" || v == "true" || v == "yes" || v == "on";
+  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
+  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
+  flag_fail(name, "'%s' is not a boolean", v.c_str());
 }
 
 }  // namespace rcc

@@ -12,6 +12,12 @@
 
 namespace rcc {
 
+/// The one diagnostic funnel for command-line flags: prints
+/// "flag --NAME: <formatted message>" (just the message when `name` is
+/// empty) to stderr and exits with status 2. Typos in experiment parameters
+/// must not silently run the wrong configuration.
+[[noreturn]] void flag_fail(const std::string& name, const char* fmt, ...);
+
 class Options {
  public:
   Options(std::string program_description);
@@ -32,6 +38,7 @@ class Options {
   std::string get_string(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
+  /// Exactly 1/true/yes/on or 0/false/no/off; anything else flag_fails.
   bool get_bool(const std::string& name) const;
 
  private:

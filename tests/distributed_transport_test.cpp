@@ -1,44 +1,46 @@
 // Cross-process machine phase over loopback sockets AND shared-memory rings
-// (distributed/socket_transport.hpp, distributed/shm_transport.hpp + the
-// kSocket/kShm branches of distributed/protocol_engine.hpp):
+// (distributed/worker_host.hpp + the cross-process branch of
+// distributed/protocol_engine.hpp):
 //
-//   (a) both multi-process backends must be seed-for-seed IDENTICAL to
-//       the in-process run, sequential and pooled — exact solutions, word-exact communication ledgers, per-machine
-//       summary sizes, round counts, and the caller's RNG stream position —
-//       across a generator x seed x k grid for every single-round protocol
-//       driver (matching, VC, grouped VC, both weighted drivers) and every
-//       multi-round combiner (coreset matching, coreset VC, filtering,
-//       augmenting, EDCS),
+//   (a) both multi-process media must be seed-for-seed IDENTICAL to the
+//       in-process run, sequential and pooled — exact solutions, word-exact
+//       communication ledgers, per-machine summary sizes, round counts, and
+//       the caller's RNG stream position — across a generator x seed x k
+//       grid for every single-round protocol driver (matching, VC, grouped
+//       VC, both weighted drivers) and every multi-round combiner (coreset
+//       matching, coreset VC, filtering, augmenting, EDCS),
 //   (b) transport telemetry reports what actually crossed the process
 //       boundary: k frames, framed bytes >= k headers (byte-identical
 //       between socket and shm — same summary_wire frames), kInproc
-//       reporting zeros; fork accounting separates the persistent shm pool
-//       (k forks per RUN, piece frames down the rings) from the per-round
-//       forking of the socket path and of non-round-invariant shm drivers,
+//       reporting zeros; fork accounting separates a host kept for a whole
+//       round-invariant run (k forks per RUN on either medium, piece frames
+//       down the channels) from the per-round hosts of single-round calls
+//       and of builds that read coordinator-evolving state,
 //   (c) backpressure: frames far larger than the ring capacity flow through
 //       chunked writes without deadlock or corruption,
-//   (d) fault injection: a killed worker fails the run NAMING the machine
-//       and the round (no hang) — before its frame, mid-frame, and (for the
-//       persistent pool) mid-run after serving a full round; silent-but-live
-//       workers time out listing every missing machine id; a worker that
-//       ignores the shutdown handshake is killed and named. All death tests
-//       — a lost worker is a failed run, not a recoverable condition.
+//   (d) fault injection, on both media: a killed worker fails the run
+//       NAMING the machine and the round (no hang) — before its frame,
+//       mid-frame, and mid-run after serving a full round; silent-but-live
+//       workers time out listing every missing machine id; a frame naming a
+//       foreign machine dies naming both ids; a worker that ignores the
+//       shutdown handshake is killed and named. All death tests — a lost
+//       worker is a failed run, not a recoverable condition.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "coreset/matching_coresets.hpp"
 #include "coreset/vc_coreset.hpp"
 #include "distributed/protocol.hpp"
 #include "distributed/protocols.hpp"
-#include "distributed/shm_transport.hpp"
-#include "distributed/socket_transport.hpp"
 #include "distributed/summary_wire.hpp"
 #include "distributed/weighted_matching_protocol.hpp"
 #include "distributed/weighted_vc_protocol.hpp"
+#include "distributed/worker_host.hpp"
 #include "graph/generators.hpp"
 #include "mpc/augmenting_rounds.hpp"
 #include "mpc/coreset_mpc.hpp"
@@ -56,41 +58,47 @@ std::vector<Edge> sorted_edges(const Matching& m) {
   return el.edges();
 }
 
-StreamingOptions socket_options(int timeout_ms = 30000) {
+StreamingOptions transport_options(EngineTransport medium, int timeout_ms,
+                                   std::size_t ring_bytes = std::size_t{1}
+                                                            << 20) {
   StreamingOptions opts;
-  opts.transport = EngineTransport::kSocket;
-  opts.socket.timeout_ms = timeout_ms;
+  opts.transport = medium;
+  opts.timeout_ms = timeout_ms;
+  opts.ring_bytes = ring_bytes;
   return opts;
+}
+
+StreamingOptions socket_options() {
+  return transport_options(EngineTransport::kSocket, 30000);
 }
 
 StreamingOptions shm_options(int timeout_ms = 30000,
                              std::size_t ring_bytes = std::size_t{1} << 20) {
-  StreamingOptions opts;
-  opts.transport = EngineTransport::kShm;
-  opts.shm.timeout_ms = timeout_ms;
-  opts.shm.ring_bytes = ring_bytes;
-  return opts;
+  return transport_options(EngineTransport::kShm, timeout_ms, ring_bytes);
 }
 
 /// The socket run received exactly one frame per machine and counted the
-/// bytes behind them.
+/// bytes behind them. A single-round call spawns its own host: k forks, and
+/// one rng-only piece frame per machine down the channels.
 template <typename Result>
 void expect_socket_telemetry(const Result& result, std::size_t k) {
   EXPECT_EQ(result.transport.kind, EngineTransport::kSocket);
   EXPECT_EQ(result.transport.frames, k);
   EXPECT_GE(result.transport.wire_bytes, k * kFrameHeaderBytes);
+  EXPECT_EQ(result.transport.forks, k);
+  EXPECT_EQ(result.transport.piece_bytes, k * kPieceFramePrefixBytes);
 }
 
 /// The shm run delivered one frame per machine through the rings, and its
-/// framed bytes are IDENTICAL to the socket run's — both transports carry
-/// the same summary_wire frames, only the pipe differs. A single engine
-/// round outside a persistent pool forks its k workers itself.
+/// framed bytes both ways are IDENTICAL to the socket run's — both media
+/// carry the same summary_wire frames, only the pipe differs.
 template <typename Result>
 void expect_shm_telemetry(const Result& shm, const Result& socket,
                           std::size_t k) {
   EXPECT_EQ(shm.transport.kind, EngineTransport::kShm);
   EXPECT_EQ(shm.transport.frames, k);
   EXPECT_EQ(shm.transport.wire_bytes, socket.transport.wire_bytes);
+  EXPECT_EQ(shm.transport.piece_bytes, socket.transport.piece_bytes);
   EXPECT_EQ(shm.transport.forks, k);
 }
 
@@ -305,11 +313,10 @@ TEST(DistributedTransport, WeightedDriversMatchInprocSeedForSeed) {
 // ---------------------------------------------------------------------------
 // Multi-round combiners through run_mpc_rounds: requesting a cross-process
 // transport must replay the in-process barrier word for word, round for
-// round. The socket path forks fresh workers every round; the shm path
-// serves round-invariant builds (coreset matching/VC, EDCS) from ONE
-// persistent worker pool — worker_forks == k for the whole run, pieces
-// shipped down the rings — and re-forks per round for builds that read
-// coordinator-evolving state (filtering, augmenting).
+// round. Round-invariant builds (coreset matching/VC, EDCS) keep ONE worker
+// host for the whole run on either medium — worker_forks == k, pieces
+// shipped down the channels — and builds that read coordinator-evolving
+// state (filtering, augmenting) spawn a fresh host every round.
 
 MpcEngineConfig base_config(const EdgeList& graph, std::size_t max_rounds) {
   MpcEngineConfig config;
@@ -350,29 +357,29 @@ void expect_same_rounds(const MpcExecutionStats& barrier,
   }
 }
 
-/// Fork accounting of a persistent-pool shm run against the socket run over
-/// the same seed: the pool forked its k workers ONCE no matter how many
-/// engine rounds ran, the socket path paid k per round, and both pushed the
-/// same summary bytes up their pipes. Piece deliveries only exist on the
-/// shm downlink.
-void expect_persistent_pool(const MpcExecutionStats& shm,
-                            const MpcExecutionStats& socket, std::size_t k) {
+/// Fork accounting of a run that kept one host: k workers forked ONCE no
+/// matter how many engine rounds ran, on both media, and both pushed the
+/// same summary bytes up and the same piece bytes down.
+void expect_kept_host(const MpcExecutionStats& shm,
+                      const MpcExecutionStats& socket, std::size_t k) {
   EXPECT_EQ(shm.worker_forks, k);
-  EXPECT_EQ(socket.worker_forks, k * socket.engine_rounds);
+  EXPECT_EQ(socket.worker_forks, k);
   EXPECT_EQ(shm.transport_wire_bytes, socket.transport_wire_bytes);
+  EXPECT_EQ(shm.transport_piece_bytes, socket.transport_piece_bytes);
   EXPECT_GT(shm.transport_piece_bytes, 0u);
-  EXPECT_EQ(socket.transport_piece_bytes, 0u);
 }
 
-/// Fork accounting of an ephemeral shm run (non-round-invariant build):
-/// forked per round exactly like the socket path, no piece frames — the
-/// workers inherit their shards copy-on-write.
-void expect_ephemeral_shm(const MpcExecutionStats& shm,
-                          const MpcExecutionStats& socket, std::size_t k) {
-  EXPECT_EQ(shm.worker_forks, k * shm.engine_rounds);
-  EXPECT_EQ(socket.worker_forks, k * socket.engine_rounds);
+/// Fork accounting of a non-round-invariant build: a fresh host every
+/// round on both media, whose pieces all ride the fork — each round ships
+/// only an rng-only piece frame per machine.
+void expect_host_per_round(const MpcExecutionStats& shm,
+                           const MpcExecutionStats& socket, std::size_t k) {
+  for (const MpcExecutionStats* stats : {&shm, &socket}) {
+    EXPECT_EQ(stats->worker_forks, k * stats->engine_rounds);
+    EXPECT_EQ(stats->transport_piece_bytes,
+              k * stats->engine_rounds * kPieceFramePrefixBytes);
+  }
   EXPECT_EQ(shm.transport_wire_bytes, socket.transport_wire_bytes);
-  EXPECT_EQ(shm.transport_piece_bytes, 0u);
 }
 
 /// A deterministic fixed-round-count harness: a round-invariant build (the
@@ -380,7 +387,7 @@ void expect_ephemeral_shm(const MpcExecutionStats& shm,
 /// with early_stop off the run executes EXACTLY max_rounds engine rounds on
 /// every transport — the coreset drivers typically converge in one round,
 /// which proves correctness but not amortization. This is the probe for the
-/// persistent pool's fork claim: k forks per RUN versus k per round.
+/// kept host's fork claim: k forks per RUN, not k per round.
 MpcExecutionStats run_recirculating_rounds(const EdgeList& el,
                                            MpcEngineConfig config, Rng& rng) {
   config.early_stop = false;
@@ -425,15 +432,14 @@ TEST(DistributedTransport, CoresetMatchingRoundsMatchOverSocketAndShm) {
     const std::uint64_t expected = barrier_rng.next_u64();
     EXPECT_EQ(expected, socket_rng.next_u64());
     EXPECT_EQ(expected, shm_rng.next_u64());
-    expect_persistent_pool(shm.stats, socket.stats, k);
+    expect_kept_host(shm.stats, socket.stats, k);
   }
 }
 
 TEST(DistributedTransport, PersistentPoolAmortizesForksOverFiveRounds) {
   // The coreset drivers converge in one round on these instances, so the
   // amortization claim rides the recirculating harness: five engine rounds,
-  // every one served by the k workers forked before round 0, while the
-  // socket path pays k forks per round for the same bytes.
+  // every one served by the k workers forked in round 0, on both media.
   constexpr std::size_t kRounds = 5;
   Rng gen(36);
   const EdgeList el = gnp(300, 6.0 / 300, gen);
@@ -453,10 +459,7 @@ TEST(DistributedTransport, PersistentPoolAmortizesForksOverFiveRounds) {
   const std::uint64_t expected = barrier_rng.next_u64();
   EXPECT_EQ(expected, socket_rng.next_u64());
   EXPECT_EQ(expected, shm_rng.next_u64());
-  EXPECT_EQ(shm.worker_forks, k);               // one fork per run
-  EXPECT_EQ(socket.worker_forks, k * kRounds);  // k per round
-  EXPECT_EQ(shm.transport_wire_bytes, socket.transport_wire_bytes);
-  EXPECT_GT(shm.transport_piece_bytes, 0u);
+  expect_kept_host(shm, socket, k);  // k forks per run, not per round
 }
 
 TEST(DistributedTransport, CoresetMatchingRoundsSurviveTinyUplinkRings) {
@@ -526,7 +529,7 @@ TEST(DistributedTransport, CoresetVcRoundsMatchOverSocketAndShm) {
     const std::uint64_t expected = barrier_rng.next_u64();
     EXPECT_EQ(expected, socket_rng.next_u64());
     EXPECT_EQ(expected, shm_rng.next_u64());
-    expect_persistent_pool(shm.stats, socket.stats, k);
+    expect_kept_host(shm.stats, socket.stats, k);
   }
 }
 
@@ -558,8 +561,8 @@ TEST(DistributedTransport, FilteringRoundsMatchOverSocketAndShm) {
     EXPECT_EQ(expected, socket_rng.next_u64());
     EXPECT_EQ(expected, shm_rng.next_u64());
     // The filtering build reads the coordinator's evolving sample rate, so
-    // its shm rounds re-fork ephemeral workers — no persistent pool.
-    expect_ephemeral_shm(shm.stats, socket.stats, k);
+    // every round forks fresh workers — no kept host.
+    expect_host_per_round(shm.stats, socket.stats, k);
   }
 }
 
@@ -590,8 +593,8 @@ TEST(DistributedTransport, AugmentingRoundsMatchOverSocketAndShm) {
     EXPECT_EQ(expected, socket_rng.next_u64());
     EXPECT_EQ(expected, shm_rng.next_u64());
     // The augmenting build searches the coordinator's current matching, so
-    // its shm rounds re-fork ephemeral workers — no persistent pool.
-    expect_ephemeral_shm(shm.stats, socket.stats, k);
+    // every round forks fresh workers — no kept host.
+    expect_host_per_round(shm.stats, socket.stats, k);
   }
 }
 
@@ -621,75 +624,10 @@ TEST(DistributedTransport, EdcsRoundsMatchOverSocketAndShm) {
     EXPECT_EQ(expected, socket_rng.next_u64());
     EXPECT_EQ(expected, shm_rng.next_u64());
     // build_edcs is a pure function of the shard and the const beta/lambda
-    // parameters, so EDCS rounds ride the persistent pool too.
-    expect_persistent_pool(shm.stats, socket.stats, k);
+    // parameters, so EDCS rounds keep one host too.
+    expect_kept_host(shm.stats, socket.stats, k);
   }
 }
-
-// ---------------------------------------------------------------------------
-// Fault injection. A run missing a worker must fail FAST (within the
-// configured deadline) with a diagnostic naming the machine — never hang.
-// threadsafe death tests: the statement re-execs, so the fork-heavy
-// transport code runs in a clean child.
-
-TEST(DistributedTransportDeathTest, KilledWorkerTimesOutNamingMachine) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Rng gen(31);
-  const EdgeList el = gnp(120, 0.05, gen);
-  const PeelingVcCoreset coreset;
-  StreamingOptions opts = socket_options(/*timeout_ms=*/2000);
-  opts.socket.fault_kill_machine = 2;
-  Rng rng(31);
-  EXPECT_DEATH(
-      (void)run_vc_protocol(el, 4, coreset, rng, nullptr, opts),
-      "socket transport: timed out after 2000 ms waiting for machine "
-      "frames; missing machine ids: \\[2\\]");
-}
-
-TEST(DistributedTransportDeathTest, ConcurrentDuplicateMachineIdDies) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        // Two LIVE connections claim machine 0: the first parks after its
-        // header, the second sends a complete frame. The duplicate must die
-        // at the second header parse — waiting for the first claimant to
-        // COMPLETE would let both fill machine 0's slot while the genuinely
-        // missing machine 1 never times out.
-        LoopbackListener listener(0);
-        FrameCollector collector(listener, /*expected=*/2,
-                                 /*timeout_ms=*/5000);
-        EdgeList el(4);
-        el.add(0, 1);
-        const std::vector<std::uint8_t> frame =
-            encode_frame(el, /*machine=*/0);
-        const int header_only = connect_to_leader(listener.port(), 1000);
-        send_all(header_only, frame.data(), kFrameHeaderBytes);
-        const int duplicate = connect_to_leader(listener.port(), 1000);
-        send_all(duplicate, frame.data(), frame.size());
-        (void)collector.next_ready();
-        (void)collector.next_ready();
-      },
-      "socket transport: duplicate frame for machine 0");
-}
-
-TEST(DistributedTransportDeathTest, PartialFrameFailsNamingMachine) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Rng gen(32);
-  const EdgeList el = gnp(120, 0.05, gen);
-  const PeelingVcCoreset coreset;
-  StreamingOptions opts = socket_options(/*timeout_ms=*/10000);
-  opts.socket.fault_partial_frame_machine = 1;
-  Rng rng(32);
-  EXPECT_DEATH(
-      (void)run_vc_protocol(el, 4, coreset, rng, nullptr, opts),
-      "socket transport: machine 1 closed its connection mid-frame");
-}
-
-// ---------------------------------------------------------------------------
-// Shm-transport fault injection: the ring coordinator must convert every
-// lost-worker condition into a bounded-time failure that names the machine
-// AND the round, and the shutdown handshake must never hang on a wedged
-// worker.
 
 TEST(DistributedTransport, ShmBackpressureTinyRingStillCompletes) {
   // 256-byte rings versus frames tens of KB wide: every frame crosses in
@@ -709,88 +647,139 @@ TEST(DistributedTransport, ShmBackpressureTinyRingStillCompletes) {
   EXPECT_EQ(barrier_rng.next_u64(), shm_rng.next_u64());
 }
 
-TEST(DistributedTransportDeathTest, ShmKilledWorkerDiesNamingMachine) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+// ---------------------------------------------------------------------------
+// Fault injection, once per medium. A run missing a worker must fail FAST
+// (within the configured deadline) with a diagnostic naming the machine and
+// the round — never hang. threadsafe death tests: the statement re-execs,
+// so the fork-heavy transport code runs in a clean child.
+
+class TransportDeathTest : public ::testing::TestWithParam<EngineTransport> {
+ protected:
+  void SetUp() override {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  }
+  StreamingOptions options(int timeout_ms) const {
+    return transport_options(GetParam(), timeout_ms);
+  }
+  MpcEngineConfig config(const EdgeList& graph, std::size_t max_rounds,
+                         int timeout_ms) const {
+    MpcEngineConfig config = base_config(graph, max_rounds);
+    config.streaming = options(timeout_ms);
+    return config;
+  }
+  /// The death regex: the medium's funnel prefix, then `message`.
+  std::string dies_with(const std::string& message) const {
+    return std::string(GetParam() == EngineTransport::kShm ? "shm"
+                                                           : "socket") +
+           " transport: " + message;
+  }
+};
+
+/// A worker body that stays alive without writing, and exits once the
+/// (aborted) coordinator is gone so a death-test child leaks no processes.
+/// `coordinator` is read before the fork: a child that read getppid()
+/// itself could see the coordinator already gone and wait forever.
+void idle_until_orphaned(pid_t coordinator) {
+  while (::getppid() == coordinator) ::usleep(20 * 1000);
+  ::_exit(0);
+}
+
+TEST_P(TransportDeathTest, KilledWorkerDiesNamingMachine) {
   Rng gen(34);
   const EdgeList el = gnp(120, 0.05, gen);
   const PeelingVcCoreset coreset;
-  StreamingOptions opts = shm_options(/*timeout_ms=*/5000);
-  opts.shm.fault_kill_machine = 2;
+  StreamingOptions opts = options(/*timeout_ms=*/5000);
+  opts.faults.kill_machine = 2;
   Rng rng(34);
   EXPECT_DEATH(
       (void)run_vc_protocol(el, 4, coreset, rng, nullptr, opts),
-      "shm transport: machine 2 worker died before sending its round-0 "
-      "frame");
+      dies_with("machine 2 worker died before sending its round-0 frame"));
 }
 
-TEST(DistributedTransportDeathTest, ShmPartialFrameDiesNamingMachine) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+TEST_P(TransportDeathTest, PartialFrameDiesNamingMachine) {
   Rng gen(35);
   const EdgeList el = gnp(120, 0.05, gen);
   const PeelingVcCoreset coreset;
-  StreamingOptions opts = shm_options(/*timeout_ms=*/5000);
-  opts.shm.fault_partial_frame_machine = 1;
+  StreamingOptions opts = options(/*timeout_ms=*/5000);
+  opts.faults.partial_frame_machine = 1;
   Rng rng(35);
-  EXPECT_DEATH(
-      (void)run_vc_protocol(el, 4, coreset, rng, nullptr, opts),
-      "shm transport: machine 1 worker died mid-frame in round 0");
+  EXPECT_DEATH((void)run_vc_protocol(el, 4, coreset, rng, nullptr, opts),
+               dies_with("machine 1 worker died mid-frame in round 0"));
 }
 
-TEST(DistributedTransportDeathTest, ShmPersistentWorkerKilledMidRunNamesRound) {
-  // The pool must have served round 0 completely before the injected death:
-  // a failure naming round 1 proves both the persistence (same worker, next
-  // round) and the diagnosis.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+TEST_P(TransportDeathTest, PersistentWorkerKilledMidRunNamesRound) {
+  // The host must have served round 0 completely before the injected
+  // death: a failure naming round 1 proves both the persistence (same
+  // worker, next round) and the diagnosis.
   Rng gen(11);
   const EdgeList el = gnp(300, 6.0 / 300, gen);
-  MpcEngineConfig config = shm_config(el, 3);
-  config.streaming.shm.timeout_ms = 5000;
-  config.streaming.shm.fault_kill_machine = 1;
-  config.streaming.shm.fault_kill_round = 1;
+  MpcEngineConfig cfg = config(el, 3, /*timeout_ms=*/5000);
+  cfg.streaming.faults.kill_machine = 1;
+  cfg.streaming.faults.kill_round = 1;
   Rng rng(11);
   EXPECT_DEATH(
-      (void)run_recirculating_rounds(el, config, rng),
-      "shm transport: machine 1 worker died before sending its round-1 "
-      "frame");
+      (void)run_recirculating_rounds(el, cfg, rng),
+      dies_with("machine 1 worker died before sending its round-1 frame"));
 }
 
-TEST(DistributedTransportDeathTest, ShmIgnoredShutdownIsKilledAndNamed) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+TEST_P(TransportDeathTest, IgnoredShutdownIsKilledAndNamed) {
   Rng gen(12);
   const EdgeList el = gnp(300, 6.0 / 300, gen);
-  MpcEngineConfig config = shm_config(el, 2);
-  config.streaming.shm.timeout_ms = 1500;
-  config.streaming.shm.fault_ignore_shutdown_machine = 0;
+  MpcEngineConfig cfg = config(el, 2, /*timeout_ms=*/1500);
+  cfg.streaming.faults.ignore_shutdown_machine = 0;
   Rng rng(12);
-  EXPECT_DEATH(
-      (void)run_recirculating_rounds(el, config, rng),
-      "shm transport: machine 0 worker ignored the shutdown handshake for "
-      "1500 ms; killed");
+  EXPECT_DEATH((void)run_recirculating_rounds(el, cfg, rng),
+               dies_with("machine 0 worker ignored the shutdown handshake "
+                         "for 1500 ms; killed"));
 }
 
-TEST(DistributedTransportDeathTest, ShmSilentWorkersTimeOutListingMachines) {
+TEST_P(TransportDeathTest, SilentWorkersTimeOutListingMachines) {
   // Live-but-silent workers (no frame, no exit) are the one condition the
   // dead-worker sweep cannot classify: the round deadline fires and lists
   // every machine still owing its frame.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        ShmTransportOptions opts;
-        opts.timeout_ms = 1500;
-        ShmWorkerPool pool(3, opts);
-        pool.spawn([](std::size_t, ShmWorkerEndpoint&) {
-          // Stay alive without ever writing; exit once the aborted
-          // coordinator is gone so the death-test child leaks no processes.
-          const pid_t parent = ::getppid();
-          while (::getppid() == parent) ::usleep(20 * 1000);
-          ::_exit(0);
-        });
-        pool.begin_round();
-        (void)pool.next_ready();
+        WorkerHost host(3, options(/*timeout_ms=*/1500));
+        const pid_t coordinator = ::getpid();
+        host.spawn([&](WorkerChannel&) { idle_until_orphaned(coordinator); });
+        host.begin_round();
+        (void)host.next_ready();
       },
-      "shm transport: timed out after 1500 ms waiting for round-0 machine "
-      "frames; missing machine ids: \\[0, 1, 2\\]");
+      dies_with("timed out after 1500 ms waiting for round-0 machine "
+                "frames; missing machine ids: \\[0, 1, 2\\]"));
 }
+
+TEST_P(TransportDeathTest, FrameNamingForeignMachineDiesNamingBoth) {
+  // Machine 1 writes a well-formed frame that claims machine 0. Machine ids
+  // are known by channel, so the header alone convicts it — the genuinely
+  // silent machine 0 must not have its slot filled by an impostor.
+  EXPECT_DEATH(
+      {
+        WorkerHost host(2, options(/*timeout_ms=*/5000));
+        const pid_t coordinator = ::getpid();
+        host.spawn([&](WorkerChannel& channel) {
+          if (channel.machine() == 1) {
+            EdgeList el(4);
+            el.add(0, 1);
+            const std::vector<std::uint8_t> frame =
+                encode_frame(el, /*machine=*/0);
+            channel.write_frame(frame.data(), frame.size());
+          }
+          idle_until_orphaned(coordinator);
+        });
+        host.begin_round();
+        (void)host.next_ready();
+      },
+      dies_with("frame on machine 1's channel names machine 0"));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothMedia, TransportDeathTest,
+    ::testing::Values(EngineTransport::kSocket, EngineTransport::kShm),
+    [](const ::testing::TestParamInfo<EngineTransport>& info) {
+      return std::string(info.param == EngineTransport::kShm ? "Shm"
+                                                              : "Socket");
+    });
 
 }  // namespace
 }  // namespace rcc

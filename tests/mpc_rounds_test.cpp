@@ -19,6 +19,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -563,6 +565,25 @@ TEST(MpcRoundsOptions, FlagsRoundTripIntoConfig) {
   EXPECT_EQ(config.max_rounds, 4u);
   EXPECT_FALSE(config.input_already_random);
   EXPECT_FALSE(config.early_stop);
+}
+
+TEST(MpcRoundsOptionsDeath, MisspelledBooleansExitStrictly) {
+  // Regression: any value outside the recognised spellings used to read as
+  // false, so "True" silently charged a re-partition round and "ture"
+  // silently disabled the early stop.
+  for (const auto& [flag, value] :
+       {std::pair<std::string, std::string>{"mpc-random-input", "True"},
+        std::pair<std::string, std::string>{"mpc-early-stop", "ture"}}) {
+    Options options("mpc_rounds_test");
+    add_mpc_engine_flags(options);
+    const std::string arg = "--" + flag + "=" + value;
+    const char* argv[] = {"test", arg.c_str()};
+    options.parse(2, const_cast<char**>(argv));
+    EXPECT_EXIT(mpc_engine_config_from_options(options, 1000),
+                ::testing::ExitedWithCode(2),
+                "flag --" + flag + ": '" + value + "' is not a boolean")
+        << flag;
+  }
 }
 
 TEST(MpcRoundsOptions, ZeroFlagsFallBackToPaperDefault) {

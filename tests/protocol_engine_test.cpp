@@ -241,12 +241,10 @@ TEST(EngineFlags, TransportFlagsRoundTripIntoStreamingOptions) {
   Options options("protocol_engine_test");
   add_streaming_flags(options);
   add_streaming_flags(options);  // idempotent: double registration is a no-op
-  const char* argv[] = {"test", "--engine-transport=socket",
-                        "--engine-transport-port=4242"};
-  options.parse(3, const_cast<char**>(argv));
+  const char* argv[] = {"test", "--engine-transport=socket"};
+  options.parse(2, const_cast<char**>(argv));
   const StreamingOptions opts = streaming_options_from_options(options);
   EXPECT_EQ(opts.transport, EngineTransport::kSocket);
-  EXPECT_EQ(opts.socket.leader_port, 4242);
 }
 
 TEST(EngineFlags, DefaultsSelectTheInprocTransport) {
@@ -256,7 +254,7 @@ TEST(EngineFlags, DefaultsSelectTheInprocTransport) {
   options.parse(1, const_cast<char**>(argv));
   const StreamingOptions opts = streaming_options_from_options(options);
   EXPECT_EQ(opts.transport, EngineTransport::kInproc);
-  EXPECT_EQ(opts.shm_pool, nullptr);
+  EXPECT_EQ(opts.worker_host, nullptr);
 }
 
 TEST(EngineFlags, ShmTransportFlagsRoundTripIntoStreamingOptions) {
@@ -268,10 +266,8 @@ TEST(EngineFlags, ShmTransportFlagsRoundTripIntoStreamingOptions) {
   options.parse(4, const_cast<char**>(argv));
   const StreamingOptions opts = streaming_options_from_options(options);
   EXPECT_EQ(opts.transport, EngineTransport::kShm);
-  // One deadline flag feeds both cross-process transports.
-  EXPECT_EQ(opts.shm.timeout_ms, 2500);
-  EXPECT_EQ(opts.socket.timeout_ms, 2500);
-  EXPECT_EQ(opts.shm.ring_bytes, 65536u);
+  EXPECT_EQ(opts.timeout_ms, 2500);
+  EXPECT_EQ(opts.ring_bytes, 65536u);
 }
 
 TEST(EngineFlags, LargestTimeoutIsAccepted) {
@@ -280,8 +276,7 @@ TEST(EngineFlags, LargestTimeoutIsAccepted) {
   const char* argv[] = {"test", "--engine-transport-timeout-ms=2147483647"};
   options.parse(2, const_cast<char**>(argv));
   const StreamingOptions opts = streaming_options_from_options(options);
-  EXPECT_EQ(opts.socket.timeout_ms, 2147483647);
-  EXPECT_EQ(opts.shm.timeout_ms, 2147483647);
+  EXPECT_EQ(opts.timeout_ms, 2147483647);
 }
 
 TEST(EngineFlagsDeath, UnknownTransportValueExitsStrictly) {

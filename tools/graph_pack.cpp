@@ -51,8 +51,7 @@ EdgeList generate_family(const Options& opts, Rng& rng) {
   if (family == "chung_lu") {
     return chung_lu_power_law(n, 2.5, opts.get_double("avg-deg"), rng);
   }
-  std::fprintf(stderr, "unknown --family %s\n", family.c_str());
-  std::exit(2);
+  flag_fail("", "unknown --family %s", family.c_str());
 }
 
 int run_generate(const Options& opts, Rng& rng) {
