@@ -1,39 +1,128 @@
 #include "coreset/compose.hpp"
 
+#include <functional>
+#include <optional>
+
+#include "matching/blossom.hpp"
 #include "matching/greedy.hpp"
+#include "matching/hopcroft_karp.hpp"
 #include "matching/max_matching.hpp"
+#include "matching/warm_start.hpp"
+#include "util/thread_pool.hpp"
+#include "util/workspace.hpp"
 #include "vertex_cover/approx.hpp"
 
 namespace rcc {
 
+namespace {
+
+/// The kernel's round-persistent state: the union CSR and the seed's and
+/// the bound's working arrays.
+struct UnionSolveState {
+  Graph graph;
+  KarpSipserScratch seed;
+  ComponentScratch components;
+};
+
+/// Runs fn(i) for every machine i, on the pool when there is one.
+void for_each_machine(ThreadPool* pool, std::size_t k,
+                      const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr) {
+    parallel_for(*pool, k, fn);
+  } else {
+    for (std::size_t i = 0; i < k; ++i) fn(i);
+  }
+}
+
+}  // namespace
+
+void union_maximum_matching_into(Matching& out,
+                                 std::span<const EdgeList> summaries,
+                                 VertexId left_size, MachineScratch* scratch,
+                                 ThreadPool* pool) {
+  RCC_CHECK(!summaries.empty());
+  const VertexId n = summaries.front().num_vertices();
+  MachineScratch local;
+  MachineScratch& ms = scratch != nullptr ? *scratch : local;
+  // Every state slot the passes use is created here, on the calling thread:
+  // the pool task below must not race a slot-table growth.
+  UnionSolveState& st = ms.state<UnionSolveState>();
+  WorkspaceStats* const stats = ms.stats();
+  st.graph.assign_union(summaries,
+                        left_size > 0 ? std::optional<Bipartition>(
+                                            Bipartition{left_size})
+                                      : std::nullopt,
+                        &ms.cursor(n));
+
+  // The bound's component pass and the seed only read the CSR: the pass
+  // runs on an idle pool thread while the seed runs here.
+  std::size_t bound = 0;
+  const auto bound_pass = [&] {
+    bound = tutte_berge_bound(st.graph, &st.components, stats);
+  };
+  if (pool != nullptr) pool->submit(bound_pass);
+  karp_sipser_into(out, st.graph, &st.seed, stats);
+  if (pool != nullptr) {
+    pool->wait_idle();
+  } else {
+    bound_pass();
+  }
+
+  if (st.graph.is_bipartite_tagged()) {
+    hopcroft_karp_into(out, st.graph, &ms, &out, bound);
+  } else {
+    blossom_maximum_matching_into(out, st.graph, &ms,
+                                  /*prune_hungarian_trees=*/true, &out, bound);
+  }
+}
+
 Matching compose_matching_coresets(const std::vector<EdgeList>& coresets,
                                    ComposeSolver solver, VertexId left_size,
-                                   Rng& rng) {
-  EdgeList all = EdgeList::union_of(coresets);
+                                   Rng& rng, ThreadPool* pool) {
   if (solver == ComposeSolver::kMaximum) {
-    return maximum_matching(all, left_size);
+    Matching out;
+    union_maximum_matching_into(out, coresets, left_size, nullptr, pool);
+    return out;
   }
-  return greedy_maximal_matching(all, GreedyOrder::kRandom, rng);
+  // The random-order greedy scan needs the union as one sequence.
+  RCC_CHECK(!coresets.empty());
+  std::vector<Edge> all;
+  for (const EdgeList& c : coresets) all.insert(all.end(), c.begin(), c.end());
+  return greedy_maximal_matching(
+      EdgeSpan(all.data(), all.size(), coresets.front().num_vertices()),
+      GreedyOrder::kRandom, rng);
 }
 
 VertexCover compose_vc_coresets(const std::vector<VcCoresetOutput>& coresets,
-                                VertexId num_vertices, Rng& rng) {
+                                VertexId num_vertices, Rng& rng,
+                                ThreadPool* pool) {
   VertexCover cover(num_vertices);
-  std::size_t total = 0;
+  const std::size_t k = coresets.size();
   for (const auto& c : coresets) {
     RCC_CHECK(c.residual_edges.num_vertices() == num_vertices);
     for (VertexId v : c.fixed_vertices) cover.insert(v);
-    total += c.residual_edges.num_edges();
   }
   // The coordinator knows the fixed sets; edges they already cover need no
-  // further cover vertices. One pass gathers the rest, in machine order.
-  std::vector<Edge> open;
-  open.reserve(total);
-  for (const auto& c : coresets) {
-    for (const Edge& e : c.residual_edges) {
-      if (!cover.contains(e.u) && !cover.contains(e.v)) open.push_back(e);
+  // further cover vertices. Two passes gather the rest in machine order:
+  // count each machine's open edges, then copy them to that machine's
+  // offset. Both passes only read the cover, so machines run in parallel.
+  const auto is_open = [&cover](const Edge& e) {
+    return !cover.contains(e.u) && !cover.contains(e.v);
+  };
+  std::vector<std::size_t> start(k + 1, 0);
+  for_each_machine(pool, k, [&](std::size_t i) {
+    std::size_t count = 0;
+    for (const Edge& e : coresets[i].residual_edges) count += is_open(e);
+    start[i + 1] = count;
+  });
+  for (std::size_t i = 0; i < k; ++i) start[i + 1] += start[i];
+  std::vector<Edge> open(start[k]);
+  for_each_machine(pool, k, [&](std::size_t i) {
+    Edge* out = open.data() + start[i];
+    for (const Edge& e : coresets[i].residual_edges) {
+      if (is_open(e)) *out++ = e;
     }
-  }
+  });
   cover_by_random_greedy(open, cover, rng);
   return cover;
 }

@@ -2,6 +2,7 @@
 // machines' summaries.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "coreset/coreset.hpp"
@@ -10,24 +11,50 @@
 
 namespace rcc {
 
+class MachineScratch;
+class ThreadPool;
+
 enum class ComposeSolver {
   kMaximum,  // exact maximum matching of the union (what the paper suggests)
   kGreedy,   // random-order maximal matching (cheaper, still 2-approx of union)
 };
 
 /// Matching: union the coreset subgraphs and run a matching algorithm on the
-/// union. `left_size` > 0 enables the bipartite exact solver.
+/// union. `left_size` > 0 enables the bipartite exact solver. kMaximum runs
+/// union_maximum_matching_into; `pool` (optional) runs its side pass.
 Matching compose_matching_coresets(const std::vector<EdgeList>& coresets,
                                    ComposeSolver solver, VertexId left_size,
-                                   Rng& rng);
+                                   Rng& rng, ThreadPool* pool = nullptr);
+
+/// The coordinator's union solve, shared by compose_matching_coresets and
+/// the MPC matching fold: a maximum matching of the union of `summaries`
+/// (one vertex universe), written into `out`. Theorem 1 accepts any maximum
+/// matching of the union, so the kernel
+///  * builds its CSR straight from the summaries, in machine order (no
+///    union copy),
+///  * seeds the exact solver (blossom, or Hopcroft-Karp when `left_size`
+///    > 0) with Karp-Sipser,
+///  * stops augmenting at the Tutte-Berge bound (n - #odd components) / 2,
+///    whose component pass runs on `pool` beside the seed.
+/// The result is a deterministic function of the summaries: `scratch`
+/// (optional) only provides the working memory, and `pool` only where the
+/// independent pass runs. The pool must be idle apart from this call.
+void union_maximum_matching_into(Matching& out,
+                                 std::span<const EdgeList> summaries,
+                                 VertexId left_size,
+                                 MachineScratch* scratch = nullptr,
+                                 ThreadPool* pool = nullptr);
 
 /// Vertex cover: union all fixed vertices, drop residual edges they already
 /// cover, and 2-approximate the rest (Section 3.2: "compute a vertex cover
 /// of union G_Delta^(i) and return it together with union V_cs^(i)").
 /// Shuffling the open edges themselves takes the draws an index shuffle
 /// would, so cover_by_random_greedy is vc_two_approximation, copy-free.
+/// `pool` (optional) gathers the open edges machine by machine; the cover
+/// does not depend on it.
 VertexCover compose_vc_coresets(const std::vector<VcCoresetOutput>& coresets,
-                                VertexId num_vertices, Rng& rng);
+                                VertexId num_vertices, Rng& rng,
+                                ThreadPool* pool = nullptr);
 
 /// The GreedyMatch combiner of Section 3.1, used by the proof of Theorem 1:
 /// scan machines in order; from each machine's *maximum matching*, add every

@@ -11,6 +11,7 @@ struct MatchingPhases {
   const MatchingCoreset& coreset;
   ComposeSolver solver;
   VertexId left_size;
+  ThreadPool* pool;
 
   auto build() const {
     return [this](EdgeSpan piece, const PartitionContext& ctx,
@@ -24,7 +25,7 @@ struct MatchingPhases {
   auto combine() const {
     return [this](std::vector<EdgeList>& summaries, Rng& coordinator_rng) {
       return compose_matching_coresets(summaries, solver, left_size,
-                                       coordinator_rng);
+                                       coordinator_rng, pool);
     };
   }
 };
@@ -32,6 +33,7 @@ struct MatchingPhases {
 /// The engine lambdas shared by the vertex cover entry points.
 struct VcPhases {
   const VertexCoverCoreset& coreset;
+  ThreadPool* pool;
 
   auto build() const {
     return [this](EdgeSpan piece, const PartitionContext& ctx,
@@ -43,10 +45,11 @@ struct VcPhases {
     return MessageSize{summary.residual_edges.num_edges(),
                        summary.fixed_vertices.size()};
   }
-  static auto combine(VertexId num_vertices) {
-    return [num_vertices](std::vector<VcCoresetOutput>& summaries,
-                          Rng& coordinator_rng) {
-      return compose_vc_coresets(summaries, num_vertices, coordinator_rng);
+  auto combine(VertexId num_vertices) const {
+    return [this, num_vertices](std::vector<VcCoresetOutput>& summaries,
+                                Rng& coordinator_rng) {
+      return compose_vc_coresets(summaries, num_vertices, coordinator_rng,
+                                 pool);
     };
   }
 };
@@ -57,7 +60,7 @@ MatchingProtocolResult run_matching_protocol(
     EdgeSource graph, std::size_t k, const MatchingCoreset& coreset,
     ComposeSolver solver, VertexId left_size, Rng& rng, ThreadPool* pool,
     const StreamingOptions& streaming) {
-  const MatchingPhases phases{coreset, solver, left_size};
+  const MatchingPhases phases{coreset, solver, left_size, pool};
   return run_protocol(graph, k, left_size, rng, pool, phases.build(),
                       &MatchingPhases::account, phases.combine(), streaming);
 }
@@ -66,7 +69,7 @@ MatchingProtocolResult run_matching_protocol_on_partition(
     const std::vector<EdgeList>& pieces, const MatchingCoreset& coreset,
     ComposeSolver solver, VertexId left_size, Rng& rng, ThreadPool* pool) {
   RCC_CHECK(!pieces.empty());
-  const MatchingPhases phases{coreset, solver, left_size};
+  const MatchingPhases phases{coreset, solver, left_size, pool};
   return run_protocol_on_pieces<Edge>(
       pieces_of(pieces), pieces.front().num_vertices(), left_size, rng, pool,
       phases.build(), &MatchingPhases::account, phases.combine());
@@ -76,20 +79,20 @@ VcProtocolResult run_vc_protocol(EdgeSource graph, std::size_t k,
                                  const VertexCoverCoreset& coreset, Rng& rng,
                                  ThreadPool* pool,
                                  const StreamingOptions& streaming) {
-  const VcPhases phases{coreset};
+  const VcPhases phases{coreset, pool};
   return run_protocol(graph, k, /*left_size=*/0, rng, pool, phases.build(),
                       &VcPhases::account,
-                      VcPhases::combine(graph.num_vertices()), streaming);
+                      phases.combine(graph.num_vertices()), streaming);
 }
 
 VcProtocolResult run_vc_protocol_on_partition(
     const std::vector<EdgeList>& pieces, const VertexCoverCoreset& coreset,
     VertexId num_vertices, Rng& rng, ThreadPool* pool) {
   RCC_CHECK(!pieces.empty());
-  const VcPhases phases{coreset};
+  const VcPhases phases{coreset, pool};
   return run_protocol_on_pieces<Edge>(
       pieces_of(pieces), num_vertices, /*left_size=*/0, rng, pool,
-      phases.build(), &VcPhases::account, VcPhases::combine(num_vertices));
+      phases.build(), &VcPhases::account, phases.combine(num_vertices));
 }
 
 }  // namespace rcc

@@ -110,7 +110,7 @@ GroupedVcProtocolResult grouped_vc_protocol(
     cores.reserve(summaries.size());
     for (GroupedVcSummary& s : summaries) cores.push_back(std::move(s.core));
     const VertexCover group_cover =
-        compose_vc_coresets(cores, phases.n_groups, coordinator_rng);
+        compose_vc_coresets(cores, phases.n_groups, coordinator_rng, pool);
 
     VertexCover expanded(phases.n);
     for (VertexId group = 0; group < phases.n_groups; ++group) {

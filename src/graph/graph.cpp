@@ -10,16 +10,36 @@ Graph::Graph(EdgeSpan edges, std::optional<Bipartition> bipartition) {
 
 void Graph::assign(EdgeSpan edges, std::optional<Bipartition> bipartition,
                    std::vector<std::size_t>* cursor_scratch) {
-  num_vertices_ = edges.num_vertices();
-  edge_count_ = edges.num_edges();
+  assign_parts(&edges, 1, edges.num_vertices(), bipartition, cursor_scratch);
+}
+
+void Graph::assign_union(std::span<const EdgeList> parts,
+                         std::optional<Bipartition> bipartition,
+                         std::vector<std::size_t>* cursor_scratch) {
+  RCC_CHECK(!parts.empty());
+  assign_parts(parts.data(), parts.size(), parts.front().num_vertices(),
+               bipartition, cursor_scratch);
+}
+
+template <typename Part>
+void Graph::assign_parts(const Part* parts, std::size_t count, VertexId n,
+                         std::optional<Bipartition> bipartition,
+                         std::vector<std::size_t>* cursor_scratch) {
+  num_vertices_ = n;
   bipartition_ = bipartition;
-  const std::size_t n = num_vertices_;
-  offsets_.assign(n + 1, 0);
+  edge_count_ = 0;
+  offsets_.assign(std::size_t{n} + 1, 0);
   std::size_t* off = offsets_.data();
-  const Edge* es = edges.data();
-  for (std::size_t i = 0; i < edge_count_; ++i) {
-    ++off[es[i].u + 1];
-    ++off[es[i].v + 1];
+  for (std::size_t p = 0; p < count; ++p) {
+    const EdgeSpan part(parts[p]);
+    RCC_CHECK(part.num_vertices() == n);
+    const Edge* es = part.data();
+    const std::size_t m = part.num_edges();
+    for (std::size_t i = 0; i < m; ++i) {
+      ++off[es[i].u + 1];
+      ++off[es[i].v + 1];
+    }
+    edge_count_ += m;
   }
   std::vector<std::size_t> local_cursor;
   std::vector<std::size_t>& cursor =
@@ -28,8 +48,9 @@ void Graph::assign(EdgeSpan edges, std::optional<Bipartition> bipartition,
   std::size_t* cur = cursor.data();
   // Fused prefix sum + cursor initialization: one pass over the vertex
   // range instead of a prefix pass followed by a copy. Layout unchanged —
-  // neighbors keep the input edge order (the scatter below is stable),
-  // which downstream solvers' returned matchings depend on.
+  // neighbors keep the input edge order, parts in sequence (the scatter
+  // below is stable), which downstream solvers' returned matchings depend
+  // on.
   std::size_t run = 0;
   for (std::size_t v = 0; v < n; ++v) {
     const std::size_t d = off[v + 1];
@@ -39,9 +60,14 @@ void Graph::assign(EdgeSpan edges, std::optional<Bipartition> bipartition,
   }
   adjacency_.resize(edge_count_ * 2);
   VertexId* adj = adjacency_.data();
-  for (std::size_t i = 0; i < edge_count_; ++i) {
-    adj[cur[es[i].u]++] = es[i].v;
-    adj[cur[es[i].v]++] = es[i].u;
+  for (std::size_t p = 0; p < count; ++p) {
+    const EdgeSpan part(parts[p]);
+    const Edge* es = part.data();
+    const std::size_t m = part.num_edges();
+    for (std::size_t i = 0; i < m; ++i) {
+      adj[cur[es[i].u]++] = es[i].v;
+      adj[cur[es[i].v]++] = es[i].u;
+    }
   }
 }
 

@@ -39,6 +39,14 @@ class Graph {
               std::optional<Bipartition> bipartition = std::nullopt,
               std::vector<std::size_t>* cursor_scratch = nullptr);
 
+  /// Builds the CSR of the parts' concatenation (one vertex universe):
+  /// the exact layout assign(EdgeList::union_of(parts)) produces, without
+  /// materializing the union — the coordinator's compose reads the machine
+  /// summaries in place.
+  void assign_union(std::span<const EdgeList> parts,
+                    std::optional<Bipartition> bipartition = std::nullopt,
+                    std::vector<std::size_t>* cursor_scratch = nullptr);
+
   VertexId num_vertices() const { return num_vertices_; }
   std::size_t num_edges() const { return edge_count_; }
 
@@ -70,6 +78,11 @@ class Graph {
   bool bipartition_consistent() const;
 
  private:
+  template <typename Part>
+  void assign_parts(const Part* parts, std::size_t count, VertexId n,
+                    std::optional<Bipartition> bipartition,
+                    std::vector<std::size_t>* cursor_scratch);
+
   VertexId num_vertices_ = 0;
   std::size_t edge_count_ = 0;
   std::vector<std::size_t> offsets_;   // size n+1

@@ -1,5 +1,6 @@
 #include "matching/blossom.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "util/workspace.hpp"
@@ -54,6 +55,7 @@ struct BlossomState {
     s.queue.clear();
     s.touched.clear();
     s.path_marked.clear();
+    s.merged.clear();
   }
 
   void touch(VertexId v) { s.touched.push_back(v); }
@@ -108,16 +110,24 @@ struct BlossomState {
     return y;
   }
 
-  /// Contracts the blossom branch from v up to base b into b: swallowed
-  /// bases are unioned into b, odd path vertices become even and are
-  /// enqueued, and `child` is the vertex on the other branch that v's tree
-  /// edge should point to.
+  /// Contracts the blossom branch from v up to base b into b: tree edges
+  /// along the branch are re-pointed across the odd cycle (`child` is the
+  /// vertex on the other branch that v's tree edge should point to), odd
+  /// path vertices become even and are enqueued, and the bases the branch
+  /// passes are unioned into b once the walk is done. The walk must reach
+  /// b through the bases as they were before this contraction: when v sits
+  /// inside an earlier sub-blossom, the walk has to re-point every tree
+  /// edge on its way out of it, and a union made mid-walk would end the
+  /// walk inside the sub-blossom and leave stale tree edges there (an
+  /// augment along them can cycle forever).
   void mark_path(VertexId v, VertexId b, VertexId child) {
+    s.merged.clear();
     for (VertexId bv = find(v); bv != b; bv = find(v)) {
       const VertexId mv = s.mate[v];
-      s.base[bv] = b;       // union the even base into the blossom
-      s.base[find(mv)] = b; // and the odd side (its own base, or an earlier
-                            // blossom's — whose members are already even)
+      s.merged.push_back(bv);        // the even base on the branch
+      s.merged.push_back(find(mv));  // and the odd side (its own base, or
+                                     // an earlier blossom's — whose
+                                     // members are already even)
       if (!s.used[mv]) {
         // The only vertices a contraction newly exposes as even are the odd
         // path vertices; everything else based inside the blossom became
@@ -131,6 +141,7 @@ struct BlossomState {
       child = mv;
       v = s.parent[mv];
     }
+    for (VertexId root : s.merged) s.base[root] = b;
   }
 
   /// Grows an alternating tree from `root`; returns an exposed vertex ending
@@ -186,20 +197,22 @@ struct BlossomState {
 void blossom_maximum_matching_into(Matching& out, const Graph& g,
                                    MachineScratch* scratch,
                                    bool prune_hungarian_trees,
-                                   const Matching* warm_start) {
+                                   const Matching* warm_start,
+                                   std::size_t size_bound) {
   BlossomScratch local;
   BlossomScratch& bs =
       scratch != nullptr ? scratch->state<BlossomScratch>() : local;
   BlossomState st(g, bs, prune_hungarian_trees,
                   scratch != nullptr ? scratch->stats() : nullptr);
 
+  std::size_t size = 0;
   if (warm_start != nullptr) {
     // Seed from the caller's matching (read before out.reset — the caller
     // may pass &out). Validity of the seed is the caller's contract.
     RCC_CHECK(warm_start->num_vertices() == g.num_vertices());
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      bs.mate[v] = warm_start->mate(v);
-    }
+    std::copy(warm_start->mate_data(),
+              warm_start->mate_data() + g.num_vertices(), bs.mate.begin());
+    size = warm_start->size();
   } else {
     // Greedy initialization: removes most augmentation phases on random
     // graphs.
@@ -209,17 +222,21 @@ void blossom_maximum_matching_into(Matching& out, const Graph& g,
         if (bs.mate[w] == kInvalidVertex && w != v) {
           bs.mate[v] = w;
           bs.mate[w] = v;
+          ++size;
           break;
         }
       }
     }
   }
 
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+  // Once the matching reaches the caller's upper bound it is maximum: the
+  // remaining searches could only fail.
+  for (VertexId v = 0; v < g.num_vertices() && size < size_bound; ++v) {
     if (bs.mate[v] != kInvalidVertex || g.degree(v) == 0) continue;
     const VertexId end = st.find_path(v);
     if (end != kInvalidVertex) {
       st.augment(end);
+      ++size;
     } else if (prune_hungarian_trees) {
       st.bury_failed_tree();
     }
@@ -235,10 +252,11 @@ void blossom_maximum_matching_into(Matching& out, const Graph& g,
 
 Matching blossom_maximum_matching(const Graph& g, MachineScratch* scratch,
                                   bool prune_hungarian_trees,
-                                  const Matching* warm_start) {
+                                  const Matching* warm_start,
+                                  std::size_t size_bound) {
   Matching result;
   blossom_maximum_matching_into(result, g, scratch, prune_hungarian_trees,
-                                warm_start);
+                                warm_start, size_bound);
   return result;
 }
 

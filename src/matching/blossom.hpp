@@ -36,6 +36,7 @@ struct BlossomScratch {
   std::vector<VertexId> queue;
   std::vector<VertexId> touched;
   std::vector<VertexId> path_marked;
+  std::vector<VertexId> merged;  // bases one contraction unions
   std::vector<char> used;
   std::vector<char> on_path;
   std::vector<char> dead;
@@ -48,17 +49,22 @@ struct BlossomScratch {
 /// `warm_start` (optional) seeds the solver with an existing valid matching
 /// of g instead of the greedy initialization pass — every tree search costs
 /// Omega(explored component), so entering with a near-maximum matching
-/// (e.g. after bounded augmenting-path passes) removes most searches.
+/// (e.g. a Karp-Sipser seed) removes most searches. `size_bound` is a
+/// caller-proven upper bound on the maximum matching size (e.g.
+/// tutte_berge_bound): augmenting stops once the matching reaches it, which
+/// skips the failed searches that would only prove maximality.
 Matching blossom_maximum_matching(const Graph& g,
                                   MachineScratch* scratch = nullptr,
                                   bool prune_hungarian_trees = true,
-                                  const Matching* warm_start = nullptr);
+                                  const Matching* warm_start = nullptr,
+                                  std::size_t size_bound = kNoSizeBound);
 
 /// As above, writing into a caller-reused Matching (reset internally).
 /// `warm_start == &out` is allowed (the seed is read out first).
 void blossom_maximum_matching_into(Matching& out, const Graph& g,
                                    MachineScratch* scratch = nullptr,
                                    bool prune_hungarian_trees = true,
-                                   const Matching* warm_start = nullptr);
+                                   const Matching* warm_start = nullptr,
+                                   std::size_t size_bound = kNoSizeBound);
 
 }  // namespace rcc

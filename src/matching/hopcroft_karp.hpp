@@ -16,10 +16,20 @@ class MachineScratch;
 
 /// Maximum matching of a bipartition-tagged graph. Aborts if the graph has
 /// no bipartition tag (use maximum_matching() to dispatch automatically).
-Matching hopcroft_karp(const Graph& g, MachineScratch* scratch = nullptr);
+/// `warm_start` (optional) seeds the solver with a valid matching of g
+/// instead of the empty one. `size_bound` is a caller-proven upper bound on
+/// the maximum matching size (e.g. tutte_berge_bound): augmenting stops as
+/// soon as the matching reaches it, which skips the searches that would
+/// only prove maximality. Neither changes the size of the result.
+Matching hopcroft_karp(const Graph& g, MachineScratch* scratch = nullptr,
+                      const Matching* warm_start = nullptr,
+                      std::size_t size_bound = kNoSizeBound);
 
 /// As above, writing into a caller-reused Matching (reset internally).
+/// `warm_start == &out` is allowed (the seed is read out first).
 void hopcroft_karp_into(Matching& out, const Graph& g,
-                        MachineScratch* scratch = nullptr);
+                        MachineScratch* scratch = nullptr,
+                        const Matching* warm_start = nullptr,
+                        std::size_t size_bound = kNoSizeBound);
 
 }  // namespace rcc

@@ -1,12 +1,17 @@
 // Matching value type with O(m) validation.
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "graph/edge_list.hpp"
 #include "util/types.hpp"
 
 namespace rcc {
+
+/// "No known upper bound" for the exact solvers' `size_bound` parameter.
+inline constexpr std::size_t kNoSizeBound =
+    std::numeric_limits<std::size_t>::max();
 
 /// A matching over a fixed vertex universe [0, n): a set of vertex-disjoint
 /// edges, stored both as the mate array (mate[v] == kInvalidVertex when v is

@@ -7,7 +7,6 @@
 #include "coreset/matching_coresets.hpp"
 #include "coreset/vc_coreset.hpp"
 #include "matching/greedy.hpp"
-#include "matching/max_matching.hpp"
 
 namespace rcc {
 
@@ -22,40 +21,32 @@ MpcEngineConfig single_round_config(const MpcConfig& mpc,
   return config;
 }
 
-/// Round-combiner of the iterated matching rounds: absorb unions the coreset
-/// subgraphs in machine order (byte-identical to compose_matching_coresets'
-/// EdgeList::union_of), and finish solves the union, extends the cumulative
-/// matching, and filters the survivors.
+/// Round-combiner of the iterated matching rounds: finish solves the union
+/// of the round's coreset subgraphs with the coordinator kernel
+/// (union_maximum_matching_into, exactly compose_matching_coresets'
+/// kMaximum solve), extends the cumulative matching, and filters the
+/// survivors.
 ///
-/// All per-round state (the union list, the round matching) clears with
-/// retained capacity, the solve runs on the coordinator scratch, and the
-/// survivors fill the executor's double-buffer: steady-state rounds
-/// allocate nothing here.
+/// The round matching clears with retained capacity, the solve runs on the
+/// coordinator scratch, and the survivors fill the executor's
+/// double-buffer: steady-state rounds allocate nothing here.
 struct MatchingRoundFold {
   Matching& matched;
   VertexId left_size;
-  EdgeList round_union;
+  ThreadPool* pool;
   Matching round_matching;
 
-  MatchingRoundFold(Matching& matched, VertexId num_vertices,
-                    VertexId left_size)
-      : matched(matched), left_size(left_size), round_union(num_vertices) {}
+  void absorb(EdgeList& /*summary*/, std::size_t /*machine*/,
+              MpcRoundContext& /*ctx*/) {}
 
-  void absorb(EdgeList& summary, std::size_t /*machine*/,
-              MpcRoundContext& /*ctx*/) {
-    round_union.append(summary);
-  }
-
-  EdgeList finish(std::vector<EdgeList>& /*summaries*/, MpcRoundContext& ctx,
+  EdgeList finish(std::vector<EdgeList>& summaries, MpcRoundContext& ctx,
                   Rng& /*coordinator_rng*/) {
     // Every round's input has both endpoints unmatched, so the round
     // matching is vertex-disjoint from the cumulative one and the extension
-    // keeps all of it (round 0: the whole single-round solution). The solve
-    // is compose_matching_coresets' kMaximum branch over the absorbed union.
-    maximum_matching_into(round_matching, round_union, left_size,
-                          &ctx.coordinator_scratch());
+    // keeps all of it (round 0: the whole single-round solution).
+    union_maximum_matching_into(round_matching, summaries, left_size,
+                                &ctx.coordinator_scratch(), pool);
     greedy_extend(matched, round_matching);
-    round_union.clear();
     ctx.survivors_out().assign_filtered(
         ctx.active_edges(), [&](const Edge& e) {
           return !matched.is_matched(e.u) && !matched.is_matched(e.v);
@@ -71,10 +62,11 @@ struct MatchingRoundFold {
 struct VcRoundFold {
   VertexCover& cover;
   VertexId n;
+  ThreadPool* pool;
   VertexCover round_fixed;
 
-  VcRoundFold(VertexCover& cover, VertexId n)
-      : cover(cover), n(n), round_fixed(n) {}
+  VcRoundFold(VertexCover& cover, VertexId n, ThreadPool* pool)
+      : cover(cover), n(n), pool(pool), round_fixed(n) {}
 
   void absorb(VcCoresetOutput& summary, std::size_t /*machine*/,
               MpcRoundContext& /*ctx*/) {
@@ -97,7 +89,7 @@ struct VcRoundFold {
     }
     // Final round: the full composition (fixed vertices + 2-approximation
     // of the residual union) covers everything still active.
-    cover.merge(compose_vc_coresets(summaries, n, coordinator_rng));
+    cover.merge(compose_vc_coresets(summaries, n, coordinator_rng, pool));
     round_fixed.reset(n);
     ctx.request_stop();
     return std::move(ctx.survivors_out());  // reset by the executor: empty
@@ -119,7 +111,7 @@ CoresetMpcMatchingResult coreset_mpc_matching_rounds(
   const auto account = [](const EdgeList& summary) {
     return MessageSize{summary.num_edges(), 0};
   };
-  MatchingRoundFold fold(matched, graph.num_vertices(), left_size);
+  MatchingRoundFold fold{matched, left_size, pool, {}};
 
   // The coreset build reads nothing but its shard and the machine rng, so
   // a cross-process run may keep one worker host for every round.
@@ -150,7 +142,7 @@ CoresetMpcVcResult coreset_mpc_vertex_cover_rounds(
     return MessageSize{summary.residual_edges.num_edges(),
                        summary.fixed_vertices.size()};
   };
-  VcRoundFold fold(cover, n);
+  VcRoundFold fold(cover, n, pool);
 
   // Same story as the matching driver: the peeling build is a pure function
   // of (piece, ctx, rng), so keeping one worker host is safe.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
 
@@ -25,6 +28,107 @@ std::size_t brute_force_mm(const EdgeList& edges) {
   };
   rec(rec, 0, 0);
   return best;
+}
+
+/// Textbook Edmonds (Gabow's presentation): after every contraction it
+/// re-bases every vertex of the blossom in one O(n) sweep, so its tree walks
+/// always see the bases as they were before the contraction. Only the size
+/// of its result is compared.
+std::size_t textbook_edmonds_size(const Graph& g) {
+  const VertexId n = g.num_vertices();
+  std::vector<VertexId> mate(n, kInvalidVertex);
+  std::vector<VertexId> parent(n);
+  std::vector<VertexId> base(n);
+  std::vector<char> used(n);
+  std::vector<char> in_blossom(n);
+  const auto lca = [&](VertexId a, VertexId b) {
+    std::vector<char> seen(n, 0);
+    for (;;) {
+      a = base[a];
+      seen[a] = 1;
+      if (mate[a] == kInvalidVertex) break;
+      a = parent[mate[a]];
+    }
+    for (;;) {
+      b = base[b];
+      if (seen[b]) return b;
+      b = parent[mate[b]];
+    }
+  };
+  const auto mark = [&](VertexId v, VertexId b, VertexId child) {
+    while (base[v] != b) {
+      in_blossom[base[v]] = in_blossom[base[mate[v]]] = 1;
+      parent[v] = child;
+      child = mate[v];
+      v = parent[mate[v]];
+    }
+  };
+  const auto find_path = [&](VertexId root) -> VertexId {
+    std::fill(used.begin(), used.end(), 0);
+    std::fill(parent.begin(), parent.end(), kInvalidVertex);
+    for (VertexId v = 0; v < n; ++v) base[v] = v;
+    used[root] = 1;
+    std::vector<VertexId> queue{root};
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const VertexId v = queue[head];
+      for (VertexId to : g.neighbors(v)) {
+        if (base[v] == base[to] || mate[v] == to) continue;
+        if (to == root || (mate[to] != kInvalidVertex &&
+                           parent[mate[to]] != kInvalidVertex)) {
+          const VertexId b = lca(v, to);
+          std::fill(in_blossom.begin(), in_blossom.end(), 0);
+          mark(v, b, to);
+          mark(to, b, v);
+          for (VertexId i = 0; i < n; ++i) {
+            if (!in_blossom[base[i]]) continue;
+            base[i] = b;
+            if (!used[i]) {
+              used[i] = 1;
+              queue.push_back(i);
+            }
+          }
+        } else if (parent[to] == kInvalidVertex) {
+          parent[to] = v;
+          if (mate[to] == kInvalidVertex) return to;
+          used[mate[to]] = 1;
+          queue.push_back(mate[to]);
+        }
+      }
+    }
+    return kInvalidVertex;
+  };
+  std::size_t size = 0;
+  for (VertexId root = 0; root < n; ++root) {
+    if (mate[root] != kInvalidVertex) continue;
+    for (VertexId v = find_path(root); v != kInvalidVertex;) {
+      const VertexId pv = parent[v];
+      const VertexId next = mate[pv];
+      mate[v] = pv;
+      mate[pv] = v;
+      v = next;
+    }
+  }
+  for (VertexId v = 0; v < n; ++v) size += mate[v] != kInvalidVertex;
+  return size / 2;
+}
+
+TEST(Blossom, ContractionInsideSubBlossomsMatchesTextbookEdmonds) {
+  // Sparse random graphs nest blossoms often. A contraction whose tree walk
+  // starts inside an earlier sub-blossom must re-point the tree edges all
+  // the way out of it; cutting that walk short once left a parent cycle
+  // that augment looped on forever (graph 19 of this sweep hung).
+  Rng rng(21);
+  for (int i = 0; i < 60; ++i) {
+    const EdgeList el = gnm(600, 900, rng);
+    const Graph g(el);
+    const std::size_t expected = textbook_edmonds_size(g);
+    for (const bool prune : {true, false}) {
+      const Matching m = blossom_maximum_matching(g, nullptr, prune);
+      EXPECT_EQ(m.size(), expected) << "graph " << i << " prune " << prune;
+      EXPECT_TRUE(m.valid());
+      EXPECT_TRUE(m.subset_of(el));
+    }
+  }
 }
 
 TEST(Blossom, OddCycleMatchesFloorHalf) {

@@ -6,6 +6,8 @@
 #include <set>
 #include <vector>
 
+#include "graph/edge.hpp"
+
 namespace rcc {
 namespace {
 
@@ -154,6 +156,46 @@ TEST(Rng, ShuffleUniformFirstElement) {
   for (int c : counts) {
     EXPECT_NEAR(static_cast<double>(c) / trials, 0.2, 0.01);
   }
+}
+
+/// Frozen scalar Fisher-Yates: the loop the batched, prefetching shuffle
+/// replaced. The batched one must take the same draws in the same order.
+template <typename T>
+void reference_scalar_shuffle(Rng& rng, std::vector<T>& v) {
+  for (std::size_t i = v.size(); i > 1; --i) {
+    const auto j = static_cast<std::size_t>(rng.next_below(i));
+    using std::swap;
+    swap(v[i - 1], v[j]);
+  }
+}
+
+template <typename T>
+void expect_shuffle_matches_scalar(T (*make)(std::size_t)) {
+  for (const std::size_t size :
+       {0u, 1u, 2u, 31u, 32u, 33u, 64u, 65u, 100000u}) {
+    for (const std::uint64_t seed : {3u, 77u}) {
+      std::vector<T> batched(size);
+      for (std::size_t i = 0; i < size; ++i) batched[i] = make(i);
+      std::vector<T> scalar = batched;
+      Rng a(seed);
+      Rng b(seed);
+      a.shuffle(batched);
+      reference_scalar_shuffle(b, scalar);
+      EXPECT_TRUE(batched == scalar) << "size " << size << " seed " << seed;
+      EXPECT_EQ(a.next_u64(), b.next_u64())
+          << "size " << size << " seed " << seed;
+    }
+  }
+}
+
+TEST(Rng, BatchedShuffleEqualsScalarFisherYates) {
+  expect_shuffle_matches_scalar<Edge>([](std::size_t i) {
+    return Edge{static_cast<VertexId>(i), static_cast<VertexId>(3 * i + 1)};
+  });
+  expect_shuffle_matches_scalar<std::size_t>(
+      [](std::size_t i) { return i * 7 + 2; });
+  expect_shuffle_matches_scalar<VertexId>(
+      [](std::size_t i) { return static_cast<VertexId>(i); });
 }
 
 TEST(Rng, ForkedStreamsAreIndependentAndDeterministic) {
