@@ -9,16 +9,16 @@
 // (see README "Performance playbook").
 //
 // Output: a table on stdout, and with --json a machine-readable file that
-// tools/compare_bench.py diffs against the checked-in baseline (±10%
-// threshold in CI, non-gating).
-#include <sys/resource.h>
-
+// tools/compare_bench.py diffs against the checked-in baseline. CI gates on
+// it at a ±25% timing threshold ("Perf smoke vs checked-in baseline");
+// ±10% is the quiet-machine band.
 #include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "suite_row.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_pack.hpp"
 #include "mpc/augmenting_rounds.hpp"
@@ -80,44 +80,6 @@ std::vector<Family> make_families(double scale, std::uint64_t seed) {
   return families;
 }
 
-struct Row {
-  std::string scenario;
-  std::string family;
-  std::string transport = "inproc";  // where the machine phase ran
-  std::size_t k = 0;
-  std::size_t rounds = 0;  // round budget handed to the executor
-  VertexId n = 0;
-  std::size_t m = 0;
-  std::size_t engine_rounds = 0;  // rounds actually run
-  std::size_t processed_edges = 0;  // sum of per-round active edge sets
-  std::size_t solution = 0;
-  std::uint64_t comm_words = 0;  // ledger-charged communication (0 = n/a)
-  double seconds_median = 0.0;
-  double seconds_min = 0.0;
-  double edges_per_sec = 0.0;
-  std::uint64_t file_bytes = 0;     // .rgp size on disk (packed rows only)
-  std::uint64_t peak_rss_bytes = 0; // process high-water RSS after the row
-  std::uint64_t worker_forks = 0;   // processes forked by the machine phase
-};
-
-/// Process peak resident set (high-water mark, monotone over the process
-/// lifetime). Meaningful for out-of-core claims only when the packed rows
-/// run alone (--family packed): the in-memory families would raise the mark
-/// to their own working set first.
-std::uint64_t peak_rss_bytes() {
-  struct rusage usage {};
-  getrusage(RUSAGE_SELF, &usage);
-  return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;  // Linux: KiB
-}
-
-struct RunOutcome {
-  std::size_t engine_rounds = 1;
-  std::size_t processed_edges = 0;
-  std::size_t solution = 0;
-  std::uint64_t comm_words = 0;
-  std::uint64_t worker_forks = 0;
-};
-
 MpcEngineConfig engine_config(const Family& f, std::size_t k,
                               std::size_t rounds) {
   MpcEngineConfig config;
@@ -138,46 +100,7 @@ RunOutcome processed_of(const MpcExecutionStats& stats) {
   return out;
 }
 
-/// One pinned grid row: `run` executes the scenario once and reports what it
-/// processed; the harness repeats it and keeps median/min wall time.
-template <typename RunFn>
-Row measure(const std::string& scenario, const std::string& family,
-            std::size_t k, std::size_t rounds, VertexId n, std::size_t m,
-            int reps, std::uint64_t seed, const RunFn& run) {
-  Row row;
-  row.scenario = scenario;
-  row.family = family;
-  row.k = k;
-  row.rounds = rounds;
-  row.n = n;
-  row.m = m;
-  std::vector<double> times;
-  RunOutcome outcome;
-  for (int rep = 0; rep < reps; ++rep) {
-    Rng rng(seed + 1000 * static_cast<std::uint64_t>(rep));
-    WallTimer timer;
-    outcome = run(rng);
-    times.push_back(timer.seconds());
-  }
-  std::sort(times.begin(), times.end());
-  row.seconds_min = times.front();
-  row.seconds_median = times[times.size() / 2];
-  row.engine_rounds = outcome.engine_rounds;
-  row.processed_edges = outcome.processed_edges;
-  row.solution = outcome.solution;
-  row.comm_words = outcome.comm_words;
-  row.worker_forks = outcome.worker_forks;
-  // High-water RSS is stamped on EVERY row (it was 0 for non-packed rows
-  // before, which read as "unmeasured"); being process-monotone it is only
-  // an out-of-core bound when the packed family runs alone.
-  row.peak_rss_bytes = peak_rss_bytes();
-  row.edges_per_sec =
-      row.seconds_median > 0.0
-          ? static_cast<double>(std::max(row.processed_edges, row.m)) /
-                row.seconds_median
-          : 0.0;
-  return row;
-}
+using bench::measure;  // suite_row.hpp's, beside this per-family overload
 
 template <typename RunFn>
 Row measure(const std::string& scenario, const Family& f, std::size_t k,
@@ -450,9 +373,10 @@ int run_suite(int argc, char** argv) {
   // stack straight off the mapping. --packed-scale sizes the instance
   // independently of --scale (the file is disk-bound); file_bytes and
   // peak_rss_bytes land in the JSON rows so the out-of-core claim — RSS
-  // well below file size for stream/ingest — is measurable. For that claim
-  // run the family alone (--family packed): RSS is a process-wide
-  // high-water mark and the in-memory families would raise it first.
+  // well below file size for stream/ingest — is measurable. Each row's
+  // peak is its own, but it includes what the process already holds: for
+  // that claim run the family alone (--family packed), so the in-memory
+  // families are not resident.
   {
     const Family packed{"packed", 0, EdgeList()};
     const bool any_packed =
@@ -479,10 +403,7 @@ int run_suite(int argc, char** argv) {
         }
         writer.finish();
       };
-      const auto stamp = [&](Row& row) {
-        row.file_bytes = pack_bytes;
-        row.peak_rss_bytes = peak_rss_bytes();
-      };
+      const auto stamp = [&](Row& row) { row.file_bytes = pack_bytes; };
       {
         // The file the mapping rows read must exist even when the stream
         // row itself is filtered out.

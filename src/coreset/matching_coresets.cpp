@@ -4,10 +4,21 @@
 
 namespace rcc {
 
+namespace {
+
+/// Theorem 1 accepts any maximum matching of the piece.
+EdgeList piece_maximum_matching(EdgeSpan piece, const PartitionContext& ctx) {
+  Matching m;
+  piece_maximum_matching_into(m, piece, ctx.left_size, ctx.scratch);
+  return m.to_edge_list();
+}
+
+}  // namespace
+
 EdgeList MaximumMatchingCoreset::build(EdgeSpan piece,
                                        const PartitionContext& ctx,
                                        Rng& /*rng*/) const {
-  return maximum_matching(piece, ctx.left_size, ctx.scratch).to_edge_list();
+  return piece_maximum_matching(piece, ctx);
 }
 
 EdgeList MaximalMatchingCoreset::build(EdgeSpan piece,
@@ -22,9 +33,7 @@ EdgeList MaximalMatchingCoreset::build(EdgeSpan piece,
 EdgeList SubsampledMatchingCoreset::build(EdgeSpan piece,
                                           const PartitionContext& ctx,
                                           Rng& rng) const {
-  const EdgeList mm =
-      maximum_matching(piece, ctx.left_size, ctx.scratch).to_edge_list();
-  return mm.subsample(1.0 / alpha_, rng);
+  return piece_maximum_matching(piece, ctx).subsample(1.0 / alpha_, rng);
 }
 
 }  // namespace rcc

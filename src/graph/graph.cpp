@@ -28,6 +28,7 @@ void Graph::assign_parts(const Part* parts, std::size_t count, VertexId n,
   num_vertices_ = n;
   bipartition_ = bipartition;
   edge_count_ = 0;
+  self_loops_ = 0;
   offsets_.assign(std::size_t{n} + 1, 0);
   std::size_t* off = offsets_.data();
   for (std::size_t p = 0; p < count; ++p) {
@@ -35,11 +36,14 @@ void Graph::assign_parts(const Part* parts, std::size_t count, VertexId n,
     RCC_CHECK(part.num_vertices() == n);
     const Edge* es = part.data();
     const std::size_t m = part.num_edges();
+    std::size_t loops = 0;
     for (std::size_t i = 0; i < m; ++i) {
       ++off[es[i].u + 1];
       ++off[es[i].v + 1];
+      loops += es[i].u == es[i].v;
     }
     edge_count_ += m;
+    self_loops_ += loops;
   }
   std::vector<std::size_t> local_cursor;
   std::vector<std::size_t>& cursor =

@@ -49,6 +49,8 @@ class Graph {
 
   VertexId num_vertices() const { return num_vertices_; }
   std::size_t num_edges() const { return edge_count_; }
+  /// Edges (u, u), counted with multiplicity.
+  std::size_t num_self_loops() const { return self_loops_; }
 
   /// Neighbors of v as a contiguous span (with multiplicity).
   std::span<const VertexId> neighbors(VertexId v) const {
@@ -85,6 +87,7 @@ class Graph {
 
   VertexId num_vertices_ = 0;
   std::size_t edge_count_ = 0;
+  std::size_t self_loops_ = 0;
   std::vector<std::size_t> offsets_;   // size n+1
   std::vector<VertexId> adjacency_;    // size 2m
   std::optional<Bipartition> bipartition_;

@@ -5,6 +5,7 @@
 
 #include "matching/blossom.hpp"
 #include "matching/hopcroft_karp.hpp"
+#include "matching/warm_start.hpp"
 #include "util/workspace.hpp"
 
 namespace rcc {
@@ -92,6 +93,41 @@ void maximum_matching_into(Matching& out, EdgeSpan edges, VertexId left_size,
   } else {
     blossom_maximum_matching_into(out, g);
   }
+}
+
+void piece_maximum_matching_into(Matching& out, EdgeSpan edges,
+                                 VertexId left_size, MachineScratch* scratch) {
+  const std::optional<Bipartition> bipartition =
+      left_size > 0 ? std::optional<Bipartition>(Bipartition{left_size})
+                    : std::nullopt;
+  // The certified seed, and the exact solver only where the seed falls
+  // short of its certificate (which the solver then uses as its stop).
+  const auto solve = [&](const Graph& g, KarpSipserScratch* seed_scratch) {
+    std::size_t certificate = 0;
+    karp_sipser_into(out, g, seed_scratch,
+                     scratch != nullptr ? scratch->stats() : nullptr,
+                     &certificate);
+    if (out.size() == certificate) return;
+    if (g.is_bipartite_tagged()) {
+      hopcroft_karp_into(out, g, scratch, &out, certificate);
+    } else {
+      blossom_maximum_matching_into(out, g, scratch,
+                                    /*prune_hungarian_trees=*/true, &out,
+                                    certificate);
+    }
+  };
+  if (scratch == nullptr) {
+    solve(Graph(edges, bipartition), nullptr);
+    return;
+  }
+  // A piece is new every call, so its CSR goes straight into the cached
+  // graph's storage without hashing the sequence; the cache then holds no
+  // sequence a later maximum_matching_into could match.
+  CachedGraph& cg = scratch->state<CachedGraph>();
+  cg.valid = false;
+  cg.g.assign(edges, bipartition,
+              &scratch->cursor(static_cast<std::size_t>(edges.num_vertices())));
+  solve(cg.g, &scratch->state<KarpSipserScratch>());
 }
 
 std::size_t maximum_matching_size(EdgeSpan edges, VertexId left_size) {

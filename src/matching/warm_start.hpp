@@ -15,6 +15,8 @@
 //
 // Both are O(n + m) passes over a CSR graph; their working arrays can come
 // from caller-owned scratch, so repeated solves allocate nothing once warm.
+// The seed can also certify itself (the bound on its Karp-Sipser core, see
+// karp_sipser_into), which lets a sparse piece skip the exact solver.
 #pragma once
 
 #include <cstddef>
@@ -44,9 +46,19 @@ struct ComponentScratch {
 /// neighbor of least live degree, so the result is a deterministic function
 /// of g's CSR layout. Parallel edges count with multiplicity and self-loops
 /// are ignored. The result is a maximal matching of g.
+///
+/// `certificate` (optional) receives an upper bound on the maximum matching
+/// size of g. The first time the degree-one queue empties, the seed has
+/// made only degree-one matches M1, and each lies in some maximum matching
+/// of the graph it was made in, so nu(g) = |M1| + nu(core), the core being
+/// the live vertices of positive live degree. The certificate is |M1| +
+/// (n_core - #odd components of the core) / 2: Tutte-Berge with S = {} on
+/// the core, never looser than tutte_berge_bound(g). When the returned
+/// matching reaches it, the matching is maximum.
 void karp_sipser_into(Matching& out, const Graph& g,
                       KarpSipserScratch* scratch = nullptr,
-                      WorkspaceStats* stats = nullptr);
+                      WorkspaceStats* stats = nullptr,
+                      std::size_t* certificate = nullptr);
 
 /// (n - number of odd-size connected components) / 2: an upper bound on
 /// the maximum matching size of g, tight on most random unions of

@@ -236,6 +236,44 @@ TEST(AllocationFree, MaximumMatchingIntoOnWarmScratch) {
   }
 }
 
+TEST(AllocationFree, PieceMaximumMatchingIntoOnWarmScratch) {
+  // The certified piece solve: the seed alone on a sparse piece, and the
+  // seed plus the exact fallback on pieces the certificate does not close
+  // (a dense gnp; K_{2,4} blocks, whose core bound 3 exceeds their maximum
+  // 2), in both dispatch branches.
+  Rng gen(17);
+  const EdgeList sparse = gnp(300, 1.5 / 300, gen);
+  const EdgeList dense = gnp(300, 6.0 / 300, gen);
+  constexpr VertexId kBlocks = 40;
+  EdgeList bipartite(6 * kBlocks);  // left side: 2 vertices per block
+  for (VertexId b = 0; b < kBlocks; ++b) {
+    for (VertexId l = 0; l < 2; ++l) {
+      for (VertexId r = 0; r < 4; ++r) {
+        bipartite.add(2 * b + l, 2 * kBlocks + 4 * b + r);
+      }
+    }
+  }
+  MachineScratch scratch;
+  Matching out;
+  for (const EdgeList* piece : {&sparse, &dense}) {
+    piece_maximum_matching_into(out, *piece, 0, &scratch);
+  }
+  piece_maximum_matching_into(out, bipartite, 2 * kBlocks, &scratch);
+  {
+    const std::size_t before = allocations();
+    piece_maximum_matching_into(out, sparse, 0, &scratch);
+    piece_maximum_matching_into(out, dense, 0, &scratch);
+    const std::size_t after = allocations();
+    EXPECT_EQ(after, before) << "warm general piece solve allocated";
+  }
+  {
+    const std::size_t before = allocations();
+    piece_maximum_matching_into(out, bipartite, 2 * kBlocks, &scratch);
+    const std::size_t after = allocations();
+    EXPECT_EQ(after, before) << "warm bipartite piece solve allocated";
+  }
+}
+
 TEST(AllocationFree, RepartitionOnWarmScratchAndArena) {
   Rng gen(16);
   const EdgeList graph = gnp(600, 10.0 / 600, gen);

@@ -2,18 +2,23 @@
 // S = {} and the Karp-Sipser seed, then the bound as a stop inside the exact
 // solvers. A stop that fired below the maximum would silently shrink the
 // matching, so every solve here is checked against the exhaustive blossom
-// (no Hungarian-tree pruning, no seed, no bound).
+// (no Hungarian-tree pruning, no seed, no bound). The seed's certificate
+// (the bound on its Karp-Sipser core) and the piece solve built on it are
+// checked the same way, and against a brute-force maximum on multigraphs.
 #include "matching/warm_start.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "coreset/compose.hpp"
 #include "graph/generators.hpp"
 #include "matching/blossom.hpp"
 #include "matching/hopcroft_karp.hpp"
+#include "matching/max_matching.hpp"
 #include "util/rng.hpp"
+#include "util/workspace.hpp"
 
 namespace rcc {
 namespace {
@@ -21,6 +26,108 @@ namespace {
 std::size_t exhaustive_size(const Graph& g) {
   return blossom_maximum_matching(g, nullptr, /*prune_hungarian_trees=*/false)
       .size();
+}
+
+/// Maximum matching by exhaustive search (tiny graphs only): the lowest
+/// vertex with an edge either stays unmatched or takes one of its edges.
+/// Self-loops never match and parallel edges are tried once each.
+std::size_t brute_force_maximum(const std::vector<Edge>& edges,
+                                std::vector<char>& used, std::size_t from) {
+  while (from < edges.size() &&
+         (edges[from].is_loop() || used[edges[from].u] || used[edges[from].v])) {
+    ++from;
+  }
+  if (from == edges.size()) return 0;
+  const Edge e = edges[from];
+  const std::size_t skip = brute_force_maximum(edges, used, from + 1);
+  used[e.u] = used[e.v] = 1;
+  const std::size_t take = 1 + brute_force_maximum(edges, used, from + 1);
+  used[e.u] = used[e.v] = 0;
+  return std::max(skip, take);
+}
+
+/// Frozen copy of karp_sipser_into as it was before its live degrees could
+/// come from the CSR offsets: every row is scanned for self-loops.
+void row_scanning_karp_sipser(Matching& out, const Graph& g) {
+  const VertexId n = g.num_vertices();
+  constexpr VertexId kTaken = kInvalidVertex;
+  std::vector<VertexId> live(n);
+  std::vector<VertexId> queue(std::size_t{n} + 1);
+  std::size_t tail = 0;
+  const std::size_t* const off = g.offsets_data();
+  const VertexId* const adj = g.adjacency_data();
+  out.reset(n);
+  for (VertexId v = 0; v < n; ++v) {
+    VertexId d = 0;
+    for (std::size_t i = off[v]; i < off[v + 1]; ++i) d += adj[i] != v;
+    live[v] = d;
+    queue[tail] = v;
+    tail += d == 1;
+  }
+  const auto take = [&](VertexId a, VertexId b) {
+    out.match(a, b);
+    live[a] = kTaken;
+    live[b] = kTaken;
+    for (const VertexId x : {a, b}) {
+      for (std::size_t i = off[x]; i < off[x + 1]; ++i) {
+        const VertexId y = adj[i];
+        const bool alive = live[y] != kTaken;
+        const VertexId d = live[y] - alive;
+        live[y] = d;
+        queue[tail] = y;
+        tail += alive & (d == 1);
+      }
+    }
+  };
+  std::size_t head = 0;
+  VertexId next = 0;
+  for (;;) {
+    while (head < tail) {
+      const VertexId v = queue[head++];
+      if (live[v] == kTaken) continue;
+      for (std::size_t i = off[v]; i < off[v + 1]; ++i) {
+        const VertexId w = adj[i];
+        if (w != v && live[w] != kTaken) {
+          take(v, w);
+          break;
+        }
+      }
+    }
+    while (next < n && (live[next] == kTaken || live[next] == 0)) ++next;
+    if (next == n) break;
+    VertexId best = kInvalidVertex;
+    VertexId best_degree = kTaken;
+    for (std::size_t i = off[next]; i < off[next + 1]; ++i) {
+      const VertexId w = adj[i];
+      if (w != next && live[w] < best_degree) {
+        best = w;
+        best_degree = live[w];
+      }
+    }
+    take(next, best);
+  }
+}
+
+/// A gnm graph with every third edge doubled and a self-loop on every
+/// `loop_every`-th vertex (0 = none).
+std::vector<Edge> noisy_gnm(VertexId n, std::size_t m, VertexId loop_every,
+                            Rng& rng) {
+  const EdgeList base = gnm(n, m, rng);
+  std::vector<Edge> edges(base.begin(), base.end());
+  for (std::size_t i = 0; i < base.num_edges(); i += 3) edges.push_back(base[i]);
+  if (loop_every > 0) {
+    for (VertexId v = 0; v < n; v += loop_every) edges.push_back(Edge{v, v});
+  }
+  rng.shuffle(edges);
+  return edges;
+}
+
+bool same_mates(const Matching& a, const Matching& b) {
+  if (a.num_vertices() != b.num_vertices()) return false;
+  for (VertexId v = 0; v < a.num_vertices(); ++v) {
+    if (a.mate(v) != b.mate(v)) return false;
+  }
+  return true;
 }
 
 /// K_{1,3} forest as a bipartite graph: centers [0, count), leaves after.
@@ -135,6 +242,140 @@ TEST(KarpSipser, ScratchReuseGivesTheSameMatching) {
   for (VertexId v = 0; v < 300; ++v) EXPECT_EQ(reused.mate(v), fresh_b.mate(v));
   karp_sipser_into(reused, Graph(a), &scratch);
   for (VertexId v = 0; v < 500; ++v) EXPECT_EQ(reused.mate(v), fresh_a.mate(v));
+}
+
+TEST(KarpSipser, OffsetsInitMatchesTheRowScanningSeed) {
+  // Without self-loops the seed reads its initial live degrees from the CSR
+  // offsets; with them it scans the rows. Both must give the frozen
+  // row-scanning seed mate for mate.
+  KarpSipserScratch scratch;
+  for (int seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    for (const VertexId loop_every : {VertexId{0}, VertexId{5}}) {
+      const std::vector<Edge> edges =
+          noisy_gnm(500, 300 + 60 * seed, loop_every, rng);
+      const Graph g(EdgeSpan(edges.data(), edges.size(), 500));
+      EXPECT_EQ(g.num_self_loops() == 0, loop_every == 0);
+      Matching frozen;
+      row_scanning_karp_sipser(frozen, g);
+      Matching seeded;
+      karp_sipser_into(seeded, g, &scratch);
+      EXPECT_TRUE(same_mates(seeded, frozen))
+          << "seed " << seed << " loops every " << loop_every;
+      std::size_t certificate = 0;
+      Matching certified;
+      karp_sipser_into(certified, g, &scratch, nullptr, &certificate);
+      EXPECT_TRUE(same_mates(certified, frozen))
+          << "the certificate walk changed the seed, seed " << seed;
+    }
+  }
+}
+
+TEST(KarpSipserCertificate, BracketedByTheMaximumAndTheTutteBergeBound) {
+  // Tiny multigraphs with parallel edges and self-loops, solved by brute
+  // force: the certificate must never fall below the maximum (it would
+  // certify a non-maximum seed) and is never looser than the S = {} bound.
+  for (int seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    const auto n = static_cast<VertexId>(4 + rng.next_below(9));
+    const std::size_t universe = std::size_t{n} * (n - 1) / 2;
+    const std::size_t m = rng.next_below(std::min<std::size_t>(universe, 14)) + 1;
+    const std::vector<Edge> edges =
+        noisy_gnm(n, m, static_cast<VertexId>(1 + rng.next_below(4)), rng);
+    const Graph g(EdgeSpan(edges.data(), edges.size(), n));
+    std::vector<char> used(n, 0);
+    const std::size_t maximum = brute_force_maximum(edges, used, 0);
+
+    std::size_t certificate = 0;
+    Matching m_seed;
+    karp_sipser_into(m_seed, g, nullptr, nullptr, &certificate);
+    EXPECT_TRUE(m_seed.valid());
+    EXPECT_LE(m_seed.size(), maximum) << "seed " << seed;
+    EXPECT_GE(certificate, maximum) << "seed " << seed;
+    EXPECT_LE(certificate, tutte_berge_bound(g)) << "seed " << seed;
+
+    Matching piece;
+    piece_maximum_matching_into(piece, EdgeSpan(edges.data(), edges.size(), n));
+    EXPECT_EQ(piece.size(), maximum) << "seed " << seed;
+    EXPECT_TRUE(piece.valid());
+    EXPECT_TRUE(piece.subset_of(EdgeSpan(edges.data(), edges.size(), n)));
+  }
+}
+
+TEST(KarpSipserCertificate, EqualsTheSeedOnForests) {
+  // A forest always has a leaf, so the seed never takes a greedy step: the
+  // core is empty and the certificate is the seed's own size.
+  Rng rng(31);
+  std::vector<EdgeList> forests{path(9), star_forest(5, 3), claw_forest(6),
+                                star(11), path(1)};
+  for (int i = 0; i < 10; ++i) {
+    // Random recursive trees, some vertices left isolated.
+    const auto n = static_cast<VertexId>(20 + 15 * i);
+    EdgeList tree(n);
+    for (VertexId v = 1; v < n; ++v) {
+      if (rng.next_below(5) != 0) {
+        tree.add(static_cast<VertexId>(rng.next_below(v)), v);
+      }
+    }
+    forests.push_back(tree);
+  }
+  for (std::size_t i = 0; i < forests.size(); ++i) {
+    const Graph g(forests[i]);
+    std::size_t certificate = 0;
+    Matching m;
+    karp_sipser_into(m, g, nullptr, nullptr, &certificate);
+    EXPECT_EQ(certificate, m.size()) << "forest " << i;
+    EXPECT_EQ(m.size(), exhaustive_size(g)) << "forest " << i;
+  }
+}
+
+TEST(KarpSipserCertificate, SubtractsTheCoresOddComponents) {
+  // Two disjoint triangles and a path 6 - 7 - 8 - 9: the degree-one
+  // reductions match the path (2 edges) and stall on a core of two odd
+  // components, so the certificate is 2 + (6 - 2) / 2 = 4, the maximum.
+  EdgeList el(10);
+  for (VertexId o : {VertexId{0}, VertexId{3}}) {
+    el.add(o, o + 1);
+    el.add(o + 1, o + 2);
+    el.add(o + 2, o);
+  }
+  el.add(6, 7);
+  el.add(7, 8);
+  el.add(8, 9);
+  std::size_t certificate = 0;
+  Matching m;
+  karp_sipser_into(m, Graph(el), nullptr, nullptr, &certificate);
+  EXPECT_EQ(certificate, 4u);
+  EXPECT_EQ(m.size(), 4u);
+  // An even core: a 4-cycle beside an edge certifies 1 + 4 / 2 = 3.
+  EdgeList even_core(6);
+  for (VertexId v = 0; v < 4; ++v) even_core.add(v, (v + 1) % 4);
+  even_core.add(4, 5);
+  karp_sipser_into(m, Graph(even_core), nullptr, nullptr, &certificate);
+  EXPECT_EQ(certificate, 3u);
+  EXPECT_EQ(m.size(), 3u);
+}
+
+TEST(KarpSipserCertificate, NonTightCoreForcesTheExactFallback) {
+  // K_{2,4} has no degree-one vertex, so the whole graph is the core: one
+  // even component on 6 vertices certifies 3, but the maximum is 2. The
+  // piece solve must see the gap and run the exact solver, which stops at
+  // the true maximum in both dispatch branches.
+  const EdgeList k24 = complete_bipartite(2, 4);
+  std::size_t certificate = 0;
+  Matching seed;
+  karp_sipser_into(seed, Graph(k24), nullptr, nullptr, &certificate);
+  EXPECT_EQ(certificate, 3u);
+  EXPECT_EQ(exhaustive_size(Graph(k24)), 2u);
+  EXPECT_LT(seed.size(), certificate);
+  for (const VertexId left_size : {VertexId{0}, VertexId{2}}) {
+    MachineScratch scratch;
+    Matching piece;
+    piece_maximum_matching_into(piece, k24, left_size, &scratch);
+    EXPECT_EQ(piece.size(), 2u) << "left_size " << left_size;
+    EXPECT_TRUE(piece.valid());
+    EXPECT_TRUE(piece.subset_of(k24));
+  }
 }
 
 TEST(TutteBergeStop, DoesNotFireEarlyWhereTheBoundIsNotTight) {
