@@ -1,6 +1,7 @@
 #include "matching/blossom.hpp"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "util/workspace.hpp"
@@ -43,6 +44,7 @@ struct BlossomState {
     workspace_detail::sized(s.mate, n, stats);
     workspace_detail::sized(s.parent, n, stats);
     workspace_detail::sized(s.base, n, stats);
+    workspace_detail::sized(s.tree, n, stats);
     workspace_detail::sized(s.used, n, stats);
     workspace_detail::sized(s.on_path, n, stats);
     workspace_detail::sized(s.dead, n, stats);
@@ -144,50 +146,66 @@ struct BlossomState {
     for (VertexId root : s.merged) s.base[root] = b;
   }
 
-  /// Grows an alternating tree from `root`; returns an exposed vertex ending
-  /// an augmenting path, or kInvalidVertex if none exists from this root.
-  VertexId find_path(VertexId root) {
+  /// Grows alternating trees from every vertex of `roots` at once, over one
+  /// BFS queue; `tree` names the root of each labelled vertex and `used`
+  /// marks the even ones. An edge between even vertices of one tree closes
+  /// a blossom, which is contracted. The first edge from an even vertex to
+  /// an even vertex of another tree, or to a free unlabelled vertex (the
+  /// only way a single-root search ends), closes an augmenting path: both
+  /// halves are flipped and the search returns true. False means no
+  /// augmenting path starts at any root.
+  bool augment_from(std::span<const VertexId> roots) {
     reset_search_state();
-    s.used[root] = 1;
-    touch(root);
     s.queue.clear();
-    s.queue.push_back(root);
+    for (VertexId root : roots) {
+      s.used[root] = 1;
+      s.tree[root] = root;
+      touch(root);
+      s.queue.push_back(root);
+    }
     for (std::size_t head = 0; head < s.queue.size(); ++head) {
       const VertexId v = s.queue[head];
       for (VertexId to : g.neighbors(v)) {
         if (prune && s.dead[to]) continue;  // buried Hungarian tree
         if (find(v) == find(to) || s.mate[v] == to) continue;
-        if (to == root || (s.mate[to] != kInvalidVertex &&
-                           s.parent[s.mate[to]] != kInvalidVertex)) {
+        if (s.used[to] && s.tree[to] == s.tree[v]) {
           // Odd cycle: contract the blossom rooted at lca(v, to) by
           // unioning both branches' bases into it (mark_path also enqueues
           // the odd path vertices that just became even).
           const VertexId cur_base = lca(v, to);
           mark_path(v, cur_base, to);
           mark_path(to, cur_base, v);
+        } else if (s.used[to] || (s.parent[to] == kInvalidVertex &&
+                                  s.mate[to] == kInvalidVertex)) {
+          flip_side(v, to);
+          flip_side(to, v);
+          return true;
         } else if (s.parent[to] == kInvalidVertex) {
+          const VertexId mt = s.mate[to];
           s.parent[to] = v;
+          s.tree[to] = s.tree[mt] = s.tree[v];
           touch(to);
-          if (s.mate[to] == kInvalidVertex) {
-            return to;  // augmenting path root..to found
-          }
-          s.used[s.mate[to]] = 1;
-          touch(s.mate[to]);
-          s.queue.push_back(s.mate[to]);
+          s.used[mt] = 1;
+          touch(mt);
+          s.queue.push_back(mt);
         }
       }
     }
-    return kInvalidVertex;
+    return false;
   }
 
-  /// Flips matched status along the augmenting path ending at v.
-  void augment(VertexId v) {
-    while (v != kInvalidVertex) {
-      const VertexId pv = s.parent[v];
-      const VertexId next = s.mate[pv];
-      s.mate[v] = pv;
-      s.mate[pv] = v;
-      v = next;
+  /// Matches x to y and flips the tree path from x back to its root: x's
+  /// old mate w takes w's tree parent, whose old mate continues, up to the
+  /// free root. A free x (a root, or a single-root path's free end) just
+  /// takes y.
+  void flip_side(VertexId x, VertexId y) {
+    for (;;) {
+      const VertexId w = s.mate[x];
+      s.mate[x] = y;
+      if (w == kInvalidVertex) return;
+      x = s.parent[w];
+      s.mate[w] = x;
+      y = w;
     }
   }
 };
@@ -202,8 +220,9 @@ void blossom_maximum_matching_into(Matching& out, const Graph& g,
   BlossomScratch local;
   BlossomScratch& bs =
       scratch != nullptr ? scratch->state<BlossomScratch>() : local;
-  BlossomState st(g, bs, prune_hungarian_trees,
-                  scratch != nullptr ? scratch->stats() : nullptr);
+  WorkspaceStats* const stats =
+      scratch != nullptr ? scratch->stats() : nullptr;
+  BlossomState st(g, bs, prune_hungarian_trees, stats);
 
   std::size_t size = 0;
   if (warm_start != nullptr) {
@@ -231,14 +250,29 @@ void blossom_maximum_matching_into(Matching& out, const Graph& g,
 
   // Once the matching reaches the caller's upper bound it is maximum: the
   // remaining searches could only fail.
-  for (VertexId v = 0; v < g.num_vertices() && size < size_bound; ++v) {
-    if (bs.mate[v] != kInvalidVertex || g.degree(v) == 0) continue;
-    const VertexId end = st.find_path(v);
-    if (end != kInvalidVertex) {
-      st.augment(end);
+  if (warm_start != nullptr) {
+    // Forest finish: every pass grows all free vertices' trees at once, and
+    // a pass that finds no augmenting path proves the matching maximum.
+    workspace_detail::reserved(bs.roots, g.num_vertices(), stats);
+    bs.roots.clear();
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      if (bs.mate[v] == kInvalidVertex && g.degree(v) > 0) {
+        bs.roots.push_back(v);
+      }
+    }
+    while (size < size_bound && st.augment_from(bs.roots)) {
       ++size;
-    } else if (prune_hungarian_trees) {
-      st.bury_failed_tree();
+      std::erase_if(bs.roots,
+                    [&](VertexId v) { return bs.mate[v] != kInvalidVertex; });
+    }
+  } else {
+    for (VertexId v = 0; v < g.num_vertices() && size < size_bound; ++v) {
+      if (bs.mate[v] != kInvalidVertex || g.degree(v) == 0) continue;
+      if (st.augment_from(std::span<const VertexId>(&v, 1))) {
+        ++size;
+      } else if (prune_hungarian_trees) {
+        st.bury_failed_tree();
+      }
     }
   }
 

@@ -51,10 +51,38 @@ class Rng {
 
   result_type operator()() { return next_u64(); }
 
-  std::uint64_t next_u64();
+  /// Defined here, not out of line: shuffles and partition dice draw in
+  /// tight loops, and an inlined draw keeps the state in registers.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, bound). Uses Lemire's nearly-divisionless method.
-  std::uint64_t next_below(std::uint64_t bound);
+  std::uint64_t next_below(std::uint64_t bound) {
+    RCC_DCHECK(bound > 0);
+    // Multiply-shift; the rejection loop that removes modulo bias is the
+    // rare branch (lo < bound has probability bound / 2^64).
+    std::uint64_t x = next_u64();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (__builtin_expect(lo < bound, 0)) {
+      const std::uint64_t threshold = (~bound + 1) % bound;
+      while (lo < threshold) {
+        x = next_u64();
+        m = static_cast<__uint128_t>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in the closed interval [lo, hi].
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
@@ -122,6 +150,10 @@ class Rng {
   }
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

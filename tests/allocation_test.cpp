@@ -21,6 +21,7 @@
 #include "graph/graph_pack.hpp"
 #include "graph/incremental_csr.hpp"
 #include "matching/augmenting_paths.hpp"
+#include "matching/blossom.hpp"
 #include "matching/greedy.hpp"
 #include "matching/matching.hpp"
 #include "matching/max_matching.hpp"
@@ -272,6 +273,31 @@ TEST(AllocationFree, PieceMaximumMatchingIntoOnWarmScratch) {
     const std::size_t after = allocations();
     EXPECT_EQ(after, before) << "warm bipartite piece solve allocated";
   }
+}
+
+TEST(AllocationFree, WarmStartedBlossomOnWarmScratch) {
+  // The forest finish of a warm-started solve: a maximum matching of a
+  // sparse general graph with four edges removed, finished with and without
+  // a size bound.
+  Rng gen(18);
+  const Graph g(gnp(400, 3.0 / 400, gen));
+  MachineScratch scratch;
+  Matching out;
+  Matching seed = blossom_maximum_matching(g, &scratch);
+  const std::size_t maximum = seed.size();
+  for (VertexId v = 0, holes = 0; holes < 4; ++v) {
+    if (seed.is_matched(v)) {
+      seed.unmatch(v);
+      ++holes;
+    }
+  }
+  blossom_maximum_matching_into(out, g, &scratch, true, &seed);
+  const std::size_t before = allocations();
+  blossom_maximum_matching_into(out, g, &scratch, true, &seed);
+  blossom_maximum_matching_into(out, g, &scratch, true, &seed, maximum);
+  const std::size_t after = allocations();
+  EXPECT_EQ(after, before) << "warm forest finish allocated";
+  EXPECT_EQ(out.size(), maximum);
 }
 
 TEST(AllocationFree, RepartitionOnWarmScratchAndArena) {

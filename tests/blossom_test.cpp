@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "matching/greedy.hpp"
+#include "matching/warm_start.hpp"
 #include "util/rng.hpp"
+#include "util/workspace.hpp"
 
 namespace rcc {
 namespace {
@@ -112,6 +116,177 @@ std::size_t textbook_edmonds_size(const Graph& g) {
   return size / 2;
 }
 
+/// Frozen copy of the unseeded solver as it was before the search routine
+/// took a root set: greedy initialization, then one single-root search per
+/// free vertex in id order, with Hungarian pruning. The production solver
+/// must return the same mates: mpc_edcs_test pins goldens on them.
+std::vector<VertexId> frozen_unseeded_mates(const Graph& g, bool prune) {
+  const VertexId n = g.num_vertices();
+  std::vector<VertexId> mate(n, kInvalidVertex);
+  std::vector<VertexId> parent(n, kInvalidVertex);
+  std::vector<VertexId> base(n);
+  for (VertexId v = 0; v < n; ++v) base[v] = v;
+  std::vector<char> used(n, 0);
+  std::vector<char> on_path(n, 0);
+  std::vector<char> dead(n, 0);
+  std::vector<VertexId> queue;
+  std::vector<VertexId> touched;
+  std::vector<VertexId> path_marked;
+  std::vector<VertexId> merged;
+  const auto find = [&](VertexId v) {
+    while (base[v] != v) {
+      base[v] = base[base[v]];
+      v = base[v];
+    }
+    return v;
+  };
+  const auto lca = [&](VertexId a, VertexId b) {
+    path_marked.clear();
+    VertexId x = a;
+    for (;;) {
+      x = find(x);
+      on_path[x] = 1;
+      path_marked.push_back(x);
+      if (mate[x] == kInvalidVertex) break;
+      x = parent[mate[x]];
+    }
+    VertexId y = b;
+    for (;;) {
+      y = find(y);
+      if (on_path[y]) break;
+      y = parent[mate[y]];
+    }
+    for (VertexId v : path_marked) on_path[v] = 0;
+    return y;
+  };
+  const auto mark_path = [&](VertexId v, VertexId b, VertexId child) {
+    merged.clear();
+    for (VertexId bv = find(v); bv != b; bv = find(v)) {
+      const VertexId mv = mate[v];
+      merged.push_back(bv);
+      merged.push_back(find(mv));
+      if (!used[mv]) {
+        used[mv] = 1;
+        touched.push_back(mv);
+        queue.push_back(mv);
+      }
+      parent[v] = child;
+      touched.push_back(v);
+      child = mv;
+      v = parent[mv];
+    }
+    for (VertexId root : merged) base[root] = b;
+  };
+  const auto find_path = [&](VertexId root) -> VertexId {
+    for (VertexId v : touched) {
+      parent[v] = kInvalidVertex;
+      used[v] = 0;
+      base[v] = v;
+    }
+    touched.clear();
+    used[root] = 1;
+    touched.push_back(root);
+    queue.assign(1, root);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const VertexId v = queue[head];
+      for (VertexId to : g.neighbors(v)) {
+        if (prune && dead[to]) continue;
+        if (find(v) == find(to) || mate[v] == to) continue;
+        if (to == root ||
+            (mate[to] != kInvalidVertex && parent[mate[to]] != kInvalidVertex)) {
+          const VertexId cur_base = lca(v, to);
+          mark_path(v, cur_base, to);
+          mark_path(to, cur_base, v);
+        } else if (parent[to] == kInvalidVertex) {
+          parent[to] = v;
+          touched.push_back(to);
+          if (mate[to] == kInvalidVertex) return to;
+          used[mate[to]] = 1;
+          touched.push_back(mate[to]);
+          queue.push_back(mate[to]);
+        }
+      }
+    }
+    return kInvalidVertex;
+  };
+  for (VertexId v = 0; v < n; ++v) {
+    if (mate[v] != kInvalidVertex) continue;
+    for (VertexId w : g.neighbors(v)) {
+      if (mate[w] == kInvalidVertex && w != v) {
+        mate[v] = w;
+        mate[w] = v;
+        break;
+      }
+    }
+  }
+  for (VertexId v = 0; v < n; ++v) {
+    if (mate[v] != kInvalidVertex || g.degree(v) == 0) continue;
+    VertexId end = find_path(v);
+    if (end == kInvalidVertex) {
+      if (prune) {
+        for (VertexId t : touched) dead[t] = 1;
+      }
+      continue;
+    }
+    while (end != kInvalidVertex) {
+      const VertexId pv = parent[end];
+      const VertexId next = mate[pv];
+      mate[end] = pv;
+      mate[pv] = end;
+      end = next;
+    }
+  }
+  return mate;
+}
+
+std::vector<VertexId> mates_of(const Matching& m) {
+  std::vector<VertexId> mates(m.num_vertices());
+  for (VertexId v = 0; v < m.num_vertices(); ++v) mates[v] = m.mate(v);
+  return mates;
+}
+
+/// Seeds for the forest finish: a Karp-Sipser matching (few free
+/// vertices, as in the union kernel), `maximum` with 1-8 random edges
+/// removed (several trees grow at once), and a random maximal matching
+/// (many trees).
+std::vector<Matching> warm_seeds(const Graph& g, const EdgeList& el,
+                                 const Matching& maximum, Rng& rng) {
+  std::vector<Matching> seeds;
+  Matching ks;
+  karp_sipser_into(ks, g);
+  seeds.push_back(std::move(ks));
+  Matching holed = maximum;
+  const EdgeList maximum_edges = maximum.to_edge_list();
+  std::vector<Edge> matched(maximum_edges.begin(), maximum_edges.end());
+  rng.shuffle(matched);
+  const std::size_t holes =
+      std::min<std::size_t>(matched.size(), 1 + rng.next_below(8));
+  for (std::size_t i = 0; i < holes; ++i) holed.unmatch(matched[i].u);
+  seeds.push_back(std::move(holed));
+  seeds.push_back(greedy_maximal_matching(el, GreedyOrder::kRandom, rng));
+  return seeds;
+}
+
+/// Runs the warm-started solve from every seed, with and without the exact
+/// size as `size_bound`, and checks size, validity and containment.
+void expect_forest_finish_reaches(const Graph& g, const EdgeList& el,
+                                  std::size_t expected, Rng& rng,
+                                  const std::string& label) {
+  const Matching maximum = blossom_maximum_matching(g);
+  ASSERT_EQ(maximum.size(), expected) << label;
+  MachineScratch scratch;
+  const std::vector<Matching> seeds = warm_seeds(g, el, maximum, rng);
+  for (std::size_t s = 0; s < seeds.size(); ++s) {
+    for (const std::size_t bound : {kNoSizeBound, expected}) {
+      const Matching m =
+          blossom_maximum_matching(g, &scratch, true, &seeds[s], bound);
+      EXPECT_EQ(m.size(), expected) << label << " seed kind " << s;
+      EXPECT_TRUE(m.valid()) << label << " seed kind " << s;
+      EXPECT_TRUE(m.subset_of(el)) << label << " seed kind " << s;
+    }
+  }
+}
+
 TEST(Blossom, ContractionInsideSubBlossomsMatchesTextbookEdmonds) {
   // Sparse random graphs nest blossoms often. A contraction whose tree walk
   // starts inside an earlier sub-blossom must re-point the tree edges all
@@ -128,6 +303,53 @@ TEST(Blossom, ContractionInsideSubBlossomsMatchesTextbookEdmonds) {
       EXPECT_TRUE(m.valid());
       EXPECT_TRUE(m.subset_of(el));
     }
+    expect_forest_finish_reaches(g, el, expected, rng,
+                                 "graph " + std::to_string(i));
+  }
+}
+
+TEST(Blossom, UnseededSolveMatchesFrozenSolverMateForMate) {
+  Rng rng(23);
+  for (int i = 0; i < 60; ++i) {
+    const EdgeList el = i % 2 == 0 ? gnm(600, 900, rng)
+                                   : gnp(200, 4.0 / 200, rng);
+    const Graph g(el);
+    for (const bool prune : {true, false}) {
+      EXPECT_EQ(mates_of(blossom_maximum_matching(g, nullptr, prune)),
+                frozen_unseeded_mates(g, prune))
+          << "graph " << i << " prune " << prune;
+    }
+  }
+}
+
+TEST(Blossom, ForestJoinsTwoTreesThroughTheirBlossoms) {
+  // Two triangles, each with a free apex (0 and 3) and a matched base edge
+  // (1-2 and 4-5), joined by the edge 1-4. The first pass grows both trees
+  // at once: each apex labels 1 (resp. 4) odd and contracts its triangle,
+  // which makes 1 and 4 even inside a blossom of each tree. The edge 1-4
+  // then joins even vertices of two trees, and flipping both halves through
+  // the blossoms gives the perfect matching 0-2, 1-4, 3-5.
+  EdgeList el(6);
+  el.add(0, 1);
+  el.add(0, 2);
+  el.add(1, 2);
+  el.add(3, 4);
+  el.add(3, 5);
+  el.add(4, 5);
+  el.add(1, 4);
+  const Graph g(el);
+  Matching seed(6);
+  seed.match(1, 2);
+  seed.match(4, 5);
+  for (const std::size_t bound : {kNoSizeBound, std::size_t{3}}) {
+    const Matching m =
+        blossom_maximum_matching(g, nullptr, true, &seed, bound);
+    EXPECT_EQ(m.size(), 3u);
+    EXPECT_TRUE(m.valid());
+    EXPECT_TRUE(m.subset_of(el));
+    EXPECT_EQ(m.mate(1), 4u);
+    EXPECT_EQ(m.mate(0), 2u);
+    EXPECT_EQ(m.mate(3), 5u);
   }
 }
 
@@ -201,10 +423,14 @@ TEST_P(BlossomVsBruteForce, AgreesOnSmallRandomGraphs) {
   const VertexId n = 12;
   const EdgeList el = gnp(n, 0.25, rng);
   if (el.num_edges() > 24) GTEST_SKIP() << "brute force too large";
-  const Matching m = blossom_maximum_matching(Graph(el));
-  EXPECT_EQ(m.size(), brute_force_mm(el));
+  const Graph g(el);
+  const Matching m = blossom_maximum_matching(g);
+  const std::size_t expected = brute_force_mm(el);
+  EXPECT_EQ(m.size(), expected);
   EXPECT_TRUE(m.valid());
   EXPECT_TRUE(m.subset_of(el));
+  expect_forest_finish_reaches(g, el, expected, rng,
+                               "seed " + std::to_string(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BlossomVsBruteForce, ::testing::Range(1, 30));

@@ -214,9 +214,36 @@ TEST(VcComposeDifferential, GridCoversNoPeelLatePeelAndLevelOnePeel) {
   }
 }
 
+/// gnm with every third edge doubled, at a shuffled position: the grid's
+/// generators emit simple graphs, and an EdgeList holds no self-loops.
+EdgeList gnm_with_parallel_edges(VertexId n, std::uint64_t m, Rng& rng) {
+  const EdgeList base = gnm(n, m, rng);
+  std::vector<Edge> edges(base.begin(), base.end());
+  for (std::size_t i = 0; i < base.num_edges(); i += 3) edges.push_back(base[i]);
+  rng.shuffle(edges);
+  return EdgeList(n, std::move(edges));
+}
+
+/// Frozen copy of cover_by_random_greedy's scan before it went branch-free:
+/// shuffle, then test and insert through the VertexCover itself.
+void frozen_cover_by_random_greedy(std::vector<Edge>& open,
+                                   VertexCover& cover, Rng& rng) {
+  rng.shuffle(open);
+  for (const Edge& e : open) {
+    if (!cover.contains(e.u) && !cover.contains(e.v)) {
+      cover.insert(e.u);
+      cover.insert(e.v);
+    }
+  }
+}
+
 TEST(VcComposeDifferential, TwoApproximationMatchesIndexShuffle) {
   for (std::uint64_t seed : kSeeds) {
-    for (const Instance& inst : instance_grid(seed)) {
+    std::vector<Instance> grid = instance_grid(seed);
+    Rng multi_rng(seed + 100);
+    grid.push_back(
+        {"gnm-parallel", gnm_with_parallel_edges(2048, 8192, multi_rng)});
+    for (const Instance& inst : grid) {
       Rng rng(seed);
       Rng reference_rng(seed);
       const VertexCover cover = vc_two_approximation(inst.edges, rng);
@@ -225,6 +252,36 @@ TEST(VcComposeDifferential, TwoApproximationMatchesIndexShuffle) {
       EXPECT_EQ(cover.indicator(), reference.indicator()) << inst.name;
       EXPECT_EQ(rng.next_u64(), reference_rng.next_u64()) << inst.name;
     }
+  }
+}
+
+TEST(VcComposeDifferential, GreedyCoverScanMatchesFrozenScan) {
+  // Open edges as the compose hands them over (none touches the fixed
+  // vertices already in the cover), plus parallel edges and self-loops,
+  // which only a raw edge vector can carry: a self-loop's vertex is taken
+  // when it is still free.
+  for (std::uint64_t seed : kSeeds) {
+    Rng gen(seed + 200);
+    constexpr VertexId n = 3000;
+    VertexCover fixed(n);
+    for (VertexId v = 0; v < n; v += 7) fixed.insert(v);
+    std::vector<Edge> open;
+    for (const Edge& e : gnm_with_parallel_edges(n, 9000, gen)) {
+      if (!fixed.contains(e.u) && !fixed.contains(e.v)) open.push_back(e);
+    }
+    for (VertexId v = 1; v < n; v += 5) {
+      if (!fixed.contains(v)) open.push_back(Edge{v, v});
+    }
+    std::vector<Edge> reference_open = open;
+    VertexCover cover = fixed;
+    VertexCover reference = fixed;
+    Rng rng(seed);
+    Rng reference_rng(seed);
+    cover_by_random_greedy(open, cover, rng);
+    frozen_cover_by_random_greedy(reference_open, reference, reference_rng);
+    EXPECT_EQ(cover.indicator(), reference.indicator()) << "seed " << seed;
+    EXPECT_EQ(cover.size(), reference.size()) << "seed " << seed;
+    EXPECT_EQ(rng.next_u64(), reference_rng.next_u64()) << "seed " << seed;
   }
 }
 
