@@ -153,13 +153,17 @@ struct BlossomState {
   /// an even vertex of another tree, or to a free unlabelled vertex (the
   /// only way a single-root search ends), closes an augmenting path: both
   /// halves are flipped and the search returns true. False means no
-  /// augmenting path starts at any root.
+  /// augmenting path starts at any root. With `kForest` off there is one
+  /// root and one tree, so the tree ids are neither written nor compared:
+  /// the unseeded solve runs one search per free vertex and pays nothing
+  /// for the forest's bookkeeping.
+  template <bool kForest>
   bool augment_from(std::span<const VertexId> roots) {
     reset_search_state();
     s.queue.clear();
     for (VertexId root : roots) {
       s.used[root] = 1;
-      s.tree[root] = root;
+      if constexpr (kForest) s.tree[root] = root;
       touch(root);
       s.queue.push_back(root);
     }
@@ -168,7 +172,7 @@ struct BlossomState {
       for (VertexId to : g.neighbors(v)) {
         if (prune && s.dead[to]) continue;  // buried Hungarian tree
         if (find(v) == find(to) || s.mate[v] == to) continue;
-        if (s.used[to] && s.tree[to] == s.tree[v]) {
+        if (s.used[to] && (!kForest || s.tree[to] == s.tree[v])) {
           // Odd cycle: contract the blossom rooted at lca(v, to) by
           // unioning both branches' bases into it (mark_path also enqueues
           // the odd path vertices that just became even).
@@ -183,7 +187,7 @@ struct BlossomState {
         } else if (s.parent[to] == kInvalidVertex) {
           const VertexId mt = s.mate[to];
           s.parent[to] = v;
-          s.tree[to] = s.tree[mt] = s.tree[v];
+          if constexpr (kForest) s.tree[to] = s.tree[mt] = s.tree[v];
           touch(to);
           s.used[mt] = 1;
           touch(mt);
@@ -260,7 +264,7 @@ void blossom_maximum_matching_into(Matching& out, const Graph& g,
         bs.roots.push_back(v);
       }
     }
-    while (size < size_bound && st.augment_from(bs.roots)) {
+    while (size < size_bound && st.augment_from<true>(bs.roots)) {
       ++size;
       std::erase_if(bs.roots,
                     [&](VertexId v) { return bs.mate[v] != kInvalidVertex; });
@@ -268,7 +272,7 @@ void blossom_maximum_matching_into(Matching& out, const Graph& g,
   } else {
     for (VertexId v = 0; v < g.num_vertices() && size < size_bound; ++v) {
       if (bs.mate[v] != kInvalidVertex || g.degree(v) == 0) continue;
-      if (st.augment_from(std::span<const VertexId>(&v, 1))) {
+      if (st.augment_from<false>(std::span<const VertexId>(&v, 1))) {
         ++size;
       } else if (prune_hungarian_trees) {
         st.bury_failed_tree();

@@ -27,11 +27,17 @@
 // buried. A pass pays for every tree, which is cheap only when few vertices
 // are free. After a Karp-Sipser seed of a coreset union (gnm n = 80k,
 // m = 640k, k = 8; 2-6 augmentations left) the forest finish took 0.6 ms
-// per union where one search per free vertex took 2-13 ms. After the
-// greedy initialization, which leaves ~25k free vertices on a gnm
-// n = m = 80k graph, restarting the forest per augmentation took 1.6 s
-// against 4.9 ms for single-root searches with Hungarian pruning, so
-// unseeded solves keep one root.
+// per union where one search per free vertex took 2-13 ms. On a piece whose
+// seed misses its certificate (gnm n = 80k, m = 120k-240k; 3-4
+// augmentations, 16-1.8k free vertices) it took 0.6-2.8 ms against
+// 3.6-5.9 ms. It loses where thousands of free vertices can never augment
+// and the certificate is out of reach: next to 6,666 K_{2,4} cores (14k
+// free vertices, a final failed pass) it took 4.8-6.1 ms against
+// 3.5-3.9 ms. After the greedy initialization, which leaves ~25k free
+// vertices on a gnm n = m = 80k graph, restarting the forest per
+// augmentation took 1.6 s against 4.9 ms for single-root searches with
+// Hungarian pruning, so unseeded solves keep one root, and their searches
+// neither write nor compare tree ids.
 #pragma once
 
 #include <vector>
@@ -49,7 +55,7 @@ struct BlossomScratch {
   std::vector<VertexId> mate;
   std::vector<VertexId> parent;
   std::vector<VertexId> base;  // union-find forest of blossom bases
-  std::vector<VertexId> tree;  // root of each labelled vertex's tree
+  std::vector<VertexId> tree;  // forest passes: each labelled vertex's root
   std::vector<VertexId> roots;  // free vertices a forest pass grows from
   std::vector<VertexId> queue;
   std::vector<VertexId> touched;

@@ -303,7 +303,10 @@ TEST(Blossom, ContractionInsideSubBlossomsMatchesTextbookEdmonds) {
       EXPECT_TRUE(m.valid());
       EXPECT_TRUE(m.subset_of(el));
     }
-    expect_forest_finish_reaches(g, el, expected, rng,
+    // The seeds draw from their own generator, so `rng` draws the same 60
+    // graphs as the unseeded sweep always has (graph 19 included).
+    Rng seed_rng(1000 + i);
+    expect_forest_finish_reaches(g, el, expected, seed_rng,
                                  "graph " + std::to_string(i));
   }
 }
