@@ -12,7 +12,7 @@
 #include "coreset/mixed.hpp"
 #include "graph/generators.hpp"
 #include "matching/max_matching.hpp"
-#include "partition/partition.hpp"
+#include "partition/sharded_partition.hpp"
 
 int main(int argc, char** argv) {
   using namespace rcc;
@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   const std::size_t k = 12;
   const EdgeList el = gnp(n, 5.0 / n, rng);
   const std::size_t opt = maximum_matching_size(el);
-  const auto pieces = random_partition(el, k, rng);
+  const auto parts = shard_random(el, k, rng);
   std::printf("n=%u m=%zu k=%zu MM(G)=%zu\n\n", n, el.num_edges(), k, opt);
 
   auto run = [&](const MatchingCoreset& coreset, ComposeSolver solver) {
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     std::uint64_t words = 0;
     for (std::size_t i = 0; i < k; ++i) {
       PartitionContext ctx{n, k, i, 0};
-      summaries.push_back(coreset.build(pieces[i], ctx, rng));
+      summaries.push_back(coreset.build(shard_span(parts, i), ctx, rng));
       words += 2 * summaries.back().num_edges();
     }
     const Matching m = compose_matching_coresets(summaries, solver, 0, rng);
@@ -80,14 +80,14 @@ int main(int argc, char** argv) {
       }
     }
     const std::size_t mm = maximum_matching_size(small_opt);
-    const auto kp = random_partition(small_opt, k, rng);
+    const auto kp = shard_random(small_opt, k, rng);
     for (VertexId cap : {2u, 8u, 32u, 256u}) {
       const KernelMatchingCoreset coreset(cap);
       std::vector<EdgeList> summaries;
       std::uint64_t words = 0;
       for (std::size_t i = 0; i < k; ++i) {
         PartitionContext ctx{n, k, i, 0};
-        summaries.push_back(coreset.build(kp[i], ctx, rng));
+        summaries.push_back(coreset.build(shard_span(kp, i), ctx, rng));
         words += 2 * summaries.back().num_edges();
       }
       const Matching m =

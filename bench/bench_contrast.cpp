@@ -11,10 +11,12 @@
 #include "contrast/connectivity_coreset.hpp"
 #include "coreset/compose.hpp"
 #include "coreset/matching_coresets.hpp"
+#include "distributed/protocol_engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "matching/max_matching.hpp"
 #include "partition/partition.hpp"
+#include "partition/sharded_partition.hpp"
 
 int main(int argc, char** argv) {
   using namespace rcc;
@@ -32,32 +34,36 @@ int main(int argc, char** argv) {
   std::printf("n=%u m=%zu components=%zu MM=%zu k=%zu\n\n", n, el.num_edges(),
               true_components, mm, k);
 
+  // Every partitioning's pieces as engine views; the storage below outlives
+  // them.
+  const ShardedPartition<Edge> random_parts = shard_random(el, k, rng);
+  const std::vector<EdgeList> sorted_parts = sorted_chunk_partition(el, k);
+  const std::vector<EdgeList> vertex_parts = by_vertex_partition(el, k);
+  const std::vector<EdgeList> model10_parts =
+      random_vertex_partition(el, k, rng);
   struct Partitioner {
     const char* name;
-    std::vector<EdgeList> pieces;
+    std::vector<std::span<const Edge>> pieces;
   };
-  std::vector<Partitioner> partitioners;
-  partitioners.push_back({"random (the paper's model)",
-                          random_partition(el, k, rng)});
-  partitioners.push_back({"sorted chunks (adversarial)",
-                          sorted_chunk_partition(el, k)});
-  partitioners.push_back({"by-vertex (adversarial)",
-                          by_vertex_partition(el, k)});
-  partitioners.push_back({"vertex-partition model of [10]",
-                          random_vertex_partition(el, k, rng)});
+  const Partitioner partitioners[] = {
+      {"random (the paper's model)", pieces_of(random_parts)},
+      {"sorted chunks (adversarial)", pieces_of(sorted_parts)},
+      {"by-vertex (adversarial)", pieces_of(vertex_parts)},
+      {"vertex-partition model of [10]", pieces_of(model10_parts)},
+  };
 
   TablePrinter table({"partitioner", "connectivity: components",
                       "exact?", "matching ratio"});
   bool connectivity_always_exact = true;
   const SpanningForestCoreset forest_coreset;
   const MaximumMatchingCoreset matching_coreset;
-  for (auto& p : partitioners) {
+  for (const Partitioner& p : partitioners) {
     std::vector<EdgeList> forest_summaries, matching_summaries;
     for (std::size_t i = 0; i < k; ++i) {
       PartitionContext ctx{n, k, i, 0};
-      forest_summaries.push_back(forest_coreset.build(p.pieces[i], ctx, rng));
-      matching_summaries.push_back(
-          matching_coreset.build(p.pieces[i], ctx, rng));
+      const EdgeSpan piece(p.pieces[i].data(), p.pieces[i].size(), n);
+      forest_summaries.push_back(forest_coreset.build(piece, ctx, rng));
+      matching_summaries.push_back(matching_coreset.build(piece, ctx, rng));
     }
     const std::size_t comp = connected_components(
         Graph(spanning_forest(EdgeList::union_of(forest_summaries))));

@@ -8,7 +8,7 @@
 #include "coreset/compose.hpp"
 #include "coreset/matching_coresets.hpp"
 #include "graph/generators.hpp"
-#include "partition/partition.hpp"
+#include "partition/sharded_partition.hpp"
 
 int main(int argc, char** argv) {
   using namespace rcc;
@@ -26,14 +26,14 @@ int main(int argc, char** argv) {
   for (std::size_t k : {4, 8, 16, 32, 64}) {
     const auto hubs = static_cast<VertexId>(2 * pairs / k);
     const HubGadget gadget = hub_gadget(pairs, hubs);
-    const auto pieces = random_partition(gadget.edges, k, rng);
+    const auto parts = shard_random(gadget.edges, k, rng);
 
     auto ratio_with = [&](const MatchingCoreset& coreset) {
       std::vector<EdgeList> summaries;
       for (std::size_t i = 0; i < k; ++i) {
         PartitionContext ctx{gadget.edges.num_vertices(), k, i,
                              gadget.left_size};
-        summaries.push_back(coreset.build(pieces[i], ctx, rng));
+        summaries.push_back(coreset.build(shard_span(parts, i), ctx, rng));
       }
       const Matching composed = compose_matching_coresets(
           summaries, ComposeSolver::kMaximum, gadget.left_size, rng);

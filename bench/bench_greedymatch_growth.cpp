@@ -6,7 +6,7 @@
 #include "coreset/compose.hpp"
 #include "graph/generators.hpp"
 #include "matching/max_matching.hpp"
-#include "partition/partition.hpp"
+#include "partition/sharded_partition.hpp"
 
 int main(int argc, char** argv) {
   using namespace rcc;
@@ -22,9 +22,9 @@ int main(int argc, char** argv) {
   std::printf("n=%u k=%zu MM(G)=%zu MM/k=%.0f\n\n", n, k, opt,
               static_cast<double>(opt) / k);
 
-  const auto pieces = random_partition(el, k, rng);
+  const auto parts = shard_random(el, k, rng);
   PartitionContext ctx{n, k, 0, 0};
-  const GreedyMatchTrace trace = greedy_match(pieces, ctx, rng);
+  const GreedyMatchTrace trace = greedy_match(parts, ctx, rng);
 
   TablePrinter table({"step i", "|M(i)|", "|M(i)|/MM", "increment",
                       "increment/(MM/k)"});

@@ -18,7 +18,7 @@
 #include "lower_bounds/hard_instances.hpp"
 #include "lower_bounds/probes.hpp"
 #include "matching/max_matching.hpp"
-#include "partition/partition.hpp"
+#include "partition/sharded_partition.hpp"
 
 int main(int argc, char** argv) {
   using namespace rcc;
@@ -33,7 +33,9 @@ int main(int argc, char** argv) {
   const std::size_t k = 50;
   const DMatchingInstance inst = make_d_matching(n, alpha, k, rng);
   const std::size_t opt = maximum_matching_size(inst.edges, inst.left_size());
-  const auto pieces = random_partition(inst.edges, k, rng);
+  // One random partition serves every row; the rows differ only in coreset.
+  const ShardedPartition<Edge> parts = shard_random(inst.edges, k, rng);
+  const auto pieces = pieces_of(parts);
 
   std::printf("n=%u alpha=%.0f k=%zu MM(G)=%zu planted=%zu n/alpha^2=%.0f\n\n",
               n, alpha, k, opt, inst.planted_matching_size(),
@@ -52,8 +54,8 @@ int main(int argc, char** argv) {
       auto inner = std::make_shared<MaximumMatchingCoreset>();
       const BudgetedMatchingCoreset coreset(inner, budget, policy);
       const MatchingProtocolResult r = run_matching_protocol_on_partition(
-          pieces, coreset, ComposeSolver::kMaximum, inst.left_size(), rng,
-          nullptr);
+          pieces, parts.num_vertices(), coreset, ComposeSolver::kMaximum,
+          inst.left_size(), rng);
       std::size_t recovered = 0;
       for (const auto& s : r.summaries) recovered += hidden_edges_in(s, inst);
       if (mult == 1 && policy == BudgetPolicy::kRandom) {
@@ -79,7 +81,8 @@ int main(int argc, char** argv) {
   {
     const MaximumMatchingCoreset full;
     const MatchingProtocolResult r = run_matching_protocol_on_partition(
-        pieces, full, ComposeSolver::kMaximum, inst.left_size(), rng, nullptr);
+        pieces, parts.num_vertices(), full, ComposeSolver::kMaximum,
+        inst.left_size(), rng);
     std::size_t recovered = 0;
     for (const auto& s : r.summaries) recovered += hidden_edges_in(s, inst);
     table.add_row({"unbudgeted", "maximum-matching",

@@ -7,7 +7,7 @@
 #include "bench_common.hpp"
 #include "lower_bounds/hard_instances.hpp"
 #include "lower_bounds/probes.hpp"
-#include "partition/partition.hpp"
+#include "partition/sharded_partition.hpp"
 #include "vertex_cover/approx.hpp"
 
 int main(int argc, char** argv) {
@@ -32,12 +32,12 @@ int main(int argc, char** argv) {
     double cover_total = 0.0;
     for (int t = 0; t < trials; ++t) {
       const DVcInstance inst = make_d_vc(n, alpha, k, rng);
-      const auto pieces = random_partition(inst.edges, k, rng);
+      const ShardedPartition<Edge> parts = shard_random(inst.edges, k, rng);
       // The machines send s arbitrary (here: random) edges plus nothing
       // fixed; the coordinator 2-approximates the union.
       std::vector<EdgeList> summaries;
-      for (const auto& piece : pieces) {
-        summaries.push_back(piece.sample_edges(budget, rng));
+      for (std::size_t i = 0; i < k; ++i) {
+        summaries.push_back(shard_span(parts, i).sample_edges(budget, rng));
       }
       EdgeList summary_union = EdgeList::union_of(summaries);
       for (const Edge& e : summary_union) {

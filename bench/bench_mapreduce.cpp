@@ -3,7 +3,9 @@
 // input is already randomly partitioned); the filtering baseline of
 // Lattanzi et al. [46] needs 2 rounds per filter iteration plus a finish —
 // the paper quotes ~6 rounds end to end at O~(n sqrt n) memory.
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "bench_common.hpp"
 #include "graph/generators.hpp"
@@ -30,9 +32,13 @@ int main(int argc, char** argv) {
   MpcConfig cfg;
   // The paper sets k = sqrt(n); the round counts are k-independent, but the
   // peeling coreset needs n/k > 8 log2 n to have any peeling levels, which
-  // at k = sqrt(n) requires n beyond bench scale (~2^16). k = 20 keeps every
-  // algorithm inside its intended regime at this n.
-  cfg.num_machines = 20;
+  // at k = sqrt(n) requires n beyond bench scale (~2^16). Without levels the
+  // VC coordinator would hold all 2m words against the m-word cap, so k is
+  // the largest machine count up to 20 that keeps a level: 20 at scale 1,
+  // fewer at smaller scales.
+  cfg.num_machines = std::clamp<std::size_t>(
+      static_cast<std::size_t>(n / (8.0 * std::log2(static_cast<double>(n)))),
+      1, 20);
   cfg.memory_words = static_cast<std::uint64_t>(
       static_cast<double>(el.num_edges()));  // < 2m: one machine can't hold G
   std::printf("n=%u m=%zu machines=%zu memory=%llu words MM(G)=%zu\n\n", n,
@@ -41,8 +47,9 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"algorithm", "problem", "rounds", "peak-mem(words)",
                       "solution", "ratio"});
-  const CoresetMpcMatchingResult cm =
-      coreset_mpc_matching(el, cfg, /*input_already_random=*/false, 0, rng);
+  const CoresetMpcMatchingResult cm = coreset_mpc_matching_rounds(
+      el, {.mpc = cfg, .max_rounds = 1, .input_already_random = false}, 0,
+      rng);
   table.add_row({"coreset (adversarial input)", "matching",
                  TablePrinter::fmt(std::uint64_t{cm.rounds}),
                  TablePrinter::fmt(cm.max_memory_words),
@@ -50,7 +57,7 @@ int main(int argc, char** argv) {
                  TablePrinter::fmt_ratio(static_cast<double>(opt) /
                                          cm.matching.size())});
   const CoresetMpcMatchingResult cm1 =
-      coreset_mpc_matching(el, cfg, /*input_already_random=*/true, 0, rng);
+      coreset_mpc_matching_rounds(el, {.mpc = cfg, .max_rounds = 1}, 0, rng);
   table.add_row({"coreset (random input)", "matching",
                  TablePrinter::fmt(std::uint64_t{cm1.rounds}),
                  TablePrinter::fmt(cm1.max_memory_words),
@@ -59,25 +66,22 @@ int main(int argc, char** argv) {
                                          cm1.matching.size())});
   // Iterated coreset rounds on the multi-round executor: every extra round
   // re-partitions the still-open edges, so the matching can only grow.
-  MpcEngineConfig multi_cfg;
-  multi_cfg.mpc = cfg;
-  multi_cfg.max_rounds = 3;
-  multi_cfg.input_already_random = true;
   const CoresetMpcMatchingResult cm3 =
-      coreset_mpc_matching_rounds(el, multi_cfg, 0, rng);
+      coreset_mpc_matching_rounds(el, {.mpc = cfg, .max_rounds = 3}, 0, rng);
   table.add_row({"coreset x3 rounds (random input)", "matching",
                  TablePrinter::fmt(std::uint64_t{cm3.rounds}),
                  TablePrinter::fmt(cm3.max_memory_words),
                  TablePrinter::fmt(std::uint64_t{cm3.matching.size()}),
                  TablePrinter::fmt_ratio(static_cast<double>(opt) /
                                          cm3.matching.size())});
-  const CoresetMpcVcResult cv =
-      coreset_mpc_vertex_cover(el, cfg, /*input_already_random=*/false, rng);
+  const CoresetMpcVcResult cv = coreset_mpc_vertex_cover_rounds(
+      el, {.mpc = cfg, .max_rounds = 1, .input_already_random = false}, rng);
   table.add_row({"coreset (adversarial input)", "vertex cover",
                  TablePrinter::fmt(std::uint64_t{cv.rounds}),
                  TablePrinter::fmt(cv.max_memory_words),
                  TablePrinter::fmt(std::uint64_t{cv.cover.size()}), "-"});
-  const FilteringMpcResult fm = filtering_mpc(el, cfg, rng);
+  const FilteringMpcResult fm =
+      filtering_mpc_rounds(el, {.mpc = cfg, .max_rounds = SIZE_MAX}, rng);
   table.add_row(
       {"filtering [46]", "matching + VC",
        TablePrinter::fmt(std::uint64_t{fm.rounds}),

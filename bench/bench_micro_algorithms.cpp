@@ -1,6 +1,5 @@
 // Micro-benchmarks (google-benchmark) of the algorithmic kernels the
 // experiments are built on: matching solvers, partitioner, coreset builds.
-// These feed EXP14's scalability narrative with per-kernel numbers.
 #include <benchmark/benchmark.h>
 
 #include "coreset/matching_coresets.hpp"
@@ -9,7 +8,7 @@
 #include "matching/blossom.hpp"
 #include "matching/greedy.hpp"
 #include "matching/hopcroft_karp.hpp"
-#include "partition/partition.hpp"
+#include "partition/sharded_partition.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -53,28 +52,29 @@ void BM_GreedyMaximal(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyMaximal)->Arg(1 << 14)->Arg(1 << 17);
 
-void BM_RandomPartition(benchmark::State& state) {
+void BM_ShardRandom(benchmark::State& state) {
   const auto n = static_cast<VertexId>(state.range(0));
   Rng rng(5);
   const EdgeList el = gnp(n, 8.0 / n, rng);
   for (auto _ : state) {
     Rng inner(6);
-    benchmark::DoNotOptimize(random_partition(el, 32, inner).size());
+    benchmark::DoNotOptimize(shard_random(el, 32, inner).num_edges());
   }
   state.SetItemsProcessed(state.iterations() * el.num_edges());
 }
-BENCHMARK(BM_RandomPartition)->Arg(1 << 14)->Arg(1 << 17);
+BENCHMARK(BM_ShardRandom)->Arg(1 << 14)->Arg(1 << 17);
 
 void BM_PeelingVcCoreset(benchmark::State& state) {
   const auto n = static_cast<VertexId>(state.range(0));
   Rng rng(7);
   const EdgeList el = gnp(n, 12.0 / n, rng);
-  const auto pieces = random_partition(el, 8, rng);
+  const auto parts = shard_random(el, 8, rng);
   const PeelingVcCoreset coreset;
   PartitionContext ctx{n, 8, 0, 0};
   for (auto _ : state) {
     Rng inner(8);
-    benchmark::DoNotOptimize(coreset.build(pieces[0], ctx, inner).size_items());
+    benchmark::DoNotOptimize(
+        coreset.build(shard_span(parts, 0), ctx, inner).size_items());
   }
 }
 BENCHMARK(BM_PeelingVcCoreset)->Arg(1 << 14)->Arg(1 << 16);
@@ -83,12 +83,13 @@ void BM_MaximumMatchingCoreset(benchmark::State& state) {
   const auto n = static_cast<VertexId>(state.range(0));
   Rng rng(9);
   const EdgeList el = gnp(n, 8.0 / n, rng);
-  const auto pieces = random_partition(el, 8, rng);
+  const auto parts = shard_random(el, 8, rng);
   const MaximumMatchingCoreset coreset;
   PartitionContext ctx{n, 8, 0, 0};
   for (auto _ : state) {
     Rng inner(10);
-    benchmark::DoNotOptimize(coreset.build(pieces[0], ctx, inner).num_edges());
+    benchmark::DoNotOptimize(
+        coreset.build(shard_span(parts, 0), ctx, inner).num_edges());
   }
 }
 BENCHMARK(BM_MaximumMatchingCoreset)->Arg(1 << 14)->Arg(1 << 16);

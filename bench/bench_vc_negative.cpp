@@ -6,7 +6,7 @@
 #include "coreset/vc_coreset.hpp"
 #include "coreset/compose.hpp"
 #include "graph/generators.hpp"
-#include "partition/partition.hpp"
+#include "partition/sharded_partition.hpp"
 
 int main(int argc, char** argv) {
   using namespace rcc;
@@ -25,13 +25,13 @@ int main(int argc, char** argv) {
     const EdgeList el = star_forest(stars, static_cast<VertexId>(k));
     const VertexId n = el.num_vertices();
     const std::size_t opt = stars;
-    const auto pieces = random_partition(el, k, rng);
+    const auto parts = shard_random(el, k, rng);
 
     auto cover_with = [&](const VertexCoverCoreset& coreset) {
       std::vector<VcCoresetOutput> summaries;
       for (std::size_t i = 0; i < k; ++i) {
         PartitionContext ctx{n, k, i, 0};
-        summaries.push_back(coreset.build(pieces[i], ctx, rng));
+        summaries.push_back(coreset.build(shard_span(parts, i), ctx, rng));
       }
       return compose_vc_coresets(summaries, n, rng);
     };

@@ -14,6 +14,7 @@
 //
 // Run:  ./mapreduce_vertex_cover --n 3000 --mpc-rounds 2
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 #include "distributed/message.hpp"
@@ -56,9 +57,11 @@ int main(int argc, char** argv) {
           1024.0 / 1024.0,
       cfg.num_machines, static_cast<unsigned long long>(cfg.memory_words));
 
-  const CoresetMpcVcResult coreset = coreset_mpc_vertex_cover(
-      similarity, cfg, /*input_already_random=*/false, rng);
-  const FilteringMpcResult filtering = filtering_mpc(similarity, cfg, rng);
+  const CoresetMpcVcResult coreset = coreset_mpc_vertex_cover_rounds(
+      similarity,
+      {.mpc = cfg, .max_rounds = 1, .input_already_random = false}, rng);
+  const FilteringMpcResult filtering = filtering_mpc_rounds(
+      similarity, {.mpc = cfg, .max_rounds = SIZE_MAX}, rng);
 
   TablePrinter table({"algorithm", "rounds", "peak memory (words)",
                       "cover size", "feasible"});

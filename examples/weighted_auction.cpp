@@ -11,7 +11,7 @@
 
 #include "coreset/weighted_coreset.hpp"
 #include "matching/weighted.hpp"
-#include "partition/partition.hpp"
+#include "partition/sharded_partition.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -51,12 +51,12 @@ int main(int argc, char** argv) {
               bidders, items, bids.edges.size(), k);
 
   // Shard, build per-server Crouch-Stubbs coresets, compose.
-  const auto shards = random_partition_weighted(bids, k, rng);
+  const ShardedPartition<WeightedEdge> shards = shard_random(bids, k, rng);
   std::vector<WeightedCoresetOutput> summaries;
   std::size_t summary_items = 0;
   for (std::size_t i = 0; i < k; ++i) {
     PartitionContext ctx{bids.num_vertices, k, i, bidders};
-    summaries.push_back(crouch_stubbs_coreset(shards[i], ctx));
+    summaries.push_back(crouch_stubbs_coreset(shard_span(shards, i), ctx));
     summary_items += summaries.back().size_items();
   }
   const Matching assignment =

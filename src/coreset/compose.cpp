@@ -127,12 +127,13 @@ VertexCover compose_vc_coresets(const std::vector<VcCoresetOutput>& coresets,
   return cover;
 }
 
-GreedyMatchTrace greedy_match(const std::vector<EdgeList>& pieces,
+GreedyMatchTrace greedy_match(const ShardedPartition<Edge>& parts,
                               const PartitionContext& base_ctx, Rng& rng) {
   GreedyMatchTrace trace;
   trace.matching = Matching(base_ctx.num_vertices);
-  trace.step_sizes.reserve(pieces.size());
-  for (const EdgeList& piece : pieces) {
+  trace.step_sizes.reserve(parts.num_machines());
+  for (std::size_t i = 0; i < parts.num_machines(); ++i) {
+    const EdgeSpan piece = shard_span(parts, i);
     // "adding to M^(i-1) the edges in an arbitrary maximum matching of G(i)
     //  that do not violate the matching property" (Section 3.1). The paper
     // takes an arbitrary maximum matching; we take whatever the dispatcher

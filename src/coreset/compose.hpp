@@ -7,6 +7,7 @@
 
 #include "coreset/coreset.hpp"
 #include "matching/matching.hpp"
+#include "partition/sharded_partition.hpp"
 #include "vertex_cover/vertex_cover.hpp"
 
 namespace rcc {
@@ -65,7 +66,7 @@ struct GreedyMatchTrace {
   Matching matching;
   std::vector<std::size_t> step_sizes;
 };
-GreedyMatchTrace greedy_match(const std::vector<EdgeList>& pieces,
+GreedyMatchTrace greedy_match(const ShardedPartition<Edge>& parts,
                               const PartitionContext& base_ctx, Rng& rng);
 
 }  // namespace rcc

@@ -30,30 +30,6 @@ struct MatchingPhases {
   }
 };
 
-/// The engine lambdas shared by the vertex cover entry points.
-struct VcPhases {
-  const VertexCoverCoreset& coreset;
-  ThreadPool* pool;
-
-  auto build() const {
-    return [this](EdgeSpan piece, const PartitionContext& ctx,
-                  Rng& machine_rng) {
-      return coreset.build(piece, ctx, machine_rng);
-    };
-  }
-  static MessageSize account(const VcCoresetOutput& summary) {
-    return MessageSize{summary.residual_edges.num_edges(),
-                       summary.fixed_vertices.size()};
-  }
-  auto combine(VertexId num_vertices) const {
-    return [this, num_vertices](std::vector<VcCoresetOutput>& summaries,
-                                Rng& coordinator_rng) {
-      return compose_vc_coresets(summaries, num_vertices, coordinator_rng,
-                                 pool);
-    };
-  }
-};
-
 }  // namespace
 
 MatchingProtocolResult run_matching_protocol(
@@ -66,33 +42,37 @@ MatchingProtocolResult run_matching_protocol(
 }
 
 MatchingProtocolResult run_matching_protocol_on_partition(
-    const std::vector<EdgeList>& pieces, const MatchingCoreset& coreset,
-    ComposeSolver solver, VertexId left_size, Rng& rng, ThreadPool* pool) {
-  RCC_CHECK(!pieces.empty());
+    const std::vector<std::span<const Edge>>& pieces, VertexId num_vertices,
+    const MatchingCoreset& coreset, ComposeSolver solver, VertexId left_size,
+    Rng& rng, ThreadPool* pool) {
   const MatchingPhases phases{coreset, solver, left_size, pool};
-  return run_protocol_on_pieces<Edge>(
-      pieces_of(pieces), pieces.front().num_vertices(), left_size, rng, pool,
-      phases.build(), &MatchingPhases::account, phases.combine());
+  return run_protocol_on_pieces<Edge>(pieces, num_vertices, left_size, rng,
+                                      pool, phases.build(),
+                                      &MatchingPhases::account,
+                                      phases.combine());
 }
 
 VcProtocolResult run_vc_protocol(EdgeSource graph, std::size_t k,
                                  const VertexCoverCoreset& coreset, Rng& rng,
                                  ThreadPool* pool,
                                  const StreamingOptions& streaming) {
-  const VcPhases phases{coreset, pool};
-  return run_protocol(graph, k, /*left_size=*/0, rng, pool, phases.build(),
-                      &VcPhases::account,
-                      phases.combine(graph.num_vertices()), streaming);
-}
-
-VcProtocolResult run_vc_protocol_on_partition(
-    const std::vector<EdgeList>& pieces, const VertexCoverCoreset& coreset,
-    VertexId num_vertices, Rng& rng, ThreadPool* pool) {
-  RCC_CHECK(!pieces.empty());
-  const VcPhases phases{coreset, pool};
-  return run_protocol_on_pieces<Edge>(
-      pieces_of(pieces), num_vertices, /*left_size=*/0, rng, pool,
-      phases.build(), &VcPhases::account, phases.combine(num_vertices));
+  const VertexId num_vertices = graph.num_vertices();
+  return run_protocol(
+      graph, k, /*left_size=*/0, rng, pool,
+      [&coreset](EdgeSpan piece, const PartitionContext& ctx,
+                 Rng& machine_rng) {
+        return coreset.build(piece, ctx, machine_rng);
+      },
+      [](const VcCoresetOutput& summary) {
+        return MessageSize{summary.residual_edges.num_edges(),
+                           summary.fixed_vertices.size()};
+      },
+      [pool, num_vertices](std::vector<VcCoresetOutput>& summaries,
+                           Rng& coordinator_rng) {
+        return compose_vc_coresets(summaries, num_vertices, coordinator_rng,
+                                   pool);
+      },
+      streaming);
 }
 
 }  // namespace rcc

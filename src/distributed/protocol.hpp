@@ -1,12 +1,14 @@
-// Legacy-shaped entry points for the simultaneous coordinator model.
+// Entry points of the unweighted matching and vertex cover protocols in the
+// simultaneous coordinator model.
 //
-// These are thin wrappers over the unified ProtocolEngine
-// (protocol_engine.hpp): one run = sharded random partition into a flat
-// edge arena -> every machine builds its summary from its zero-copy shard
-// (thread pool; one task per machine; independent forked RNG streams) ->
-// the coordinator combines the summaries with no further interaction.
+// Each is one instance of the ProtocolEngine (protocol_engine.hpp): one run
+// = sharded random partition into a flat edge arena -> every machine builds
+// its summary from its zero-copy shard (thread pool; one task per machine;
+// independent forked RNG streams) -> the coordinator combines the summaries
+// with no further interaction.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "coreset/compose.hpp"
@@ -39,21 +41,20 @@ MatchingProtocolResult run_matching_protocol(
     ComposeSolver solver, VertexId left_size, Rng& rng,
     ThreadPool* pool = nullptr, const StreamingOptions& streaming = {});
 
-/// Same engine over a pre-made partition (lets experiments contrast random
-/// vs adversarial partitionings on identical edges).
+/// Same engine over pre-made pieces (lets experiments contrast random vs
+/// adversarial partitionings on identical edges, or reuse one partition
+/// across coresets). `pieces` are views over one universe of `num_vertices`
+/// — `pieces_of(parts)` of a ShardedPartition or of owning lists — and
+/// their storage must outlive the call.
 MatchingProtocolResult run_matching_protocol_on_partition(
-    const std::vector<EdgeList>& pieces, const MatchingCoreset& coreset,
-    ComposeSolver solver, VertexId left_size, Rng& rng,
-    ThreadPool* pool = nullptr);
+    const std::vector<std::span<const Edge>>& pieces, VertexId num_vertices,
+    const MatchingCoreset& coreset, ComposeSolver solver, VertexId left_size,
+    Rng& rng, ThreadPool* pool = nullptr);
 
 /// Runs the simultaneous vertex cover protocol.
 VcProtocolResult run_vc_protocol(EdgeSource graph, std::size_t k,
                                  const VertexCoverCoreset& coreset, Rng& rng,
                                  ThreadPool* pool = nullptr,
                                  const StreamingOptions& streaming = {});
-
-VcProtocolResult run_vc_protocol_on_partition(
-    const std::vector<EdgeList>& pieces, const VertexCoverCoreset& coreset,
-    VertexId num_vertices, Rng& rng, ThreadPool* pool = nullptr);
 
 }  // namespace rcc

@@ -17,13 +17,13 @@
 // The engine is generic over the edge payload (Edge / WeightedEdge), the
 // summary type, and the three phase callables, and returns a unified
 // ProtocolResult carrying the solution, the retained summaries, word-exact
-// communication stats, and per-phase wall timings. The legacy entry points
-// in protocol.hpp / protocols.hpp / weighted_*_protocol.hpp are thin
-// wrappers over run_protocol / run_protocol_on_pieces.
+// communication stats, and per-phase wall timings. Each entry point in
+// protocol.hpp / protocols.hpp / weighted_*_protocol.hpp is one call of
+// run_protocol (run_protocol_on_pieces for pre-made pieces) with its three
+// phase lambdas.
 //
-// Adding a protocol variant means writing three lambdas — see the wrappers
-// in protocol.cpp for the pattern; no new driver loop, accounting, or
-// timing code.
+// Adding a protocol variant means writing three lambdas — see protocol.cpp
+// for the pattern; no new driver loop, accounting, or timing code.
 //
 // The coordinator combine runs once, after the machine phase, on every
 // transport: machines (threads, or forked workers behind a WorkerHost —

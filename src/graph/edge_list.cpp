@@ -42,13 +42,15 @@ bool EdgeList::has_parallel_edges() const {
 }
 
 EdgeList EdgeList::sample_edges(std::size_t k, Rng& rng) const {
-  if (k >= edges_.size()) return *this;
-  EdgeList out(num_vertices_);
+  return EdgeSpan(*this).sample_edges(k, rng);
+}
+
+EdgeList EdgeSpan::sample_edges(std::size_t k, Rng& rng) const {
+  if (k >= size_) return to_edge_list();
+  std::vector<Edge> out;
   out.reserve(k);
-  for (auto idx : rng.sample_distinct(edges_.size(), k)) {
-    out.edges_.push_back(edges_[idx]);
-  }
-  return out;
+  for (auto idx : rng.sample_distinct(size_, k)) out.push_back(data_[idx]);
+  return EdgeList(num_vertices_, std::move(out));
 }
 
 EdgeList EdgeList::subsample(double p, Rng& rng) const {

@@ -154,6 +154,9 @@ class EdgeSpan {
     return EdgeList(num_vertices_, std::vector<Edge>(begin(), end()));
   }
 
+  /// Uniform random subset of exactly min(k, m) edges; the output owns them.
+  EdgeList sample_edges(std::size_t k, Rng& rng) const;
+
   /// Keeps edges for which pred(e) is true; the output owns its edges.
   template <typename Pred>
   EdgeList filter(Pred pred) const {

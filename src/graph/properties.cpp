@@ -34,7 +34,7 @@ std::vector<std::size_t> degree_histogram(const Graph& g) {
   return hist;
 }
 
-EdgeList induced_matching(const EdgeList& edges) {
+EdgeList induced_matching(EdgeSpan edges) {
   const auto deg = edges.degrees();
   return edges.filter([&](const Edge& e) { return deg[e.u] == 1 && deg[e.v] == 1; });
 }

@@ -19,7 +19,7 @@ std::vector<std::size_t> degree_histogram(const Graph& g);
 /// The *induced matching* of Section 4.1 / Lemma 4.1: the set of edges both
 /// of whose endpoints have degree exactly one in the whole graph. By
 /// construction these edges form a matching.
-EdgeList induced_matching(const EdgeList& edges);
+EdgeList induced_matching(EdgeSpan edges);
 
 /// Count of vertices with degree exactly one among the first `prefix`
 /// vertices (Proposition A.2(a) measures this on the left side).

@@ -4,7 +4,7 @@
 
 namespace rcc {
 
-std::size_t hidden_edges_in(const EdgeList& edges, const DMatchingInstance& inst) {
+std::size_t hidden_edges_in(EdgeSpan edges, const DMatchingInstance& inst) {
   std::size_t count = 0;
   for (const Edge& e : edges) {
     if (inst.is_hidden_edge(e)) ++count;
@@ -16,7 +16,7 @@ std::size_t hidden_edges_in(const Matching& m, const DMatchingInstance& inst) {
   return hidden_edges_in(m.to_edge_list(), inst);
 }
 
-InducedMatchingCensus induced_matching_census(const EdgeList& piece,
+InducedMatchingCensus induced_matching_census(EdgeSpan piece,
                                               const DMatchingInstance& inst) {
   InducedMatchingCensus census;
   const EdgeList induced = induced_matching(piece);
@@ -26,7 +26,7 @@ InducedMatchingCensus induced_matching_census(const EdgeList& piece,
   return census;
 }
 
-DegreeOneCensus degree_one_census(const EdgeList& piece, const DVcInstance& inst) {
+DegreeOneCensus degree_one_census(EdgeSpan piece, const DVcInstance& inst) {
   DegreeOneCensus census;
   const auto deg = piece.degrees();
   std::vector<bool> right_seen(piece.num_vertices(), false);

@@ -13,7 +13,7 @@ namespace rcc {
 
 /// Number of planted (E_hidden) edges appearing in a matching/edge set —
 /// the quantity X_i of the Theorem 3 proof, summed over machines.
-std::size_t hidden_edges_in(const EdgeList& edges, const DMatchingInstance& inst);
+std::size_t hidden_edges_in(EdgeSpan edges, const DMatchingInstance& inst);
 std::size_t hidden_edges_in(const Matching& m, const DMatchingInstance& inst);
 
 /// Per-machine census for Lemma 4.1 / the indistinguishability argument:
@@ -24,7 +24,7 @@ struct InducedMatchingCensus {
   std::size_t planted_inside = 0;  // planted edges within the induced matching
   std::size_t planted_total = 0;   // planted edges in the whole piece
 };
-InducedMatchingCensus induced_matching_census(const EdgeList& piece,
+InducedMatchingCensus induced_matching_census(EdgeSpan piece,
                                               const DMatchingInstance& inst);
 
 /// For D_VC: L1_i / R1_i sizes of Lemma 4.2 on one piece.
@@ -33,7 +33,7 @@ struct DegreeOneCensus {
   std::size_t right_neighbors = 0;   // |R1_i|
   bool piece_contains_e_star = false;
 };
-DegreeOneCensus degree_one_census(const EdgeList& piece, const DVcInstance& inst);
+DegreeOneCensus degree_one_census(EdgeSpan piece, const DVcInstance& inst);
 
 /// True if the cover touches e* (the event the Theorem 4 adversary denies).
 bool covers_e_star(const VertexCover& cover, const DVcInstance& inst);

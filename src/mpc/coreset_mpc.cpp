@@ -12,15 +12,6 @@ namespace rcc {
 
 namespace {
 
-MpcEngineConfig single_round_config(const MpcConfig& mpc,
-                                    bool input_already_random) {
-  MpcEngineConfig config;
-  config.mpc = mpc;
-  config.max_rounds = 1;
-  config.input_already_random = input_already_random;
-  return config;
-}
-
 /// Round-combiner of the iterated matching rounds: finish solves the union
 /// of the round's coreset subgraphs with the coordinator kernel
 /// (union_maximum_matching_into, exactly compose_matching_coresets'
@@ -156,22 +147,6 @@ CoresetMpcVcResult coreset_mpc_vertex_cover_rounds(
   result.rounds = result.stats.mpc_rounds;
   result.max_memory_words = result.stats.max_memory_words;
   return result;
-}
-
-CoresetMpcMatchingResult coreset_mpc_matching(EdgeSource graph,
-                                              const MpcConfig& config,
-                                              bool input_already_random,
-                                              VertexId left_size, Rng& rng) {
-  return coreset_mpc_matching_rounds(
-      graph, single_round_config(config, input_already_random), left_size, rng);
-}
-
-CoresetMpcVcResult coreset_mpc_vertex_cover(EdgeSource graph,
-                                            const MpcConfig& config,
-                                            bool input_already_random,
-                                            Rng& rng) {
-  return coreset_mpc_vertex_cover_rounds(
-      graph, single_round_config(config, input_already_random), rng);
 }
 
 }  // namespace rcc

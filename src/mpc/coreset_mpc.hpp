@@ -9,14 +9,15 @@
 // If the input is random-partitioned to begin with, Round 1 is skipped and
 // the whole computation takes a single round.
 //
-// The *_rounds entry points iterate Round 2 on the multi-round executor
+// The *_rounds entry points run Round 2 on the multi-round executor
 // (mpc_engine.hpp): each further round re-partitions the edges the current
 // solution leaves open and composes coresets of the residual, which can only
 // grow the matching (the round-iteration structure of "Coresets Meet EDCS",
-// arXiv:1711.03076). The legacy single-round signatures are thin wrappers
-// with max_rounds = 1. The greedy fold here never passes maximality; the
-// (1+eps) sibling entry point, run_matching_rounds_augmenting, lives in
-// mpc/augmenting_rounds.hpp.
+// arXiv:1711.03076). The paper's two-round algorithm is the config
+// {.mpc = cfg, .max_rounds = 1, .input_already_random = false}; leave the
+// last field at its default (true) when the input is already random. The
+// greedy fold here never passes maximality; the (1+eps) sibling entry point,
+// run_matching_rounds_augmenting, lives in mpc/augmenting_rounds.hpp.
 #pragma once
 
 #include "matching/matching.hpp"
@@ -63,17 +64,5 @@ CoresetMpcMatchingResult coreset_mpc_matching_rounds(
 CoresetMpcVcResult coreset_mpc_vertex_cover_rounds(
     EdgeSource graph, const MpcEngineConfig& config, Rng& rng,
     ThreadPool* pool = nullptr, ProtocolWorkspace* workspace = nullptr);
-
-/// O(1)-approximate maximum matching in <= 2 MPC rounds. `left_size` > 0
-/// enables the exact bipartite solver on machine M.
-CoresetMpcMatchingResult coreset_mpc_matching(EdgeSource graph,
-                                              const MpcConfig& config,
-                                              bool input_already_random,
-                                              VertexId left_size, Rng& rng);
-
-/// O(log n)-approximate vertex cover in <= 2 MPC rounds.
-CoresetMpcVcResult coreset_mpc_vertex_cover(EdgeSource graph,
-                                            const MpcConfig& config,
-                                            bool input_already_random, Rng& rng);
 
 }  // namespace rcc

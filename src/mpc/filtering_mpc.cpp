@@ -1,6 +1,5 @@
 #include "mpc/filtering_mpc.hpp"
 
-#include <limits>
 #include <utility>
 
 #include "matching/greedy.hpp"
@@ -137,15 +136,6 @@ FilteringMpcResult filtering_mpc_rounds(EdgeSource graph,
   result.rounds = result.stats.mpc_rounds;
   result.max_memory_words = result.stats.max_memory_words;
   return result;
-}
-
-FilteringMpcResult filtering_mpc(EdgeSource graph, const MpcConfig& config,
-                                 Rng& rng) {
-  MpcEngineConfig engine_config;
-  engine_config.mpc = config;
-  // The legacy loop runs until the residual fits on one machine.
-  engine_config.max_rounds = std::numeric_limits<std::size_t>::max();
-  return filtering_mpc_rounds(graph, engine_config, rng);
 }
 
 }  // namespace rcc

@@ -20,8 +20,8 @@
 // (mpc_engine.hpp): each filter iteration is one executor round whose
 // machine phase draws the Bernoulli sample and whose round-combiner merges
 // the sample, declares the broadcast-and-filter super-step, and carries the
-// uncovered edges forward. The legacy filtering_mpc signature is a thin
-// wrapper with an unbounded round cap.
+// uncovered edges forward. The textbook loop, which runs until the residual
+// fits on one machine, is the config {.mpc = cfg, .max_rounds = SIZE_MAX}.
 #pragma once
 
 #include "matching/matching.hpp"
@@ -53,8 +53,5 @@ FilteringMpcResult filtering_mpc_rounds(EdgeSource graph,
                                         const MpcEngineConfig& config, Rng& rng,
                                         ThreadPool* pool = nullptr,
                                         ProtocolWorkspace* workspace = nullptr);
-
-FilteringMpcResult filtering_mpc(EdgeSource graph, const MpcConfig& config,
-                                 Rng& rng);
 
 }  // namespace rcc

@@ -1,8 +1,7 @@
 #include "mpc/mpc.hpp"
 
+#include <algorithm>
 #include <cmath>
-
-#include "partition/partition.hpp"
 
 namespace rcc {
 
@@ -30,11 +29,6 @@ void MpcLedger::charge(std::size_t machine, std::uint64_t words) {
   round_peak_words_.back() =
       std::max(round_peak_words_.back(), current_round_usage_[machine]);
   max_memory_words_ = std::max(max_memory_words_, current_round_usage_[machine]);
-}
-
-std::vector<EdgeList> initial_adversarial_placement(const EdgeList& graph,
-                                                    std::size_t num_machines) {
-  return sorted_chunk_partition(graph, num_machines);
 }
 
 void mpc_reshuffle_round(std::size_t num_edges,

@@ -63,11 +63,6 @@ class MpcLedger {
   std::uint64_t max_memory_words_ = 0;
 };
 
-/// Splits edges across machines to model an arbitrary (adversarial) initial
-/// placement: contiguous chunks, the worst case for locality.
-std::vector<EdgeList> initial_adversarial_placement(const EdgeList& graph,
-                                                    std::size_t num_machines);
-
 /// The re-partition round that precedes coreset computation on adversarially
 /// placed input (coreset_mpc.hpp, Round 1): every machine scatters its edges
 /// uniformly at random, so the union each machine receives is a random

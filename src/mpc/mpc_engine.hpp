@@ -35,8 +35,9 @@
 // returned MpcExecutionStats carries per-round communication words, phase
 // timings, and per-machine peak memory.
 //
-// coreset_mpc.cpp and filtering_mpc.cpp are the two in-tree instantiations;
-// the legacy single-round entry points are thin wrappers over them.
+// coreset_mpc.cpp, filtering_mpc.cpp, augmenting_rounds.cpp and
+// edcs_rounds.cpp are the in-tree instantiations, each with one entry point
+// that takes an MpcEngineConfig (a single-round run is max_rounds = 1).
 #pragma once
 
 #include <cstdint>
@@ -83,7 +84,7 @@ struct MpcEngineConfig {
   /// The machine-phase transport: kSocket and kShm run every machine in a
   /// forked worker process that exchanges framed summaries with the
   /// coordinator over loopback TCP or shared-memory rings.
-  StreamingOptions streaming;
+  StreamingOptions streaming{};
 
   /// Charge every machine 2*|shard| words for holding its piece of the
   /// round's input (the coreset algorithms' accounting). Protocols that

@@ -2,35 +2,7 @@
 
 #include <algorithm>
 
-#include "partition/sharded_partition.hpp"
-
 namespace rcc {
-
-std::vector<EdgeList> random_partition(const EdgeList& edges, std::size_t k,
-                                       Rng& rng, ThreadPool* pool) {
-  const ShardedPartition<Edge> sharded = shard_random(edges, k, rng, pool);
-  std::vector<EdgeList> parts;
-  parts.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    const auto s = sharded.shard(i);
-    parts.emplace_back(edges.num_vertices(),
-                       std::vector<Edge>(s.begin(), s.end()));
-  }
-  return parts;
-}
-
-std::vector<WeightedEdgeList> random_partition_weighted(
-    const WeightedEdgeList& edges, std::size_t k, Rng& rng, ThreadPool* pool) {
-  const ShardedPartition<WeightedEdge> sharded =
-      shard_random(edges, k, rng, pool);
-  std::vector<WeightedEdgeList> parts(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    parts[i].num_vertices = edges.num_vertices;
-    const auto s = sharded.shard(i);
-    parts[i].edges.assign(s.begin(), s.end());
-  }
-  return parts;
-}
 
 std::vector<EdgeList> sorted_chunk_partition(const EdgeList& edges,
                                              std::size_t k) {
@@ -68,20 +40,6 @@ std::vector<EdgeList> random_vertex_partition(const EdgeList& edges,
     if (owner[e.v] != owner[e.u]) parts[owner[e.v]].add(e);
   }
   return parts;
-}
-
-PartitionStats partition_stats(const std::vector<EdgeList>& parts) {
-  PartitionStats s;
-  RCC_CHECK(!parts.empty());
-  s.min_edges = parts.front().num_edges();
-  std::size_t total = 0;
-  for (const auto& p : parts) {
-    s.min_edges = std::min(s.min_edges, p.num_edges());
-    s.max_edges = std::max(s.max_edges, p.num_edges());
-    total += p.num_edges();
-  }
-  s.mean_edges = static_cast<double>(total) / static_cast<double>(parts.size());
-  return s;
 }
 
 }  // namespace rcc

@@ -1,21 +1,21 @@
-// The random k-partitioning model of the paper, plus adversarial
+// What a machine knows of the partitioning, plus the adversarial
 // partitioners used as contrast.
 //
 // Random k-partitioning (Section 1): every edge is assigned independently
 // and uniformly at random to one of k machines. All of the paper's positive
-// results are *conditioned on this partitioning*; the adversarial
-// partitioners below realize the regime in which [10] proved that only
-// Theta(n^{1/3}) approximations are possible with O~(n)-size summaries,
-// which the EXP1/EXP2 experiments use as a foil.
+// results are *conditioned on this partitioning*, which has exactly one
+// implementation: the zero-copy sharded partitioner
+// (partition/sharded_partition.hpp, `shard_random` + `shard_span`). The
+// adversarial partitioners below realize the regime in which [10] proved
+// that only Theta(n^{1/3}) approximations are possible with O~(n)-size
+// summaries, which the EXP1/EXP2 experiments use as a foil.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "graph/edge_list.hpp"
-#include "matching/weighted.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rcc {
 
@@ -37,22 +37,6 @@ struct PartitionContext {
   MachineScratch* scratch = nullptr;
 };
 
-/// Assigns each edge independently and uniformly to one of k machines.
-///
-/// Implemented on the sharded partitioner (sharded_partition.hpp): one
-/// forked RNG stream per fixed-size edge batch rather than one serialized
-/// stream, so the assignment passes run on `pool` when provided — and the
-/// result is identical for any thread count. Returns owning per-machine
-/// lists for callers that need them; the protocol engine itself consumes
-/// the arena shards directly and never materializes these copies.
-std::vector<EdgeList> random_partition(const EdgeList& edges, std::size_t k,
-                                       Rng& rng, ThreadPool* pool = nullptr);
-
-/// Weighted variant (the Crouch-Stubbs experiments partition weighted edges).
-std::vector<WeightedEdgeList> random_partition_weighted(
-    const WeightedEdgeList& edges, std::size_t k, Rng& rng,
-    ThreadPool* pool = nullptr);
-
 /// Adversarial: contiguous chunks of the lexicographically sorted edge list,
 /// so each machine sees a vertex-local cluster of edges.
 std::vector<EdgeList> sorted_chunk_partition(const EdgeList& edges, std::size_t k);
@@ -69,13 +53,5 @@ std::vector<EdgeList> by_vertex_partition(const EdgeList& edges, std::size_t k);
 /// machine; the library includes it for model completeness and contrast.
 std::vector<EdgeList> random_vertex_partition(const EdgeList& edges,
                                               std::size_t k, Rng& rng);
-
-/// Sanity statistics of a partition (used by tests and EXP10).
-struct PartitionStats {
-  std::size_t min_edges = 0;
-  std::size_t max_edges = 0;
-  double mean_edges = 0.0;
-};
-PartitionStats partition_stats(const std::vector<EdgeList>& parts);
 
 }  // namespace rcc

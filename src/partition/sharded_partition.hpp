@@ -1,11 +1,11 @@
-// Single-pass sharded random k-partitioner: the partition phase of the
-// protocol engine.
+// Single-pass sharded random k-partitioner: the library's one realization of
+// the paper's random k-partitioning, and the partition phase of the protocol
+// engine.
 //
-// The legacy `random_partition` materialized k per-machine EdgeList copies
-// (k reserves, one normalizing push_back per edge) before any machine could
-// start working. The sharded partitioner instead produces ONE flat edge
-// arena plus a (k+1)-entry offset index; machine i's piece is the
-// zero-copy slice arena[offsets[i], offsets[i+1]).
+// It produces ONE flat edge arena plus a (k+1)-entry offset index; machine
+// i's piece is the zero-copy slice arena[offsets[i], offsets[i+1]). No
+// per-machine list is ever materialized: callers that drive machines by
+// hand read piece i as `shard_span(parts, i)`.
 //
 // Pipeline (templated over unweighted/weighted edges):
 //
@@ -329,11 +329,13 @@ inline ShardedPartition<WeightedEdge> shard_random(
       edges.num_vertices, k, rng, pool);
 }
 
-/// Machine i's piece of an unweighted partition as an EdgeSpan (the view
-/// type the coreset interfaces take).
-inline EdgeSpan shard_span(const ShardedPartition<Edge>& parts, std::size_t i) {
+/// Machine i's piece as the view type the coreset interfaces take
+/// (EdgeSpan / WeightedEdgeSpan); `parts` must outlive the view.
+template <typename EdgeT>
+typename EdgeViewOf<EdgeT>::type shard_span(
+    const ShardedPartition<EdgeT>& parts, std::size_t i) {
   const auto s = parts.shard(i);
-  return EdgeSpan(s.data(), s.size(), parts.num_vertices());
+  return {s.data(), s.size(), parts.num_vertices()};
 }
 
 }  // namespace rcc

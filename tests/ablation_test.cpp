@@ -8,7 +8,7 @@
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "matching/max_matching.hpp"
-#include "partition/partition.hpp"
+#include "partition/sharded_partition.hpp"
 #include "util/rng.hpp"
 
 namespace rcc {
@@ -19,13 +19,14 @@ TEST(MixedCoreset, EverySummaryIsAMaximumMatchingOfItsPiece) {
   const VertexId side = 600;
   const EdgeList el = random_bipartite(side, side, 6.0 / side, rng);
   const std::size_t k = 6;
-  const auto pieces = random_partition(el, k, rng);
+  const auto parts = shard_random(el, k, rng);
   const MixedMaximumMatchingCoreset coreset;
   for (std::size_t i = 0; i < k; ++i) {
     PartitionContext ctx{2 * side, k, i, side};
-    const EdgeList summary = coreset.build(pieces[i], ctx, rng);
+    const EdgeSpan piece = shard_span(parts, i);
+    const EdgeList summary = coreset.build(piece, ctx, rng);
     EXPECT_TRUE(is_matching(summary));
-    EXPECT_EQ(summary.num_edges(), maximum_matching_size(pieces[i], side))
+    EXPECT_EQ(summary.num_edges(), maximum_matching_size(piece, side))
         << "machine " << i;
   }
 }
@@ -35,13 +36,13 @@ TEST(MixedCoreset, ComposedQualityMatchesSingleAlgorithm) {
   const VertexId n = 2000;
   const EdgeList el = gnp(n, 5.0 / n, rng);
   const std::size_t k = 9;
-  const auto pieces = random_partition(el, k, rng);
+  const auto parts = shard_random(el, k, rng);
 
   auto compose_with = [&](const MatchingCoreset& coreset) {
     std::vector<EdgeList> summaries;
     for (std::size_t i = 0; i < k; ++i) {
       PartitionContext ctx{n, k, i, 0};
-      summaries.push_back(coreset.build(pieces[i], ctx, rng));
+      summaries.push_back(coreset.build(shard_span(parts, i), ctx, rng));
     }
     return compose_matching_coresets(summaries, ComposeSolver::kMaximum, 0, rng)
         .size();
@@ -60,12 +61,12 @@ TEST(ComposeSolver, GreedyIsWithinTwiceOfMaximum) {
   const VertexId n = 3000;
   const EdgeList el = gnp(n, 6.0 / n, rng);
   const std::size_t k = 8;
-  const auto pieces = random_partition(el, k, rng);
+  const auto parts = shard_random(el, k, rng);
   const MaximumMatchingCoreset coreset;
   std::vector<EdgeList> summaries;
   for (std::size_t i = 0; i < k; ++i) {
     PartitionContext ctx{n, k, i, 0};
-    summaries.push_back(coreset.build(pieces[i], ctx, rng));
+    summaries.push_back(coreset.build(shard_span(parts, i), ctx, rng));
   }
   const std::size_t exact =
       compose_matching_coresets(summaries, ComposeSolver::kMaximum, 0, rng).size();
@@ -83,12 +84,12 @@ TEST_P(MixedSweep, ConstantFactorAcrossSeeds) {
   const EdgeList el = gnp(n, 4.0 / n, rng);
   const std::size_t opt = maximum_matching_size(el);
   const std::size_t k = 6;
-  const auto pieces = random_partition(el, k, rng);
+  const auto parts = shard_random(el, k, rng);
   const MixedMaximumMatchingCoreset coreset;
   std::vector<EdgeList> summaries;
   for (std::size_t i = 0; i < k; ++i) {
     PartitionContext ctx{n, k, i, 0};
-    summaries.push_back(coreset.build(pieces[i], ctx, rng));
+    summaries.push_back(coreset.build(shard_span(parts, i), ctx, rng));
   }
   const Matching composed =
       compose_matching_coresets(summaries, ComposeSolver::kMaximum, 0, rng);

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include "distributed/protocol_engine.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "partition/partition.hpp"
+#include "partition/sharded_partition.hpp"
 #include "util/dsu.hpp"
 #include "util/rng.hpp"
 
@@ -46,19 +48,23 @@ TEST_P(ConnectivityComposition, ExactUnderAllPartitioners) {
   const std::size_t true_components = connected_components(Graph(el));
   const SpanningForestCoreset coreset;
 
-  auto compose_on = [&](const std::vector<EdgeList>& pieces) {
+  auto compose_on = [&](const std::vector<std::span<const Edge>>& pieces) {
     std::vector<EdgeList> summaries;
     for (std::size_t i = 0; i < pieces.size(); ++i) {
       PartitionContext ctx{n, pieces.size(), i, 0};
-      summaries.push_back(coreset.build(pieces[i], ctx, rng));
+      const EdgeSpan piece(pieces[i].data(), pieces[i].size(), n);
+      summaries.push_back(coreset.build(piece, ctx, rng));
     }
     const EdgeList merged = spanning_forest(EdgeList::union_of(summaries));
     return connected_components(Graph(merged));
   };
 
-  EXPECT_EQ(compose_on(random_partition(el, 7, rng)), true_components);
-  EXPECT_EQ(compose_on(sorted_chunk_partition(el, 7)), true_components);
-  EXPECT_EQ(compose_on(by_vertex_partition(el, 7)), true_components);
+  const ShardedPartition<Edge> random_parts = shard_random(el, 7, rng);
+  EXPECT_EQ(compose_on(pieces_of(random_parts)), true_components);
+  const std::vector<EdgeList> sorted_parts = sorted_chunk_partition(el, 7);
+  EXPECT_EQ(compose_on(pieces_of(sorted_parts)), true_components);
+  const std::vector<EdgeList> vertex_parts = by_vertex_partition(el, 7);
+  EXPECT_EQ(compose_on(pieces_of(vertex_parts)), true_components);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConnectivityComposition, ::testing::Range(1, 11));

@@ -8,7 +8,7 @@
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "matching/max_matching.hpp"
-#include "partition/partition.hpp"
+#include "partition/sharded_partition.hpp"
 #include "util/rng.hpp"
 
 namespace rcc {
@@ -17,13 +17,13 @@ namespace {
 TEST(MaximumMatchingCoreset, OutputIsAMaximumMatchingOfThePiece) {
   Rng rng(1);
   const EdgeList el = gnp(300, 0.05, rng);
-  const auto pieces = random_partition(el, 4, rng);
+  const auto parts = shard_random(el, 4, rng);
   const MaximumMatchingCoreset coreset;
   for (std::size_t i = 0; i < 4; ++i) {
     PartitionContext ctx{300, 4, i, 0};
-    const EdgeList summary = coreset.build(pieces[i], ctx, rng);
+    const EdgeList summary = coreset.build(shard_span(parts, i), ctx, rng);
     EXPECT_TRUE(is_matching(summary));
-    EXPECT_EQ(summary.num_edges(), maximum_matching_size(pieces[i]));
+    EXPECT_EQ(summary.num_edges(), maximum_matching_size(shard_span(parts, i)));
   }
 }
 
@@ -31,10 +31,10 @@ TEST(MaximumMatchingCoreset, SizeIsAtMostNOverTwo) {
   Rng rng(2);
   const VertexId n = 500;
   const EdgeList el = gnp(n, 0.1, rng);
-  const auto pieces = random_partition(el, 3, rng);
+  const auto parts = shard_random(el, 3, rng);
   const MaximumMatchingCoreset coreset;
   PartitionContext ctx{n, 3, 0, 0};
-  EXPECT_LE(coreset.build(pieces[0], ctx, rng).num_edges(), n / 2);
+  EXPECT_LE(coreset.build(shard_span(parts, 0), ctx, rng).num_edges(), n / 2);
 }
 
 // Theorem 1's guarantee: composed coresets contain a matching within a
@@ -51,11 +51,11 @@ TEST_P(Theorem1Sweep, ComposedRatioWithinPaperBound) {
   ASSERT_GT(opt, 0u);
 
   const MaximumMatchingCoreset coreset;
-  const auto pieces = random_partition(el, k, rng);
+  const auto parts = shard_random(el, k, rng);
   std::vector<EdgeList> summaries;
   for (std::size_t i = 0; i < static_cast<std::size_t>(k); ++i) {
     PartitionContext ctx{n, static_cast<std::size_t>(k), i, 0};
-    summaries.push_back(coreset.build(pieces[i], ctx, rng));
+    summaries.push_back(coreset.build(shard_span(parts, i), ctx, rng));
   }
   const Matching composed =
       compose_matching_coresets(summaries, ComposeSolver::kMaximum, 0, rng);
@@ -72,9 +72,9 @@ TEST(GreedyMatchCombiner, TraceIsMonotoneAndMatchesPaperAlgorithm) {
   Rng rng(3);
   const VertexId n = 800;
   const EdgeList el = gnp(n, 5.0 / n, rng);
-  const auto pieces = random_partition(el, 6, rng);
+  const auto parts = shard_random(el, 6, rng);
   PartitionContext ctx{n, 6, 0, 0};
-  const GreedyMatchTrace trace = greedy_match(pieces, ctx, rng);
+  const GreedyMatchTrace trace = greedy_match(parts, ctx, rng);
   ASSERT_EQ(trace.step_sizes.size(), 6u);
   for (std::size_t i = 1; i < trace.step_sizes.size(); ++i) {
     EXPECT_GE(trace.step_sizes[i], trace.step_sizes[i - 1]);
@@ -89,12 +89,12 @@ TEST(GreedyMatchCombiner, TraceIsMonotoneAndMatchesPaperAlgorithm) {
 TEST(MaximalMatchingCoreset, ProducesMaximalMatchingOfPiece) {
   Rng rng(4);
   const EdgeList el = gnp(200, 0.1, rng);
-  const auto pieces = random_partition(el, 2, rng);
+  const auto parts = shard_random(el, 2, rng);
   const MaximalMatchingCoreset coreset(GreedyOrder::kRandom);
   PartitionContext ctx{200, 2, 0, 0};
-  const EdgeList summary = coreset.build(pieces[0], ctx, rng);
+  const EdgeList summary = coreset.build(shard_span(parts, 0), ctx, rng);
   EXPECT_TRUE(is_matching(summary));
-  EXPECT_TRUE(Matching::from_edges(summary).maximal_in(pieces[0]));
+  EXPECT_TRUE(Matching::from_edges(summary).maximal_in(shard_span(parts, 0)));
 }
 
 TEST(SubsampledCoreset, ExpectedSizeShrinksByAlpha) {
@@ -122,13 +122,13 @@ TEST(AdversarialMaximalCoreset, OmegaKGapOnHubGadget) {
   const VertexId pairs = 4096;
   const std::size_t k = 16;
   const HubGadget gadget = hub_gadget(pairs, static_cast<VertexId>(2 * pairs / k));
-  const auto pieces = random_partition(gadget.edges, k, rng);
+  const auto parts = shard_random(gadget.edges, k, rng);
 
   auto compose_with = [&](const MatchingCoreset& coreset) {
     std::vector<EdgeList> summaries;
     for (std::size_t i = 0; i < k; ++i) {
       PartitionContext ctx{gadget.edges.num_vertices(), k, i, gadget.left_size};
-      summaries.push_back(coreset.build(pieces[i], ctx, rng));
+      summaries.push_back(coreset.build(shard_span(parts, i), ctx, rng));
     }
     return compose_matching_coresets(summaries, ComposeSolver::kMaximum,
                                      gadget.left_size, rng);

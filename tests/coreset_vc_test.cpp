@@ -8,7 +8,7 @@
 
 #include "coreset/compose.hpp"
 #include "graph/generators.hpp"
-#include "partition/partition.hpp"
+#include "partition/sharded_partition.hpp"
 #include "vertex_cover/konig.hpp"
 #include "util/rng.hpp"
 
@@ -32,10 +32,10 @@ TEST(PeelingVcCoreset, ResidualMaxDegreeBounded) {
   const VertexId n = 1 << 15;
   const std::size_t k = 8;
   const EdgeList el = gnp(n, 6.0 / n, rng);
-  const auto pieces = random_partition(el, k, rng);
+  const auto parts = shard_random(el, k, rng);
   const PeelingVcCoreset coreset;
   PartitionContext ctx{n, k, 0, 0};
-  const VcCoresetOutput out = coreset.build(pieces[0], ctx, rng);
+  const VcCoresetOutput out = coreset.build(shard_span(parts, 0), ctx, rng);
   const auto deg = out.residual_edges.degrees();
   const double bound = 8.0 * std::log2(static_cast<double>(n));
   for (VertexId v = 0; v < n; ++v) {
@@ -48,12 +48,12 @@ TEST(PeelingVcCoreset, ComposedCoverIsFeasible) {
   const VertexId n = 4000;
   const std::size_t k = 5;
   const EdgeList el = gnp(n, 8.0 / n, rng);
-  const auto pieces = random_partition(el, k, rng);
+  const auto parts = shard_random(el, k, rng);
   const PeelingVcCoreset coreset;
   std::vector<VcCoresetOutput> summaries;
   for (std::size_t i = 0; i < k; ++i) {
     PartitionContext ctx{n, k, i, 0};
-    summaries.push_back(coreset.build(pieces[i], ctx, rng));
+    summaries.push_back(coreset.build(shard_span(parts, i), ctx, rng));
   }
   const VertexCover cover = compose_vc_coresets(summaries, n, rng);
   EXPECT_TRUE(cover.covers(el));
@@ -72,12 +72,12 @@ TEST_P(Theorem2Sweep, ComposedRatioWithinLogBound) {
   const std::size_t opt = konig_vc_size(bipartite_graph(el, side));
   ASSERT_GT(opt, 0u);
 
-  const auto pieces = random_partition(el, k, rng);
+  const auto parts = shard_random(el, k, rng);
   const PeelingVcCoreset coreset;
   std::vector<VcCoresetOutput> summaries;
   for (std::size_t i = 0; i < static_cast<std::size_t>(k); ++i) {
     PartitionContext ctx{n, static_cast<std::size_t>(k), i, 0};
-    summaries.push_back(coreset.build(pieces[i], ctx, rng));
+    summaries.push_back(coreset.build(shard_span(parts, i), ctx, rng));
   }
   const VertexCover cover = compose_vc_coresets(summaries, n, rng);
   EXPECT_TRUE(cover.covers(el));
@@ -95,10 +95,10 @@ TEST(PeelingVcCoreset, CoresetSizeIsNearLinear) {
   const VertexId n = 1 << 14;
   const std::size_t k = 8;
   const EdgeList el = gnp(n, 20.0 / n, rng);
-  const auto pieces = random_partition(el, k, rng);
+  const auto parts = shard_random(el, k, rng);
   const PeelingVcCoreset coreset;
   PartitionContext ctx{n, k, 0, 0};
-  const VcCoresetOutput out = coreset.build(pieces[0], ctx, rng);
+  const VcCoresetOutput out = coreset.build(shard_span(parts, 0), ctx, rng);
   const double bound = 8.0 * std::log2(static_cast<double>(n)) *
                            static_cast<double>(n) / 2.0 +
                        static_cast<double>(n);
@@ -115,13 +115,13 @@ TEST(MinVcOfPieceCoreset, OmegaKFailureOnStarForest) {
   const VertexId n = el.num_vertices();
   const std::size_t opt = stars;  // one center per star
 
-  const auto pieces = random_partition(el, k, rng);
+  const auto parts = shard_random(el, k, rng);
 
   auto run = [&](const VertexCoverCoreset& coreset) {
     std::vector<VcCoresetOutput> summaries;
     for (std::size_t i = 0; i < k; ++i) {
       PartitionContext ctx{n, k, i, 0};
-      summaries.push_back(coreset.build(pieces[i], ctx, rng));
+      summaries.push_back(coreset.build(shard_span(parts, i), ctx, rng));
     }
     return compose_vc_coresets(summaries, n, rng);
   };
@@ -144,14 +144,14 @@ TEST(MinVcOfPieceCoreset, OmegaKFailureOnStarForest) {
 TEST(MinVcOfPieceCoreset, EachSummaryCoversItsPiece) {
   Rng rng(5);
   const EdgeList el = star_forest(50, 8);
-  const auto pieces = random_partition(el, 4, rng);
+  const auto parts = shard_random(el, 4, rng);
   const MinVcOfPieceCoreset coreset(ForestTieBreak::kHighId);
   for (std::size_t i = 0; i < 4; ++i) {
     PartitionContext ctx{el.num_vertices(), 4, i, 0};
-    const VcCoresetOutput out = coreset.build(pieces[i], ctx, rng);
+    const VcCoresetOutput out = coreset.build(shard_span(parts, i), ctx, rng);
     const VertexCover cover =
         VertexCover::from_vertices(el.num_vertices(), out.fixed_vertices);
-    EXPECT_TRUE(cover.covers(pieces[i]));
+    EXPECT_TRUE(cover.covers(shard_span(parts, i)));
     EXPECT_TRUE(out.residual_edges.empty());
   }
 }

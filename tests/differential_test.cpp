@@ -11,7 +11,7 @@
 #include "matching/blossom.hpp"
 #include "matching/hopcroft_karp.hpp"
 #include "matching/max_matching.hpp"
-#include "partition/partition.hpp"
+#include "partition/sharded_partition.hpp"
 #include "vertex_cover/approx.hpp"
 #include "vertex_cover/exact.hpp"
 #include "vertex_cover/konig.hpp"
@@ -71,12 +71,12 @@ TEST_P(FuzzSweep, ComposeSolverDominance) {
   const VertexId n = 600;
   const EdgeList el = gnp(n, avg_deg / n, rng);
   const std::size_t k = 4;
-  const auto pieces = random_partition(el, k, rng);
+  const auto parts = shard_random(el, k, rng);
   const MaximumMatchingCoreset coreset;
   std::vector<EdgeList> summaries;
   for (std::size_t i = 0; i < k; ++i) {
     PartitionContext ctx{n, k, i, 0};
-    summaries.push_back(coreset.build(pieces[i], ctx, rng));
+    summaries.push_back(coreset.build(shard_span(parts, i), ctx, rng));
   }
   const std::size_t exact =
       compose_matching_coresets(summaries, ComposeSolver::kMaximum, 0, rng).size();
@@ -113,11 +113,11 @@ TEST_P(FuzzSweep, PartitionPreservesDegreeMultiset) {
   Rng rng(seed + 4000);
   const VertexId n = 500;
   const EdgeList el = gnp(n, avg_deg / n, rng);
-  const auto pieces = random_partition(el, 7, rng);
+  const auto parts = shard_random(el, 7, rng);
   const auto before = el.degrees();
   std::vector<VertexId> after(n, 0);
-  for (const auto& piece : pieces) {
-    const auto d = piece.degrees();
+  for (std::size_t i = 0; i < parts.num_machines(); ++i) {
+    const auto d = shard_span(parts, i).degrees();
     for (VertexId v = 0; v < n; ++v) after[v] += d[v];
   }
   EXPECT_EQ(after, before);
@@ -132,13 +132,13 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Differential, SubsampleAlphaOneIsIdentity) {
   Rng rng(7);
   const EdgeList el = gnp(400, 0.02, rng);
-  const auto pieces = random_partition(el, 3, rng);
+  const auto parts = shard_random(el, 3, rng);
   const MaximumMatchingCoreset full;
   const SubsampledMatchingCoreset sub(1.0);
   PartitionContext ctx{400, 3, 0, 0};
   Rng ra(5), rb(5);
-  EXPECT_EQ(full.build(pieces[0], ctx, ra).num_edges(),
-            sub.build(pieces[0], ctx, rb).num_edges());
+  EXPECT_EQ(full.build(shard_span(parts, 0), ctx, ra).num_edges(),
+            sub.build(shard_span(parts, 0), ctx, rb).num_edges());
 }
 
 // Induced matching is invariant under edge order.

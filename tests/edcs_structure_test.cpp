@@ -19,7 +19,7 @@
 #include "matching/edcs.hpp"
 #include "matching/max_matching.hpp"
 #include "mpc/edcs_rounds.hpp"
-#include "partition/partition.hpp"
+#include "partition/sharded_partition.hpp"
 #include "util/rng.hpp"
 #include "util/workspace.hpp"
 
@@ -71,12 +71,12 @@ TEST(EdcsStructure, DegreeInvariantsHoldAcrossTheGrid) {
     for (const Instance& inst : instance_grid(seed)) {
       for (std::size_t k : kMachineCounts) {
         Rng rng(seed ^ (k << 8));
-        const auto pieces = random_partition(inst.edges, k, rng);
+        const auto parts = shard_random(inst.edges, k, rng);
         for (const EdcsParams& params : kParamGrid) {
-          for (std::size_t i = 0; i < pieces.size(); ++i) {
-            const EdgeList h = build_edcs(pieces[i], params);
+          for (std::size_t i = 0; i < k; ++i) {
+            const EdgeList h = build_edcs(shard_span(parts, i), params);
             // The library oracle first...
-            EXPECT_TRUE(edcs_invariants_hold(pieces[i], h, params))
+            EXPECT_TRUE(edcs_invariants_hold(shard_span(parts, i), h, params))
                 << inst.name << " seed=" << seed << " k=" << k
                 << " machine=" << i << " beta=" << params.beta
                 << " lambda=" << params.lambda;
@@ -91,7 +91,7 @@ TEST(EdcsStructure, DegreeInvariantsHoldAcrossTheGrid) {
             }
             std::vector<Edge> h_sorted(h.begin(), h.end());
             std::sort(h_sorted.begin(), h_sorted.end());
-            for (const Edge& raw : pieces[i]) {
+            for (const Edge& raw : shard_span(parts, i)) {
               const Edge e = make_edge(raw.u, raw.v);
               if (std::binary_search(h_sorted.begin(), h_sorted.end(), e)) {
                 continue;

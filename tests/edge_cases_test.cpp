@@ -2,6 +2,8 @@
 // empty graphs, k larger than m, degenerate parameters, duplicate edges.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "coreset/compose.hpp"
 #include "coreset/matching_coresets.hpp"
 #include "coreset/vc_coreset.hpp"
@@ -98,7 +100,8 @@ TEST(EdgeCases, MaximumMatchingCoresetOnStar) {
 TEST(EdgeCases, FilteringMpcOnEmptyGraph) {
   Rng rng(9);
   MpcConfig cfg{4, 1000};
-  const FilteringMpcResult r = filtering_mpc(EdgeList(10), cfg, rng);
+  const FilteringMpcResult r = filtering_mpc_rounds(
+      EdgeList(10), {.mpc = cfg, .max_rounds = SIZE_MAX}, rng);
   EXPECT_EQ(r.maximal_matching.size(), 0u);
   EXPECT_EQ(r.rounds, 1u);
 }
@@ -109,7 +112,9 @@ TEST(EdgeCases, CoresetMpcTinyGraph) {
   el.add(0, 1);
   el.add(2, 3);
   MpcConfig cfg{2, 1000};
-  const CoresetMpcMatchingResult r = coreset_mpc_matching(el, cfg, false, 0, rng);
+  const CoresetMpcMatchingResult r = coreset_mpc_matching_rounds(
+      el, {.mpc = cfg, .max_rounds = 1, .input_already_random = false}, 0,
+      rng);
   EXPECT_EQ(r.matching.size(), 2u);
 }
 

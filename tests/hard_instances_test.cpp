@@ -9,7 +9,7 @@
 #include "graph/properties.hpp"
 #include "lower_bounds/probes.hpp"
 #include "matching/max_matching.hpp"
-#include "partition/partition.hpp"
+#include "partition/sharded_partition.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -74,10 +74,11 @@ TEST(DMatching, BipartiteStructure) {
 TEST(DMatching, InducedMatchingCensusMatchesLemma41) {
   Rng rng(6);
   const DMatchingInstance inst = make_d_matching(kN, kAlpha, kK, rng);
-  const auto pieces = random_partition(inst.edges, kK, rng);
+  const auto parts = shard_random(inst.edges, kK, rng);
   std::vector<double> sizes;
   std::vector<double> planted_fracs;
-  for (const auto& piece : pieces) {
+  for (std::size_t i = 0; i < kK; ++i) {
+    const EdgeSpan piece = shard_span(parts, i);
     const InducedMatchingCensus c = induced_matching_census(piece, inst);
     sizes.push_back(static_cast<double>(c.induced_size));
     if (c.induced_size > 0) {
@@ -106,9 +107,10 @@ TEST(DMatching, InducedMatchingCensusMatchesLemma41) {
 TEST(DMatching, PlantedEdgesPerMachine) {
   Rng rng(7);
   const DMatchingInstance inst = make_d_matching(kN, kAlpha, kK, rng);
-  const auto pieces = random_partition(inst.edges, kK, rng);
+  const auto parts = shard_random(inst.edges, kK, rng);
   std::vector<double> counts;
-  for (const auto& piece : pieces) {
+  for (std::size_t i = 0; i < kK; ++i) {
+    const EdgeSpan piece = shard_span(parts, i);
     counts.push_back(static_cast<double>(hidden_edges_in(piece, inst)));
   }
   const double expected = (kN - kN / kAlpha) / static_cast<double>(kK);
@@ -143,10 +145,11 @@ TEST(DVc, EdgeCountNearExpectation) {
 TEST(DVc, DegreeOneCensusMatchesLemma42) {
   Rng rng(10);
   const DVcInstance inst = make_d_vc(kN, kAlpha, kK, rng);
-  const auto pieces = random_partition(inst.edges, kK, rng);
+  const auto parts = shard_random(inst.edges, kK, rng);
   std::vector<double> l1, r1;
   int e_star_holders = 0;
-  for (const auto& piece : pieces) {
+  for (std::size_t i = 0; i < kK; ++i) {
+    const EdgeSpan piece = shard_span(parts, i);
     const DegreeOneCensus c = degree_one_census(piece, inst);
     l1.push_back(static_cast<double>(c.left_degree_one));
     r1.push_back(static_cast<double>(c.right_neighbors));

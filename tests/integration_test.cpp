@@ -14,7 +14,7 @@
 #include "lower_bounds/probes.hpp"
 #include "matching/max_matching.hpp"
 #include "mpc/coreset_mpc.hpp"
-#include "partition/partition.hpp"
+#include "partition/sharded_partition.hpp"
 #include "vertex_cover/konig.hpp"
 #include "util/rng.hpp"
 
@@ -31,7 +31,7 @@ TEST(Integration, BudgetedRecoveryIsLinearAndPolicyFree) {
   const double alpha = 10.0;
   const std::size_t k = 40;
   const DMatchingInstance inst = make_d_matching(n, alpha, k, rng);
-  const auto pieces = random_partition(inst.edges, k, rng);
+  const auto parts = shard_random(inst.edges, k, rng);
 
   auto recovered_with = [&](std::size_t budget, BudgetPolicy policy) {
     auto inner = std::make_shared<MaximumMatchingCoreset>();
@@ -39,7 +39,8 @@ TEST(Integration, BudgetedRecoveryIsLinearAndPolicyFree) {
     std::size_t total = 0;
     for (std::size_t i = 0; i < k; ++i) {
       PartitionContext ctx{2 * n, k, i, inst.left_size()};
-      total += hidden_edges_in(coreset.build(pieces[i], ctx, rng), inst);
+      total += hidden_edges_in(coreset.build(shard_span(parts, i), ctx, rng),
+                               inst);
     }
     return total;
   };
@@ -104,12 +105,12 @@ TEST(Integration, DVcSmallSummariesMissEStar) {
   const int trials = 20;
   for (int t = 0; t < trials; ++t) {
     const DVcInstance inst = make_d_vc(n, alpha, k, rng);
-    const auto pieces = random_partition(inst.edges, k, rng);
+    const auto parts = shard_random(inst.edges, k, rng);
     // Budgeted summary: s = (n/alpha)/20 random edges per machine.
     const std::size_t budget = static_cast<std::size_t>(n / alpha / 20.0);
     std::vector<EdgeList> summaries;
-    for (const auto& piece : pieces) {
-      summaries.push_back(piece.sample_edges(budget, rng));
+    for (std::size_t i = 0; i < k; ++i) {
+      summaries.push_back(shard_span(parts, i).sample_edges(budget, rng));
     }
     const EdgeList summary_union = EdgeList::union_of(summaries);
     bool has_e_star = false;
@@ -129,8 +130,12 @@ TEST(Integration, MpcAndSimultaneousAgreeOnQuality) {
   const std::size_t opt = maximum_matching_size(el);
   const MatchingProtocolResult sim =
       coreset_matching_protocol(el, 16, 0, rng, nullptr);
-  const CoresetMpcMatchingResult mpc =
-      coreset_mpc_matching(el, MpcConfig::paper_default(n), false, 0, rng);
+  const CoresetMpcMatchingResult mpc = coreset_mpc_matching_rounds(
+      el,
+      {.mpc = MpcConfig::paper_default(n),
+       .max_rounds = 1,
+       .input_already_random = false},
+      0, rng);
   EXPECT_GE(9 * sim.solution.size(), opt);
   EXPECT_GE(9 * mpc.matching.size(), opt);
   // The two pipelines implement the same coreset; sizes are close.

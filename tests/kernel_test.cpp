@@ -9,7 +9,7 @@
 #include "coreset/compose.hpp"
 #include "graph/generators.hpp"
 #include "matching/max_matching.hpp"
-#include "partition/partition.hpp"
+#include "partition/sharded_partition.hpp"
 #include "util/rng.hpp"
 
 namespace rcc {
@@ -85,12 +85,12 @@ TEST(KernelMatchingCoreset, ExactCompositionOnSmallOptInstances) {
   EXPECT_EQ(mm, 4u * blocks);
 
   const std::size_t k = 5;
-  const auto pieces = random_partition(el, k, rng);
+  const auto parts = shard_random(el, k, rng);
   const KernelMatchingCoreset coreset(static_cast<VertexId>(mm));
   std::vector<EdgeList> summaries;
   for (std::size_t i = 0; i < k; ++i) {
     PartitionContext ctx{2000, k, i, 0};
-    summaries.push_back(coreset.build(pieces[i], ctx, rng));
+    summaries.push_back(coreset.build(shard_span(parts, i), ctx, rng));
   }
   // Kernels of pieces = pieces here (piece degrees <= 4 <= cap): exactness.
   const Matching composed =

@@ -21,7 +21,7 @@
 #include "graph/generators.hpp"
 #include "matching/max_matching.hpp"
 #include "mpc/coreset_mpc.hpp"
-#include "partition/partition.hpp"
+#include "partition/sharded_partition.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rcc {
@@ -154,6 +154,18 @@ TEST(MatchingComposeDifferential, KernelMatchesFrozenComposeOnEveryCell) {
   }
 }
 
+/// The pieces of a random k-partition as owning lists, the summary type the
+/// union kernel takes.
+std::vector<EdgeList> random_pieces(const EdgeList& edges, std::size_t k,
+                                    Rng& rng) {
+  const ShardedPartition<Edge> parts = shard_random(edges, k, rng);
+  std::vector<EdgeList> pieces;
+  for (std::size_t i = 0; i < k; ++i) {
+    pieces.push_back(shard_span(parts, i).to_edge_list());
+  }
+  return pieces;
+}
+
 TEST(MatchingComposeDifferential, KernelIsExactOnArbitraryUnions) {
   // Summaries that are not matchings: the raw pieces of a random partition,
   // whose union is the whole graph (hubs, dense blocks, traps included).
@@ -165,7 +177,7 @@ TEST(MatchingComposeDifferential, KernelIsExactOnArbitraryUnions) {
       for (std::size_t k : kMachineCounts) {
         Rng rng(seed + k);
         const std::vector<EdgeList> pieces =
-            random_partition(inst.edges, k, rng);
+            random_pieces(inst.edges, k, rng);
         Matching serial;
         union_maximum_matching_into(serial, pieces, inst.left_size);
         Matching pooled;
@@ -186,7 +198,7 @@ TEST(MatchingComposeDifferential, ScratchReuseAcrossUnionsChangesNothing) {
   for (std::uint64_t seed = kFirstSeed; seed < kFirstSeed + 3; ++seed) {
     for (const Instance& inst : instance_grid(seed)) {
       Rng rng(seed);
-      const std::vector<EdgeList> pieces = random_partition(inst.edges, 8, rng);
+      const std::vector<EdgeList> pieces = random_pieces(inst.edges, 8, rng);
       Matching fresh;
       union_maximum_matching_into(fresh, pieces, inst.left_size);
       Matching reused;

@@ -2,8 +2,8 @@
 // (mpc/augmenting_rounds.hpp): golden-seed pins of the matched edge sets and
 // per-round communication words (the reshuffle-charge pinning pattern from
 // PR 2 — future refactors diff against frozen behavior), thread-count
-// determinism, ledger/budget accounting, certificate reporting, and the
-// flag plumbing.
+// determinism, ledger/budget accounting, certificate reporting, monotonicity
+// in the round budget, and the flag plumbing.
 #include "mpc/augmenting_rounds.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "matching/hopcroft_karp.hpp"
 #include "util/options.hpp"
 #include "util/thread_pool.hpp"
 
@@ -234,6 +235,56 @@ TEST(MpcAugmenting, RoundCapShortCircuitsWithoutCertificate) {
   EXPECT_FALSE(r.certified);
   EXPECT_TRUE(r.matching.valid());
   EXPECT_GT(r.matching.size(), 0u);
+}
+
+/// A sparse random bipartite instance (300 + 300 vertices, average degree
+/// 2.5) and its exact maximum matching size.
+struct BipartiteCase {
+  VertexId half = 300;
+  EdgeList graph;
+  std::size_t opt = 0;
+};
+BipartiteCase sparse_bipartite() {
+  BipartiteCase c;
+  Rng gen_rng(42);
+  c.graph = random_bipartite(c.half, c.half, 2.5 / c.half, gen_rng);
+  c.opt = hopcroft_karp(bipartite_graph(c.graph, c.half)).size();
+  return c;
+}
+
+TEST(MpcAugmenting, SizeIsMonotoneInTheRoundBudget) {
+  // A larger round budget never yields a smaller matching, and at the full
+  // budget the default length-3 certificate's ratio 1.5 holds against the
+  // exact optimum.
+  const BipartiteCase c = sparse_bipartite();
+  std::size_t previous = 0;
+  for (std::size_t rounds : {1u, 2u, 4u, 8u, 16u, 24u}) {
+    Rng rng(42);
+    const AugmentingMpcResult r = run_matching_rounds_augmenting(
+        c.graph, engine_config(c.graph, rounds), AugmentingRoundsConfig{},
+        c.half, rng);
+    EXPECT_GE(r.matching.size(), previous) << rounds << " rounds";
+    previous = r.matching.size();
+  }
+  EXPECT_LE(2 * c.opt, 3 * previous);  // opt / |M| <= 1.5 at 24 rounds
+}
+
+TEST(MpcAugmenting, EveryEpsilonStopsOnACertificateItSatisfies) {
+  // With a generous round budget each (1+eps) target stops on its
+  // certificate, and the realized ratio is within the certified one.
+  const BipartiteCase c = sparse_bipartite();
+  for (double epsilon : {1.0, 0.5, 1.0 / 3.0, 0.25}) {
+    const AugmentingRoundsConfig aug =
+        AugmentingRoundsConfig::for_epsilon(epsilon);
+    Rng rng(42);
+    const AugmentingMpcResult r = run_matching_rounds_augmenting(
+        c.graph, engine_config(c.graph, 256), aug, c.half, rng);
+    EXPECT_TRUE(r.certified) << "eps=" << epsilon;
+    EXPECT_LE(static_cast<double>(c.opt) /
+                  static_cast<double>(r.matching.size()),
+              aug.certified_ratio() + 1e-9)
+        << "eps=" << epsilon;
+  }
 }
 
 TEST(MpcAugmenting, FlagsRoundTripIntoConfig) {

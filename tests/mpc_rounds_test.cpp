@@ -1,18 +1,11 @@
 // Differential tests for the multi-round MPC executor (mpc/mpc_engine.hpp):
 //
-//   (a) the legacy single-round wrappers (coreset_mpc_matching,
-//       coreset_mpc_vertex_cover, filtering_mpc) must produce IDENTICAL
-//       solutions to the executor entry points for fixed RNG seeds — since
-//       the wrappers delegate to the executor, this pins the wrapper
-//       plumbing (single-round config construction, sequential default),
-//       not the pre-migration implementation, and catches any future drift
-//       between the two call paths,
-//   (b) iterating coreset rounds is monotone: the multi-round matching is
+//   (a) iterating coreset rounds is monotone: the multi-round matching is
 //       never smaller than the single-round one on the same instance/seed,
-//   (c) per-machine memory accounting never exceeds the configured
+//   (b) per-machine memory accounting never exceeds the configured
 //       s-per-machine budget (the ledger aborts on violation; the stats
 //       must agree with it),
-//   (d) every combiner's result is identical with no pool, a one-thread
+//   (c) every combiner's result is identical with no pool, a one-thread
 //       pool, and a four-thread pool.
 #include "mpc/mpc_engine.hpp"
 
@@ -27,6 +20,7 @@
 #include "matching/max_matching.hpp"
 #include "mpc/coreset_mpc.hpp"
 #include "mpc/filtering_mpc.hpp"
+#include "partition/partition.hpp"
 #include "util/options.hpp"
 #include "util/thread_pool.hpp"
 
@@ -82,78 +76,10 @@ MpcEngineConfig engine_config(const EdgeList& graph, std::size_t max_rounds,
   return config;
 }
 
-TEST(MpcRoundsDifferential, ExecutorMatchesLegacyMatchingSeedForSeed) {
-  for (std::uint64_t seed : {1u, 2u, 3u}) {
-    for (const Instance& inst : grid(seed)) {
-      for (bool random_input : {false, true}) {
-        Rng legacy_rng(seed);
-        const CoresetMpcMatchingResult legacy = coreset_mpc_matching(
-            inst.edges, MpcConfig::paper_default(inst.edges.num_vertices()),
-            random_input, inst.left_size, legacy_rng);
-        Rng engine_rng(seed);
-        const CoresetMpcMatchingResult engine = coreset_mpc_matching_rounds(
-            inst.edges, engine_config(inst.edges, 1, random_input),
-            inst.left_size, engine_rng);
-        EXPECT_EQ(sorted_edges(legacy.matching), sorted_edges(engine.matching))
-            << inst.name << " seed=" << seed << " random=" << random_input;
-        EXPECT_EQ(legacy.rounds, engine.rounds);
-        EXPECT_EQ(legacy.max_memory_words, engine.max_memory_words);
-      }
-    }
-  }
-}
-
-TEST(MpcRoundsDifferential, ExecutorMatchesLegacyVertexCoverSeedForSeed) {
-  for (std::uint64_t seed : {4u, 5u}) {
-    for (const Instance& inst : grid(seed)) {
-      for (bool random_input : {false, true}) {
-        Rng legacy_rng(seed);
-        const CoresetMpcVcResult legacy = coreset_mpc_vertex_cover(
-            inst.edges, MpcConfig::paper_default(inst.edges.num_vertices()),
-            random_input, legacy_rng);
-        Rng engine_rng(seed);
-        const CoresetMpcVcResult engine = coreset_mpc_vertex_cover_rounds(
-            inst.edges, engine_config(inst.edges, 1, random_input), engine_rng);
-        EXPECT_EQ(legacy.cover.vertices(), engine.cover.vertices())
-            << inst.name << " seed=" << seed << " random=" << random_input;
-        EXPECT_EQ(legacy.rounds, engine.rounds);
-        EXPECT_EQ(legacy.max_memory_words, engine.max_memory_words);
-      }
-    }
-  }
-}
-
-TEST(MpcRoundsDifferential, ExecutorMatchesLegacyFilteringSeedForSeed) {
-  for (std::uint64_t seed : {6u, 7u}) {
-    Rng gen_rng(seed);
-    const EdgeList el = gnp(500, 0.08, gen_rng);
-    MpcConfig cfg;
-    cfg.num_machines = 8;
-    cfg.memory_words = 2 * 4000;  // forces at least one filter iteration
-
-    Rng legacy_rng(seed);
-    const FilteringMpcResult legacy = filtering_mpc(el, cfg, legacy_rng);
-
-    MpcEngineConfig ecfg;
-    ecfg.mpc = cfg;
-    ecfg.max_rounds = 1000;
-    Rng engine_rng(seed);
-    const FilteringMpcResult engine = filtering_mpc_rounds(el, ecfg, engine_rng);
-
-    EXPECT_EQ(sorted_edges(legacy.maximal_matching),
-              sorted_edges(engine.maximal_matching));
-    EXPECT_EQ(legacy.cover.vertices(), engine.cover.vertices());
-    EXPECT_EQ(legacy.rounds, engine.rounds);
-    EXPECT_EQ(legacy.filter_iterations, engine.filter_iterations);
-    EXPECT_TRUE(legacy.completed);
-    EXPECT_TRUE(engine.completed);
-  }
-}
-
 TEST(MpcReshuffle, SenderChargesMatchTheMaterializedPlacement) {
   // mpc_reshuffle_round charges sender chunks arithmetically instead of
   // materializing the adversarial placement; the arithmetic must agree with
-  // the chunk sizes initial_adversarial_placement actually produces.
+  // the chunk sizes sorted_chunk_partition actually produces.
   for (std::size_t k : {1u, 3u, 7u, 16u}) {
     Rng gen_rng(60);
     const EdgeList el = gnp(200, 0.05, gen_rng);
@@ -165,7 +91,7 @@ TEST(MpcReshuffle, SenderChargesMatchTheMaterializedPlacement) {
 
     MpcLedger expected(cfg);
     expected.begin_round("re-partition");
-    const std::vector<EdgeList> placed = initial_adversarial_placement(el, k);
+    const std::vector<EdgeList> placed = sorted_chunk_partition(el, k);
     for (std::size_t j = 0; j < k; ++j) {
       expected.charge(j, 2 * placed[j].num_edges());
     }

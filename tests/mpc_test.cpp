@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "graph/generators.hpp"
 #include "matching/max_matching.hpp"
@@ -51,8 +52,9 @@ TEST(CoresetMpc, TwoRoundsFromAdversarialPlacement) {
   const VertexId n = 4096;
   const EdgeList el = gnp(n, 6.0 / n, rng);
   const MpcConfig cfg = MpcConfig::paper_default(n);
-  const CoresetMpcMatchingResult r =
-      coreset_mpc_matching(el, cfg, /*input_already_random=*/false, 0, rng);
+  const CoresetMpcMatchingResult r = coreset_mpc_matching_rounds(
+      el, {.mpc = cfg, .max_rounds = 1, .input_already_random = false}, 0,
+      rng);
   EXPECT_EQ(r.rounds, 2u);
   EXPECT_TRUE(r.matching.valid());
   EXPECT_TRUE(r.matching.subset_of(el));
@@ -66,7 +68,7 @@ TEST(CoresetMpc, OneRoundWhenInputAlreadyRandom) {
   const EdgeList el = gnp(n, 6.0 / n, rng);
   const MpcConfig cfg = MpcConfig::paper_default(n);
   const CoresetMpcMatchingResult r =
-      coreset_mpc_matching(el, cfg, /*input_already_random=*/true, 0, rng);
+      coreset_mpc_matching_rounds(el, {.mpc = cfg, .max_rounds = 1}, 0, rng);
   EXPECT_EQ(r.rounds, 1u);
   EXPECT_TRUE(r.matching.valid());
 }
@@ -76,8 +78,8 @@ TEST(CoresetMpc, VertexCoverTwoRoundsAndFeasible) {
   const VertexId n = 4096;
   const EdgeList el = gnp(n, 6.0 / n, rng);
   const MpcConfig cfg = MpcConfig::paper_default(n);
-  const CoresetMpcVcResult r =
-      coreset_mpc_vertex_cover(el, cfg, /*input_already_random=*/false, rng);
+  const CoresetMpcVcResult r = coreset_mpc_vertex_cover_rounds(
+      el, {.mpc = cfg, .max_rounds = 1, .input_already_random = false}, rng);
   EXPECT_EQ(r.rounds, 2u);
   EXPECT_TRUE(r.cover.covers(el));
   EXPECT_LE(r.max_memory_words, cfg.memory_words);
@@ -90,7 +92,8 @@ TEST(FilteringMpc, ProducesMaximalMatchingAndCover) {
   MpcConfig cfg;
   cfg.num_machines = 10;
   cfg.memory_words = 2 * 8000;  // 8k edges per machine: forces filtering
-  const FilteringMpcResult r = filtering_mpc(el, cfg, rng);
+  const FilteringMpcResult r =
+      filtering_mpc_rounds(el, {.mpc = cfg, .max_rounds = SIZE_MAX}, rng);
   EXPECT_TRUE(r.maximal_matching.maximal_in(el));
   EXPECT_TRUE(r.cover.covers(el));
   EXPECT_GE(r.filter_iterations, 1u);
@@ -104,7 +107,8 @@ TEST(FilteringMpc, SingleRoundWhenGraphFits) {
   MpcConfig cfg;
   cfg.num_machines = 4;
   cfg.memory_words = 10 * 2 * el.num_edges();
-  const FilteringMpcResult r = filtering_mpc(el, cfg, rng);
+  const FilteringMpcResult r =
+      filtering_mpc_rounds(el, {.mpc = cfg, .max_rounds = SIZE_MAX}, rng);
   EXPECT_EQ(r.filter_iterations, 0u);
   EXPECT_EQ(r.rounds, 1u);
   EXPECT_TRUE(r.maximal_matching.maximal_in(el));
@@ -117,7 +121,8 @@ TEST(FilteringMpc, TwoApproximationGuarantee) {
   MpcConfig cfg;
   cfg.num_machines = 8;
   cfg.memory_words = 2 * 5000;
-  const FilteringMpcResult r = filtering_mpc(el, cfg, rng);
+  const FilteringMpcResult r =
+      filtering_mpc_rounds(el, {.mpc = cfg, .max_rounds = SIZE_MAX}, rng);
   const std::size_t opt = maximum_matching_size(el);
   EXPECT_GE(2 * r.maximal_matching.size(), opt);
   EXPECT_LE(r.cover.size(), 2 * opt);
@@ -135,21 +140,14 @@ TEST(CoresetVsFiltering, CoresetUsesFewerRoundsAtPaperMemory) {
   cfg.memory_words = static_cast<std::uint64_t>(
       3.0 * std::pow(static_cast<double>(n), 1.5));
   ASSERT_GT(2 * el.num_edges(), cfg.memory_words);  // filtering must iterate
-  const CoresetMpcMatchingResult coreset =
-      coreset_mpc_matching(el, cfg, false, 0, rng);
-  const FilteringMpcResult filtering = filtering_mpc(el, cfg, rng);
+  const CoresetMpcMatchingResult coreset = coreset_mpc_matching_rounds(
+      el, {.mpc = cfg, .max_rounds = 1, .input_already_random = false}, 0,
+      rng);
+  const FilteringMpcResult filtering =
+      filtering_mpc_rounds(el, {.mpc = cfg, .max_rounds = SIZE_MAX}, rng);
   EXPECT_EQ(coreset.rounds, 2u);
   EXPECT_GE(filtering.rounds, 3u);
   EXPECT_LT(coreset.rounds, filtering.rounds);
-}
-
-TEST(InitialAdversarialPlacement, CompleteAndChunked) {
-  Rng rng(8);
-  const EdgeList el = gnp(200, 0.1, rng);
-  const auto placed = initial_adversarial_placement(el, 5);
-  std::size_t total = 0;
-  for (const auto& p : placed) total += p.num_edges();
-  EXPECT_EQ(total, el.num_edges());
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 #include "coreset/vc_coreset.hpp"
 #include "graph/generators.hpp"
 #include "matching/max_matching.hpp"
-#include "partition/partition.hpp"
+#include "partition/sharded_partition.hpp"
 #include "vertex_cover/konig.hpp"
 #include "vertex_cover/peeling.hpp"
 #include "util/rng.hpp"
@@ -24,10 +24,10 @@ TEST(Claim33, PrefixConcentration) {
   const VertexId side = 30000;
   const EdgeList m_star = random_perfect_matching(side, rng);
   const std::size_t k = 30;
-  const auto pieces = random_partition(m_star, k, rng);
+  const auto parts = shard_random(m_star, k, rng);
   std::size_t prefix = 0;
   for (std::size_t i = 1; i <= k; ++i) {
-    prefix += pieces[i - 1].num_edges();
+    prefix += parts.shard_size(i - 1);
     const double expected = static_cast<double>(i) / k * side;
     const double sigma = std::sqrt(expected * (1.0 - static_cast<double>(i) / k) + 1);
     EXPECT_NEAR(static_cast<double>(prefix), expected, 6 * sigma + 6);
@@ -43,9 +43,9 @@ TEST_P(Lemma31Sweep, GreedyMatchReachesConstantFraction) {
   const VertexId n = 3000;
   const EdgeList el = gnp(n, 5.0 / n, rng);
   const std::size_t opt = maximum_matching_size(el);
-  const auto pieces = random_partition(el, k, rng);
+  const auto parts = shard_random(el, k, rng);
   PartitionContext ctx{n, static_cast<std::size_t>(k), 0, 0};
-  const GreedyMatchTrace trace = greedy_match(pieces, ctx, rng);
+  const GreedyMatchTrace trace = greedy_match(parts, ctx, rng);
   EXPECT_GE(static_cast<double>(trace.matching.size()),
             static_cast<double>(opt) / 9.0);
 }
@@ -62,9 +62,9 @@ TEST(Lemma32, EarlyStepsGrowLinearly) {
   const std::size_t k = 12;
   const EdgeList el = gnp(n, 5.0 / n, rng);
   const std::size_t opt = maximum_matching_size(el);
-  const auto pieces = random_partition(el, k, rng);
+  const auto parts = shard_random(el, k, rng);
   PartitionContext ctx{n, k, 0, 0};
-  const GreedyMatchTrace trace = greedy_match(pieces, ctx, rng);
+  const GreedyMatchTrace trace = greedy_match(parts, ctx, rng);
   const double mm_over_k = static_cast<double>(opt) / k;
   std::size_t prev = 0;
   for (std::size_t i = 0; i < k / 3; ++i) {
@@ -99,11 +99,11 @@ TEST(Lemma36, SandwichHoldsUpToSmallSlack) {
   std::set<VertexId> obar_union(all_obar.begin(), all_obar.end());
 
   const std::size_t k = 4;
-  const auto pieces = random_partition(el, k, rng);
+  const auto parts = shard_random(el, k, rng);
   const PeelingVcCoreset coreset;
   for (std::size_t i = 0; i < k; ++i) {
     PartitionContext ctx{n, k, i, 0};
-    const VcCoresetOutput out = coreset.build(pieces[i], ctx, rng);
+    const VcCoresetOutput out = coreset.build(shard_span(parts, i), ctx, rng);
     std::size_t a_total = 0, b_violations = 0, b_total = 0;
     std::set<VertexId> peeled(out.fixed_vertices.begin(),
                               out.fixed_vertices.end());
@@ -138,12 +138,12 @@ TEST(Theorem2, UnionOfFixedSetsIsSmall) {
   const EdgeList el = random_bipartite(left, right, 0.4, rng);
   const std::size_t opt = konig_vc_size(bipartite_graph(el, left));
   const std::size_t k = 6;
-  const auto pieces = random_partition(el, k, rng);
+  const auto parts = shard_random(el, k, rng);
   const PeelingVcCoreset coreset;
   std::set<VertexId> fixed_union;
   for (std::size_t i = 0; i < k; ++i) {
     PartitionContext ctx{n, k, i, 0};
-    const VcCoresetOutput out = coreset.build(pieces[i], ctx, rng);
+    const VcCoresetOutput out = coreset.build(shard_span(parts, i), ctx, rng);
     fixed_union.insert(out.fixed_vertices.begin(), out.fixed_vertices.end());
   }
   const double log_n = std::log2(static_cast<double>(n));

@@ -17,6 +17,7 @@
 //     and the maximal-matching pairs satisfy |M| <= |V(M)| <= 2|M|.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -164,12 +165,15 @@ TEST(ProtocolProperties, MpcEntryPointsKeepTheInvariants) {
       const MpcConfig cfg = roomy_mpc_config();
       for (bool random_input : {false, true}) {
         Rng rng(seed);
-        const CoresetMpcMatchingResult m = coreset_mpc_matching(
-            inst.edges, cfg, random_input, inst.left_size, rng);
-        expect_valid_matching(m.matching, inst, opt, "coreset_mpc_matching");
+        const MpcEngineConfig one_round{.mpc = cfg,
+                                        .max_rounds = 1,
+                                        .input_already_random = random_input};
+        const CoresetMpcMatchingResult m = coreset_mpc_matching_rounds(
+            inst.edges, one_round, inst.left_size, rng);
+        expect_valid_matching(m.matching, inst, opt, "one-round coreset MPC");
         const CoresetMpcVcResult c =
-            coreset_mpc_vertex_cover(inst.edges, cfg, random_input, rng);
-        expect_feasible_cover(c.cover, inst, opt, "coreset_mpc_vertex_cover");
+            coreset_mpc_vertex_cover_rounds(inst.edges, one_round, rng);
+        expect_feasible_cover(c.cover, inst, opt, "one-round coreset MPC VC");
       }
     }
   }
@@ -211,8 +215,9 @@ TEST(ProtocolProperties, FilteringSatisfiesTheDualitySandwich) {
       const std::size_t opt =
           maximum_matching_size(inst.edges, inst.left_size);
       Rng rng(seed);
-      const FilteringMpcResult r =
-          filtering_mpc(inst.edges, roomy_mpc_config(), rng);
+      const FilteringMpcResult r = filtering_mpc_rounds(
+          inst.edges, {.mpc = roomy_mpc_config(), .max_rounds = SIZE_MAX},
+          rng);
       expect_valid_matching(r.maximal_matching, inst, opt, "filtering");
       EXPECT_TRUE(r.maximal_matching.maximal_in(inst.edges)) << inst.name;
       expect_feasible_cover(r.cover, inst, opt, "filtering-cover");

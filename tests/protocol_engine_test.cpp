@@ -1,7 +1,8 @@
 // ProtocolEngine tests: the sharded partitioner's exactly-once /
-// determinism guarantees, equivalence of the engine pipeline with the
-// legacy driver shapes it replaced, and the transport flag bundle
-// (add_streaming_flags) with its strict exit(2) on bad values.
+// determinism guarantees, equivalence of the full pipeline with the
+// pre-made-pieces driver (run_matching_protocol_on_partition), and the
+// transport flag bundle (add_streaming_flags) with its strict exit(2) on
+// bad values.
 #include "distributed/protocol_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -10,11 +11,9 @@
 #include <string>
 
 #include "coreset/matching_coresets.hpp"
-#include "coreset/vc_coreset.hpp"
 #include "distributed/protocols.hpp"
 #include "graph/generators.hpp"
 #include "matching/max_matching.hpp"
-#include "partition/partition.hpp"
 #include "partition/sharded_partition.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
@@ -89,19 +88,22 @@ TEST(ShardedPartition, DeterministicForFixedSeedRegardlessOfThreadCount) {
   }
 }
 
-TEST(ShardedPartition, RandomPartitionWrapperMatchesShards) {
+TEST(ShardedPartition, ShardSpansMatchWithAndWithoutAPool) {
   Rng gen(5);
   const EdgeList el = gnp(800, 0.02, gen);
   const std::size_t k = 4;
   ThreadPool pool(3);
   Rng a(9), b(9);
-  const auto serial = random_partition(el, k, a);
-  const auto pooled = random_partition(el, k, b, &pool);
-  ASSERT_EQ(serial.size(), pooled.size());
+  const ShardedPartition<Edge> serial = shard_random(el, k, a);
+  const ShardedPartition<Edge> pooled = shard_random(el, k, b, &pool);
+  ASSERT_EQ(serial.num_machines(), pooled.num_machines());
   for (std::size_t i = 0; i < k; ++i) {
-    ASSERT_EQ(serial[i].num_edges(), pooled[i].num_edges());
-    for (std::size_t j = 0; j < serial[i].num_edges(); ++j) {
-      EXPECT_EQ(serial[i][j], pooled[i][j]);
+    const EdgeSpan s = shard_span(serial, i);
+    const EdgeSpan p = shard_span(pooled, i);
+    EXPECT_EQ(s.num_vertices(), el.num_vertices());
+    ASSERT_EQ(s.num_edges(), p.num_edges());
+    for (std::size_t j = 0; j < s.num_edges(); ++j) {
+      EXPECT_EQ(s[j], p[j]);
     }
   }
 }
@@ -132,8 +134,7 @@ TEST(ShardedPartition, WeightedPreservesEdgesAndWeights) {
 
 TEST(ProtocolEngine, MatchingProtocolEqualsManualPartitionPlusLegacyDriver) {
   // run_matching_protocol == (sharded partition, then the on_partition
-  // driver) when both consume the same RNG stream — the engine is the same
-  // pipeline, minus the per-machine EdgeList copies.
+  // driver over its shards) when both consume the same RNG stream.
   Rng gen(8);
   const EdgeList el = gnp(1500, 5.0 / 1500, gen);
   const std::size_t k = 6;
@@ -145,12 +146,9 @@ TEST(ProtocolEngine, MatchingProtocolEqualsManualPartitionPlusLegacyDriver) {
 
   Rng manual_rng(123);
   const ShardedPartition<Edge> parts = shard_random(el, k, manual_rng);
-  std::vector<EdgeList> pieces;
-  for (std::size_t i = 0; i < k; ++i) {
-    pieces.push_back(shard_span(parts, i).to_edge_list());
-  }
   const MatchingProtocolResult manual = run_matching_protocol_on_partition(
-      pieces, coreset, ComposeSolver::kMaximum, 0, manual_rng, nullptr);
+      pieces_of(parts), parts.num_vertices(), coreset, ComposeSolver::kMaximum,
+      0, manual_rng);
 
   EXPECT_EQ(engine.solution.size(), manual.solution.size());
   EXPECT_EQ(engine.comm.total_words(), manual.comm.total_words());
@@ -158,30 +156,6 @@ TEST(ProtocolEngine, MatchingProtocolEqualsManualPartitionPlusLegacyDriver) {
   for (std::size_t i = 0; i < k; ++i) {
     EXPECT_EQ(engine.summaries[i].num_edges(), manual.summaries[i].num_edges());
   }
-}
-
-TEST(ProtocolEngine, VcProtocolEqualsManualPartitionPlusLegacyDriver) {
-  Rng gen(9);
-  const EdgeList el = gnp(1200, 6.0 / 1200, gen);
-  const std::size_t k = 5;
-  const PeelingVcCoreset coreset;
-
-  Rng engine_rng(321);
-  const VcProtocolResult engine =
-      run_vc_protocol(el, k, coreset, engine_rng, nullptr);
-
-  Rng manual_rng(321);
-  const ShardedPartition<Edge> parts = shard_random(el, k, manual_rng);
-  std::vector<EdgeList> pieces;
-  for (std::size_t i = 0; i < k; ++i) {
-    pieces.push_back(shard_span(parts, i).to_edge_list());
-  }
-  const VcProtocolResult manual = run_vc_protocol_on_partition(
-      pieces, coreset, el.num_vertices(), manual_rng, nullptr);
-
-  EXPECT_EQ(engine.solution.size(), manual.solution.size());
-  EXPECT_EQ(engine.comm.total_words(), manual.comm.total_words());
-  EXPECT_TRUE(engine.solution.covers(el));
 }
 
 TEST(ProtocolEngine, BipartiteInstanceMatchesLegacyDriverAndStaysValid) {
@@ -199,12 +173,9 @@ TEST(ProtocolEngine, BipartiteInstanceMatchesLegacyDriverAndStaysValid) {
 
   Rng manual_rng(55);
   const ShardedPartition<Edge> parts = shard_random(el, k, manual_rng);
-  std::vector<EdgeList> pieces;
-  for (std::size_t i = 0; i < k; ++i) {
-    pieces.push_back(shard_span(parts, i).to_edge_list());
-  }
   const MatchingProtocolResult manual = run_matching_protocol_on_partition(
-      pieces, coreset, ComposeSolver::kMaximum, side, manual_rng, nullptr);
+      pieces_of(parts), parts.num_vertices(), coreset, ComposeSolver::kMaximum,
+      side, manual_rng);
   EXPECT_EQ(engine.solution.size(), manual.solution.size());
 }
 

@@ -88,7 +88,8 @@ TEST_P(ProtocolGrid, VertexPartitionModelStillSound) {
       random_vertex_partition(inst.edges, static_cast<std::size_t>(k), rng);
   const MaximumMatchingCoreset coreset;
   const MatchingProtocolResult r = run_matching_protocol_on_partition(
-      pieces, coreset, ComposeSolver::kMaximum, inst.left_size, rng, nullptr);
+      pieces_of(pieces), inst.edges.num_vertices(), coreset,
+      ComposeSolver::kMaximum, inst.left_size, rng);
   EXPECT_TRUE(r.solution.valid());
   EXPECT_TRUE(r.solution.subset_of(inst.edges));
   // In this model every machine holds all edges of its vertices, so the

@@ -162,7 +162,8 @@ TEST(MatchingProtocol, AdversarialPartitionStillSound) {
   const auto pieces = sorted_chunk_partition(el, 6);
   const MaximumMatchingCoreset coreset;
   const MatchingProtocolResult r = run_matching_protocol_on_partition(
-      pieces, coreset, ComposeSolver::kMaximum, 0, rng, nullptr);
+      pieces_of(pieces), el.num_vertices(), coreset, ComposeSolver::kMaximum,
+      0, rng);
   EXPECT_TRUE(r.solution.valid());
   EXPECT_TRUE(r.solution.subset_of(el));
 }

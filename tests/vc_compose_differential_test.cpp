@@ -21,7 +21,7 @@
 #include "distributed/protocols.hpp"
 #include "graph/generators.hpp"
 #include "matching/greedy.hpp"
-#include "partition/partition.hpp"
+#include "partition/sharded_partition.hpp"
 #include "util/thread_pool.hpp"
 #include "util/workspace.hpp"
 #include "vertex_cover/approx.hpp"
@@ -137,19 +137,19 @@ TEST(VcComposeDifferential, BuildAndComposeMatchReferencePipeline) {
       const VertexId n = inst.edges.num_vertices();
       for (std::size_t k : kMachineCounts) {
         Rng part_rng(seed * 31 + k);
-        const std::vector<EdgeList> pieces =
-            random_partition(inst.edges, k, part_rng);
+        const auto parts = shard_random(inst.edges, k, part_rng);
         std::vector<VcCoresetOutput> built;
         std::vector<VcCoresetOutput> expected;
         std::size_t fixed = 0;
         for (std::size_t i = 0; i < k; ++i) {
           PartitionContext ctx{n, k, i, 0};
-          expected.push_back(reference_peeling_build(pieces[i], ctx));
+          const EdgeSpan piece = shard_span(parts, i);
+          expected.push_back(reference_peeling_build(piece, ctx));
           Rng unused(0);
           ctx.scratch = &reused;
-          built.push_back(coreset.build(pieces[i], ctx, unused));
+          built.push_back(coreset.build(piece, ctx, unused));
           ctx.scratch = nullptr;
-          const VcCoresetOutput fresh = coreset.build(pieces[i], ctx, unused);
+          const VcCoresetOutput fresh = coreset.build(piece, ctx, unused);
           EXPECT_EQ(built.back().fixed_vertices, expected.back().fixed_vertices)
               << cell(inst, k, seed) << " machine " << i;
           EXPECT_EQ(built.back().residual_edges.edges(),
@@ -189,27 +189,28 @@ TEST(VcComposeDifferential, GridCoversNoPeelLatePeelAndLevelOnePeel) {
   const Instance& dense = grid[1];
   for (std::size_t k : kMachineCounts) {
     Rng rng(k);
-    const auto sparse_pieces = random_partition(sparse.edges, k, rng);
-    const auto dense_pieces = random_partition(dense.edges, k, rng);
+    const auto sparse_parts = shard_random(sparse.edges, k, rng);
+    const auto dense_parts = shard_random(dense.edges, k, rng);
     const PartitionContext sparse_ctx{sparse.edges.num_vertices(), k, 0, 0};
     const PartitionContext dense_ctx{dense.edges.num_vertices(), k, 0, 0};
-    EXPECT_TRUE(reference_peeling_build(sparse_pieces[0], sparse_ctx)
+    EXPECT_TRUE(reference_peeling_build(shard_span(sparse_parts, 0), sparse_ctx)
                     .fixed_vertices.empty())
         << "k=" << k;
-    EXPECT_FALSE(reference_peeling_build(dense_pieces[0], dense_ctx)
+    EXPECT_FALSE(reference_peeling_build(shard_span(dense_parts, 0), dense_ctx)
                      .fixed_vertices.empty())
         << "k=" << k;
     // Level 1's threshold n/(4k) is above every dense-piece degree.
-    const std::vector<VertexId> deg = EdgeSpan(dense_pieces[0]).degrees();
+    const std::vector<VertexId> deg = shard_span(dense_parts, 0).degrees();
     const double level1 =
         static_cast<double>(dense.edges.num_vertices()) / (4.0 * k);
     for (VertexId d : deg) EXPECT_LT(static_cast<double>(d), level1);
     // The star's center clears level 1's threshold on every machine.
-    const auto star_pieces = random_partition(grid[2].edges, k, rng);
+    const auto star_parts = shard_random(grid[2].edges, k, rng);
     const double star_level1 =
         static_cast<double>(grid[2].edges.num_vertices()) / (4.0 * k);
-    for (const EdgeList& piece : star_pieces) {
-      EXPECT_GE(static_cast<double>(piece.degrees()[0]), star_level1);
+    for (std::size_t i = 0; i < k; ++i) {
+      EXPECT_GE(static_cast<double>(shard_span(star_parts, i).degrees()[0]),
+                star_level1);
     }
   }
 }

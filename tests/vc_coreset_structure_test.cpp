@@ -9,7 +9,7 @@
 #include "coreset/vc_coreset.hpp"
 #include "graph/generators.hpp"
 #include "matching/hopcroft_karp.hpp"
-#include "partition/partition.hpp"
+#include "partition/sharded_partition.hpp"
 #include "util/rng.hpp"
 
 namespace rcc {
@@ -19,10 +19,10 @@ TEST(VcCoresetStructure, FixedVerticesAreDistinct) {
   Rng rng(1);
   const VertexId n = 1 << 14;
   const EdgeList el = gnp(n, 24.0 / n, rng);
-  const auto pieces = random_partition(el, 4, rng);
+  const auto parts = shard_random(el, 4, rng);
   const PeelingVcCoreset coreset;
   PartitionContext ctx{n, 4, 0, 0};
-  const VcCoresetOutput out = coreset.build(pieces[0], ctx, rng);
+  const VcCoresetOutput out = coreset.build(shard_span(parts, 0), ctx, rng);
   std::set<VertexId> unique(out.fixed_vertices.begin(), out.fixed_vertices.end());
   EXPECT_EQ(unique.size(), out.fixed_vertices.size());
 }
@@ -31,10 +31,10 @@ TEST(VcCoresetStructure, FixedVerticesAbsentFromResidual) {
   Rng rng(2);
   const VertexId n = 1 << 14;
   const EdgeList el = gnp(n, 24.0 / n, rng);
-  const auto pieces = random_partition(el, 4, rng);
+  const auto parts = shard_random(el, 4, rng);
   const PeelingVcCoreset coreset;
   PartitionContext ctx{n, 4, 1, 0};
-  const VcCoresetOutput out = coreset.build(pieces[1], ctx, rng);
+  const VcCoresetOutput out = coreset.build(shard_span(parts, 1), ctx, rng);
   std::set<VertexId> fixed(out.fixed_vertices.begin(), out.fixed_vertices.end());
   for (const Edge& e : out.residual_edges) {
     EXPECT_FALSE(fixed.count(e.u));
@@ -48,14 +48,14 @@ TEST(VcCoresetStructure, EveryPieceEdgeIsCoveredOrResidual) {
   Rng rng(3);
   const VertexId n = 1 << 13;
   const EdgeList el = gnp(n, 16.0 / n, rng);
-  const auto pieces = random_partition(el, 4, rng);
+  const auto parts = shard_random(el, 4, rng);
   const PeelingVcCoreset coreset;
   PartitionContext ctx{n, 4, 2, 0};
-  const VcCoresetOutput out = coreset.build(pieces[2], ctx, rng);
+  const VcCoresetOutput out = coreset.build(shard_span(parts, 2), ctx, rng);
   std::vector<bool> fixed(n, false);
   for (VertexId v : out.fixed_vertices) fixed[v] = true;
   std::set<Edge> residual(out.residual_edges.begin(), out.residual_edges.end());
-  for (const Edge& e : pieces[2]) {
+  for (const Edge& e : shard_span(parts, 2)) {
     EXPECT_TRUE(fixed[e.u] || fixed[e.v] || residual.count(e) > 0)
         << e.u << "-" << e.v;
   }
@@ -90,12 +90,12 @@ TEST(VcCoresetStructure, DormantRegimeShipsWholePiece) {
   const std::size_t k = 64;  // n/k = 32 < 8*11 = 88
   ASSERT_EQ(PeelingVcCoreset::num_levels(n, k), 1);
   const EdgeList el = gnp(n, 8.0 / n, rng);
-  const auto pieces = random_partition(el, k, rng);
+  const auto parts = shard_random(el, k, rng);
   const PeelingVcCoreset coreset;
   PartitionContext ctx{n, k, 0, 0};
-  const VcCoresetOutput out = coreset.build(pieces[0], ctx, rng);
+  const VcCoresetOutput out = coreset.build(shard_span(parts, 0), ctx, rng);
   EXPECT_TRUE(out.fixed_vertices.empty());
-  EXPECT_EQ(out.residual_edges.num_edges(), pieces[0].num_edges());
+  EXPECT_EQ(out.residual_edges.num_edges(), shard_span(parts, 0).num_edges());
 }
 
 TEST(HubGadgetStructure, MaximumMatchingEqualsPairs) {

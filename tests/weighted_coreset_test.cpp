@@ -6,7 +6,7 @@
 #include <set>
 #include <utility>
 
-#include "partition/partition.hpp"
+#include "partition/sharded_partition.hpp"
 #include "util/rng.hpp"
 
 namespace rcc {
@@ -60,12 +60,12 @@ TEST(ComposeWeightedCoresets, EndToEndApproximation) {
   const WeightedEdgeList graph =
       random_weighted_bipartite(side, 0.05, 100.0, rng);
   const std::size_t k = 6;
-  const auto pieces = random_partition_weighted(graph, k, rng);
+  const auto parts = shard_random(graph, k, rng);
 
   std::vector<WeightedCoresetOutput> summaries;
   for (std::size_t i = 0; i < k; ++i) {
     PartitionContext ctx{graph.num_vertices, k, i, side};
-    summaries.push_back(crouch_stubbs_coreset(pieces[i], ctx));
+    summaries.push_back(crouch_stubbs_coreset(shard_span(parts, i), ctx));
   }
   const Matching composed =
       compose_weighted_coresets(summaries, graph.num_vertices, side);
