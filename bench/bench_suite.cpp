@@ -5,13 +5,13 @@
 // x protocol scenario (partition, single- and multi-round matching, VC,
 // augmenting rounds, filtering) x cluster shape (k machines, round budget).
 // Rows are pinned: adding a scenario appends a row; changing an existing
-// row's parameters is a baseline reset and must re-check-in BENCH_PR5.json
-// (see README "Performance playbook").
+// row's parameters, or any row's exact columns, is a baseline reset and
+// must re-cut BENCH_scale025.json (see README "Performance playbook").
 //
 // Output: a table on stdout, and with --json a machine-readable file that
 // tools/compare_bench.py diffs against the checked-in baseline. CI gates on
-// it at a ±25% timing threshold ("Perf smoke vs checked-in baseline");
-// ±10% is the quiet-machine band.
+// it: the exact columns must not change, and timing holds a ±25% band
+// ("Bench grid vs checked-in baseline"); ±10% is the quiet-machine band.
 #include <algorithm>
 #include <cstdio>
 #include <string>

@@ -1,13 +1,9 @@
 #include "coreset/compose.hpp"
 
 #include <functional>
-#include <optional>
 
-#include "matching/blossom.hpp"
 #include "matching/greedy.hpp"
-#include "matching/hopcroft_karp.hpp"
 #include "matching/max_matching.hpp"
-#include "matching/warm_start.hpp"
 #include "util/thread_pool.hpp"
 #include "util/workspace.hpp"
 #include "vertex_cover/approx.hpp"
@@ -15,14 +11,6 @@
 namespace rcc {
 
 namespace {
-
-/// The kernel's round-persistent state: the union CSR and the seed's and
-/// the bound's working arrays.
-struct UnionSolveState {
-  Graph graph;
-  KarpSipserScratch seed;
-  ComponentScratch components;
-};
 
 /// Runs fn(i) for every machine i, on the pool when there is one.
 void for_each_machine(ThreadPool* pool, std::size_t k,
@@ -38,50 +26,22 @@ void for_each_machine(ThreadPool* pool, std::size_t k,
 
 void union_maximum_matching_into(Matching& out,
                                  std::span<const EdgeList> summaries,
-                                 VertexId left_size, MachineScratch* scratch,
-                                 ThreadPool* pool) {
+                                 VertexId left_size, MachineScratch* scratch) {
   RCC_CHECK(!summaries.empty());
   const VertexId n = summaries.front().num_vertices();
-  MachineScratch local;
-  MachineScratch& ms = scratch != nullptr ? *scratch : local;
-  // Every state slot the passes use is created here, on the calling thread:
-  // the pool task below must not race a slot-table growth.
-  UnionSolveState& st = ms.state<UnionSolveState>();
-  WorkspaceStats* const stats = ms.stats();
-  st.graph.assign_union(summaries,
-                        left_size > 0 ? std::optional<Bipartition>(
-                                            Bipartition{left_size})
-                                      : std::nullopt,
-                        &ms.cursor(n));
-
-  // The bound's component pass and the seed only read the CSR: the pass
-  // runs on an idle pool thread while the seed runs here.
-  std::size_t bound = 0;
-  const auto bound_pass = [&] {
-    bound = tutte_berge_bound(st.graph, &st.components, stats);
-  };
-  if (pool != nullptr) pool->submit(bound_pass);
-  karp_sipser_into(out, st.graph, &st.seed, stats);
-  if (pool != nullptr) {
-    pool->wait_idle();
-  } else {
-    bound_pass();
-  }
-
-  if (st.graph.is_bipartite_tagged()) {
-    hopcroft_karp_into(out, st.graph, &ms, &out, bound);
-  } else {
-    blossom_maximum_matching_into(out, st.graph, &ms,
-                                  /*prune_hungarian_trees=*/true, &out, bound);
-  }
+  Graph local;
+  Graph& g = scratch != nullptr ? scratch->state<Graph>() : local;
+  g.assign_union(summaries, bipartition_if(left_size),
+                 scratch != nullptr ? &scratch->cursor(n) : nullptr);
+  certified_maximum_matching_into(out, g, scratch);
 }
 
 Matching compose_matching_coresets(const std::vector<EdgeList>& coresets,
                                    ComposeSolver solver, VertexId left_size,
-                                   Rng& rng, ThreadPool* pool) {
+                                   Rng& rng) {
   if (solver == ComposeSolver::kMaximum) {
     Matching out;
-    union_maximum_matching_into(out, coresets, left_size, nullptr, pool);
+    union_maximum_matching_into(out, coresets, left_size);
     return out;
   }
   // The random-order greedy scan needs the union as one sequence.

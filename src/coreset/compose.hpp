@@ -22,29 +22,25 @@ enum class ComposeSolver {
 
 /// Matching: union the coreset subgraphs and run a matching algorithm on the
 /// union. `left_size` > 0 enables the bipartite exact solver. kMaximum runs
-/// union_maximum_matching_into; `pool` (optional) runs its side pass.
+/// union_maximum_matching_into.
 Matching compose_matching_coresets(const std::vector<EdgeList>& coresets,
                                    ComposeSolver solver, VertexId left_size,
-                                   Rng& rng, ThreadPool* pool = nullptr);
+                                   Rng& rng);
 
 /// The coordinator's union solve, shared by compose_matching_coresets and
 /// the MPC matching fold: a maximum matching of the union of `summaries`
 /// (one vertex universe), written into `out`. Theorem 1 accepts any maximum
-/// matching of the union, so the kernel
-///  * builds its CSR straight from the summaries, in machine order (no
-///    union copy),
-///  * seeds the exact solver (blossom, or Hopcroft-Karp when `left_size`
-///    > 0) with Karp-Sipser,
-///  * stops augmenting at the Tutte-Berge bound (n - #odd components) / 2,
-///    whose component pass runs on `pool` beside the seed.
-/// The result is a deterministic function of the summaries: `scratch`
-/// (optional) only provides the working memory, and `pool` only where the
-/// independent pass runs. The pool must be idle apart from this call.
+/// matching of the union, so the solve builds its CSR straight from the
+/// summaries, in machine order (no union copy), and runs the certified
+/// solve on it (certified_maximum_matching_into: a Karp-Sipser seed that
+/// stops at its core certificate, finished by blossom, or Hopcroft-Karp
+/// when `left_size` > 0, only where the seed falls short). The result is a
+/// deterministic function of the summaries; `scratch` (optional) only
+/// provides the working memory.
 void union_maximum_matching_into(Matching& out,
                                  std::span<const EdgeList> summaries,
                                  VertexId left_size,
-                                 MachineScratch* scratch = nullptr,
-                                 ThreadPool* pool = nullptr);
+                                 MachineScratch* scratch = nullptr);
 
 /// Vertex cover: union all fixed vertices, drop residual edges they already
 /// cover, and 2-approximate the rest (Section 3.2: "compute a vertex cover

@@ -9,7 +9,7 @@ namespace {
 /// Theorem 1 accepts any maximum matching of the piece.
 EdgeList piece_maximum_matching(EdgeSpan piece, const PartitionContext& ctx) {
   Matching m;
-  piece_maximum_matching_into(m, piece, ctx.left_size, ctx.scratch);
+  certified_maximum_matching_into(m, piece, ctx.left_size, ctx.scratch);
   return m.to_edge_list();
 }
 

@@ -25,7 +25,7 @@ struct MatchingPhases {
   auto combine() const {
     return [this](std::vector<EdgeList>& summaries, Rng& coordinator_rng) {
       return compose_matching_coresets(summaries, solver, left_size,
-                                       coordinator_rng, pool);
+                                       coordinator_rng);
     };
   }
 };

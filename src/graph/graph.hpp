@@ -21,6 +21,12 @@ struct Bipartition {
   bool is_left(VertexId v) const { return v < left_size; }
 };
 
+/// The tag a solver's `left_size` parameter stands for: none when it is 0.
+inline std::optional<Bipartition> bipartition_if(VertexId left_size) {
+  if (left_size == 0) return std::nullopt;
+  return Bipartition{left_size};
+}
+
 class Graph {
  public:
   Graph() = default;

@@ -92,7 +92,7 @@ void PackWriter::add(VertexId u, VertexId v) {
 void PackWriter::add(VertexId u, VertexId v, double weight) {
   RCC_CHECK(weighted_);
   RCC_CHECK(u != v && u < num_vertices_ && v < num_vertices_);
-  RCC_CHECK(weight >= 0.0);  // false for NaN too
+  RCC_CHECK(weight >= 0.0 && std::isfinite(weight));
   const WeightedEdge e{u, v, weight};
   const auto* bytes = reinterpret_cast<const std::uint8_t*>(&e);
   buffer_.insert(buffer_.end(), bytes, bytes + sizeof e);
@@ -241,6 +241,10 @@ void MappedGraph::validate(const std::string& path) const {
       if (w < 0.0) {
         pack_fail("%s: record %llu weight %f is negative", path.c_str(),
                   static_cast<unsigned long long>(i), w);
+      }
+      if (std::isinf(w)) {
+        pack_fail("%s: record %llu weight is infinite", path.c_str(),
+                  static_cast<unsigned long long>(i));
       }
     }
     if (i + 1 - dropped_below >= 2 * window_edges) {

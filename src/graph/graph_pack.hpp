@@ -33,11 +33,11 @@
 // Error philosophy mirrors distributed/summary_wire.hpp: a malformed pack
 // (bad magic, version skew, unknown flags, truncated header or records, a
 // length field that disagrees with the file size, out-of-range endpoints,
-// self-loops, unnormalized unweighted records, NaN or negative weights) is
-// an input-integrity violation, not a recoverable condition — pack_fail
-// prints a "graph pack:" diagnostic naming what was wrong and aborts, so
-// the adversarial-input tests are death tests and no malformed record ever
-// reaches a partitioner or solver.
+// self-loops, unnormalized unweighted records, NaN, infinite or negative
+// weights) is an input-integrity violation, not a recoverable condition —
+// pack_fail prints a "graph pack:" diagnostic naming what was wrong and
+// aborts, so the adversarial-input tests are death tests and no malformed
+// record ever reaches a partitioner or solver.
 #pragma once
 
 #include <bit>
@@ -70,8 +70,9 @@ inline constexpr std::size_t kPackHeaderBytes = 24;
 /// buffered fixed-width records. This is the out-of-core generation path —
 /// a graph is packed edge batch by edge batch without ever materializing an
 /// EdgeList, so the file can exceed RAM. Writer-side invariant violations
-/// (endpoint out of universe, self-loop, negative/NaN weight) are RCC_CHECK
-/// programmer errors; I/O failures (disk full, unwritable path) pack_fail.
+/// (endpoint out of universe, self-loop, negative/NaN/infinite weight) are
+/// RCC_CHECK programmer errors; I/O failures (disk full, unwritable path)
+/// pack_fail.
 class PackWriter {
  public:
   PackWriter(const std::string& path, VertexId num_vertices, bool weighted);

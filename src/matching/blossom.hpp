@@ -77,9 +77,10 @@ struct BlossomScratch {
 /// Karp-Sipser seed does); every pass costs the whole forest, so a seed
 /// with thousands of free vertices is far slower than no seed. Hungarian
 /// pruning has no effect on a warm-started solve. `size_bound` is a
-/// caller-proven upper bound on the maximum matching size (e.g.
-/// tutte_berge_bound): augmenting stops once the matching reaches it, which
-/// skips the failed searches that would only prove maximality.
+/// caller-proven upper bound on the maximum matching size (e.g. the
+/// certificate of karp_sipser_into): augmenting stops once the matching
+/// reaches it, which skips the failed searches that would only prove
+/// maximality.
 Matching blossom_maximum_matching(const Graph& g,
                                   MachineScratch* scratch = nullptr,
                                   bool prune_hungarian_trees = true,

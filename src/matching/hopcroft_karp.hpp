@@ -18,9 +18,10 @@ class MachineScratch;
 /// no bipartition tag (use maximum_matching() to dispatch automatically).
 /// `warm_start` (optional) seeds the solver with a valid matching of g
 /// instead of the empty one. `size_bound` is a caller-proven upper bound on
-/// the maximum matching size (e.g. tutte_berge_bound): augmenting stops as
-/// soon as the matching reaches it, which skips the searches that would
-/// only prove maximality. Neither changes the size of the result.
+/// the maximum matching size (e.g. the certificate of karp_sipser_into):
+/// augmenting stops as soon as the matching reaches it, which skips the
+/// searches that would only prove maximality. Neither changes the size of
+/// the result.
 Matching hopcroft_karp(const Graph& g, MachineScratch* scratch = nullptr,
                       const Matching* warm_start = nullptr,
                       std::size_t size_bound = kNoSizeBound);

@@ -1,7 +1,5 @@
 #include "matching/warm_start.hpp"
 
-#include <algorithm>
-
 #include "util/workspace.hpp"
 
 namespace rcc {
@@ -149,38 +147,6 @@ void karp_sipser_into(Matching& out, const Graph& g, KarpSipserScratch* scratch,
     }
     take(next, best);
   }
-}
-
-std::size_t tutte_berge_bound(const Graph& g, ComponentScratch* scratch,
-                              WorkspaceStats* stats) {
-  const VertexId n = g.num_vertices();
-  ComponentScratch local;
-  ComponentScratch& s = scratch != nullptr ? *scratch : local;
-  char* const seen = workspace_detail::sized(s.seen, n, stats).data();
-  std::fill(seen, seen + n, char{0});
-  VertexId* const queue = workspace_detail::sized(s.queue, n, stats).data();
-  const std::size_t* const off = g.offsets_data();
-  const VertexId* const adj = g.adjacency_data();
-
-  std::size_t odd = 0;
-  for (VertexId root = 0; root < n; ++root) {
-    if (seen[root]) continue;
-    seen[root] = 1;
-    queue[0] = root;
-    std::size_t tail = 1;
-    for (std::size_t head = 0; head < tail; ++head) {
-      const VertexId v = queue[head];
-      for (std::size_t i = off[v]; i < off[v + 1]; ++i) {
-        const VertexId w = adj[i];
-        if (!seen[w]) {
-          seen[w] = 1;
-          queue[tail++] = w;
-        }
-      }
-    }
-    odd += tail & 1;  // the component's size is the number of vertices queued
-  }
-  return (n - odd) / 2;
 }
 
 }  // namespace rcc

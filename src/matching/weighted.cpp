@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <unordered_map>
 
 #include "matching/max_matching.hpp"
@@ -61,7 +62,17 @@ WeightClasses split_weight_classes(WeightedEdgeSpan wedges, double base) {
   }
   int max_class = 0;
   auto class_of = [&](double w) {
-    return static_cast<int>(std::floor(std::log(w / wmin) / std::log(base)));
+    RCC_CHECK(std::isfinite(w));
+    // w / wmin overflows when the weights span more than the double range
+    // (a subnormal wmin beside a huge w); the difference of the logs stays
+    // finite for any two positive finite weights.
+    const double ratio = w / wmin;
+    const double c =
+        std::floor((std::isfinite(ratio) ? std::log(ratio)
+                                         : std::log(w) - std::log(wmin)) /
+                   std::log(base));
+    RCC_CHECK(c < std::numeric_limits<int>::max());
+    return static_cast<int>(c);
   };
   for (const auto& we : wedges) {
     if (we.weight > 0.0) max_class = std::max(max_class, class_of(we.weight));
@@ -70,8 +81,13 @@ WeightClasses split_weight_classes(WeightedEdgeSpan wedges, double base) {
   out.classes.assign(num_classes, EdgeList(wedges.num_vertices()));
   out.class_floor.assign(num_classes, 0.0);
   for (int j = 0; j < num_classes; ++j) {
-    // Heaviest class first: slot 0 holds class max_class.
-    out.class_floor[j] = wmin * std::pow(base, max_class - j);
+    // Heaviest class first: slot 0 holds class max_class. Where the power
+    // alone overflows (a subnormal wmin), the floor is taken in logs.
+    const int e = max_class - j;
+    const double scaled = wmin * std::pow(base, e);
+    out.class_floor[j] = std::isfinite(scaled)
+                             ? scaled
+                             : std::exp(std::log(wmin) + e * std::log(base));
   }
   for (const auto& we : wedges) {
     if (we.weight <= 0.0) continue;

@@ -24,7 +24,6 @@ namespace {
 struct MatchingRoundFold {
   Matching& matched;
   VertexId left_size;
-  ThreadPool* pool;
   Matching round_matching;
 
   void absorb(EdgeList& /*summary*/, std::size_t /*machine*/,
@@ -36,7 +35,7 @@ struct MatchingRoundFold {
     // matching is vertex-disjoint from the cumulative one and the extension
     // keeps all of it (round 0: the whole single-round solution).
     union_maximum_matching_into(round_matching, summaries, left_size,
-                                &ctx.coordinator_scratch(), pool);
+                                &ctx.coordinator_scratch());
     greedy_extend(matched, round_matching);
     ctx.survivors_out().assign_filtered(
         ctx.active_edges(), [&](const Edge& e) {
@@ -102,7 +101,7 @@ CoresetMpcMatchingResult coreset_mpc_matching_rounds(
   const auto account = [](const EdgeList& summary) {
     return MessageSize{summary.num_edges(), 0};
   };
-  MatchingRoundFold fold{matched, left_size, pool, {}};
+  MatchingRoundFold fold{matched, left_size, {}};
 
   // The coreset build reads nothing but its shard and the machine rng, so
   // a cross-process run may keep one worker host for every round.

@@ -12,45 +12,41 @@ namespace rcc {
 
 namespace {
 
-/// Round-combiner: absorb unions the machines' EDCSs, finish solves the
-/// union exactly, extends the cumulative matching, and recirculates the
-/// still-both-unmatched edges.
+/// Round-combiner: finish solves the union of the machines' EDCSs exactly,
+/// extends the cumulative matching, and recirculates the still-both-
+/// unmatched edges.
 ///
-/// All per-round state clears with retained capacity and the survivors fill
-/// the executor's double-buffer: steady-state rounds allocate nothing here.
+/// The union CSR is built from the summaries in place, in machine order, in
+/// the coordinator scratch; the round matching clears with retained
+/// capacity and the survivors fill the executor's double-buffer: steady-
+/// state rounds allocate nothing here.
 struct EdcsRoundFold {
   Matching& matched;
   const EdcsRoundsConfig& cfg;
   bool& certified;
   VertexId left_size;
-  EdgeList round_union;
   Matching round_matching;
 
-  EdcsRoundFold(Matching& matched, const EdcsRoundsConfig& cfg,
-                bool& certified, VertexId num_vertices, VertexId left_size)
-      : matched(matched),
-        cfg(cfg),
-        certified(certified),
-        left_size(left_size),
-        round_union(num_vertices) {}
+  void absorb(EdgeList& /*summary*/, std::size_t /*machine*/,
+              MpcRoundContext& /*ctx*/) {}
 
-  void absorb(EdgeList& summary, std::size_t /*machine*/,
-              MpcRoundContext& /*ctx*/) {
-    round_union.append(summary);
-  }
-
-  EdgeList finish(std::vector<EdgeList>& /*summaries*/, MpcRoundContext& ctx,
+  EdgeList finish(std::vector<EdgeList>& summaries, MpcRoundContext& ctx,
                   Rng& /*coordinator_rng*/) {
     // Every round's input has both endpoints unmatched, so the union's
     // maximum matching is vertex-disjoint from the cumulative one and the
     // extension keeps all of it. This is where the EDCS quality cashes out:
     // the union preserves an almost-3/2-approximate matching of the round's
     // graph, where the greedy fold's union of machine matchings does not.
-    maximum_matching_into(round_matching, round_union, left_size,
-                          &ctx.coordinator_scratch());
+    // The solve is the unseeded one: which maximum matching round 0 returns
+    // decides the later rounds, and the certified seed measured worse here.
+    MachineScratch& scratch = ctx.coordinator_scratch();
+    Graph& union_graph = scratch.state<Graph>();
+    union_graph.assign_union(
+        summaries, bipartition_if(left_size),
+        &scratch.cursor(summaries.front().num_vertices()));
+    maximum_matching_into(round_matching, union_graph, &scratch);
     const std::size_t before = matched.size();
     greedy_extend(matched, round_matching);
-    round_union.clear();
 
     EdgeList& survivors = ctx.survivors_out();
     survivors.assign_filtered(ctx.active_edges(), [&](const Edge& e) {
@@ -114,7 +110,7 @@ EdcsMpcResult run_matching_rounds_edcs(EdgeSource graph,
   const auto account = [](const EdgeList& summary) {
     return MessageSize{summary.num_edges(), 0};
   };
-  EdcsRoundFold fold(matched, edcs, certified, n, left_size);
+  EdcsRoundFold fold{matched, edcs, certified, left_size, {}};
 
   EdcsMpcResult result;
   result.stats = run_mpc_rounds(graph, exec, left_size, rng, pool, build,

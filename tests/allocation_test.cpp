@@ -257,19 +257,19 @@ TEST(AllocationFree, PieceMaximumMatchingIntoOnWarmScratch) {
   MachineScratch scratch;
   Matching out;
   for (const EdgeList* piece : {&sparse, &dense}) {
-    piece_maximum_matching_into(out, *piece, 0, &scratch);
+    certified_maximum_matching_into(out, *piece, 0, &scratch);
   }
-  piece_maximum_matching_into(out, bipartite, 2 * kBlocks, &scratch);
+  certified_maximum_matching_into(out, bipartite, 2 * kBlocks, &scratch);
   {
     const std::size_t before = allocations();
-    piece_maximum_matching_into(out, sparse, 0, &scratch);
-    piece_maximum_matching_into(out, dense, 0, &scratch);
+    certified_maximum_matching_into(out, sparse, 0, &scratch);
+    certified_maximum_matching_into(out, dense, 0, &scratch);
     const std::size_t after = allocations();
     EXPECT_EQ(after, before) << "warm general piece solve allocated";
   }
   {
     const std::size_t before = allocations();
-    piece_maximum_matching_into(out, bipartite, 2 * kBlocks, &scratch);
+    certified_maximum_matching_into(out, bipartite, 2 * kBlocks, &scratch);
     const std::size_t after = allocations();
     EXPECT_EQ(after, before) << "warm bipartite piece solve allocated";
   }

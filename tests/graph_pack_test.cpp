@@ -13,7 +13,7 @@
 //   (c) adversarial inputs die with a "graph pack:" diagnostic naming the
 //       defect (bad magic/version/flags, truncated header or records, a
 //       lying edge count, out-of-universe endpoints, self-loops,
-//       unnormalized records, NaN/negative weights), mirroring
+//       unnormalized records, NaN/infinite/negative weights), mirroring
 //       summary_wire_test's frame suite,
 //   (d) mechanics: move semantics keep the mapping alive, drop_resident
 //       releases pages without changing the bytes behind the views.
@@ -555,6 +555,28 @@ TEST_F(GraphPackDeathTest, NaNWeight) {
   rewrite();
   EXPECT_DEATH((void)MappedGraph(path_),
                "graph pack: .*record 0 weight is NaN");
+}
+
+TEST_F(GraphPackDeathTest, InfiniteWeight) {
+  WeightedEdgeList w;
+  w.num_vertices = 4;
+  w.add(1, 0, 2.5);
+  GraphPack::write(w, path_);
+  bytes_ = read_file(path_);
+  const double inf = std::numeric_limits<double>::infinity();
+  std::memcpy(bytes_.data() + kPackHeaderBytes + 8, &inf, sizeof inf);
+  rewrite();
+  EXPECT_DEATH((void)MappedGraph(path_),
+               "graph pack: .*record 0 weight is infinite");
+}
+
+TEST_F(GraphPackDeathTest, WriterRejectsAnInfiniteWeight) {
+  EXPECT_DEATH(
+      {
+        PackWriter writer(path_, 4, /*weighted=*/true);
+        writer.add(1, 0, std::numeric_limits<double>::infinity());
+      },
+      "RCC_CHECK");
 }
 
 TEST_F(GraphPackDeathTest, NegativeWeight) {

@@ -1,25 +1,37 @@
-// Differential of the coordinator's matching compose against a frozen copy of
-// its earlier pipeline.
+// Differential of the coordinator's matching compose against frozen copies
+// of its earlier pipelines.
 //
-// The reference below keeps the compose as it was: deep-copy the machine
-// summaries into one union list and hand it to the generic exact solver
-// (blossom with its vertex-order greedy initialization, or Hopcroft-Karp
-// from the empty matching). The production kernel builds its CSR from the
-// summaries in place, seeds the solver with Karp-Sipser and stops at the
-// Tutte-Berge bound, so it may return a different maximum matching — but
-// never one of a different size. Beyond the size, the grid pins what the
-// rest of the system relies on: the matching is valid and drawn from the
-// union, the one-round MPC executor returns the protocol's matching mate for
-// mate, and the pool that runs the kernel's side pass changes nothing.
+// The first reference keeps the compose as it was before the union kernel:
+// deep-copy the machine summaries into one union list and hand it to the
+// generic exact solver (blossom with its vertex-order greedy
+// initialization, or Hopcroft-Karp from the empty matching). The production
+// solve builds its CSR from the summaries in place, seeds the solver with
+// Karp-Sipser and stops at the seed's core certificate, so it may return a
+// different maximum matching — but never one of a different size.
+//
+// The second reference is the union kernel as it was before it shared the
+// certified solve: the same in-place CSR and Karp-Sipser seed, but stopped
+// at the Tutte-Berge bound with S = {} on the whole union. Both stops are
+// upper bounds on the maximum, and a stop only decides whether the final
+// searches, which cannot augment, run; so the two must agree mate for mate.
+//
+// Beyond that, the grid pins what the rest of the system relies on: the
+// matching is valid and drawn from the union, the one-round MPC executor
+// returns the protocol's matching mate for mate, and the pool running the
+// machines changes nothing.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "coreset/compose.hpp"
 #include "distributed/protocols.hpp"
 #include "graph/generators.hpp"
+#include "matching/blossom.hpp"
+#include "matching/hopcroft_karp.hpp"
 #include "matching/max_matching.hpp"
+#include "matching/warm_start.hpp"
 #include "mpc/coreset_mpc.hpp"
 #include "partition/sharded_partition.hpp"
 #include "util/thread_pool.hpp"
@@ -27,13 +39,53 @@
 namespace rcc {
 namespace {
 
-// ---- Reference compose (frozen) ------------------------------------------
+// ---- Reference composes (frozen) -----------------------------------------
 
 Matching reference_compose(const std::vector<EdgeList>& summaries,
                            VertexId left_size) {
   EdgeList all(summaries.front().num_vertices());
   for (const EdgeList& s : summaries) all.append(s);
   return maximum_matching(all, left_size);
+}
+
+/// (n - #odd connected components) / 2: the Tutte-Berge bound with S = {}.
+std::size_t tutte_berge_bound(const Graph& g) {
+  const VertexId n = g.num_vertices();
+  std::vector<char> seen(n, 0);
+  std::vector<VertexId> queue;
+  std::size_t odd = 0;
+  for (VertexId root = 0; root < n; ++root) {
+    if (seen[root]) continue;
+    seen[root] = 1;
+    queue.assign(1, root);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      for (const VertexId w : g.neighbors(queue[head])) {
+        if (!seen[w]) {
+          seen[w] = 1;
+          queue.push_back(w);
+        }
+      }
+    }
+    odd += queue.size() & 1;
+  }
+  return (n - odd) / 2;
+}
+
+/// The union kernel with its Tutte-Berge stop, serial.
+Matching tutte_berge_kernel(std::span<const EdgeList> summaries,
+                            VertexId left_size) {
+  Graph g;
+  g.assign_union(summaries, bipartition_if(left_size));
+  Matching out;
+  karp_sipser_into(out, g);
+  const std::size_t bound = tutte_berge_bound(g);
+  if (g.is_bipartite_tagged()) {
+    hopcroft_karp_into(out, g, nullptr, &out, bound);
+  } else {
+    blossom_maximum_matching_into(out, g, nullptr,
+                                  /*prune_hungarian_trees=*/true, &out, bound);
+  }
+  return out;
 }
 
 // ---- Grid ----------------------------------------------------------------
@@ -135,6 +187,9 @@ TEST(MatchingComposeDifferential, KernelMatchesFrozenComposeOnEveryCell) {
         Matching direct;
         union_maximum_matching_into(direct, run.summaries, inst.left_size);
         EXPECT_TRUE(same_mates(direct, got)) << cell(inst, k, seed);
+        EXPECT_TRUE(same_mates(
+            tutte_berge_kernel(run.summaries, inst.left_size), got))
+            << cell(inst, k, seed) << ": differs from the Tutte-Berge stop";
 
         Rng mpc_rng(run_seed);
         const CoresetMpcMatchingResult mpc = coreset_mpc_matching_rounds(
@@ -169,7 +224,6 @@ std::vector<EdgeList> random_pieces(const EdgeList& edges, std::size_t k,
 TEST(MatchingComposeDifferential, KernelIsExactOnArbitraryUnions) {
   // Summaries that are not matchings: the raw pieces of a random partition,
   // whose union is the whole graph (hubs, dense blocks, traps included).
-  ThreadPool pool(4);
   for (std::uint64_t seed = kFirstSeed; seed < kFirstSeed + 5; ++seed) {
     for (const Instance& inst : instance_grid(seed)) {
       const std::size_t maximum =
@@ -178,14 +232,13 @@ TEST(MatchingComposeDifferential, KernelIsExactOnArbitraryUnions) {
         Rng rng(seed + k);
         const std::vector<EdgeList> pieces =
             random_pieces(inst.edges, k, rng);
-        Matching serial;
-        union_maximum_matching_into(serial, pieces, inst.left_size);
-        Matching pooled;
-        union_maximum_matching_into(pooled, pieces, inst.left_size, nullptr,
-                                    &pool);
-        EXPECT_EQ(serial.size(), maximum) << cell(inst, k, seed);
-        EXPECT_TRUE(serial.subset_of(inst.edges)) << cell(inst, k, seed);
-        EXPECT_TRUE(same_mates(serial, pooled)) << cell(inst, k, seed);
+        Matching solved;
+        union_maximum_matching_into(solved, pieces, inst.left_size);
+        EXPECT_EQ(solved.size(), maximum) << cell(inst, k, seed);
+        EXPECT_TRUE(solved.subset_of(inst.edges)) << cell(inst, k, seed);
+        EXPECT_TRUE(
+            same_mates(solved, tutte_berge_kernel(pieces, inst.left_size)))
+            << cell(inst, k, seed);
       }
     }
   }

@@ -70,7 +70,7 @@ class CheckedCoreset final : public MatchingCoreset {
                  Rng& /*rng*/) const override {
     const EdgeList reference = reference_build(piece, ctx);
     Matching m;
-    piece_maximum_matching_into(m, piece, ctx.left_size, ctx.scratch);
+    certified_maximum_matching_into(m, piece, ctx.left_size, ctx.scratch);
     PieceCheck& c = checks_[ctx.machine_index];
     c.ran = true;
     c.size = m.size();

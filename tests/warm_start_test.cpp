@@ -1,10 +1,9 @@
-// The union kernel's two helpers on their own: the Tutte-Berge bound with
-// S = {} and the Karp-Sipser seed, then the bound as a stop inside the exact
-// solvers. A stop that fired below the maximum would silently shrink the
-// matching, so every solve here is checked against the exhaustive blossom
-// (no Hungarian-tree pruning, no seed, no bound). The seed's certificate
-// (the bound on its Karp-Sipser core) and the piece solve built on it are
-// checked the same way, and against a brute-force maximum on multigraphs.
+// The certified solve's helpers on their own: the Karp-Sipser seed and its
+// core certificate, then the certificate as a stop inside the exact solvers
+// and the certified solve built on both. A stop that fired below the
+// maximum would silently shrink the matching, so every solve here is
+// checked against the exhaustive blossom (no Hungarian-tree pruning, no
+// seed, no bound), and against a brute-force maximum on multigraphs.
 #include "matching/warm_start.hpp"
 
 #include <gtest/gtest.h>
@@ -44,6 +43,32 @@ std::size_t brute_force_maximum(const std::vector<Edge>& edges,
   const std::size_t take = 1 + brute_force_maximum(edges, used, from + 1);
   used[e.u] = used[e.v] = 0;
   return std::max(skip, take);
+}
+
+/// (n - #odd connected components) / 2, the Tutte-Berge bound with S = {}
+/// on all of g: the reference the core certificate is never looser than.
+/// Isolated vertices are odd components; parallel edges and self-loops
+/// change nothing.
+std::size_t odd_component_bound(const Graph& g) {
+  const VertexId n = g.num_vertices();
+  std::vector<char> seen(n, 0);
+  std::vector<VertexId> queue;
+  std::size_t odd = 0;
+  for (VertexId root = 0; root < n; ++root) {
+    if (seen[root]) continue;
+    seen[root] = 1;
+    queue.assign(1, root);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      for (const VertexId w : g.neighbors(queue[head])) {
+        if (!seen[w]) {
+          seen[w] = 1;
+          queue.push_back(w);
+        }
+      }
+    }
+    odd += queue.size() & 1;
+  }
+  return (n - odd) / 2;
 }
 
 /// Frozen copy of karp_sipser_into as it was before its live degrees could
@@ -162,47 +187,6 @@ EdgeList blossom_with_leaves() {
   return el;
 }
 
-TEST(TutteBergeBound, IsolatedVerticesAreOddComponents) {
-  EXPECT_EQ(tutte_berge_bound(Graph(EdgeList(5))), 0u);
-  EXPECT_EQ(tutte_berge_bound(Graph(EdgeList(0))), 0u);
-  // Path 0-1-2 plus isolated 3 and 4: three odd components, (5 - 3) / 2.
-  EdgeList el(5);
-  el.add(0, 1);
-  el.add(1, 2);
-  EXPECT_EQ(tutte_berge_bound(Graph(el)), 1u);
-  // One more isolated vertex makes the universe even but adds an odd
-  // component: (6 - 4) / 2.
-  EdgeList wider(6);
-  wider.add(0, 1);
-  wider.add(1, 2);
-  EXPECT_EQ(tutte_berge_bound(Graph(wider)), 1u);
-  EXPECT_EQ(tutte_berge_bound(Graph(path(6))), 3u);
-  EXPECT_EQ(tutte_berge_bound(Graph(cycle(7))), 3u);
-}
-
-TEST(TutteBergeBound, ParallelEdgesAndSelfLoopsDoNotChangeIt) {
-  Rng rng(4);
-  const EdgeList base = gnm(300, 280, rng);
-  const std::size_t expected = tutte_berge_bound(Graph(base));
-  std::vector<Edge> noisy(base.begin(), base.end());
-  for (std::size_t i = 0; i < base.num_edges(); i += 3) noisy.push_back(base[i]);
-  for (VertexId v = 0; v < 300; v += 7) noisy.push_back(Edge{v, v});
-  const Graph g(EdgeSpan(noisy.data(), noisy.size(), 300));
-  EXPECT_EQ(tutte_berge_bound(g), expected);
-  // A self-loop on an otherwise isolated vertex leaves it an odd component.
-  const std::vector<Edge> loop_only{Edge{0, 0}};
-  EXPECT_EQ(tutte_berge_bound(Graph(EdgeSpan(loop_only.data(), 1, 1))), 0u);
-}
-
-TEST(TutteBergeBound, NeverBelowTheMaximum) {
-  for (int seed = 1; seed <= 20; ++seed) {
-    Rng rng(seed);
-    const EdgeList el = gnm(200, 60 + 20 * seed, rng);
-    const Graph g(el);
-    EXPECT_GE(tutte_berge_bound(g), exhaustive_size(g)) << "seed " << seed;
-  }
-}
-
 TEST(KarpSipser, IsAValidMaximalMatchingOfTheGraph) {
   for (int seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
@@ -274,7 +258,8 @@ TEST(KarpSipser, OffsetsInitMatchesTheRowScanningSeed) {
 TEST(KarpSipserCertificate, BracketedByTheMaximumAndTheTutteBergeBound) {
   // Tiny multigraphs with parallel edges and self-loops, solved by brute
   // force: the certificate must never fall below the maximum (it would
-  // certify a non-maximum seed) and is never looser than the S = {} bound.
+  // certify a non-maximum seed) and is never looser than the S = {} bound
+  // on the whole graph.
   for (int seed = 1; seed <= 300; ++seed) {
     Rng rng(seed);
     const auto n = static_cast<VertexId>(4 + rng.next_below(9));
@@ -292,10 +277,11 @@ TEST(KarpSipserCertificate, BracketedByTheMaximumAndTheTutteBergeBound) {
     EXPECT_TRUE(m_seed.valid());
     EXPECT_LE(m_seed.size(), maximum) << "seed " << seed;
     EXPECT_GE(certificate, maximum) << "seed " << seed;
-    EXPECT_LE(certificate, tutte_berge_bound(g)) << "seed " << seed;
+    EXPECT_LE(certificate, odd_component_bound(g)) << "seed " << seed;
 
     Matching piece;
-    piece_maximum_matching_into(piece, EdgeSpan(edges.data(), edges.size(), n));
+    certified_maximum_matching_into(piece,
+                                    EdgeSpan(edges.data(), edges.size(), n));
     EXPECT_EQ(piece.size(), maximum) << "seed " << seed;
     EXPECT_TRUE(piece.valid());
     EXPECT_TRUE(piece.subset_of(EdgeSpan(edges.data(), edges.size(), n)));
@@ -371,56 +357,96 @@ TEST(KarpSipserCertificate, NonTightCoreForcesTheExactFallback) {
   for (const VertexId left_size : {VertexId{0}, VertexId{2}}) {
     MachineScratch scratch;
     Matching piece;
-    piece_maximum_matching_into(piece, k24, left_size, &scratch);
+    certified_maximum_matching_into(piece, k24, left_size, &scratch);
     EXPECT_EQ(piece.size(), 2u) << "left_size " << left_size;
     EXPECT_TRUE(piece.valid());
     EXPECT_TRUE(piece.subset_of(k24));
   }
 }
 
-TEST(TutteBergeStop, DoesNotFireEarlyWhereTheBoundIsNotTight) {
+/// A hub joined to one vertex of each of three disjoint triangles: no
+/// degree-one vertex, so the whole graph is the core, one even component
+/// on 10 vertices that certifies 5. S = {hub} leaves three odd triangles,
+/// so the maximum is 4.
+EdgeList hub_with_triangles() {
+  EdgeList el(10);
+  for (VertexId t = 0; t < 3; ++t) {
+    const VertexId o = 1 + 3 * t;
+    el.add(o, o + 1);
+    el.add(o + 1, o + 2);
+    el.add(o + 2, o);
+    el.add(0, o);
+  }
+  return el;
+}
+
+TEST(CertificateStop, DoesNotFireEarlyWhereTheBoundsAreNotTight) {
+  // The first five cases defeat the S = {} bound on the whole graph; the
+  // degree-one reductions close them, so the certificate is tight there.
+  // The last three defeat the certificate too, so the certified solve must
+  // run its exact fallback and stop only at the true maximum.
   struct Case {
     const char* name;
     EdgeList edges;
     VertexId left_size;
+    bool certificate_tight;
   };
   const std::vector<Case> cases{
-      {"claw forest", claw_forest(7), 7},
-      {"claw forest (general)", claw_forest(7), 0},
-      {"star forest", star_forest(6, 3), 0},
-      {"blossom with pendant path", blossom_with_pendant_path(), 0},
-      {"blossom with leaves", blossom_with_leaves(), 0},
+      {"claw forest", claw_forest(7), 7, true},
+      {"claw forest (general)", claw_forest(7), 0, true},
+      {"star forest", star_forest(6, 3), 0, true},
+      {"blossom with pendant path", blossom_with_pendant_path(), 0, true},
+      {"blossom with leaves", blossom_with_leaves(), 0, true},
+      {"K_{2,4}", complete_bipartite(2, 4), 2, false},
+      {"K_{2,4} (general)", complete_bipartite(2, 4), 0, false},
+      {"hub with triangles", hub_with_triangles(), 0, false},
   };
   for (const Case& c : cases) {
     const Graph plain(c.edges);
     const std::size_t exact = exhaustive_size(plain);
-    const std::size_t bound = tutte_berge_bound(plain);
-    EXPECT_GT(bound, exact) << c.name << ": the case must be non-tight";
+    EXPECT_GT(odd_component_bound(plain), exact)
+        << c.name << ": the case must defeat the S = {} bound";
+
+    Matching seed;
+    std::size_t certificate = 0;
+    karp_sipser_into(seed, plain, nullptr, nullptr, &certificate);
+    EXPECT_GE(certificate, exact) << c.name;
+    EXPECT_EQ(certificate == exact, c.certificate_tight) << c.name;
+
+    MachineScratch warm;
+    for (MachineScratch* scratch : {static_cast<MachineScratch*>(nullptr),
+                                    &warm}) {
+      Matching certified;
+      certified_maximum_matching_into(certified, c.edges, c.left_size,
+                                      scratch);
+      EXPECT_EQ(certified.size(), exact) << c.name;
+      EXPECT_TRUE(certified.valid());
+      EXPECT_TRUE(certified.subset_of(c.edges));
+    }
 
     Matching kernel;
     union_maximum_matching_into(kernel, std::vector<EdgeList>{c.edges},
                                 c.left_size);
     EXPECT_EQ(kernel.size(), exact) << c.name;
-    EXPECT_TRUE(kernel.valid());
     EXPECT_TRUE(kernel.subset_of(c.edges));
 
-    Matching seed;
-    karp_sipser_into(seed, plain);
-    EXPECT_EQ(blossom_maximum_matching(plain, nullptr, true, &seed, bound)
-                  .size(),
-              exact)
+    EXPECT_EQ(
+        blossom_maximum_matching(plain, nullptr, true, &seed, certificate)
+            .size(),
+        exact)
         << c.name;
     if (c.left_size > 0) {
       const Graph tagged = bipartite_graph(c.edges, c.left_size);
-      EXPECT_EQ(hopcroft_karp(tagged, nullptr, &seed, bound).size(), exact)
+      EXPECT_EQ(hopcroft_karp(tagged, nullptr, &seed, certificate).size(),
+                exact)
           << c.name;
     }
   }
 }
 
-TEST(TutteBergeStop, StopsAtTheMaximumWhereTheBoundIsTight) {
-  // Odd cycles and even paths meet the bound, so the stop fires; random
-  // sparse graphs mostly do. Every result must still be maximum.
+TEST(CertificateStop, StopsAtTheMaximumWhereTheCertificateIsTight) {
+  // Odd cycles and even paths meet the certificate, so the stop fires;
+  // random sparse graphs mostly do. Every result must still be maximum.
   Rng rng(21);
   const std::vector<EdgeList> tight{cycle(9), path(10)};
   std::vector<EdgeList> graphs = tight;
@@ -429,12 +455,17 @@ TEST(TutteBergeStop, StopsAtTheMaximumWhereTheBoundIsTight) {
     const EdgeList& el = graphs[i];
     const Graph g(el);
     const std::size_t exact = exhaustive_size(g);
-    if (i < tight.size()) EXPECT_EQ(tutte_berge_bound(g), exact);
+    std::size_t certificate = 0;
+    Matching seed;
+    karp_sipser_into(seed, g, nullptr, nullptr, &certificate);
+    EXPECT_GE(certificate, exact) << "graph " << i;
+    if (i < tight.size()) EXPECT_EQ(certificate, exact);
     Matching kernel;
     union_maximum_matching_into(kernel, std::vector<EdgeList>{el}, 0);
     EXPECT_EQ(kernel.size(), exact) << "graph " << i;
     EXPECT_TRUE(kernel.subset_of(el));
-    EXPECT_EQ(blossom_maximum_matching(g, nullptr, true, nullptr, exact).size(),
+    EXPECT_EQ(blossom_maximum_matching(g, nullptr, true, &seed, certificate)
+                  .size(),
               exact);
   }
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "util/rng.hpp"
 
 namespace rcc {
@@ -76,6 +79,65 @@ TEST(SplitWeightClasses, GeometricBuckets) {
   EXPECT_EQ(wc.classes[2].num_edges(), 1u);
   EXPECT_DOUBLE_EQ(wc.class_floor[0], 4.0);
   EXPECT_DOUBLE_EQ(wc.class_floor[2], 1.0);
+}
+
+/// Every positive edge must sit in the class whose floor brackets its
+/// weight: floor <= w < floor * base, up to the rounding of the logs the
+/// classes are computed in. Floors must be finite and the lightest class
+/// starts at the lightest weight.
+void expect_bracketed(const WeightedEdgeList& w, const WeightClasses& wc,
+                      double base) {
+  constexpr double kSlack = 1e-12;
+  double wmin = 0.0;
+  for (const WeightedEdge& we : w.edges) {
+    if (we.weight > 0.0 && (wmin == 0.0 || we.weight < wmin)) wmin = we.weight;
+  }
+  ASSERT_EQ(wc.class_floor.size(), wc.classes.size());
+  EXPECT_EQ(wc.class_floor.back(), wmin);
+  for (const double floor : wc.class_floor) EXPECT_TRUE(std::isfinite(floor));
+  for (const WeightedEdge& we : w.edges) {
+    std::size_t slot = wc.classes.size();
+    for (std::size_t s = 0; s < wc.classes.size(); ++s) {
+      for (const Edge& e : wc.classes[s]) {
+        if (e == we.edge()) slot = s;
+      }
+    }
+    ASSERT_LT(slot, wc.classes.size()) << "weight " << we.weight;
+    const double floor = wc.class_floor[slot];
+    EXPECT_LE(floor, we.weight * (1 + kSlack)) << "weight " << we.weight;
+    EXPECT_LT(we.weight, floor * base * (1 + kSlack))
+        << "weight " << we.weight;
+  }
+}
+
+TEST(SplitWeightClasses, SubnormalBesideTheLargestDouble) {
+  // DBL_MAX / denorm_min overflows to +inf: the classes must still be
+  // finite. log2(DBL_MAX / denorm_min) is a hair below 2098, so there are
+  // 2098 or 2099 classes depending on the rounding of the logs.
+  WeightedEdgeList w;
+  w.num_vertices = 4;
+  w.add(0, 1, std::numeric_limits<double>::denorm_min());
+  w.add(2, 3, std::numeric_limits<double>::max());
+  const WeightClasses wc = split_weight_classes(w, 2.0);
+  EXPECT_GE(wc.classes.size(), 2098u);
+  EXPECT_LE(wc.classes.size(), 2099u);
+  EXPECT_EQ(wc.classes.front().num_edges(), 1u);  // DBL_MAX, heaviest
+  EXPECT_EQ(wc.classes.back().num_edges(), 1u);   // denorm_min, lightest
+  expect_bracketed(w, wc, 2.0);
+}
+
+TEST(SplitWeightClasses, SubnormalBesideAHugeWeight) {
+  // 1e30 / denorm_min overflows too; log2 of the ratio is 1173.66, so the
+  // heavy edge is class 1173 of 1174.
+  WeightedEdgeList w;
+  w.num_vertices = 4;
+  w.add(0, 1, std::numeric_limits<double>::denorm_min());
+  w.add(2, 3, 1e30);
+  const WeightClasses wc = split_weight_classes(w, 2.0);
+  ASSERT_EQ(wc.classes.size(), 1174u);
+  EXPECT_EQ(wc.classes.front().num_edges(), 1u);
+  EXPECT_EQ(wc.classes.back().num_edges(), 1u);
+  expect_bracketed(w, wc, 2.0);
 }
 
 TEST(SplitWeightClasses, AllZeroWeights) {

@@ -1,38 +1,52 @@
 #!/usr/bin/env python3
-"""Compare two bench_suite --json files and flag throughput regressions.
+"""Compare two bench_suite --json files: exact columns and throughput.
 
 Usage:
     tools/compare_bench.py BASELINE.json CURRENT.json [--threshold 0.10]
         [--github-annotations] [--fail-on-regression]
 
-Rows are matched on (scenario, family, k, rounds). For each matched row the
-relative change in seconds_median is reported; a row slower than baseline by
-more than the threshold counts as a regression, faster by more than the
-threshold as an improvement. Rows present on only one side never fail the
-run, but each is called out explicitly: a NEW ROW line (new scenarios are
-how the grid grows — the row becomes pinned when the next baseline is
-checked in) or a REMOVED ROW line (a pinned row disappearing usually means
-a renamed scenario or an over-narrow filter, and deserves a look).
+Rows are matched on (scenario, family, k, rounds). Two gates apply to every
+row present on both sides:
 
-Exit status is 0 unless --fail-on-regression is given and at least one
-regression was found. CI runs this non-gating (annotations only): shared
-runners are noisy, and bench_suite medians at --scale 0.25 swing more than
-the threshold on their own — the numbers are for humans reading the job log,
-the checked-in baseline (BENCH_PR5.json) is the reference measured on a
-quiet machine.
+  * Exact gate. At a fixed seed the deterministic columns (solution,
+    comm_words, engine_rounds, processed_edges, worker_forks) are a pure
+    function of the code, so any change in them is a behaviour change: the
+    run exits 1, whatever the load and with or without
+    --fail-on-regression. A column missing from either row is not compared.
+    bench_suite reports these columns from its last rep, whose seed depends
+    on --reps, so both files must come from the same --seed and --reps.
+    A change that moves them on purpose re-cuts the baseline and says why.
+  * Timing band. The relative change in seconds_median is reported; a row
+    slower than baseline by more than the threshold counts as a regression,
+    faster by more than the threshold as an improvement.
+
+Rows present on only one side never fail the run, but each is called out
+explicitly: a NEW ROW line (new scenarios are how the grid grows — the row
+becomes pinned when the next baseline is checked in) or a REMOVED ROW line
+(a pinned row disappearing usually means a renamed scenario or an
+over-narrow filter, and deserves a look).
+
+Timing regressions fail the run only with --fail-on-regression. CI gates
+on them at a loose threshold against BENCH_scale025.json, the CI-scale
+baseline; shared runners are noisy, and bench_suite medians at --scale 0.25
+swing more than the quiet-machine threshold on their own.
 
 The comparison checks the machine's 1-minute load average first
 (--load-threshold, default 0.2): above it, other work was competing for the
 CPU while the current numbers were taken, so every row is marked UNTRUSTED,
-regressions are reported as warnings only, and --fail-on-regression is
-suppressed (exit 0) — a busy runner must not turn timer noise into a red
-build.
+timing regressions are reported as warnings only, and --fail-on-regression
+is suppressed — a busy runner must not turn timer noise into a red build.
+Load does not touch the exact gate.
 """
 
 import argparse
 import json
 import os
 import sys
+
+
+EXACT_COLUMNS = ("solution", "comm_words", "engine_rounds",
+                 "processed_edges", "worker_forks")
 
 
 def row_key(row):
@@ -82,15 +96,27 @@ def main():
             f"scale mismatch: baseline ran at {base.get('scale')}, current at "
             f"{cur.get('scale')} — compare against the baseline checked in "
             f"for that scale (BENCH_PR5.json is scale 1.0, "
-            f"BENCH_PR5_scale025.json is the CI scale)")
+            f"BENCH_scale025.json is the CI scale)")
+    for field in ("seed", "reps"):
+        if base.get(field) != cur.get(field):
+            raise SystemExit(
+                f"{field} mismatch: baseline ran with {field} "
+                f"{base.get(field)}, current with {cur.get(field)} — the "
+                f"exact columns come from the last rep's seed, so rerun "
+                f"with the baseline's --seed and --reps")
     base_rows = {row_key(r): r for r in base["rows"]}
     cur_rows = {row_key(r): r for r in cur["rows"]}
 
-    regressions, improvements, steady = [], [], []
+    regressions, improvements, steady, changed = [], [], [], []
     for key, cur_row in cur_rows.items():
         base_row = base_rows.get(key)
         if base_row is None:
             continue
+        for column in EXACT_COLUMNS:
+            if column in base_row and column in cur_row and \
+                    base_row[column] != cur_row[column]:
+                changed.append((key, column, base_row[column],
+                                cur_row[column]))
         b = base_row["seconds_median"]
         c = cur_row["seconds_median"]
         if b <= 0:
@@ -114,14 +140,22 @@ def main():
 
     print(f"compared {len(cur_rows)} rows against {args.baseline} "
           f"(threshold ±{args.threshold:.0%}, load {load1:.2f})")
-    for title, entries, sign in (("REGRESSIONS", regressions, "+"),
-                                 ("improvements", improvements, "")):
+    if changed:
+        print("\nEXACT COLUMNS CHANGED:")
+        for key, column, b, c in sorted(changed):
+            label = f"{key[0]}/{key[1]} k={key[2]} rounds={key[3]}"
+            print(f"  {label:55s} {column}: {b} -> {c}")
+            if args.github_annotations:
+                print(f"::error title=bench exact column changed::{label}: "
+                      f"{column} {b} -> {c}")
+    for title, entries in (("REGRESSIONS", regressions),
+                           ("improvements", improvements)):
         if not entries:
             continue
         print(f"\n{title}:")
         for key, b, c, change in sorted(entries, key=lambda e: -abs(e[3])):
             print(f"  {fmt(key):55s} {b:.4f}s -> {c:.4f}s "
-                  f"({sign}{change:+.1%})")
+                  f"({change:+.1%})")
             if title == "REGRESSIONS" and args.github_annotations:
                 print(f"::warning title=bench regression::{fmt(key)}: "
                       f"{b:.4f}s -> {c:.4f}s ({change:+.1%})")
@@ -144,6 +178,10 @@ def main():
                       f"{median:.4f}s — no baseline to compare against; "
                       f"pinned once the next baseline is checked in")
 
+    if changed:
+        print(f"\nFAIL: {len(changed)} exact value(s) changed — the code's "
+              f"output moved; re-cut the baseline if that is intended")
+        return 1
     if regressions and args.fail_on_regression:
         if untrusted:
             print("\nUNTRUSTED COMPARISON: regressions found but the machine "

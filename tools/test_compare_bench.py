@@ -11,7 +11,12 @@ fixtures, pinning the behaviors CI leans on:
   * the load-average gate: an untrusted comparison tags rows UNTRUSTED and
     suppresses --fail-on-regression. The machine's real load is whatever it
     is, so the fixtures force each side: --load-threshold -1 makes any load
-    untrusted, 1e9 makes any load trusted.
+    untrusted, 1e9 makes any load trusted,
+  * the exact gate: a changed solution, comm_words, engine_rounds,
+    processed_edges or worker_forks in a row on both sides exits 1 with or
+    without --fail-on-regression and under any load; a column absent from
+    either side, or a one-sided row, is not compared; files from different
+    --seed or --reps are refused.
 """
 
 import json
@@ -28,15 +33,23 @@ TRUSTED = ["--load-threshold", "1e9"]
 UNTRUSTED = ["--load-threshold", "-1"]
 
 
-def suite(scale, seconds_by_row):
+def suite(scale, seconds_by_row, exact=None, reps=3):
+    """A bench_suite JSON; `exact` (optional) adds the same exact columns
+    to every row."""
     return {
+        "seed": 42,
         "scale": scale,
+        "reps": reps,
         "rows": [
             {"scenario": s, "family": f, "k": k, "rounds": r,
-             "seconds_median": sec}
+             "seconds_median": sec, **(exact or {})}
             for (s, f, k, r), sec in seconds_by_row.items()
         ],
     }
+
+
+EXACT = {"solution": 4000, "comm_words": 62000, "engine_rounds": 2,
+         "processed_edges": 24000, "worker_forks": 8}
 
 
 class CompareBenchTest(unittest.TestCase):
@@ -158,6 +171,68 @@ class CompareBenchTest(unittest.TestCase):
         result = self.compare(1.0, 1.0, *TRUSTED)
         self.assertEqual(result.returncode, 0, result.stdout)
         self.assertNotIn("UNTRUSTED", result.stdout)
+
+    def compare_exact(self, cur_exact, *args, base_exact=EXACT):
+        base = self.write("base.json", suite(1.0, {self.ROW: 1.0}, base_exact))
+        cur = self.write("cur.json", suite(1.0, {self.ROW: 1.0}, cur_exact))
+        return self.run_tool(base, cur, *args)
+
+    def test_identical_exact_columns_pass(self):
+        result = self.compare_exact(EXACT, "--fail-on-regression", *TRUSTED)
+        self.assertEqual(result.returncode, 0, result.stdout)
+        self.assertNotIn("EXACT COLUMNS CHANGED", result.stdout)
+
+    def test_every_exact_column_is_gated(self):
+        for column in EXACT:
+            changed = dict(EXACT, **{column: EXACT[column] + 1})
+            result = self.compare_exact(changed, *TRUSTED)
+            self.assertEqual(result.returncode, 1, column + result.stdout)
+            self.assertIn("EXACT COLUMNS CHANGED", result.stdout)
+            self.assertIn(f"{column}: {EXACT[column]} -> {EXACT[column] + 1}",
+                          result.stdout)
+
+    def test_exact_gate_ignores_load(self):
+        # A busy machine excuses timing, never a changed output.
+        changed = dict(EXACT, solution=3999)
+        result = self.compare_exact(changed, "--fail-on-regression",
+                                    *UNTRUSTED)
+        self.assertEqual(result.returncode, 1, result.stdout)
+
+    def test_exact_change_reaches_github_annotations(self):
+        changed = dict(EXACT, comm_words=62001)
+        result = self.compare_exact(changed, "--github-annotations", *TRUSTED)
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertIn("::error title=bench exact column changed::",
+                      result.stdout)
+
+    def test_column_missing_from_one_side_is_not_compared(self):
+        # Older baselines lack comm_words and worker_forks.
+        old = {c: v for c, v in EXACT.items()
+               if c not in ("comm_words", "worker_forks")}
+        result = self.compare_exact(dict(EXACT, worker_forks=0),
+                                    "--fail-on-regression", *TRUSTED,
+                                    base_exact=old)
+        self.assertEqual(result.returncode, 0, result.stdout)
+
+    def test_one_sided_rows_are_not_exact_gated(self):
+        # A new row carries no baseline values to differ from.
+        base = self.write("base.json", suite(1.0, {self.ROW: 1.0}, EXACT))
+        cur_data = suite(1.0, {self.ROW: 1.0}, EXACT)
+        cur_data["rows"].append({"scenario": "vc", "family": "peeling",
+                                 "k": 4, "rounds": 1, "seconds_median": 2.0,
+                                 "solution": 1})
+        cur = self.write("cur.json", cur_data)
+        result = self.run_tool(base, cur, "--fail-on-regression", *TRUSTED)
+        self.assertEqual(result.returncode, 0, result.stdout)
+        self.assertIn("NEW ROW vc/peeling k=4 rounds=1", result.stdout)
+
+    def test_reps_mismatch_refuses_to_compare(self):
+        base = self.write("base.json", suite(1.0, {self.ROW: 1.0}, EXACT))
+        cur = self.write("cur.json", suite(1.0, {self.ROW: 1.0}, EXACT,
+                                           reps=1))
+        result = self.run_tool(base, cur, *TRUSTED)
+        self.assertNotEqual(result.returncode, 0)
+        self.assertIn("reps mismatch", result.stdout)
 
     def test_not_a_bench_json_is_rejected(self):
         base = self.write("base.json", {"nope": []})
