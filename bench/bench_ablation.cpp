@@ -14,13 +14,9 @@
 #include "matching/max_matching.hpp"
 #include "partition/sharded_partition.hpp"
 
-int main(int argc, char** argv) {
-  using namespace rcc;
-  auto setup = bench::standard_setup(
-      argc, argv, "EXP16/bench_ablation",
-      "Theorem 1 design freedoms: per-machine algorithm choice and "
-      "coordinator solver do not change the O(1) quality; footnote-3 "
-      "kernels are exact once cap >= MM");
+namespace rcc::bench {
+
+bool run_ablation(const ExperimentSetup& setup) {
   Rng rng(setup.seed);
   const auto n = static_cast<VertexId>(8000 * setup.scale);
   const std::size_t k = 12;
@@ -57,12 +53,8 @@ int main(int argc, char** argv) {
       {&mixed, ComposeSolver::kMaximum, "maximum (mixed algs)", "exact"},
       {&uniform, ComposeSolver::kGreedy, "maximum (uniform alg)", "greedy"},
   };
-  std::size_t uniform_exact = 0;
   for (const Row& row : rows) {
     const auto [size, words] = run(*row.coreset, row.solver);
-    if (row.coreset == &uniform && row.solver == ComposeSolver::kMaximum) {
-      uniform_exact = size;
-    }
     const double ratio = static_cast<double>(opt) / size;
     ok &= ratio <= 9.0;
     table.add_row({row.cname, row.sname, TablePrinter::fmt(std::uint64_t{size}),
@@ -103,10 +95,10 @@ int main(int argc, char** argv) {
     std::printf("(small-opt instance for kernel rows: MM = %zu)\n", mm);
   }
   table.print();
-  (void)uniform_exact;
-  bench::verdict(ok,
-                 "mixed-algorithm machines match the uniform coreset; greedy "
-                 "coordinator loses <= 2x; kernel composition turns exact at "
-                 "cap >= MM — all three freedoms behave as the paper claims");
-  return ok ? 0 : 1;
+  // Verdict: mixed-algorithm machines match the uniform coreset; greedy
+  // coordinator loses <= 2x; kernel composition turns exact at cap >= MM — all
+  // three freedoms behave as the paper claims.
+  return ok;
 }
+
+}  // namespace rcc::bench

@@ -1,18 +1,18 @@
-// Shared scaffolding for the experiment binaries in bench/.
+// Shared scaffolding for the paper experiments in bench/.
 //
-// Every binary regenerates one experiment from DESIGN.md's index and prints
-// a paper-style table plus a one-line verdict tying the measurement back to
-// the claim it reproduces. Binaries accept --seed and --scale (0.25..4) so
-// CI can run them fast and a workstation can run them big.
+// Each bench_<name>.cpp other than bench_suite and bench_micro_algorithms
+// holds one experiment as `run_<name>`: it prints a paper-style table and
+// returns whether the measured shape matches the claim it reproduces. The
+// paper_experiments program (paper_experiments.cpp) lists every experiment
+// with its paper anchor and claim, parses --seed, --scale (0.25..4) and
+// --reps once, and prints the banner and the verdict line around the run.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
-#include <string>
 
-#include "util/options.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 namespace rcc::bench {
 
@@ -22,26 +22,24 @@ struct ExperimentSetup {
   int reps = 3;
 };
 
-/// Parses the standard flags and prints the experiment banner.
-inline ExperimentSetup standard_setup(int argc, char** argv, const char* exp_id,
-                                      const char* claim) {
-  Options opts(std::string(exp_id) + ": " + claim);
-  opts.flag("seed", "42", "PRNG seed");
-  opts.flag("scale", "1.0", "instance size multiplier");
-  opts.flag("reps", "3", "repetitions per configuration");
-  opts.parse(argc, argv);
-  ExperimentSetup setup;
-  setup.seed = static_cast<std::uint64_t>(opts.get_int("seed"));
-  setup.scale = opts.get_double("scale");
-  setup.reps = static_cast<int>(opts.get_int("reps"));
-  std::printf("=== %s ===\n%s\n(seed=%llu scale=%.2f reps=%d)\n\n", exp_id,
-              claim, static_cast<unsigned long long>(setup.seed), setup.scale,
-              setup.reps);
-  return setup;
-}
-
-inline void verdict(bool ok, const char* message) {
-  std::printf("\n[%s] %s\n", ok ? "SHAPE-OK" : "SHAPE-MISMATCH", message);
-}
+bool run_matching_coreset(const ExperimentSetup& setup);     // EXP1
+bool run_greedy_gap(const ExperimentSetup& setup);           // EXP2
+bool run_vc_coreset(const ExperimentSetup& setup);           // EXP3
+bool run_vc_negative(const ExperimentSetup& setup);          // EXP4
+bool run_lb_matching(const ExperimentSetup& setup);          // EXP5
+bool run_lb_vc(const ExperimentSetup& setup);                // EXP6
+bool run_subsampled_protocol(const ExperimentSetup& setup);  // EXP7
+bool run_grouping_protocol(const ExperimentSetup& setup);    // EXP8
+bool run_mapreduce(const ExperimentSetup& setup);            // EXP9
+bool run_communication(const ExperimentSetup& setup);        // EXP10
+bool run_induced_matching(const ExperimentSetup& setup);     // EXP11
+bool run_greedymatch_growth(const ExperimentSetup& setup);   // EXP12
+bool run_weighted(const ExperimentSetup& setup);             // EXP13
+bool run_weighted_vc(const ExperimentSetup& setup);          // EXP15
+bool run_ablation(const ExperimentSetup& setup);             // EXP16
+bool run_hvp(const ExperimentSetup& setup);                  // EXP17
+bool run_contrast(const ExperimentSetup& setup);             // EXP18
+bool run_matching_recovery(const ExperimentSetup& setup);    // EXP19
+bool run_streaming(const ExperimentSetup& setup);            // EXP20
 
 }  // namespace rcc::bench

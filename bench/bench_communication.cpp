@@ -7,12 +7,9 @@
 #include "distributed/protocols.hpp"
 #include "graph/generators.hpp"
 
-int main(int argc, char** argv) {
-  using namespace rcc;
-  auto setup = bench::standard_setup(
-      argc, argv, "EXP10/bench_communication",
-      "Results 1+3: coreset protocols use O~(nk) total communication — "
-      "linear in k and in n; per-machine messages are O~(n)");
+namespace rcc::bench {
+
+bool run_communication(const ExperimentSetup& setup) {
   Rng rng(setup.seed);
 
   TablePrinter table({"problem", "n", "k", "total(words)", "words/(n*k)",
@@ -50,8 +47,9 @@ int main(int argc, char** argv) {
                        static_cast<double>(v.comm.max_machine_words()) / n)});
   }
   table.print();
-  bench::verdict(nk_shape,
-                 "words/(n*k) stays O(1)-ish across the k sweep and the n "
-                 "sweep: the O~(nk) law (per-machine O~(n))");
-  return nk_shape ? 0 : 1;
+  // Verdict: words/(n*k) stays O(1)-ish across the k sweep and the n sweep:
+  // the O~(nk) law (per-machine O~(n)).
+  return nk_shape;
 }
+
+}  // namespace rcc::bench

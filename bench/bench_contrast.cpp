@@ -18,13 +18,9 @@
 #include "partition/partition.hpp"
 #include "partition/sharded_partition.hpp"
 
-int main(int argc, char** argv) {
-  using namespace rcc;
-  auto setup = bench::standard_setup(
-      argc, argv, "EXP18/bench_contrast",
-      "Intro framing: connectivity has a composable coreset under ANY "
-      "partition; matching's O(1) guarantee is specific to random "
-      "partitioning");
+namespace rcc::bench {
+
+bool run_contrast(const ExperimentSetup& setup) {
   Rng rng(setup.seed);
   const auto n = static_cast<VertexId>(20000 * setup.scale);
   const EdgeList el = gnp(n, 1.6 / n, rng);  // rich component structure
@@ -82,9 +78,9 @@ int main(int argc, char** argv) {
       "the adversarial-partition hardness of [10] needs RS-graph "
       "constructions; the gap the paper proves for random partitioning is "
       "realized by EXP2's hub adversary.)\n");
-  bench::verdict(connectivity_always_exact,
-                 "spanning-forest coresets are exact under every partitioner "
-                 "— the deterministic composability the intro contrasts "
-                 "matching against");
-  return connectivity_always_exact ? 0 : 1;
+  // Verdict: spanning-forest coresets are exact under every partitioner — the
+  // deterministic composability the intro contrasts matching against.
+  return connectivity_always_exact;
 }
+
+}  // namespace rcc::bench

@@ -10,12 +10,9 @@
 #include "graph/generators.hpp"
 #include "partition/sharded_partition.hpp"
 
-int main(int argc, char** argv) {
-  using namespace rcc;
-  auto setup = bench::standard_setup(
-      argc, argv, "EXP2/bench_greedy_gap",
-      "R1c: adversarial maximal matching coreset is Omega(k)-approximate on "
-      "the hub gadget; maximum matching coreset stays ~1");
+namespace rcc::bench {
+
+bool run_greedy_gap(const ExperimentSetup& setup) {
   Rng rng(setup.seed);
   const auto pairs = static_cast<VertexId>(8192 * setup.scale);
 
@@ -58,9 +55,10 @@ int main(int argc, char** argv) {
                    TablePrinter::fmt_ratio(bad_ratio / k)});
   }
   table.print();
-  bench::verdict(grows_linearly && maximum_stays_constant,
-                 "adversarial ratio grows ~linearly in k (roughly k/2) while "
-                 "the maximum-matching coreset stays near 1 (random-order "
-                 "greedy sits in between: the failure needs the adversary)");
-  return (grows_linearly && maximum_stays_constant) ? 0 : 1;
+  // Verdict: adversarial ratio grows ~linearly in k (roughly k/2) while the
+  // maximum-matching coreset stays near 1 (random-order greedy sits in
+  // between: the failure needs the adversary).
+  return grows_linearly && maximum_stays_constant;
 }
+
+}  // namespace rcc::bench

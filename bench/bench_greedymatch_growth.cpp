@@ -8,12 +8,9 @@
 #include "matching/max_matching.hpp"
 #include "partition/sharded_partition.hpp"
 
-int main(int argc, char** argv) {
-  using namespace rcc;
-  auto setup = bench::standard_setup(
-      argc, argv, "EXP12/bench_greedymatch_growth",
-      "Lemma 3.2: GreedyMatch adds ~MM/k edges per early step; Lemma 3.1: "
-      "the final matching is >= MM/9 (empirically ~0.6 MM)");
+namespace rcc::bench {
+
+bool run_greedymatch_growth(const ExperimentSetup& setup) {
   Rng rng(setup.seed);
   const auto n = static_cast<VertexId>(30000 * setup.scale);
   const std::size_t k = 24;
@@ -47,8 +44,9 @@ int main(int argc, char** argv) {
   table.print();
   const bool final_ok =
       static_cast<double>(trace.matching.size()) >= static_cast<double>(opt) / 9.0;
-  bench::verdict(early_growth && final_ok,
-                 "early steps add Theta(MM/k) edges each; the final matching "
-                 "clears the MM/9 bound of Lemma 3.1 with a wide margin");
-  return (early_growth && final_ok) ? 0 : 1;
+  // Verdict: early steps add Theta(MM/k) edges each; the final matching clears
+  // the MM/9 bound of Lemma 3.1 with a wide margin.
+  return early_growth && final_ok;
 }
+
+}  // namespace rcc::bench

@@ -9,13 +9,9 @@
 #include "graph/generators.hpp"
 #include "vertex_cover/konig.hpp"
 
-int main(int argc, char** argv) {
-  using namespace rcc;
-  auto setup = bench::standard_setup(
-      argc, argv, "EXP8/bench_grouping_protocol",
-      "Remark 5.8: contracting vertex groups of size alpha/log n before the "
-      "peeling coreset gives <= alpha-ish approximation with communication "
-      "shrinking ~1/alpha");
+namespace rcc::bench {
+
+bool run_grouping_protocol(const ExperimentSetup& setup) {
   Rng rng(setup.seed);
   const auto side = static_cast<VertexId>(8000 * setup.scale);
   const VertexId n = 2 * side;
@@ -35,8 +31,8 @@ int main(int argc, char** argv) {
   for (double alpha : {14.0, 28.0, 56.0, 112.0}) {
     const GroupedVcProtocolResult r = grouped_vc_protocol(el, k, alpha, rng, nullptr);
     if (!r.solution.covers(el)) {
-      bench::verdict(false, "grouped cover infeasible");
-      return 1;
+      std::printf("grouped cover infeasible\n");
+      return false;
     }
     const double ratio =
         static_cast<double>(r.solution.size()) / static_cast<double>(opt);
@@ -54,8 +50,9 @@ int main(int argc, char** argv) {
                    TablePrinter::fmt_ratio(normalized)});
   }
   table.print();
-  bench::verdict(monotone_comm,
-                 "communication decreases as alpha grows (the ~nk/alpha "
-                 "frontier of Theorem 6) while the ratio stays <= alpha");
-  return monotone_comm ? 0 : 1;
+  // Verdict: communication decreases as alpha grows (the ~nk/alpha frontier of
+  // Theorem 6) while the ratio stays <= alpha.
+  return monotone_comm;
 }
+
+}  // namespace rcc::bench

@@ -5,13 +5,9 @@
 #include "bench_common.hpp"
 #include "lower_bounds/hvp.hpp"
 
-int main(int argc, char** argv) {
-  using namespace rcc;
-  auto setup = bench::standard_setup(
-      argc, argv, "EXP17/bench_hvp",
-      "Hidden Vertex Problem: success probability is ~budget/m unless the "
-      "output blows up to Omega(|U|) — the Omega(n/alpha) message bound of "
-      "Theorem 6 in game form");
+namespace rcc::bench {
+
+bool run_hvp(const ExperimentSetup& setup) {
   Rng rng(setup.seed);
   const std::uint64_t universe = static_cast<std::uint64_t>(40000 * setup.scale);
   const std::size_t m = static_cast<std::size_t>(universe / 10);  // n/alpha
@@ -42,9 +38,10 @@ int main(int argc, char** argv) {
     }
   }
   table.print();
-  bench::verdict(shape,
-                 "success tracks budget/m + (1-budget/m)*fallback-fraction: "
-                 "constant success needs either Omega(m) message words or "
-                 "Omega(|U|) output — Lemma 5.7's frontier");
-  return shape ? 0 : 1;
+  // Verdict: success tracks budget/m + (1-budget/m)*fallback-fraction:
+  // constant success needs either Omega(m) message words or Omega(|U|) output
+  // — Lemma 5.7's frontier.
+  return shape;
 }
+
+}  // namespace rcc::bench

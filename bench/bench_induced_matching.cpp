@@ -10,13 +10,9 @@
 #include "graph/properties.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
-  using namespace rcc;
-  auto setup = bench::standard_setup(
-      argc, argv, "EXP11/bench_induced_matching",
-      "Appendix A: G(n,n,1/n) has ~n/e degree-1 left vertices and an induced "
-      "matching of ~n/e^2 >= n/e^3; balls-in-bins singletons follow "
-      "(B/M)*N*e^{-N/M}");
+namespace rcc::bench {
+
+bool run_induced_matching(const ExperimentSetup& setup) {
   Rng rng(setup.seed);
   const auto n = static_cast<VertexId>(40000 * setup.scale);
 
@@ -61,6 +57,8 @@ int main(int argc, char** argv) {
     add("balls-in-bins singletons in B (Prop A.1)", singles.mean(), predicted);
   }
   table.print();
-  bench::verdict(ok, "all Appendix A constants within 5% of prediction");
-  return ok ? 0 : 1;
+  // Verdict: all Appendix A constants within 5% of prediction.
+  return ok;
 }
+
+}  // namespace rcc::bench

@@ -20,13 +20,9 @@
 #include "matching/max_matching.hpp"
 #include "partition/sharded_partition.hpp"
 
-int main(int argc, char** argv) {
-  using namespace rcc;
-  auto setup = bench::standard_setup(
-      argc, argv, "EXP5/bench_lb_matching",
-      "Theorem 3: budget-s coresets on D_Matching recover ~s*alpha/k planted "
-      "edges per machine under ANY local policy; alpha-approx needs "
-      "s = Omega(n/alpha^2)");
+namespace rcc::bench {
+
+bool run_lb_matching(const ExperimentSetup& setup) {
   Rng rng(setup.seed);
   const auto n = static_cast<VertexId>(40000 * setup.scale);
   const double alpha = 10.0;
@@ -92,9 +88,10 @@ int main(int argc, char** argv) {
                                            static_cast<double>(r.solution.size()))});
   }
   table.print();
-  bench::verdict(linear_in_s,
-                 "planted-edge recovery is linear in the budget and capped by "
-                 "the alpha/k indistinguishability rate for every policy; "
-                 "only the unbudgeted coreset reaches a constant ratio");
-  return linear_in_s ? 0 : 1;
+  // Verdict: planted-edge recovery is linear in the budget and capped by the
+  // alpha/k indistinguishability rate for every policy; only the unbudgeted
+  // coreset reaches a constant ratio.
+  return linear_in_s;
 }
+
+}  // namespace rcc::bench

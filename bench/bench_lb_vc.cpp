@@ -1,6 +1,6 @@
 // EXP6 (Theorem 4 / R2b): on D_VC, a budget-s summary contains the hidden
-// edge e* w.p. ~ s / |piece of e*'s machine| ~ 2 s alpha / n, so covering e*
-// (and hence feasibility) requires s = Omega(n/alpha).
+// edge e* w.p. ~ s / |piece of e*'s machine| ~ 2 s alpha / n, so the
+// summaries carry e* with constant probability only when s = Omega(n/alpha).
 //
 // Table: budget sweep -> empirical P[e* in some summary], P[composed cover
 // feasible], and the cover size.
@@ -10,12 +10,9 @@
 #include "partition/sharded_partition.hpp"
 #include "vertex_cover/approx.hpp"
 
-int main(int argc, char** argv) {
-  using namespace rcc;
-  auto setup = bench::standard_setup(
-      argc, argv, "EXP6/bench_lb_vc",
-      "Theorem 4: budget-s summaries on D_VC miss the hidden edge e* unless "
-      "s = Omega(n/alpha); feasibility probability ~ min(1, 2 s alpha / n)");
+namespace rcc::bench {
+
+bool run_lb_vc(const ExperimentSetup& setup) {
   Rng rng(setup.seed);
   const auto n = static_cast<VertexId>(20000 * setup.scale);
   const double alpha = 10.0;
@@ -56,7 +53,6 @@ int main(int argc, char** argv) {
     const double p_e_star = static_cast<double>(has_e_star) / trials;
     const double p_feasible = static_cast<double>(feasible) / trials;
     shape_ok &= std::abs(p_e_star - predicted) < 0.3;
-    shape_ok &= p_feasible <= p_e_star + 1e-9;  // can't cover what you missed*
     table.add_row({TablePrinter::fmt(std::uint64_t{budget}),
                    TablePrinter::fmt_ratio(frac),
                    TablePrinter::fmt_ratio(p_e_star),
@@ -66,10 +62,12 @@ int main(int argc, char** argv) {
   }
   table.print();
   std::printf(
-      "(*) feasibility also requires covering every E_A edge; with e* present "
-      "it still may fail, so P[feasible] <= P[e* in summary].\n");
-  bench::verdict(shape_ok,
-                 "P[e* in summary] tracks min(1, 2 s alpha / n): feasibility "
-                 "needs budgets of order n/alpha, matching Omega(n/alpha)");
-  return shape_ok ? 0 : 1;
+      "(*) P[cover feasible] is not bounded by P[e* in summary]: the "
+      "coordinator's cover can take an endpoint of e* through other summary "
+      "edges and so cover e* without receiving it.\n");
+  // Verdict: P[e* in summary] tracks min(1, 2 s alpha / n): keeping e* needs
+  // budgets of order n/alpha, matching Omega(n/alpha).
+  return shape_ok;
 }
+
+}  // namespace rcc::bench

@@ -14,13 +14,9 @@
 #include "mpc/filtering_mpc.hpp"
 #include "mpc/mpc_engine.hpp"
 
-int main(int argc, char** argv) {
-  using namespace rcc;
-  auto setup = bench::standard_setup(
-      argc, argv, "EXP9/bench_mapreduce",
-      "R5: coreset-MPC solves matching & VC in 2 rounds (1 round on random "
-      "input); the filtering baseline needs more rounds when the graph "
-      "exceeds one machine's memory");
+namespace rcc::bench {
+
+bool run_mapreduce(const ExperimentSetup& setup) {
   Rng rng(setup.seed);
   const auto n = static_cast<VertexId>(3000 * setup.scale);
   // Dense graph (p = 0.5): m exceeds one machine's memory so filtering must
@@ -93,9 +89,10 @@ int main(int argc, char** argv) {
   std::printf("(filtering ran %zu filter iterations; each costs 2 rounds)\n",
               fm.filter_iterations);
   const bool shape = cm.rounds == 2 && cm1.rounds == 1 && fm.rounds > cm.rounds;
-  bench::verdict(shape,
-                 "coreset-MPC: 2 rounds (1 on random input) at a worse-but-"
-                 "O(1) ratio; filtering: more rounds for its 2-approximation "
-                 "— the round-vs-ratio trade of Section 1.1");
-  return shape ? 0 : 1;
+  // Verdict: coreset-MPC: 2 rounds (1 on random input) at a worse-but-O(1)
+  // ratio; filtering: more rounds for its 2-approximation — the round-vs-ratio
+  // trade of Section 1.1.
+  return shape;
 }
+
+}  // namespace rcc::bench

@@ -43,12 +43,9 @@ std::vector<Family> make_families(VertexId n, Rng& rng) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  using namespace rcc;
-  auto setup = bench::standard_setup(
-      argc, argv, "EXP1/bench_matching_coreset",
-      "Theorem 1: maximum-matching coresets give an O(1)-approximation "
-      "(paper bound 9); ratio should stay flat as k grows");
+namespace rcc::bench {
+
+bool run_matching_coreset(const ExperimentSetup& setup) {
   Rng rng(setup.seed);
   const auto n = static_cast<VertexId>(12000 * setup.scale);
 
@@ -79,8 +76,9 @@ int main(int argc, char** argv) {
     }
   }
   table.print();
-  bench::verdict(worst_ratio <= 9.0,
-                 "all measured ratios within the paper's factor-9 bound "
-                 "(empirically expected ~1-2, flat in k)");
-  return worst_ratio <= 9.0 ? 0 : 1;
+  // Verdict: all measured ratios within the paper's factor-9 bound
+  // (empirically expected ~1-2, flat in k).
+  return worst_ratio <= 9.0;
 }
+
+}  // namespace rcc::bench

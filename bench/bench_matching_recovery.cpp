@@ -7,12 +7,9 @@
 #include "lower_bounds/matching_recovery.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
-  using namespace rcc;
-  auto setup = bench::standard_setup(
-      argc, argv, "EXP19/bench_matching_recovery",
-      "MatchingRecovery: E[recovered edges] = (message edges) / c with "
-      "c = Theta(k/alpha) blocks — Lemma 5.1 in game form");
+namespace rcc::bench {
+
+bool run_matching_recovery(const ExperimentSetup& setup) {
   Rng rng(setup.seed);
   const auto t = static_cast<VertexId>(40000 * setup.scale);  // ~n/alpha
   const int trials = 60 * setup.reps;
@@ -41,9 +38,10 @@ int main(int argc, char** argv) {
     }
   }
   table.print();
-  bench::verdict(ok,
-                 "recovery is exactly budget/c for every block structure and "
-                 "budget: Alice's words convert to Bob-useful edges at rate "
-                 "Theta(alpha/k), forcing s = Omega(n/alpha^2) per machine");
-  return ok ? 0 : 1;
+  // Verdict: recovery is exactly budget/c for every block structure and
+  // budget: Alice's words convert to Bob-useful edges at rate Theta(alpha/k),
+  // forcing s = Omega(n/alpha^2) per machine.
+  return ok;
 }
+
+}  // namespace rcc::bench

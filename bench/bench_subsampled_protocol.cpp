@@ -9,12 +9,9 @@
 #include "lower_bounds/hard_instances.hpp"
 #include "matching/max_matching.hpp"
 
-int main(int argc, char** argv) {
-  using namespace rcc;
-  auto setup = bench::standard_setup(
-      argc, argv, "EXP7/bench_subsampled_protocol",
-      "Remark 5.2: subsampling the maximum-matching coreset at rate 1/alpha "
-      "gives ~alpha-approximation with ~nk/alpha^2 words of communication");
+namespace rcc::bench {
+
+bool run_subsampled_protocol(const ExperimentSetup& setup) {
   Rng rng(setup.seed);
   const auto n = static_cast<VertexId>(40000 * setup.scale);
   const std::size_t k = 50;
@@ -44,8 +41,9 @@ int main(int argc, char** argv) {
     comm_shape &= ratio <= 9.0 * alpha;  // alpha times the Theorem 1 constant
   }
   table.print();
-  bench::verdict(comm_shape,
-                 "ratio grows ~linearly with alpha while communication falls "
-                 "~quadratically: the nk/alpha^2 frontier of Theorem 5");
-  return comm_shape ? 0 : 1;
+  // Verdict: ratio grows ~linearly with alpha while communication falls
+  // ~quadratically: the nk/alpha^2 frontier of Theorem 5.
+  return comm_shape;
 }
+
+}  // namespace rcc::bench

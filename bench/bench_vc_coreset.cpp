@@ -10,12 +10,9 @@
 
 #include <cmath>
 
-int main(int argc, char** argv) {
-  using namespace rcc;
-  auto setup = bench::standard_setup(
-      argc, argv, "EXP3/bench_vc_coreset",
-      "Theorem 2: peeling coresets give an O(log n)-approximate vertex "
-      "cover; ratio flat in k, coreset size O~(n)");
+namespace rcc::bench {
+
+bool run_vc_coreset(const ExperimentSetup& setup) {
   Rng rng(setup.seed);
 
   TablePrinter table({"n", "k", "VC(G)", "ratio", "ratio/log2(n)",
@@ -34,8 +31,8 @@ int main(int argc, char** argv) {
       for (int rep = 0; rep < setup.reps; ++rep) {
         const VcProtocolResult r = coreset_vc_protocol(el, k, rng, nullptr);
         if (!r.solution.covers(el)) {
-          bench::verdict(false, "returned cover infeasible");
-          return 1;
+          std::printf("returned cover infeasible\n");
+          return false;
         }
         ratio_stat.add(static_cast<double>(r.solution.size()) /
                        static_cast<double>(opt));
@@ -54,8 +51,9 @@ int main(int argc, char** argv) {
     }
   }
   table.print();
-  bench::verdict(within_log,
-                 "all ratios <= O(log n) (ratio/log2 n column stays below a "
-                 "small constant, flat in k)");
-  return within_log ? 0 : 1;
+  // Verdict: all ratios <= O(log n) (ratio/log2 n column stays below a small
+  // constant, flat in k).
+  return within_log;
 }
+
+}  // namespace rcc::bench

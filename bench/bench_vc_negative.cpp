@@ -8,12 +8,9 @@
 #include "graph/generators.hpp"
 #include "partition/sharded_partition.hpp"
 
-int main(int argc, char** argv) {
-  using namespace rcc;
-  auto setup = bench::standard_setup(
-      argc, argv, "EXP4/bench_vc_negative",
-      "R1d: min-VC-of-piece union is Omega(k)-approximate on star forests "
-      "(expected ~k/e); the peeling coreset stays ~2");
+namespace rcc::bench {
+
+bool run_vc_negative(const ExperimentSetup& setup) {
   Rng rng(setup.seed);
   const auto stars = static_cast<VertexId>(600 * setup.scale);
 
@@ -52,8 +49,9 @@ int main(int argc, char** argv) {
                    TablePrinter::fmt_ratio(bad_ratio / k)});
   }
   table.print();
-  bench::verdict(min_vc_fails && peeling_fine,
-                 "min-vc-of-piece ratio grows ~k/e with k; peeling coreset "
-                 "stays ~2 (the 2-approx of the residual union)");
-  return (min_vc_fails && peeling_fine) ? 0 : 1;
+  // Verdict: min-vc-of-piece ratio grows ~k/e with k; peeling coreset stays ~2
+  // (the 2-approx of the residual union).
+  return min_vc_fails && peeling_fine;
 }
+
+}  // namespace rcc::bench

@@ -10,12 +10,9 @@
 #include "graph/generators.hpp"
 #include "vertex_cover/weighted_vc.hpp"
 
-int main(int argc, char** argv) {
-  using namespace rcc;
-  auto setup = bench::standard_setup(
-      argc, argv, "EXP15/bench_weighted_vc",
-      "Weighted VC via weight-grouped peeling coresets: cost within a small "
-      "factor of the centralized 2-approx; summaries grow only with log W");
+namespace rcc::bench {
+
+bool run_weighted_vc(const ExperimentSetup& setup) {
   Rng rng(setup.seed);
   const auto side = static_cast<VertexId>(4000 * setup.scale);
   const VertexId n = 2 * side;
@@ -30,8 +27,8 @@ int main(int argc, char** argv) {
     for (auto& x : w) x = rng.uniform_real(1.0, wmax + 1e-9);
     const WeightedVcProtocolResult r = weighted_vc_protocol(el, w, k, rng);
     if (!r.solution.covers(el)) {
-      bench::verdict(false, "infeasible cover");
-      return 1;
+      std::printf("infeasible cover\n");
+      return false;
     }
     const WeightedVcResult central = local_ratio_weighted_vc(el, w);
     const double central_cost = cover_weight(central.cover, w);
@@ -46,9 +43,10 @@ int main(int argc, char** argv) {
                    TablePrinter::fmt(r.comm.total_words())});
   }
   table.print();
-  bench::verdict(ok,
-                 "grouped-coreset cost stays within a small constant of the "
-                 "centralized local-ratio across a 512x weight range, with "
-                 "O(log W) summary classes — the promised shape");
-  return ok ? 0 : 1;
+  // Verdict: grouped-coreset cost stays within a small constant of the
+  // centralized local-ratio across a 512x weight range, with O(log W) summary
+  // classes — the promised shape.
+  return ok;
 }
+
+}  // namespace rcc::bench

@@ -12,7 +12,12 @@
 // where the peeling coreset compresses (piece degrees clear the
 // n/(4k) thresholds).
 //
-// Run:  ./mapreduce_vertex_cover --n 3000 --mpc-rounds 2
+// The first row is the paper's 2-round algorithm on adversarially placed
+// records (they arrive wherever they were crawled), so it pays the shuffle
+// round. --mpc-rounds > 1 adds a multi-round row, whose placement follows
+// --mpc-random-input.
+//
+// Run:  ./mapreduce_vertex_cover --n 3000 --mpc-rounds 2 --mpc-random-input false
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -40,9 +45,6 @@ int main(int argc, char** argv) {
   const EdgeList similarity = gnp(n, opts.get_double("p"), rng);
 
   MpcEngineConfig engine_cfg = mpc_engine_config_from_options(opts, n);
-  // The dedup scenario's records arrive wherever they were crawled: the
-  // placement is adversarial, so the multi-round row pays the shuffle too.
-  engine_cfg.input_already_random = false;
   if (opts.get_int("mpc-machines") == 0) engine_cfg.mpc.num_machines = 20;
   if (opts.get_int("mpc-memory-budget") == 0) {
     // One machine's memory is below the graph size: the whole point of MPC.

@@ -1,5 +1,6 @@
 #include "distributed/summary_wire.hpp"
 
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -183,6 +184,10 @@ WeightedCoresetOutput SummaryCodec<WeightedCoresetOutput>::decode(
       wire_fail("weighted edge %llu carries a negative or NaN weight",
                 static_cast<unsigned long long>(i));
     }
+    if (std::isinf(w)) {
+      wire_fail("weighted edge %llu carries an infinite weight",
+                static_cast<unsigned long long>(i));
+    }
     coreset.edges.edges.push_back(WeightedEdge{u, v, w});
   }
   return coreset;
@@ -256,21 +261,6 @@ void SummaryCodec<GroupedVcSummary>::encode(const GroupedVcSummary& summary,
   for (const VertexId group : summary.pinned_groups) writer.u32(group);
 }
 
-void SummaryCodec<PieceDelivery>::encode(const PieceDelivery& piece,
-                                         WireWriter& writer) {
-  writer.u32(piece.round);
-  for (const std::uint64_t word : piece.rng_state) writer.u64(word);
-  SummaryCodec<EdgeList>::encode(piece.edges, writer);
-}
-
-PieceDelivery SummaryCodec<PieceDelivery>::decode(WireReader& reader) {
-  PieceDelivery piece;
-  piece.round = reader.u32();
-  for (std::uint64_t& word : piece.rng_state) word = reader.u64();
-  piece.edges = SummaryCodec<EdgeList>::decode(reader);
-  return piece;
-}
-
 PieceDeliveryView decode_piece_frame_view(const FrameHeader& header,
                                           const std::uint8_t* payload) {
   // The borrow below reinterprets wire records as Edge values; this is only
@@ -308,32 +298,6 @@ PieceDeliveryView decode_piece_frame_view(const FrameHeader& header,
     }
   }
   return view;
-}
-
-std::vector<std::uint8_t> encode_piece_frame(
-    const Edge* edges, std::size_t num_edges, VertexId num_vertices,
-    const std::array<std::uint64_t, 4>& rng_state, std::uint32_t round,
-    std::uint32_t machine) {
-  std::vector<std::uint8_t> bytes(kFrameHeaderBytes, 0);
-  bytes.reserve(kFrameHeaderBytes + 4 + 32 + 12 + 8 * num_edges);
-  WireWriter writer(bytes);
-  writer.u32(round);
-  for (const std::uint64_t word : rng_state) writer.u64(word);
-  writer.u32(num_vertices);
-  writer.u64(num_edges);
-  for (std::size_t i = 0; i < num_edges; ++i) {
-    writer.u32(edges[i].u);
-    writer.u32(edges[i].v);
-  }
-  const std::uint64_t payload = bytes.size() - kFrameHeaderBytes;
-  if (payload > kMaxFramePayloadBytes) {
-    wire_fail("machine %u piece payload (%llu bytes) exceeds the frame cap",
-              machine, static_cast<unsigned long long>(payload));
-  }
-  encode_frame_header(
-      FrameHeader{SummaryShape::kPieceDelivery, machine, payload},
-      bytes.data());
-  return bytes;
 }
 
 void encode_piece_frame_prefix(std::size_t num_edges, VertexId num_vertices,

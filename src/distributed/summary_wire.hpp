@@ -200,32 +200,6 @@ struct SummaryCodec<GroupedVcSummary> {
   static GroupedVcSummary decode(WireReader& reader);
 };
 
-/// One round's work order for a forked worker: the machine's shard
-/// of the surviving edges plus the machine RNG stream the coordinator forked
-/// for this round (so the worker's draws are identical to the in-process and
-/// fork-per-round paths, and the caller's RNG position is untouched).
-struct PieceDelivery {
-  std::uint32_t round = 0;                   // sanity: executor round index
-  std::array<std::uint64_t, 4> rng_state{};  // Rng::state() of the stream
-  EdgeList edges;                            // the machine's piece
-};
-
-template <>
-struct SummaryCodec<PieceDelivery> {
-  static constexpr SummaryShape kShape = SummaryShape::kPieceDelivery;
-  // Layout: u32 round, 4 x u64 rng state, EdgeList piece as above.
-  static void encode(const PieceDelivery& piece, WireWriter& writer);
-  static PieceDelivery decode(WireReader& reader);
-};
-
-/// Encodes a piece frame straight from a partition shard view — the hot
-/// downlink path; byte-identical to encode_frame over a PieceDelivery whose
-/// EdgeList copies the span, without materializing that copy.
-std::vector<std::uint8_t> encode_piece_frame(
-    const Edge* edges, std::size_t num_edges, VertexId num_vertices,
-    const std::array<std::uint64_t, 4>& rng_state, std::uint32_t round,
-    std::uint32_t machine);
-
 /// Frame header plus the fixed head of a kPieceDelivery payload (round, rng
 /// state, num_vertices, num_edges): everything before the edge records.
 inline constexpr std::size_t kPieceFramePrefixBytes =
@@ -248,9 +222,10 @@ void encode_edge_list_frame_prefix(const EdgeList& summary,
 /// Writes the header + fixed payload prefix of a piece frame into `out`
 /// (kPieceFramePrefixBytes of space). The num_edges * 8 edge bytes follow
 /// directly on the wire, and the wire's (u32 u, u32 v) records are Edge's
-/// memory layout — so a sender can stream the shard span itself as the
-/// frame body with no staging copy. prefix + raw edge bytes is
-/// byte-identical to encode_piece_frame over the same arguments.
+/// memory layout — so a sender streams the shard span itself as the frame
+/// body with no staging copy. The kPieceDelivery payload is u32 round,
+/// 4 x u64 rng state (the machine RNG stream the coordinator forked for
+/// this round), then an EdgeList piece laid out as in SummaryCodec<EdgeList>.
 void encode_piece_frame_prefix(std::size_t num_edges, VertexId num_vertices,
                                const std::array<std::uint64_t, 4>& rng_state,
                                std::uint32_t round, std::uint32_t machine,
@@ -277,9 +252,9 @@ FrameHeader decode_frame_header(const std::uint8_t* bytes);
 /// Zero-copy view of a received kPieceDelivery payload: `edges` points INTO
 /// the frame payload (the wire's (u32 u, u32 v) records are Edge's memory
 /// layout, asserted in the codec), so a worker reads its piece
-/// without materializing an owning EdgeList. Runs the same validation
-/// funnel as the owning decode — ids in range, no self-loops, exact payload
-/// consumption — just without the copy. The view borrows the payload
+/// without materializing an owning EdgeList. Runs the checks of
+/// SummaryCodec<EdgeList>::decode — ids in range, no self-loops — plus exact
+/// payload consumption, just without the copy. The view borrows the payload
 /// buffer: it is valid only while the frame it was decoded from lives.
 struct PieceDeliveryView {
   std::uint32_t round = 0;

@@ -14,19 +14,12 @@
 // therefore remembers an order-independent signature of the multiset it was
 // built from and turns those calls into O(m) verification with zero writes.
 //
-// Ownership/compaction rules (see README "Performance playbook"):
+// Ownership rules (see README "Performance playbook"):
 //  * the CSR owns its storage and normally lives in a MachineScratch state
 //    slot (`scratch.state<IncrementalCsr>()`), so capacity persists across
 //    rounds like every other workspace buffer;
 //  * `ensure()` is the only entry point hot paths need: it reuses when the
-//    signature matches and counting-sort rebuilds otherwise;
-//  * `compact()` shrinks the adjacency in place to the subgraph induced by
-//    a vertex predicate — the survivor-filter shape every round-combiner
-//    uses — and updates the signature so a following `ensure()` over the
-//    filtered edge list reuses instead of rebuilding. Rows keep their
-//    sorted order under compaction (filtering preserves sortedness), so a
-//    compacted CSR is bit-identical to a fresh build over the survivors
-//    (differential-tested in tests/workspace_test.cpp).
+//    signature matches and counting-sort rebuilds otherwise.
 //
 // Signature caveat: reuse detection is a 64-bit multiset hash (sum of
 // per-edge splitmix64 finalizers), so two different multisets collide with
@@ -76,47 +69,8 @@ class IncrementalCsr {
     build_impl<true>(edges, 0, stats);
   }
 
-  /// In-place compaction to the subgraph induced by `keep`: every arc with a
-  /// dropped endpoint on either side is removed, rows stay sorted, and the
-  /// signature is recomputed from the survivors so the next ensure() over
-  /// the filtered edge list is a reuse. O(current arcs), no allocation.
-  template <typename KeepVertex>
-  void compact(KeepVertex&& keep) {
-    RCC_CHECK(valid_);
-    std::uint32_t* off = offsets_.data();
-    VertexId* nbr = neighbors_.data();
-    std::uint32_t write = 0;
-    std::uint64_t sig = 0;
-    std::size_t read = 0;
-    for (VertexId u = 0; u < n_; ++u) {
-      const std::size_t row_end = off[u + 1];
-      if (keep(u)) {
-        bool loop_toggle = false;  // self-loop arcs come in pairs: count one
-        for (; read < row_end; ++read) {
-          const VertexId v = nbr[read];
-          if (!keep(v)) continue;
-          nbr[write++] = v;
-          if (v > u) {
-            sig += edge_hash(u, v);
-          } else if (v == u && (loop_toggle = !loop_toggle) == false) {
-            sig += edge_hash(u, u);
-          }
-        }
-      }
-      read = row_end;
-      off[u + 1] = write;  // old value already consumed for this row
-    }
-    signature_ = sig;
-    ++compactions_;
-  }
-
-  /// Drops the cached signature so the next ensure() rebuilds. Use after
-  /// mutating the arrays through raw pointers.
-  void invalidate() { valid_ = false; }
-
   VertexId num_vertices() const { return n_; }
   std::size_t num_arcs() const { return valid_ ? offsets_[n_] : 0; }
-  bool valid() const { return valid_; }
 
   std::span<const VertexId> row(VertexId v) const {
     return {neighbors_.data() + offsets_[v],
@@ -127,12 +81,11 @@ class IncrementalCsr {
   const std::uint32_t* offsets_data() const { return offsets_.data(); }
   const VertexId* arcs_data() const { return neighbors_.data(); }
 
-  /// Maintenance counters: how often ensure() rebuilt vs reused, and how
-  /// many in-place compactions ran. Tests use these to prove the reuse path
-  /// actually fires; they carry no behavioral weight.
+  /// Maintenance counters: how often ensure() rebuilt vs reused. Tests use
+  /// these to prove the reuse path actually fires; they carry no behavioral
+  /// weight.
   std::uint64_t rebuilds() const { return rebuilds_; }
   std::uint64_t reuses() const { return reuses_; }
-  std::uint64_t compactions() const { return compactions_; }
 
   /// The order-independent multiset signature reuse detection runs on.
   static std::uint64_t multiset_signature(EdgeSpan edges) {
@@ -226,7 +179,6 @@ class IncrementalCsr {
   bool valid_ = false;
   std::uint64_t rebuilds_ = 0;
   std::uint64_t reuses_ = 0;
-  std::uint64_t compactions_ = 0;
 };
 
 }  // namespace rcc

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "matching/augmenting_paths.hpp"
-#include "util/options.hpp"
 #include "util/workspace.hpp"
 
 namespace rcc {
@@ -177,20 +176,6 @@ AugmentingMpcResult run_matching_rounds_augmenting(
   result.certified_ratio = certified ? aug.certified_ratio() : 0.0;
   result.total_augmentations = result.stats.total_augmentations;
   return result;
-}
-
-AugmentingRoundsConfig augmenting_config_from_options(const Options& options) {
-  const double epsilon = options.get_double("mpc-epsilon");
-  if (epsilon > 0.0) return AugmentingRoundsConfig::for_epsilon(epsilon);
-  const std::int64_t length = options.get_int("mpc-max-path-length");
-  if (length < 1 || length % 2 == 0) {
-    flag_fail("mpc-max-path-length", "%lld must be an odd length >= 1 "
-              "(2k+1)",
-              static_cast<long long>(length));
-  }
-  AugmentingRoundsConfig config;
-  config.max_path_length = static_cast<std::size_t>(length);
-  return config;
 }
 
 }  // namespace rcc

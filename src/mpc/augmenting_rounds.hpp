@@ -42,8 +42,6 @@
 
 namespace rcc {
 
-class Options;
-
 /// Knobs of the augmenting combiner on top of MpcEngineConfig.
 struct AugmentingRoundsConfig {
   /// Odd path-length cap 2k+1; the early-stop certificate is 1 + 1/(k+1).
@@ -87,9 +85,5 @@ AugmentingMpcResult run_matching_rounds_augmenting(
     EdgeSource graph, const MpcEngineConfig& config,
     const AugmentingRoundsConfig& aug, VertexId left_size, Rng& rng,
     ThreadPool* pool = nullptr, ProtocolWorkspace* workspace = nullptr);
-
-/// Reads the augmenting knobs registered by add_mpc_engine_flags
-/// (--mpc-max-path-length, --mpc-epsilon; a positive epsilon wins).
-AugmentingRoundsConfig augmenting_config_from_options(const Options& options);
 
 }  // namespace rcc

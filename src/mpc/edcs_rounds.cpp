@@ -5,7 +5,6 @@
 
 #include "matching/greedy.hpp"
 #include "matching/max_matching.hpp"
-#include "util/options.hpp"
 #include "util/workspace.hpp"
 
 namespace rcc {
@@ -126,25 +125,6 @@ EdcsMpcResult run_matching_rounds_edcs(EdgeSource graph,
   result.certified = certified;
   result.certified_ratio = certified ? 2.0 : 0.0;
   return result;
-}
-
-EdcsRoundsConfig edcs_config_from_options(const Options& options) {
-  const std::int64_t beta = options.get_int("mpc-edcs-beta");
-  const std::int64_t lambda = options.get_int("mpc-edcs-lambda");
-  if (beta < 2) {
-    flag_fail("mpc-edcs-beta", "%lld must be >= 2",
-              static_cast<long long>(beta));
-  }
-  if (lambda < 1 || lambda >= beta) {
-    flag_fail("mpc-edcs-lambda", "%lld must satisfy 1 <= lambda < beta "
-              "(= %lld)",
-              static_cast<long long>(lambda), static_cast<long long>(beta));
-  }
-  EdcsRoundsConfig config;
-  config.edcs.beta = static_cast<std::size_t>(beta);
-  config.edcs.lambda = static_cast<std::size_t>(lambda);
-  config.finish_maximal = options.get_bool("mpc-edcs-finish-maximal");
-  return config;
 }
 
 }  // namespace rcc

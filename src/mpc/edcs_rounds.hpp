@@ -50,8 +50,6 @@
 
 namespace rcc {
 
-class Options;
-
 /// Knobs of the EDCS combiner on top of MpcEngineConfig.
 struct EdcsRoundsConfig {
   /// Degree parameters of every machine's summary: larger beta ships more
@@ -93,10 +91,5 @@ EdcsMpcResult run_matching_rounds_edcs(EdgeSource graph,
                                        VertexId left_size, Rng& rng,
                                        ThreadPool* pool = nullptr,
                                        ProtocolWorkspace* workspace = nullptr);
-
-/// Reads the EDCS knobs registered by add_mpc_engine_flags
-/// (--mpc-edcs-beta, --mpc-edcs-lambda, --mpc-edcs-finish-maximal), with
-/// the same exit(2) treatment for out-of-range values as the other flags.
-EdcsRoundsConfig edcs_config_from_options(const Options& options);
 
 }  // namespace rcc

@@ -32,23 +32,7 @@ void add_mpc_engine_flags(Options& options) {
             "round)")
       .flag("mpc-early-stop", "true",
             "stop as soon as a round neither shrinks the survivors nor "
-            "reports progress units")
-      .flag("mpc-max-path-length", "3",
-            "augmenting combiner: odd augmenting-path length cap 2k+1 "
-            "(certifies a 1 + 1/(k+1) approximation at the early stop)")
-      .flag("mpc-epsilon", "0",
-            "augmenting combiner: target (1+eps) approximation; overrides "
-            "--mpc-max-path-length when > 0")
-      .flag("mpc-edcs-beta", "16",
-            "EDCS combiner: degree-sum cap beta (P1); larger ships more "
-            "edges per machine and lands closer to 3/2")
-      .flag("mpc-edcs-lambda", "2",
-            "EDCS combiner: density slack lambda (P2 threshold beta - "
-            "lambda); 1 <= lambda < beta")
-      .flag("mpc-edcs-finish-maximal", "true",
-            "EDCS combiner: close a round-capped run's matching to "
-            "maximality with one coordinator sweep (keeps the factor-2 "
-            "certificate)");
+            "reports progress units");
   add_streaming_flags(options);
 }
 

@@ -268,13 +268,7 @@ class MachineScratch {
     return counts_;
   }
 
-  /// CSR adjacency buffers: offsets (n+1), neighbor arena, scatter cursors.
-  std::vector<std::size_t>& offsets(std::size_t n) {
-    return workspace_detail::sized(offsets_, n, stats_);
-  }
-  std::vector<VertexId>& neighbors(std::size_t n) {
-    return workspace_detail::sized(neighbors_, n, stats_);
-  }
+  /// Per-vertex scatter cursors of a CSR build (Graph::assign).
   std::vector<std::size_t>& cursor(std::size_t n) {
     return workspace_detail::sized(cursor_, n, stats_);
   }
@@ -314,8 +308,6 @@ class MachineScratch {
   WorkspaceStats* stats_ = nullptr;
   EpochMarks marks_;
   EpochMap<VertexId> counts_;
-  std::vector<std::size_t> offsets_;
-  std::vector<VertexId> neighbors_;
   std::vector<std::size_t> cursor_;
   std::vector<std::size_t> index_;
   std::vector<double> keys_;

@@ -157,10 +157,10 @@ TEST(AllocationFree, AugmentingEmptinessTestOnWarmScratch) {
 
 TEST(AllocationFree, IncrementalCsrWarmRoundsAreAllocationFree) {
   // Every transition of the CSR state machine on warm buffers — signature
-  // reuse, counting-sort rebuild of a not-larger graph, and in-place
-  // compaction — must be allocation-free. This is the warm-round budget the
-  // broadcast-and-filter protocol relies on: after round 0 sizes the
-  // buffers, the survivor graphs only shrink.
+  // reuse and counting-sort rebuild of a not-larger graph — must be
+  // allocation-free. This is the warm-round budget the broadcast-and-filter
+  // protocol relies on: after round 0 sizes the buffers, the survivor
+  // graphs only shrink.
   Rng gen(16);
   const EdgeList graph = gnp(400, 8.0 / 400, gen);
   EdgeList filtered(graph.num_vertices());
@@ -171,7 +171,7 @@ TEST(AllocationFree, IncrementalCsrWarmRoundsAreAllocationFree) {
   IncrementalCsr csr;
   csr.build(graph);  // warm: buffers sized for the full graph
 
-  std::size_t reuse_allocs, rebuild_allocs, compact_allocs;
+  std::size_t reuse_allocs, rebuild_allocs;
   {
     const std::size_t before = allocations();
     (void)csr.ensure(graph);  // same multiset: reuse
@@ -179,20 +179,13 @@ TEST(AllocationFree, IncrementalCsrWarmRoundsAreAllocationFree) {
   }
   {
     const std::size_t before = allocations();
-    csr.compact(keep);  // in-place: writes through existing arrays
-    compact_allocs = allocations() - before;
-  }
-  {
-    const std::size_t before = allocations();
-    (void)csr.ensure(graph);  // full rebuild into warm (full-size) buffers
+    (void)csr.ensure(filtered);  // survivor rebuild into warm buffers
     rebuild_allocs = allocations() - before;
   }
   EXPECT_EQ(reuse_allocs, 0u) << "CSR signature reuse allocated";
-  EXPECT_EQ(compact_allocs, 0u) << "CSR in-place compaction allocated";
   EXPECT_EQ(rebuild_allocs, 0u) << "warm CSR counting-sort rebuild allocated";
   EXPECT_EQ(csr.reuses(), 1u);
   EXPECT_EQ(csr.rebuilds(), 2u);
-  EXPECT_EQ(csr.compactions(), 1u);
 
   // The same contract, end to end through the searcher: alternating the
   // full graph and the survivor graph through one warm scratch must stay

@@ -3,7 +3,7 @@
 // per-round communication words (the reshuffle-charge pinning pattern from
 // PR 2 — future refactors diff against frozen behavior), thread-count
 // determinism, ledger/budget accounting, certificate reporting, monotonicity
-// in the round budget, and the flag plumbing.
+// in the round budget, and the epsilon-to-length-cap mapping.
 #include "mpc/augmenting_rounds.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 
 #include "graph/generators.hpp"
 #include "matching/hopcroft_karp.hpp"
-#include "util/options.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rcc {
@@ -287,30 +286,11 @@ TEST(MpcAugmenting, EveryEpsilonStopsOnACertificateItSatisfies) {
   }
 }
 
-TEST(MpcAugmenting, FlagsRoundTripIntoConfig) {
-  {
-    Options options("mpc_augmenting_test");
-    add_mpc_engine_flags(options);
-    const char* argv[] = {"test", "--mpc-max-path-length=7"};
-    options.parse(2, const_cast<char**>(argv));
-    const AugmentingRoundsConfig config =
-        augmenting_config_from_options(options);
-    EXPECT_EQ(config.max_path_length, 7u);
-    EXPECT_DOUBLE_EQ(config.certified_ratio(), 1.25);
-  }
-  {
-    // A positive epsilon overrides the explicit length: eps = 0.5 needs
-    // k+1 = 2 augmentation slots, i.e. length cap 3.
-    Options options("mpc_augmenting_test");
-    add_mpc_engine_flags(options);
-    const char* argv[] = {"test", "--mpc-epsilon=0.5",
-                          "--mpc-max-path-length=9"};
-    options.parse(3, const_cast<char**>(argv));
-    const AugmentingRoundsConfig config =
-        augmenting_config_from_options(options);
-    EXPECT_EQ(config.max_path_length, 3u);
-    EXPECT_DOUBLE_EQ(config.certified_ratio(), 1.5);
-  }
+TEST(MpcAugmenting, ForEpsilonPicksTheOddLengthCap) {
+  // eps = 0.5 needs k+1 = 2 augmentation slots, i.e. length cap 3.
+  EXPECT_EQ(AugmentingRoundsConfig::for_epsilon(0.5).max_path_length, 3u);
+  EXPECT_DOUBLE_EQ(AugmentingRoundsConfig::for_epsilon(0.5).certified_ratio(),
+                   1.5);
   EXPECT_EQ(AugmentingRoundsConfig::for_epsilon(1.0).max_path_length, 1u);
   EXPECT_EQ(AugmentingRoundsConfig::for_epsilon(0.25).max_path_length, 7u);
   EXPECT_EQ(AugmentingRoundsConfig::for_epsilon(0.3).max_path_length, 7u);

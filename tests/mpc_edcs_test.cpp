@@ -3,7 +3,7 @@
 // words (the reshuffle-charge pinning pattern — future refactors diff
 // against frozen behavior), pooled replay of the pins, thread-count
 // determinism, ledger/budget accounting, the finish_maximal certificate
-// lifecycle, workspace allocation discipline, and the flag plumbing.
+// lifecycle, and workspace allocation discipline.
 #include "mpc/edcs_rounds.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "util/options.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rcc {
@@ -289,50 +288,6 @@ TEST(MpcEdcs, SteadyStateRoundsAreWorkspaceAllocationFree) {
           << "second run on a warm workspace grew buffers";
     }
     EXPECT_EQ(r.matching.size(), 35u);  // reuse must not change the result
-  }
-}
-
-TEST(MpcEdcs, FlagsRoundTripIntoConfig) {
-  {
-    Options options("mpc_edcs_test");
-    add_mpc_engine_flags(options);
-    const char* argv[] = {"test"};
-    options.parse(1, const_cast<char**>(argv));
-    const EdcsRoundsConfig config = edcs_config_from_options(options);
-    EXPECT_EQ(config.edcs.beta, 16u);  // the documented defaults
-    EXPECT_EQ(config.edcs.lambda, 2u);
-    EXPECT_TRUE(config.finish_maximal);
-  }
-  {
-    Options options("mpc_edcs_test");
-    add_mpc_engine_flags(options);
-    const char* argv[] = {"test", "--mpc-edcs-beta=32", "--mpc-edcs-lambda=8",
-                          "--mpc-edcs-finish-maximal=false"};
-    options.parse(4, const_cast<char**>(argv));
-    const EdcsRoundsConfig config = edcs_config_from_options(options);
-    EXPECT_EQ(config.edcs.beta, 32u);
-    EXPECT_EQ(config.edcs.lambda, 8u);
-    EXPECT_FALSE(config.finish_maximal);
-  }
-}
-
-TEST(MpcEdcsDeath, OutOfRangeFlagValuesExitStrictly) {
-  {
-    Options options("mpc_edcs_test");
-    add_mpc_engine_flags(options);
-    const char* argv[] = {"test", "--mpc-edcs-beta=1"};
-    options.parse(2, const_cast<char**>(argv));
-    EXPECT_EXIT(edcs_config_from_options(options),
-                ::testing::ExitedWithCode(2), "mpc-edcs-beta");
-  }
-  {
-    Options options("mpc_edcs_test");
-    add_mpc_engine_flags(options);
-    const char* argv[] = {"test", "--mpc-edcs-lambda=16"};
-    options.parse(2, const_cast<char**>(argv));
-    // lambda must stay strictly below beta (= default 16 here).
-    EXPECT_EXIT(edcs_config_from_options(options),
-                ::testing::ExitedWithCode(2), "mpc-edcs-lambda");
   }
 }
 

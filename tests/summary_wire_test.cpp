@@ -5,15 +5,20 @@
 //       bit-exactly (the weighted differential depends on it),
 //   (b) the frame header survives its own codec and self-describes the
 //       payload length,
-//   (c) adversarial inputs DIE with a "summary wire:" diagnostic instead of
+//   (c) the downlink piece path: a piece frame sent as
+//       encode_piece_frame_prefix + the shard's raw edge bytes decodes
+//       through decode_piece_frame_view to the same piece, borrowed in place,
+//   (d) adversarial inputs DIE with a "summary wire:" diagnostic instead of
 //       reaching a fold: bad magic, version skew, unknown shape tag,
 //       nonzero reserved word, oversize payload claim, shape mismatch,
-//       truncation, trailing bytes, out-of-range ids, self-loops, negative
-//       and NaN weights, and lying length prefixes.
+//       truncation, trailing bytes, out-of-range ids, self-loops, negative,
+//       NaN and infinite weights, lying length prefixes, and piece frames
+//       whose edge count, ids or shape tag are wrong.
 #include "distributed/summary_wire.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -125,6 +130,54 @@ TEST(SummaryWire, EmptySummariesRoundTrip) {
   const GroupedVcSummary empty_grouped = round_trip(GroupedVcSummary{});
   EXPECT_EQ(empty_grouped.core.residual_edges.num_edges(), 0u);
   EXPECT_TRUE(empty_grouped.pinned_groups.empty());
+}
+
+/// A piece frame the way the worker host sends one: the fixed prefix, then
+/// the shard's edge records as raw bytes.
+std::vector<std::uint8_t> piece_frame(const std::vector<Edge>& edges,
+                                      VertexId num_vertices,
+                                      const std::array<std::uint64_t, 4>& state,
+                                      std::uint32_t round,
+                                      std::uint32_t machine) {
+  std::vector<std::uint8_t> frame(kPieceFramePrefixBytes +
+                                  sizeof(Edge) * edges.size());
+  encode_piece_frame_prefix(edges.size(), num_vertices, state, round, machine,
+                            frame.data());
+  if (!edges.empty()) {
+    std::memcpy(frame.data() + kPieceFramePrefixBytes, edges.data(),
+                sizeof(Edge) * edges.size());
+  }
+  return frame;
+}
+
+PieceDeliveryView decode_piece(const std::vector<std::uint8_t>& frame) {
+  const FrameHeader header = decode_frame_header(frame.data());
+  return decode_piece_frame_view(header, frame.data() + kFrameHeaderBytes);
+}
+
+TEST(SummaryWire, PieceFramePrefixPlusRawEdgesRoundTripsThroughTheView) {
+  for (std::uint32_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    for (const EdgeList& piece : {gnp(200, 0.05, rng), EdgeList(7)}) {
+      const std::array<std::uint64_t, 4> state = rng.state();
+      const std::vector<std::uint8_t> frame = piece_frame(
+          piece.edges(), piece.num_vertices(), state, seed, 3 + seed);
+      const FrameHeader header = decode_frame_header(frame.data());
+      EXPECT_EQ(header.shape, SummaryShape::kPieceDelivery);
+      EXPECT_EQ(header.machine, 3 + seed);
+      EXPECT_EQ(header.payload_bytes, frame.size() - kFrameHeaderBytes);
+      const PieceDeliveryView view = decode_piece(frame);
+      EXPECT_EQ(view.round, seed);
+      EXPECT_EQ(view.rng_state, state);
+      EXPECT_EQ(view.num_vertices, piece.num_vertices());
+      ASSERT_EQ(view.num_edges, piece.num_edges());
+      // Borrowed in place: the view reads the frame's own edge records.
+      EXPECT_EQ(reinterpret_cast<const std::uint8_t*>(view.edges),
+                frame.data() + kPieceFramePrefixBytes);
+      EXPECT_EQ(std::vector<Edge>(view.edges, view.edges + view.num_edges),
+                piece.edges());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -252,6 +305,19 @@ TEST(SummaryWireDeathTest, NegativeAndNanWeightsDie) {
   }
 }
 
+TEST(SummaryWireDeathTest, InfiniteWeightDies) {
+  std::vector<std::uint8_t> payload;
+  WireWriter writer(payload);
+  writer.u32(4);
+  writer.u64(1);
+  writer.u32(0);
+  writer.u32(1);
+  writer.f64(std::numeric_limits<double>::infinity());
+  WireReader reader(payload.data(), payload.size());
+  EXPECT_DEATH((void)SummaryCodec<WeightedCoresetOutput>::decode(reader),
+               "summary wire: weighted edge 0 carries an infinite weight");
+}
+
 TEST(SummaryWireDeathTest, LyingLengthPrefixesDie) {
   // An edge list claiming more edges than the payload could hold must die at
   // the sanity gate, BEFORE any reserve.
@@ -296,6 +362,43 @@ TEST(SummaryWireDeathTest, OutOfRangePinnedGroupDies) {
   WireReader reader(payload.data(), payload.size());
   EXPECT_DEATH((void)SummaryCodec<GroupedVcSummary>::decode(reader),
                "summary wire: pinned group 0 = 4 leaves the 4-group universe");
+}
+
+/// Offset of a piece frame's u64 edge count: header, round, rng state,
+/// num_vertices.
+constexpr std::size_t kPieceCountOffset = kFrameHeaderBytes + 4 + 32 + 4;
+
+TEST(SummaryWireDeathTest, PieceEdgeCountDisagreeingWithPayloadDies) {
+  const std::vector<Edge> edges = {{0, 1}, {2, 3}};
+  std::vector<std::uint8_t> frame = piece_frame(edges, 4, {}, 0, 1);
+  for (const std::uint64_t lie : {std::uint64_t{1}, std::uint64_t{3},
+                                  std::uint64_t{1} << 60}) {
+    std::vector<std::uint8_t> forged = frame;
+    std::memcpy(forged.data() + kPieceCountOffset, &lie, sizeof lie);
+    EXPECT_DEATH((void)decode_piece(forged),
+                 "summary wire: piece frame claims [0-9]+ edges but 16 "
+                 "payload bytes remain");
+  }
+}
+
+TEST(SummaryWireDeathTest, PieceOutOfRangeVertexDies) {
+  const std::vector<Edge> edges = {{0, 1}, {1, 4}};  // 4 == n: out of range
+  EXPECT_DEATH((void)decode_piece(piece_frame(edges, 4, {}, 0, 1)),
+               "summary wire: edge 1 = \\(1, 4\\) leaves the 4-vertex "
+               "universe");
+}
+
+TEST(SummaryWireDeathTest, PieceSelfLoopDies) {
+  const std::vector<Edge> edges = {{2, 2}};
+  EXPECT_DEATH((void)decode_piece(piece_frame(edges, 4, {}, 0, 1)),
+               "summary wire: edge 0 is a self-loop at vertex 2");
+}
+
+TEST(SummaryWireDeathTest, PieceViewOfAnotherShapeDies) {
+  const std::vector<std::uint8_t> frame = valid_frame();  // a kEdgeList frame
+  EXPECT_DEATH((void)decode_piece(frame),
+               "summary wire: frame from machine 2 carries shape tag 1, "
+               "expected 7");
 }
 
 }  // namespace

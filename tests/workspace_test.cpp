@@ -556,9 +556,8 @@ TEST(WorkspaceDifferential, ExecutorResultsIndependentOfWorkspaceReuse) {
 
 // ---------------------------------------------------------------------------
 // Incremental CSR: the counting-sort build must be bit-identical to the
-// sort-based reference it replaced, in-place compaction must be bit-identical
-// to a fresh build over the filtered edge list, and the signature must let
-// ensure() reuse in exactly the cases the contract promises.
+// sort-based reference it replaced, and the signature must let ensure()
+// reuse in exactly the cases the contract promises.
 
 /// Reference adjacency exactly as the pre-PR6 hot path had it: counting
 /// scatter into a flat CSR followed by a per-row std::sort.
@@ -633,45 +632,6 @@ TEST(IncrementalCsr, EnsureReusesOnSameMultisetAndRebuildsOnChange) {
   expect_csr_equals_reference(csr, ReferenceCsr(pruned), "pruned");
   EXPECT_EQ(csr.rebuilds(), 2u);
   EXPECT_EQ(csr.reuses(), 2u);
-}
-
-TEST(IncrementalCsr, CompactionMatchesRebuildOverSurvivorGrid) {
-  // Survivor chain mirroring the broadcast-and-filter protocol: each step
-  // drops the vertices matched by a greedy pass (plus a modulus mask for
-  // variety), compacts the cached CSR in place, and checks it against a
-  // fresh counting-sort build over the independently filtered edge list.
-  for (std::uint64_t seed : kSeeds) {
-    for (const Instance& inst : instance_grid(seed)) {
-      IncrementalCsr csr;
-      csr.build(inst.edges);
-      EdgeList survivors(inst.edges.num_vertices());
-      survivors.assign(inst.edges);
-      for (int step = 0; step < 3 && survivors.num_edges() > 0; ++step) {
-        Rng greedy_rng(seed + static_cast<std::uint64_t>(step));
-        const Matching greedy =
-            greedy_maximal_matching(survivors, GreedyOrder::kRandom, greedy_rng);
-        const VertexId modulus = static_cast<VertexId>(5 + step);
-        const auto keep = [&](VertexId v) {
-          return !greedy.is_matched(v) || v % modulus == 0;
-        };
-        csr.compact(keep);
-        EdgeList filtered(survivors.num_vertices());
-        filtered.assign_filtered(
-            survivors, [&](const Edge& e) { return keep(e.u) && keep(e.v); });
-        expect_csr_equals_reference(csr, ReferenceCsr(filtered),
-                                    inst.name + " step " +
-                                        std::to_string(step));
-        // The recomputed signature must make the compacted CSR
-        // indistinguishable from a fresh build: ensure() over the filtered
-        // list reuses instead of rebuilding.
-        const std::uint64_t reuses_before = csr.reuses();
-        EXPECT_TRUE(csr.ensure(filtered)) << inst.name << " step " << step;
-        EXPECT_EQ(csr.reuses(), reuses_before + 1);
-        survivors.assign(filtered);
-      }
-      EXPECT_GE(csr.compactions(), 1u);
-    }
-  }
 }
 
 TEST(IncrementalCsr, SearchResultsIdenticalAcrossColdAndWarmScratch) {
