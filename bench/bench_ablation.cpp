@@ -7,9 +7,9 @@
 //      clears MM(G), at a size that shrinks with the cap.
 #include "bench_common.hpp"
 #include "coreset/compose.hpp"
-#include "coreset/kernel.hpp"
 #include "coreset/matching_coresets.hpp"
-#include "coreset/mixed.hpp"
+#include "evidence/coreset/kernel.hpp"
+#include "evidence/coreset/mixed.hpp"
 #include "graph/generators.hpp"
 #include "matching/max_matching.hpp"
 #include "partition/sharded_partition.hpp"

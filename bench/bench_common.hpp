@@ -40,6 +40,5 @@ bool run_ablation(const ExperimentSetup& setup);             // EXP16
 bool run_hvp(const ExperimentSetup& setup);                  // EXP17
 bool run_contrast(const ExperimentSetup& setup);             // EXP18
 bool run_matching_recovery(const ExperimentSetup& setup);    // EXP19
-bool run_streaming(const ExperimentSetup& setup);            // EXP20
 
 }  // namespace rcc::bench

@@ -8,12 +8,13 @@
 // partitioning already; adversarial partitioning is what makes matching
 // require n^{2-o(1)} summaries per [10]).
 #include "bench_common.hpp"
-#include "contrast/connectivity_coreset.hpp"
 #include "coreset/compose.hpp"
 #include "coreset/matching_coresets.hpp"
 #include "distributed/protocol_engine.hpp"
+#include "evidence/contrast/connectivity_coreset.hpp"
+#include "evidence/graph/properties.hpp"
+#include "evidence/partition/adversarial.hpp"
 #include "graph/generators.hpp"
-#include "graph/properties.hpp"
 #include "matching/max_matching.hpp"
 #include "partition/partition.hpp"
 #include "partition/sharded_partition.hpp"

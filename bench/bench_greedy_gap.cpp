@@ -4,9 +4,9 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "coreset/adversarial.hpp"
 #include "coreset/compose.hpp"
 #include "coreset/matching_coresets.hpp"
+#include "evidence/coreset/adversarial.hpp"
 #include "graph/generators.hpp"
 #include "partition/sharded_partition.hpp"
 

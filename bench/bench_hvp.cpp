@@ -3,7 +3,7 @@
 // the budget-b protocol succeeds w.p. ~ b/m + fallback/(|U| - m), so the
 // curve crosses 2/3 only when b ~ 2m/3 (for small fallback).
 #include "bench_common.hpp"
-#include "lower_bounds/hvp.hpp"
+#include "evidence/lower_bounds/hvp.hpp"
 
 namespace rcc::bench {
 

@@ -6,9 +6,9 @@
 #include <cmath>
 
 #include "bench_common.hpp"
+#include "evidence/graph/properties.hpp"
+#include "evidence/util/stats.hpp"
 #include "graph/generators.hpp"
-#include "graph/properties.hpp"
-#include "util/stats.hpp"
 
 namespace rcc::bench {
 

@@ -11,12 +11,12 @@
 #include <memory>
 
 #include "bench_common.hpp"
-#include "coreset/budget.hpp"
 #include "coreset/compose.hpp"
 #include "coreset/matching_coresets.hpp"
 #include "distributed/protocol.hpp"
-#include "lower_bounds/hard_instances.hpp"
-#include "lower_bounds/probes.hpp"
+#include "evidence/coreset/budget.hpp"
+#include "evidence/lower_bounds/hard_instances.hpp"
+#include "evidence/lower_bounds/probes.hpp"
 #include "matching/max_matching.hpp"
 #include "partition/sharded_partition.hpp"
 

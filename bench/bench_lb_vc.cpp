@@ -5,8 +5,8 @@
 // Table: budget sweep -> empirical P[e* in some summary], P[composed cover
 // feasible], and the cover size.
 #include "bench_common.hpp"
-#include "lower_bounds/hard_instances.hpp"
-#include "lower_bounds/probes.hpp"
+#include "evidence/lower_bounds/hard_instances.hpp"
+#include "evidence/lower_bounds/probes.hpp"
 #include "partition/sharded_partition.hpp"
 #include "vertex_cover/approx.hpp"
 

@@ -8,13 +8,13 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "coreset/matching_coresets.hpp"
 #include "coreset/compose.hpp"
+#include "coreset/matching_coresets.hpp"
 #include "distributed/protocols.hpp"
+#include "evidence/util/stats.hpp"
 #include "graph/generators.hpp"
 #include "matching/max_matching.hpp"
 #include "partition/partition.hpp"
-#include "util/stats.hpp"
 
 namespace {
 

@@ -4,8 +4,8 @@
 // (s/2) * Theta(alpha/k) — the quantitative core of the Omega(nk/alpha^2)
 // communication bound.
 #include "bench_common.hpp"
-#include "lower_bounds/matching_recovery.hpp"
-#include "util/stats.hpp"
+#include "evidence/lower_bounds/matching_recovery.hpp"
+#include "evidence/util/stats.hpp"
 
 namespace rcc::bench {
 

@@ -6,7 +6,7 @@
 // (words), with the nk/alpha^2 prediction alongside.
 #include "bench_common.hpp"
 #include "distributed/protocols.hpp"
-#include "lower_bounds/hard_instances.hpp"
+#include "evidence/lower_bounds/hard_instances.hpp"
 #include "matching/max_matching.hpp"
 
 namespace rcc::bench {

@@ -393,7 +393,10 @@ int run_suite(int argc, char** argv) {
       const std::string packed_path_flag = opts.get_string("packed-path");
       const std::string packed_path =
           packed_path_flag.empty() ? "bench_packed.rgp" : packed_path_flag;
-      const auto stream_pack = [&](Rng& rng) {
+      // Every write streams the same edges (from --seed, not from the rep's
+      // seed), so the mapping rows below read one pack whatever --reps is.
+      const auto stream_pack = [&] {
+        Rng rng(setup.seed);
         PackWriter writer(packed_path, pn, /*weighted=*/false);
         for (std::size_t i = 0; i < pm; ++i) {
           const auto u = static_cast<VertexId>(rng.next_below(pn));
@@ -404,17 +407,14 @@ int run_suite(int argc, char** argv) {
         writer.finish();
       };
       const auto stamp = [&](Row& row) { row.file_bytes = pack_bytes; };
-      {
-        // The file the mapping rows read must exist even when the stream
-        // row itself is filtered out.
-        Rng rng(setup.seed);
-        stream_pack(rng);
-      }
+      // The file the mapping rows read must exist even when the stream row
+      // itself is filtered out.
+      stream_pack();
 
       if (wanted("packed_stream", packed)) {
         rows.push_back(measure("packed_stream", "packed", 1, 1, pn, pm,
-                               setup.reps, setup.seed, [&](Rng& rng) {
-                                 stream_pack(rng);
+                               setup.reps, setup.seed, [&](Rng&) {
+                                 stream_pack();
                                  RunOutcome out;
                                  out.processed_edges = pm;
                                  return out;

@@ -4,9 +4,9 @@
 // Instances are bipartite so the exact optimum comes from Koenig's theorem.
 #include "bench_common.hpp"
 #include "distributed/protocols.hpp"
+#include "evidence/util/stats.hpp"
 #include "graph/generators.hpp"
 #include "vertex_cover/konig.hpp"
-#include "util/stats.hpp"
 
 #include <cmath>
 

@@ -3,12 +3,11 @@
 //   paper_experiments <id> [--seed N] [--scale S] [--reps R]
 //
 // Every row of kExperiments names an experiment, its anchor (the theorem,
-// lemma, remark or section it reproduces, or the cited results it mirrors),
-// the claim, and the bench_<name>.cpp function that measures it. The run
-// prints a paper-style table; main prints the banner before it and
-// the verdict line after it, and exits 0 when the measured shape matches
-// the claim and 1 when it does not. A missing or unknown id prints the list
-// and exits 2.
+// lemma, remark or section of the paper it reproduces), the claim, and the
+// bench_<name>.cpp function that measures it. The run prints a paper-style
+// table; main prints the banner before it and the verdict line after it,
+// and exits 0 when the measured shape matches the claim and 1 when it does
+// not. A missing or unknown id prints the list and exits 2.
 #include <cstdio>
 #include <string>
 
@@ -104,10 +103,6 @@ constexpr Experiment kExperiments[] = {
      "MatchingRecovery: E[recovered edges] = (message edges) / c with "
      "c = Theta(k/alpha) blocks — the core of Theorem 5",
      run_matching_recovery},
-    {"exp20", "cited [38, 44]",
-     "random arrival order rescues streaming greedy from its worst case — "
-     "the single-machine analogue of random partitioning",
-     run_streaming},
 };
 
 int usage() {

@@ -84,7 +84,9 @@ inline std::uint64_t children_peak_rss_bytes() {
 }
 
 /// One pinned grid row: `run` executes the scenario once and reports what it
-/// processed; the harness repeats it and keeps median/min wall time.
+/// processed; the harness repeats it and keeps median/min wall time. The
+/// exact columns come from rep 0, whose seed is `seed` itself, so they do not
+/// depend on `reps`.
 template <typename RunFn>
 Row measure(const std::string& scenario, const std::string& family,
             std::size_t k, std::size_t rounds, VertexId n, std::size_t m,
@@ -102,8 +104,9 @@ Row measure(const std::string& scenario, const std::string& family,
   for (int rep = 0; rep < reps; ++rep) {
     Rng rng(seed + 1000 * static_cast<std::uint64_t>(rep));
     WallTimer timer;
-    outcome = run(rng);
+    const RunOutcome rep_outcome = run(rng);
     times.push_back(timer.seconds());
+    if (rep == 0) outcome = rep_outcome;
   }
   row.peak_rss_bytes = self_peak_rss_bytes() +
                        (outcome.worker_forks > 0 ? children_peak_rss_bytes()

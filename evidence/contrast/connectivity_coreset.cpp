@@ -1,10 +1,10 @@
-#include "contrast/connectivity_coreset.hpp"
+#include "evidence/contrast/connectivity_coreset.hpp"
 
 #include <limits>
 #include <queue>
 
+#include "evidence/util/dsu.hpp"
 #include "graph/graph.hpp"
-#include "util/dsu.hpp"
 
 namespace rcc {
 

@@ -1,4 +1,4 @@
-#include "coreset/adversarial.hpp"
+#include "evidence/coreset/adversarial.hpp"
 
 #include "matching/greedy.hpp"
 

@@ -1,4 +1,4 @@
-#include "coreset/kernel.hpp"
+#include "evidence/coreset/kernel.hpp"
 
 #include "util/workspace.hpp"
 

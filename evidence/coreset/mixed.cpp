@@ -1,4 +1,4 @@
-#include "coreset/mixed.hpp"
+#include "evidence/coreset/mixed.hpp"
 
 #include "matching/blossom.hpp"
 #include "matching/hopcroft_karp.hpp"

@@ -1,4 +1,4 @@
-#include "graph/properties.hpp"
+#include "evidence/graph/properties.hpp"
 
 #include <vector>
 

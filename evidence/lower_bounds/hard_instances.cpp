@@ -1,4 +1,4 @@
-#include "lower_bounds/hard_instances.hpp"
+#include "evidence/lower_bounds/hard_instances.hpp"
 
 #include <algorithm>
 #include <unordered_set>

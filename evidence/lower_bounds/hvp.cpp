@@ -1,4 +1,4 @@
-#include "lower_bounds/hvp.hpp"
+#include "evidence/lower_bounds/hvp.hpp"
 
 #include <unordered_set>
 

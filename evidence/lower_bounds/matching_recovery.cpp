@@ -1,4 +1,4 @@
-#include "lower_bounds/matching_recovery.hpp"
+#include "evidence/lower_bounds/matching_recovery.hpp"
 
 namespace rcc {
 

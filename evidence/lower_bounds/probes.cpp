@@ -1,6 +1,6 @@
-#include "lower_bounds/probes.hpp"
+#include "evidence/lower_bounds/probes.hpp"
 
-#include "graph/properties.hpp"
+#include "evidence/graph/properties.hpp"
 
 namespace rcc {
 

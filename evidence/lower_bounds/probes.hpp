@@ -4,8 +4,8 @@
 
 #include <vector>
 
+#include "evidence/lower_bounds/hard_instances.hpp"
 #include "graph/edge_list.hpp"
-#include "lower_bounds/hard_instances.hpp"
 #include "matching/matching.hpp"
 #include "vertex_cover/vertex_cover.hpp"
 

@@ -1,4 +1,4 @@
-#include "vertex_cover/peeling.hpp"
+#include "evidence/vertex_cover/peeling.hpp"
 
 #include <cmath>
 #include <functional>

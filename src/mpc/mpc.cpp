@@ -38,8 +38,9 @@ void mpc_reshuffle_round(std::size_t num_edges,
   RCC_CHECK(delivered.size() == k);
   ledger.begin_round("re-partition");
   // Sender side: each machine holds its chunk of the adversarial placement.
-  // Only the chunk sizes matter for the charge, and sorted_chunk_partition
-  // sends edge i to machine floor(i*k/m), so machine j's chunk is
+  // Only the chunk sizes matter for the charge, and the placement is m
+  // edges in k contiguous chunks, edge i on machine floor(i*k/m) (the
+  // evidence library's sorted_chunk_partition), so machine j's chunk is
   // [ceil(j*m/k), ceil((j+1)*m/k)) — no need to materialize the placement.
   for (std::size_t j = 0; j < k; ++j) {
     const std::size_t begin = (j * num_edges + k - 1) / k;

@@ -4,9 +4,9 @@
 
 #include "coreset/compose.hpp"
 #include "coreset/matching_coresets.hpp"
-#include "coreset/mixed.hpp"
+#include "evidence/coreset/mixed.hpp"
+#include "evidence/graph/properties.hpp"
 #include "graph/generators.hpp"
-#include "graph/properties.hpp"
 #include "matching/max_matching.hpp"
 #include "partition/sharded_partition.hpp"
 #include "util/rng.hpp"

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "evidence/coreset/kernel.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/edge_source.hpp"
 #include "graph/generators.hpp"
@@ -25,7 +26,6 @@
 #include "matching/greedy.hpp"
 #include "matching/matching.hpp"
 #include "matching/max_matching.hpp"
-#include "coreset/kernel.hpp"
 #include "mpc/mpc_engine.hpp"
 #include "partition/sharded_partition.hpp"
 #include "util/workspace.hpp"

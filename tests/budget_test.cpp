@@ -1,4 +1,4 @@
-#include "coreset/budget.hpp"
+#include "evidence/coreset/budget.hpp"
 
 #include <gtest/gtest.h>
 

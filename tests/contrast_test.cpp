@@ -1,15 +1,16 @@
 // Tests for the contrast systems: composable connectivity coresets (which
 // need no randomness) and greedy spanners.
-#include "contrast/connectivity_coreset.hpp"
+#include "evidence/contrast/connectivity_coreset.hpp"
 
 #include <gtest/gtest.h>
 
 #include "distributed/protocol_engine.hpp"
+#include "evidence/graph/properties.hpp"
+#include "evidence/partition/adversarial.hpp"
+#include "evidence/util/dsu.hpp"
 #include "graph/generators.hpp"
-#include "graph/properties.hpp"
 #include "partition/partition.hpp"
 #include "partition/sharded_partition.hpp"
-#include "util/dsu.hpp"
 #include "util/rng.hpp"
 
 namespace rcc {

@@ -3,10 +3,10 @@
 
 #include <gtest/gtest.h>
 
-#include "coreset/adversarial.hpp"
 #include "coreset/compose.hpp"
+#include "evidence/coreset/adversarial.hpp"
+#include "evidence/graph/properties.hpp"
 #include "graph/generators.hpp"
-#include "graph/properties.hpp"
 #include "matching/max_matching.hpp"
 #include "partition/sharded_partition.hpp"
 #include "util/rng.hpp"

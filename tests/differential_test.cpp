@@ -6,17 +6,17 @@
 
 #include "coreset/compose.hpp"
 #include "coreset/matching_coresets.hpp"
+#include "evidence/graph/properties.hpp"
+#include "evidence/vertex_cover/peeling.hpp"
 #include "graph/generators.hpp"
-#include "graph/properties.hpp"
 #include "matching/blossom.hpp"
 #include "matching/hopcroft_karp.hpp"
 #include "matching/max_matching.hpp"
 #include "partition/sharded_partition.hpp"
+#include "util/rng.hpp"
 #include "vertex_cover/approx.hpp"
 #include "vertex_cover/exact.hpp"
 #include "vertex_cover/konig.hpp"
-#include "vertex_cover/peeling.hpp"
-#include "util/rng.hpp"
 
 namespace rcc {
 namespace {

@@ -6,7 +6,7 @@
 #include <map>
 #include <set>
 
-#include "graph/properties.hpp"
+#include "evidence/graph/properties.hpp"
 #include "util/rng.hpp"
 
 namespace rcc {

@@ -4,8 +4,8 @@
 
 #include <algorithm>
 
+#include "evidence/graph/properties.hpp"
 #include "graph/generators.hpp"
-#include "graph/properties.hpp"
 #include "util/rng.hpp"
 
 namespace rcc {

@@ -1,17 +1,17 @@
 // Tests for the D_Matching / D_VC hard distributions and their probes
 // (Sections 4.1, 4.2; Lemmas 4.1, 4.2).
-#include "lower_bounds/hard_instances.hpp"
+#include "evidence/lower_bounds/hard_instances.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "graph/properties.hpp"
-#include "lower_bounds/probes.hpp"
+#include "evidence/graph/properties.hpp"
+#include "evidence/lower_bounds/probes.hpp"
+#include "evidence/util/stats.hpp"
 #include "matching/max_matching.hpp"
 #include "partition/sharded_partition.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 
 namespace rcc {
 namespace {

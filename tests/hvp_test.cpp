@@ -1,5 +1,5 @@
 // Tests for the Hidden Vertex Problem game (Theorem 6's core gadget).
-#include "lower_bounds/hvp.hpp"
+#include "evidence/lower_bounds/hvp.hpp"
 
 #include <gtest/gtest.h>
 

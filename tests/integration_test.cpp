@@ -6,17 +6,17 @@
 #include <cmath>
 #include <memory>
 
-#include "coreset/budget.hpp"
 #include "coreset/matching_coresets.hpp"
 #include "distributed/protocols.hpp"
+#include "evidence/coreset/budget.hpp"
+#include "evidence/lower_bounds/hard_instances.hpp"
+#include "evidence/lower_bounds/probes.hpp"
 #include "graph/generators.hpp"
-#include "lower_bounds/hard_instances.hpp"
-#include "lower_bounds/probes.hpp"
 #include "matching/max_matching.hpp"
 #include "mpc/coreset_mpc.hpp"
 #include "partition/sharded_partition.hpp"
-#include "vertex_cover/konig.hpp"
 #include "util/rng.hpp"
+#include "vertex_cover/konig.hpp"
 
 namespace rcc {
 namespace {

@@ -1,5 +1,5 @@
 // Tests for the degree-capped kernel (footnote 3's "small opt" coreset).
-#include "coreset/kernel.hpp"
+#include "evidence/coreset/kernel.hpp"
 
 #include <gtest/gtest.h>
 

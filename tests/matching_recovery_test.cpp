@@ -1,5 +1,5 @@
 // Tests for the MatchingRecovery game (Lemma 5.1's operative bound).
-#include "lower_bounds/matching_recovery.hpp"
+#include "evidence/lower_bounds/matching_recovery.hpp"
 
 #include <gtest/gtest.h>
 

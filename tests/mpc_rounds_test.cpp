@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "evidence/partition/adversarial.hpp"
 #include "graph/generators.hpp"
 #include "matching/max_matching.hpp"
 #include "mpc/coreset_mpc.hpp"

@@ -7,12 +7,12 @@
 
 #include "coreset/compose.hpp"
 #include "coreset/vc_coreset.hpp"
+#include "evidence/vertex_cover/peeling.hpp"
 #include "graph/generators.hpp"
 #include "matching/max_matching.hpp"
 #include "partition/sharded_partition.hpp"
-#include "vertex_cover/konig.hpp"
-#include "vertex_cover/peeling.hpp"
 #include "util/rng.hpp"
+#include "vertex_cover/konig.hpp"
 
 namespace rcc {
 namespace {

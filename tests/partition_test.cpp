@@ -1,4 +1,4 @@
-#include "partition/partition.hpp"
+#include "evidence/partition/adversarial.hpp"
 
 #include <gtest/gtest.h>
 

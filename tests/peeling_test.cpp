@@ -1,12 +1,12 @@
-#include "vertex_cover/peeling.hpp"
+#include "evidence/vertex_cover/peeling.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "graph/generators.hpp"
-#include "vertex_cover/konig.hpp"
 #include "util/rng.hpp"
+#include "vertex_cover/konig.hpp"
 
 namespace rcc {
 namespace {

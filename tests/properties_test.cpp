@@ -1,14 +1,14 @@
 // Reproduces the structural facts of Appendix A (Propositions A.1/A.2,
 // Lemma A.3) as statistical tests.
-#include "graph/properties.hpp"
+#include "evidence/graph/properties.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "evidence/util/stats.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 
 namespace rcc {
 namespace {

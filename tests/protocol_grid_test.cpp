@@ -12,9 +12,9 @@
 
 #include "coreset/matching_coresets.hpp"
 #include "distributed/protocols.hpp"
+#include "evidence/partition/adversarial.hpp"
 #include "graph/generators.hpp"
 #include "matching/max_matching.hpp"
-#include "partition/partition.hpp"
 #include "util/rng.hpp"
 
 namespace rcc {

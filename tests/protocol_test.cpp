@@ -6,11 +6,11 @@
 #include <cmath>
 
 #include "coreset/matching_coresets.hpp"
+#include "evidence/partition/adversarial.hpp"
 #include "graph/generators.hpp"
-#include "partition/partition.hpp"
 #include "matching/max_matching.hpp"
-#include "vertex_cover/konig.hpp"
 #include "util/rng.hpp"
+#include "vertex_cover/konig.hpp"
 
 namespace rcc {
 namespace {

@@ -1,4 +1,4 @@
-#include "util/stats.hpp"
+#include "evidence/util/stats.hpp"
 
 #include <gtest/gtest.h>
 

@@ -12,8 +12,8 @@
 #include <unordered_set>
 #include <vector>
 
-#include "coreset/kernel.hpp"
 #include "coreset/weighted_coreset.hpp"
+#include "evidence/coreset/kernel.hpp"
 #include "graph/generators.hpp"
 #include "graph/incremental_csr.hpp"
 #include "matching/augmenting_paths.hpp"

@@ -13,8 +13,9 @@ row present on both sides:
     function of the code, so any change in them is a behaviour change: the
     run exits 1, whatever the load and with or without
     --fail-on-regression. A column missing from either row is not compared.
-    bench_suite reports these columns from its last rep, whose seed depends
-    on --reps, so both files must come from the same --seed and --reps.
+    bench_suite reports these columns from its first rep, whose seed is
+    --seed itself, so they do not depend on --reps; both files must still
+    come from the same --seed and --reps, since the timing medians do.
     A change that moves them on purpose re-cuts the baseline and says why.
   * Timing band. The relative change in seconds_median is reported; a row
     slower than baseline by more than the threshold counts as a regression,
@@ -95,15 +96,15 @@ def main():
         raise SystemExit(
             f"scale mismatch: baseline ran at {base.get('scale')}, current at "
             f"{cur.get('scale')} — compare against the baseline checked in "
-            f"for that scale (BENCH_PR5.json is scale 1.0, "
+            f"for that scale (BENCH_scale1.json is scale 1.0, "
             f"BENCH_scale025.json is the CI scale)")
     for field in ("seed", "reps"):
         if base.get(field) != cur.get(field):
             raise SystemExit(
                 f"{field} mismatch: baseline ran with {field} "
                 f"{base.get(field)}, current with {cur.get(field)} — the "
-                f"exact columns come from the last rep's seed, so rerun "
-                f"with the baseline's --seed and --reps")
+                f"exact columns depend on --seed and the timing medians on "
+                f"--reps, so rerun with the baseline's --seed and --reps")
     base_rows = {row_key(r): r for r in base["rows"]}
     cur_rows = {row_key(r): r for r in cur["rows"]}
 
