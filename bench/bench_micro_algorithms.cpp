@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the algorithmic kernels the
-// experiments are built on: matching solvers, partitioner, coreset builds.
+// experiments are built on: matching solvers, partitioner, coreset builds,
+// and the G(n, m) generator with its sampler.
 #include <benchmark/benchmark.h>
 
 #include "coreset/matching_coresets.hpp"
@@ -93,6 +94,28 @@ void BM_MaximumMatchingCoreset(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MaximumMatchingCoreset)->Arg(1 << 14)->Arg(1 << 16);
+
+// Floyd's sampler at the G(n, m) shape the experiments use: k = 8n codes
+// out of the n(n-1)/2 vertex pairs.
+void BM_SampleDistinct(benchmark::State& state) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  Rng rng(11);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.sample_distinct(n * (n - 1) / 2, 8 * n).size());
+  }
+  state.SetItemsProcessed(state.iterations() * 8 * state.range(0));
+}
+BENCHMARK(BM_SampleDistinct)->Arg(1 << 14)->Arg(1 << 17);
+
+void BM_Gnm(benchmark::State& state) {
+  const auto n = static_cast<VertexId>(state.range(0));
+  Rng rng(12);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gnm(n, 8ULL * n, rng).num_edges());
+  }
+  state.SetItemsProcessed(state.iterations() * 8 * state.range(0));
+}
+BENCHMARK(BM_Gnm)->Arg(1 << 14)->Arg(1 << 17);
 
 }  // namespace
 

@@ -1,5 +1,6 @@
 #include "evidence/coreset/kernel.hpp"
 
+#include "evidence/util/epoch_map.hpp"
 #include "util/workspace.hpp"
 
 namespace rcc {
@@ -10,7 +11,8 @@ void vertex_cap_kernel_into(EdgeList& out, EdgeSpan edges, VertexId cap,
   MachineScratch local;
   MachineScratch& s = scratch != nullptr ? *scratch : local;
   // Epoch-stamped counters: clearing is an epoch bump, not an O(n) zeroing.
-  EpochMap<VertexId>& kept = s.vertex_counts(edges.num_vertices());
+  auto& kept = s.state<EpochMap<VertexId>>();
+  kept.reset(edges.num_vertices(), s.stats());
   for (const Edge& e : edges) {
     VertexId& ku = kept.ref(e.u);
     VertexId& kv = kept.ref(e.v);

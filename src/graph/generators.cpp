@@ -39,10 +39,10 @@ EdgeList gnp(VertexId n, double p, Rng& rng) {
 }
 
 EdgeList gnm(VertexId n, std::uint64_t m, Rng& rng) {
-  EdgeList out(n);
-  if (n < 2) return out;
   const std::uint64_t universe = static_cast<std::uint64_t>(n) * (n - 1) / 2;
   RCC_CHECK(m <= universe);
+  EdgeList out(n);
+  out.reserve(static_cast<std::size_t>(m));
   for (std::uint64_t code : rng.sample_distinct(universe, m)) {
     // Decode as in gnp.
     const double nn = static_cast<double>(n);

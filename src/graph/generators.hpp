@@ -18,6 +18,8 @@ namespace rcc {
 EdgeList gnp(VertexId n, double p, Rng& rng);
 
 /// G(n, m): exactly m distinct edges sampled uniformly (n*(n-1)/2 universe).
+/// Aborts through RCC_CHECK when m exceeds that universe, so n < 2 admits
+/// only m = 0.
 EdgeList gnm(VertexId n, std::uint64_t m, Rng& rng);
 
 /// Random bipartite graph: each L x R pair independently with probability p.

@@ -1,7 +1,8 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
-#include <unordered_set>
 
 #include "util/types.hpp"
 
@@ -43,18 +44,52 @@ std::uint64_t Rng::geometric_skip(double p) {
 
 std::vector<std::uint64_t> Rng::sample_distinct(std::uint64_t universe, std::uint64_t k) {
   RCC_CHECK(k <= universe);
-  // Floyd's algorithm: O(k) expected inserts.
-  std::unordered_set<std::uint64_t> chosen;
-  chosen.reserve(static_cast<std::size_t>(k) * 2);
   std::vector<std::uint64_t> out;
   out.reserve(static_cast<std::size_t>(k));
-  for (std::uint64_t j = universe - k; j < universe; ++j) {
-    const std::uint64_t t = next_below(j + 1);
-    if (chosen.insert(t).second) {
-      out.push_back(t);
-    } else {
-      chosen.insert(j);
-      out.push_back(j);
+  if (k == 0) return out;
+  // Open-addressing set of the values chosen so far: a power-of-two table of
+  // at least 2k slots (load <= 1/2), Fibonacci-hashed on the top bits,
+  // linear probing. Every sample is < universe <= 2^64 - 1, so ~0 can mark an
+  // empty slot.
+  constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  const std::uint64_t capacity = std::bit_ceil(2 * k);
+  const int shift = 64 - std::countr_zero(capacity);
+  const std::uint64_t mask = capacity - 1;
+  std::vector<std::uint64_t> table(static_cast<std::size_t>(capacity), kEmpty);
+  const auto home = [&](std::uint64_t x) {
+    return (x * 0x9e3779b97f4a7c15ULL) >> shift;
+  };
+  // True when x was absent (and is now present).
+  const auto insert = [&](std::uint64_t x, std::uint64_t slot) {
+    for (;; slot = (slot + 1) & mask) {
+      if (table[slot] == x) return false;
+      if (table[slot] == kEmpty) {
+        table[slot] = x;
+        return true;
+      }
+    }
+  };
+  // Floyd's algorithm. Its draws do not depend on the table, so they are
+  // taken a batch ahead and their home slots prefetched before the inserts,
+  // exactly as shuffle() does for its swap targets.
+  constexpr std::uint64_t kBatch = 32;
+  std::uint64_t draws[kBatch];
+  std::uint64_t slots[kBatch];
+  for (std::uint64_t j = universe - k; j < universe;) {
+    const std::uint64_t count = std::min(kBatch, universe - j);
+    for (std::uint64_t b = 0; b < count; ++b) {
+      draws[b] = next_below(j + b + 1);
+      slots[b] = home(draws[b]);
+      __builtin_prefetch(table.data() + slots[b], 1);
+    }
+    for (std::uint64_t b = 0; b < count; ++b, ++j) {
+      if (insert(draws[b], slots[b])) {
+        out.push_back(draws[b]);
+      } else {
+        // j exceeds every value chosen so far, so it is always new.
+        insert(j, home(j));
+        out.push_back(j);
+      }
     }
   }
   return out;

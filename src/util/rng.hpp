@@ -126,7 +126,16 @@ class Rng {
   }
 
   /// k distinct values sampled uniformly from [0, universe) in O(k) expected
-  /// time (Floyd's algorithm). Returned in unspecified order.
+  /// time (Floyd's algorithm: for j = universe-k .. universe-1, draw
+  /// t = next_below(j + 1) and take t, or j when t is already taken).
+  /// The taken set is a flat open-addressing table of u64 keys: a power of
+  /// two >= 2k slots, multiplicative hash, linear probing, ~0 as the empty
+  /// mark (no sample reaches it). That is 16-32 bytes per sample, plus the
+  /// 8-byte output. The draws do not depend on the table, so they are taken
+  /// 32 ahead and their slots prefetched before the inserts, as in shuffle().
+  /// Draws, their order, the output order and the final generator position
+  /// are exactly those of the scalar loop over a hash set. The output order
+  /// is the order of the steps, not sorted.
   std::vector<std::uint64_t> sample_distinct(std::uint64_t universe, std::uint64_t k);
 
   /// Forks an independent stream: deterministic function of this generator's

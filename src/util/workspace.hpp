@@ -201,50 +201,6 @@ class EpochMarks {
   std::uint32_t epoch_ = 0;  // first reset() bumps to 1
 };
 
-/// Epoch-stamped dense map: ref(v) yields a value reference that reads as
-/// freshly value-initialized the first time v is touched after clear().
-/// Replaces "allocate + zero an O(n) counter array per call" (e.g. the
-/// degree-cap counters of vertex_cap_kernel).
-template <typename T>
-class EpochMap {
- public:
-  void reset(std::size_t n, WorkspaceStats* stats = nullptr) {
-    if (stamps_.size() < n) {
-      workspace_detail::sized(stamps_, n, stats);
-      workspace_detail::sized(values_, n, stats);
-    }
-    bump();
-  }
-
-  std::size_t size() const { return stamps_.size(); }
-
-  T& ref(std::size_t v) {
-    RCC_DCHECK(v < stamps_.size());
-    if (stamps_[v] != epoch_) {
-      stamps_[v] = epoch_;
-      values_[v] = T{};
-    }
-    return values_[v];
-  }
-
-  T get(std::size_t v) const {
-    RCC_DCHECK(v < stamps_.size());
-    return stamps_[v] == epoch_ ? values_[v] : T{};
-  }
-
- private:
-  void bump() {
-    if (++epoch_ == 0) {
-      std::fill(stamps_.begin(), stamps_.end(), 0);
-      epoch_ = 1;
-    }
-  }
-
-  std::vector<std::uint32_t> stamps_;
-  std::vector<T> values_;
-  std::uint32_t epoch_ = 0;
-};
-
 /// One machine's (or the coordinator's) reusable scratch. Buffers are named
 /// for their primary hot-path user but are deliberately generic; a kernel
 /// may use any of them as long as it is done with them when it returns
@@ -260,12 +216,6 @@ class MachineScratch {
   EpochMarks& vertex_marks(std::size_t n) {
     marks_.reset(n, stats_);
     return marks_;
-  }
-
-  /// Epoch-stamped per-vertex counters (vertex_cap_kernel's degree caps).
-  EpochMap<VertexId>& vertex_counts(std::size_t n) {
-    counts_.reset(n, stats_);
-    return counts_;
   }
 
   /// Per-vertex scatter cursors of a CSR build (Graph::assign).
@@ -307,7 +257,6 @@ class MachineScratch {
 
   WorkspaceStats* stats_ = nullptr;
   EpochMarks marks_;
-  EpochMap<VertexId> counts_;
   std::vector<std::size_t> cursor_;
   std::vector<std::size_t> index_;
   std::vector<double> keys_;

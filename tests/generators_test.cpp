@@ -68,6 +68,51 @@ TEST(Gnm, ExactEdgeCountDistinct) {
   EXPECT_FALSE(el.has_parallel_edges());
 }
 
+TEST(GnmDeathTest, MoreEdgesThanPairsAborts) {
+  Rng rng(8);
+  EXPECT_DEATH(gnm(1, 1, rng), "RCC_CHECK failed");
+  EXPECT_DEATH(gnm(0, 4000, rng), "RCC_CHECK failed");
+  EXPECT_DEATH(gnm(10, 46, rng), "RCC_CHECK failed");
+}
+
+TEST(Gnm, FewerThanTwoVerticesAndNoEdgesIsEmpty) {
+  Rng rng(9);
+  EXPECT_TRUE(gnm(0, 0, rng).empty());
+  EXPECT_EQ(gnm(1, 0, rng).num_vertices(), 1u);
+  EXPECT_EQ(gnm(10, 45, rng).num_edges(), 45u);
+}
+
+/// Order-sensitive FNV-1a over each edge packed as (u << 32) | v.
+std::uint64_t edge_hash(const EdgeList& el) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const Edge& e : el) {
+    const std::uint64_t x = (static_cast<std::uint64_t>(e.u) << 32) | e.v;
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+// Golden graphs recorded with the hash-set sampler the flat table replaced:
+// edge order and the generator position after the build are pinned.
+TEST(Gnm, GoldenEdgesAndGeneratorPosition) {
+  Rng rng(6);
+  const EdgeList el = gnm(4000, 32000, rng);
+  EXPECT_EQ(el.num_edges(), 32000u);
+  EXPECT_EQ(edge_hash(el), 0xbf01eb97003fe1d8ULL);
+  EXPECT_EQ(rng.next_u64(), 0xab347a10346855a4ULL);
+}
+
+TEST(LeftRegularBipartite, GoldenEdgesAndGeneratorPosition) {
+  Rng rng(7);
+  const EdgeList el = left_regular_bipartite(2000, 2000, 5, rng);
+  EXPECT_EQ(el.num_edges(), 10000u);
+  EXPECT_EQ(edge_hash(el), 0xcdc245b0e4a2ba26ULL);
+  EXPECT_EQ(rng.next_u64(), 0xc6b26112eac147fcULL);
+}
+
 TEST(RandomBipartite, SidesRespected) {
   Rng rng(7);
   const EdgeList el = random_bipartite(30, 70, 0.2, rng);

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "coreset/compose.hpp"
+#include "evidence/util/epoch_map.hpp"
 #include "graph/generators.hpp"
 #include "matching/max_matching.hpp"
 #include "partition/sharded_partition.hpp"
@@ -105,6 +106,18 @@ TEST(KernelMatchingCoreset, NameEncodesCap) {
 
 TEST(KernelMatchingCoresetDeathTest, ZeroCapRejected) {
   EXPECT_DEATH(KernelMatchingCoreset(0), "RCC_CHECK");
+}
+
+TEST(EpochMap, ValuesReadFreshPerEpoch) {
+  EpochMap<VertexId> counts;
+  counts.reset(4);
+  EXPECT_EQ(counts.get(2), 0u);
+  counts.ref(2) = 7;
+  EXPECT_EQ(counts.get(2), 7u);
+  counts.reset(4);
+  EXPECT_EQ(counts.get(2), 0u);  // stale value invisible after the bump
+  counts.ref(2) += 3;
+  EXPECT_EQ(counts.get(2), 3u);
 }
 
 }  // namespace

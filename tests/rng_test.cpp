@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_set>
 #include <vector>
 
 #include "graph/edge.hpp"
@@ -281,6 +282,80 @@ TEST(Rng, GoldenNextBelowIncludingRejections) {
   }
   // 48 accepted draws plus 10 rejected ones.
   EXPECT_EQ(rng.next_u64(), 0xf6d804ef2b57a3efULL);
+}
+
+/// Order-sensitive FNV-1a over the little-endian bytes of each value.
+std::uint64_t fnv1a(const std::vector<std::uint64_t>& values) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint64_t x : values) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+// Golden samples recorded with the hash-set sampler the flat table replaced:
+// the output order and the generator position after it are pinned.
+TEST(Rng, GoldenSampleDistinct) {
+  struct Case {
+    std::uint64_t seed, universe, k, hash, next;
+  };
+  constexpr Case kCases[] = {
+      {1, 80000ULL * 79999 / 2, 20000, 0x2b56034cfd186c80ULL,
+       0xef269dc160a43576ULL},
+      {2, 10000, 5000, 0x81f215d7aafefde4ULL, 0xa11c7c360b159e2eULL},
+      {3, 1000, 1000, 0x3a840aab2742da95ULL, 0xb16e8af093d10c9fULL},
+      {4, ~0ULL, 1000, 0xea0b7ba7bac1634dULL, 0x21bd43aafd864893ULL},
+      {5, 12345, 0, 0xcbf29ce484222325ULL, 0x4ac202caf347fc1eULL},
+  };
+  for (const Case& c : kCases) {
+    Rng rng(c.seed);
+    const auto sample = rng.sample_distinct(c.universe, c.k);
+    EXPECT_EQ(sample.size(), c.k);
+    EXPECT_EQ(fnv1a(sample), c.hash) << "universe " << c.universe << " k " << c.k;
+    EXPECT_EQ(rng.next_u64(), c.next) << "universe " << c.universe << " k " << c.k;
+  }
+}
+
+/// Frozen hash-set Floyd sampler: the loop the flat, prefetching table
+/// replaced. The table must take the same draws and emit the same order.
+std::vector<std::uint64_t> reference_sample_distinct(Rng& rng,
+                                                     std::uint64_t universe,
+                                                     std::uint64_t k) {
+  std::unordered_set<std::uint64_t> chosen;
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t j = universe - k; j < universe; ++j) {
+    const std::uint64_t t = rng.next_below(j + 1);
+    if (chosen.insert(t).second) {
+      out.push_back(t);
+    } else {
+      chosen.insert(j);
+      out.push_back(j);
+    }
+  }
+  return out;
+}
+
+TEST(Rng, FlatSampleDistinctEqualsHashSetFloyd) {
+  constexpr std::uint64_t kBig = ~0ULL;
+  const std::pair<std::uint64_t, std::uint64_t> cases[] = {
+      {1, 0},      {1, 1},        {2, 2},       {31, 31},     {32, 32},
+      {33, 33},    {64, 64},      {65, 65},     {100, 1},     {100, 50},
+      {4096, 4095}, {1 << 20, 33}, {kBig, 1},    {kBig, 65},   {kBig - 5, 6},
+  };
+  for (const auto& [universe, k] : cases) {
+    for (const std::uint64_t seed : {3u, 77u}) {
+      Rng a(seed);
+      Rng b(seed);
+      const auto flat = a.sample_distinct(universe, k);
+      const auto reference = reference_sample_distinct(b, universe, k);
+      EXPECT_EQ(flat, reference) << "universe " << universe << " k " << k;
+      EXPECT_EQ(a.next_u64(), b.next_u64())
+          << "universe " << universe << " k " << k;
+    }
+  }
 }
 
 TEST(Rng, ForkedStreamsAreIndependentAndDeterministic) {

@@ -73,18 +73,6 @@ TEST(EpochMarks, SetUnsetTestAcrossEpochs) {
   EXPECT_FALSE(marks.test(15));
 }
 
-TEST(EpochMap, ValuesReadFreshPerEpoch) {
-  EpochMap<VertexId> counts;
-  counts.reset(4);
-  EXPECT_EQ(counts.get(2), 0u);
-  counts.ref(2) = 7;
-  EXPECT_EQ(counts.get(2), 7u);
-  counts.reset(4);
-  EXPECT_EQ(counts.get(2), 0u);  // stale value invisible after the bump
-  counts.ref(2) += 3;
-  EXPECT_EQ(counts.get(2), 3u);
-}
-
 TEST(WorkspaceStats, CountsOnlyGrowth) {
   ProtocolWorkspace ws;
   ws.ensure_machines(2);

@@ -20,6 +20,7 @@
 //   # phase from a pack end to end
 //   ./graph_pack --mode solve --input g.rgp --problem matching --k 8
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -35,10 +36,31 @@
 namespace rcc {
 namespace {
 
+/// --n as a vertex count: it must fit VertexId.
+VertexId vertex_count_flag(const Options& opts) {
+  const std::int64_t n = opts.get_int("n");
+  if (n < 0 || static_cast<std::uint64_t>(n) > kInvalidVertex) {
+    flag_fail("n", "%" PRId64 " is outside [0, %u]", n, kInvalidVertex);
+  }
+  return static_cast<VertexId>(n);
+}
+
+/// --m as an edge count in [0, max_edges].
+std::uint64_t edge_count_flag(const Options& opts, std::uint64_t max_edges) {
+  const std::int64_t m = opts.get_int("m");
+  if (m < 0 || static_cast<std::uint64_t>(m) > max_edges) {
+    flag_fail("m", "%" PRId64 " is outside [0, %" PRIu64 "]", m, max_edges);
+  }
+  return static_cast<std::uint64_t>(m);
+}
+
 EdgeList generate_family(const Options& opts, Rng& rng) {
   const std::string family = opts.get_string("family");
-  const auto n = static_cast<VertexId>(opts.get_int("n"));
-  const auto m = static_cast<std::uint64_t>(opts.get_int("m"));
+  const VertexId n = vertex_count_flag(opts);
+  // gnm draws m distinct pairs; the other families ignore --m.
+  const std::uint64_t m = edge_count_flag(
+      opts, family == "gnm" ? static_cast<std::uint64_t>(n) * (n - 1) / 2
+                            : std::uint64_t{INT64_MAX});
   if (family == "gnp") return gnp(n, opts.get_double("p"), rng);
   if (family == "gnm") return gnm(n, m, rng);
   if (family == "random_bipartite") {
@@ -81,12 +103,13 @@ int run_generate(const Options& opts, Rng& rng) {
 
 int run_stream(const Options& opts, Rng& rng) {
   const std::string out = opts.get_string("out");
-  const auto n = static_cast<VertexId>(opts.get_int("n"));
-  const auto m = static_cast<std::uint64_t>(opts.get_int("m"));
-  if (out.empty() || n < 2) {
-    std::fprintf(stderr, "--mode stream requires --out and --n >= 2\n");
+  if (out.empty()) {
+    std::fprintf(stderr, "--mode stream requires --out\n");
     return 2;
   }
+  const VertexId n = vertex_count_flag(opts);
+  if (n < 2) flag_fail("n", "%u is below 2 (stream draws non-loop edges)", n);
+  const std::uint64_t m = edge_count_flag(opts, INT64_MAX);
   // Uniform random multigraph, one buffered record at a time: RAM usage is
   // the writer's 1 MiB buffer no matter how large m is (parallel edges are
   // legal EdgeList inputs — the Remark 5.8 multigraph semantics).
@@ -161,8 +184,9 @@ int graph_pack_main(int argc, char** argv) {
   opts.flag("family", "gnm",
             "generate: gnp | gnm | random_bipartite | crown_forest | "
             "star_forest | path | cycle | chung_lu");
-  opts.flag("n", "1000", "vertex count");
-  opts.flag("m", "4000", "edge count (gnm/stream)");
+  opts.flag("n", "1000", "vertex count, 0 .. 2^32-1 (stream: >= 2)");
+  opts.flag("m", "4000",
+            "edge count >= 0 (gnm: <= n(n-1)/2; stream: multigraph)");
   opts.flag("p", "0.01", "edge probability (gnp/random_bipartite)");
   opts.flag("avg-deg", "8", "average degree (chung_lu)");
   opts.flag("weighted", "false", "generate: attach uniform weights");
