@@ -96,6 +96,7 @@ RunOutcome processed_of(const MpcExecutionStats& stats) {
   out.engine_rounds = stats.engine_rounds;
   out.comm_words = stats.total_comm_words;
   out.worker_forks = stats.worker_forks;
+  out.worker_peak_rss_bytes = stats.worker_peak_rss_bytes;
   for (const auto& r : stats.per_round) out.processed_edges += r.active_edges;
   return out;
 }

@@ -4,11 +4,9 @@
 // before the row's first rep, so a row reports the high-water mark of its
 // own reps (on top of what the process already holds, e.g. the generated
 // families), not of every row before it. A row whose machine phase forks
-// workers adds the largest reaped worker's peak (RUSAGE_CHILDREN), which
-// the kernel keeps only as a process-lifetime maximum.
+// workers adds the largest peak among its own reps' workers, which the
+// worker host reads from each worker as it reaps it.
 #pragma once
-
-#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -50,6 +48,7 @@ struct RunOutcome {
   std::size_t solution = 0;
   std::uint64_t comm_words = 0;
   std::uint64_t worker_forks = 0;
+  std::uint64_t worker_peak_rss_bytes = 0;  // largest forked worker's peak
 };
 
 /// Resets this process's VmHWM to its current RSS; false if unsupported.
@@ -76,13 +75,6 @@ inline std::uint64_t self_peak_rss_bytes() {
   return kib * 1024;
 }
 
-/// The largest reaped child's peak RSS (RUSAGE_CHILDREN), in bytes.
-inline std::uint64_t children_peak_rss_bytes() {
-  struct rusage children {};
-  getrusage(RUSAGE_CHILDREN, &children);
-  return static_cast<std::uint64_t>(children.ru_maxrss) * 1024;  // Linux: KiB
-}
-
 /// One pinned grid row: `run` executes the scenario once and reports what it
 /// processed; the harness repeats it and keeps median/min wall time. The
 /// exact columns come from rep 0, whose seed is `seed` itself, so they do not
@@ -100,6 +92,7 @@ Row measure(const std::string& scenario, const std::string& family,
   row.m = m;
   std::vector<double> times;
   RunOutcome outcome;
+  std::uint64_t worker_peak = 0;
   reset_peak_rss();
   for (int rep = 0; rep < reps; ++rep) {
     Rng rng(seed + 1000 * static_cast<std::uint64_t>(rep));
@@ -107,10 +100,9 @@ Row measure(const std::string& scenario, const std::string& family,
     const RunOutcome rep_outcome = run(rng);
     times.push_back(timer.seconds());
     if (rep == 0) outcome = rep_outcome;
+    worker_peak = std::max(worker_peak, rep_outcome.worker_peak_rss_bytes);
   }
-  row.peak_rss_bytes = self_peak_rss_bytes() +
-                       (outcome.worker_forks > 0 ? children_peak_rss_bytes()
-                                                 : 0);
+  row.peak_rss_bytes = self_peak_rss_bytes() + worker_peak;
   std::sort(times.begin(), times.end());
   row.seconds_min = times.front();
   row.seconds_median = times[times.size() / 2];

@@ -30,9 +30,16 @@
 // worker_host.hpp) fill the k-slot summary vector, the engine accounts the
 // summaries in machine order, and combine(summaries, rng) folds them.
 // Combiners never race a build.
+//
+// A machine holds only its piece: run_protocol frees its partition arena as
+// soon as no machine reads it — on a process transport once every worker is
+// forked and has its round-0 frame (the piece rode the fork), in-process
+// right after the machine phase — so the received summaries and the
+// combine reuse those pages instead of stacking on top of them.
 #pragma once
 
 #include <array>
+#include <functional>
 #include <optional>
 #include <span>
 #include <type_traits>
@@ -73,6 +80,10 @@ struct TransportTelemetry {
   /// host (every single-round call, and round 0 of a run that keeps one
   /// host), 0 for a later round served by a kept host.
   std::uint64_t forks = 0;
+  /// Largest peak RSS (ru_maxrss) among the workers this call reaped, in
+  /// bytes; 0 in-process and for a round served by a kept host (its run
+  /// reports the peak once the host is reaped).
+  std::uint64_t worker_peak_rss_bytes = 0;
 };
 
 /// What every protocol run returns: the coordinator's solution, the machine
@@ -101,13 +112,19 @@ struct ProtocolResult {
 /// RNG discipline: k machine streams are forked up front, in the caller's
 /// process, and combine gets the coordinator's rng — so the outcome is
 /// independent of the thread pool and of the transport.
+///
+/// release_pieces, when set, runs once no machine reads `pieces` any more:
+/// on a process transport right after every worker has this round's frame,
+/// in process right after the machine phase. run_protocol frees its
+/// partition arena there.
 template <typename EdgeT, typename Build, typename Account, typename Combine>
 auto run_protocol_on_pieces(const std::vector<std::span<const EdgeT>>& pieces,
                             VertexId num_vertices, VertexId left_size, Rng& rng,
                             ThreadPool* pool, const Build& build,
                             const Account& account, const Combine& combine,
                             const StreamingOptions& opts = {},
-                            ProtocolWorkspace* workspace = nullptr) {
+                            ProtocolWorkspace* workspace = nullptr,
+                            const std::function<void()>& release_pieces = {}) {
   using View = typename EdgeViewOf<EdgeT>::type;
   using Summary = std::decay_t<std::invoke_result_t<
       const Build&, View, const PartitionContext&, Rng&>>;
@@ -182,16 +199,12 @@ auto run_protocol_on_pieces(const std::vector<std::span<const EdgeT>>& pieces,
             }
             const Summary summary = build_machine(i, piece, machine_rng);
             const auto machine = static_cast<std::uint32_t>(i);
-            if constexpr (std::is_same_v<Summary, EdgeList>) {
-              // The coreset drivers' bulk shape: a stack-built prefix, then
-              // the summary's edge bytes straight off its storage.
-              std::array<std::uint8_t, kEdgeListFramePrefixBytes> prefix;
-              encode_edge_list_frame_prefix(summary, machine, prefix.data());
-              channel.write_frame(
-                  prefix.data(), prefix.size(),
-                  reinterpret_cast<const std::uint8_t*>(
-                      summary.edges().data()),
-                  summary.num_edges() * sizeof(Edge));
+            if constexpr (GatherWritable<Summary>) {
+              // The coreset drivers' bulk shapes: fixed-width fields staged
+              // on the stack, edges and fixed vertices straight off the
+              // summary's storage.
+              const GatherFrame frame(summary, machine);
+              channel.write_frame(frame.segments());
             } else {
               const std::vector<std::uint8_t> out =
                   encode_frame(summary, machine);
@@ -221,6 +234,7 @@ auto run_protocol_on_pieces(const std::vector<std::span<const EdgeT>>& pieces,
             reinterpret_cast<const std::uint8_t*>(pieces[i].data()),
             body_edges * sizeof(Edge));
       }
+      if (release_pieces) release_pieces();
       if (own_host) host.send_shutdown();
       std::vector<char> arrived(k, 0);
       for (std::size_t received = 0; received < k; ++received) {
@@ -236,7 +250,10 @@ auto run_protocol_on_pieces(const std::vector<std::span<const EdgeT>>& pieces,
       result.transport.frames = k;
       result.transport.piece_bytes = host.piece_bytes() - piece_before;
       result.transport.forks = host.forks() - forks_before;
-      if (own_host) host.reap();
+      if (own_host) {
+        host.reap();
+        result.transport.worker_peak_rss_bytes = host.worker_peak_rss_bytes();
+      }
     } else {
       RCC_CHECK(!"cross-process engine transports require a "
                  "wire-serializable summary");
@@ -251,6 +268,9 @@ auto run_protocol_on_pieces(const std::vector<std::span<const EdgeT>>& pieces,
     for (std::size_t i = 0; i < k; ++i) {
       result.summaries[i] = build_machine(i, piece_of(i), machine_rngs[i]);
     }
+  }
+  if (opts.transport == EngineTransport::kInproc && release_pieces) {
+    release_pieces();
   }
   result.comm.per_machine.resize(k);
   for (std::size_t i = 0; i < k; ++i) {
@@ -278,19 +298,21 @@ std::vector<std::span<const EdgeT>> pieces_of(
 }
 
 /// The full pipeline: sharded random partition, then machines + combine.
-/// The partition and machine phases both run on `pool` when provided.
+/// The partition and machine phases both run on `pool` when provided. The
+/// partition is freed once no machine reads it, before the combine.
 template <typename EdgeT, typename Build, typename Account, typename Combine>
 auto run_protocol(std::span<const EdgeT> edges, VertexId num_vertices,
                   std::size_t k, VertexId left_size, Rng& rng, ThreadPool* pool,
                   const Build& build, const Account& account,
                   const Combine& combine, const StreamingOptions& opts = {}) {
   WallTimer timer;
-  const ShardedPartition<EdgeT> parts(edges, num_vertices, k, rng, pool);
+  std::optional<ShardedPartition<EdgeT>> parts(std::in_place, edges,
+                                               num_vertices, k, rng, pool);
   const double partition_seconds = timer.seconds();
 
-  auto result = run_protocol_on_pieces<EdgeT>(pieces_of(parts), num_vertices,
-                                              left_size, rng, pool, build,
-                                              account, combine, opts);
+  auto result = run_protocol_on_pieces<EdgeT>(
+      pieces_of(*parts), num_vertices, left_size, rng, pool, build, account,
+      combine, opts, /*workspace=*/nullptr, [&parts] { parts.reset(); });
   result.timing.partition_seconds = partition_seconds;
   return result;
 }

@@ -20,13 +20,14 @@ void wire_fail(const char* fmt, ...) {
   std::abort();
 }
 
-void WireReader::take(void* out, std::size_t size, const char* what) {
+const std::uint8_t* WireReader::bytes(std::size_t size, const char* what) {
   if (size > size_ - cursor_) {
     wire_fail("truncated payload: %s needs %zu bytes at offset %zu, %zu left",
               what, size, cursor_, remaining());
   }
-  std::memcpy(out, data_ + cursor_, size);
+  const std::uint8_t* at = data_ + cursor_;
   cursor_ += size;
+  return at;
 }
 
 void encode_frame_header(const FrameHeader& header, std::uint8_t* out) {
@@ -82,6 +83,35 @@ FrameHeader decode_frame_header(const std::uint8_t* bytes) {
   return FrameHeader{static_cast<SummaryShape>(shape), machine, payload_bytes};
 }
 
+namespace {
+
+// Edge records cross the wire as their memory layout: two packed u32s.
+static_assert(std::is_trivially_copyable_v<Edge> && sizeof(Edge) == 8 &&
+                  alignof(Edge) == 4 && sizeof(VertexId) == 4,
+              "the wire's (u32 u, u32 v) records are Edge's memory layout");
+
+/// Checks `m` received edge records: ids inside the n-vertex universe, no
+/// self-loops; the first offending record is named. A branch-free scan
+/// (it vectorizes) clears a valid list; only a bad one is walked again to
+/// find the record to name.
+void check_edge_records(const Edge* edges, std::size_t m, VertexId n) {
+  bool bad = false;
+  for (std::size_t i = 0; i < m; ++i) {
+    bad |= (edges[i].u >= n) | (edges[i].v >= n) | (edges[i].u == edges[i].v);
+  }
+  if (!bad) return;
+  for (std::size_t i = 0; i < m; ++i) {
+    const Edge e = edges[i];
+    if (e.u >= n || e.v >= n) {
+      wire_fail("edge %zu = (%u, %u) leaves the %u-vertex universe", i, e.u,
+                e.v, n);
+    }
+    if (e.u == e.v) wire_fail("edge %zu is a self-loop at vertex %u", i, e.u);
+  }
+}
+
+}  // namespace
+
 void SummaryCodec<EdgeList>::encode(const EdgeList& list, WireWriter& writer) {
   writer.u32(list.num_vertices());
   writer.u64(list.num_edges());
@@ -99,21 +129,12 @@ EdgeList SummaryCodec<EdgeList>::decode(WireReader& reader) {
     wire_fail("edge list claims %llu edges but only %zu payload bytes remain",
               static_cast<unsigned long long>(m), reader.remaining());
   }
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(m));
-  for (std::uint64_t i = 0; i < m; ++i) {
-    const VertexId u = reader.u32();
-    const VertexId v = reader.u32();
-    if (u >= n || v >= n) {
-      wire_fail("edge %llu = (%u, %u) leaves the %u-vertex universe",
-                static_cast<unsigned long long>(i), u, v, n);
-    }
-    if (u == v) {
-      wire_fail("edge %llu is a self-loop at vertex %u",
-                static_cast<unsigned long long>(i), u);
-    }
-    edges.push_back(Edge{u, v});
-  }
+  // One block copy of the records, then one validation pass over the copy.
+  const std::uint8_t* records =
+      reader.bytes(static_cast<std::size_t>(m) * sizeof(Edge), "edges");
+  std::vector<Edge> edges(static_cast<std::size_t>(m));
+  if (m != 0) std::memcpy(edges.data(), records, edges.size() * sizeof(Edge));
+  check_edge_records(edges.data(), edges.size(), n);
   return EdgeList(n, std::move(edges));
 }
 
@@ -135,14 +156,19 @@ VcCoresetOutput SummaryCodec<VcCoresetOutput>::decode(WireReader& reader) {
         "remain",
         static_cast<unsigned long long>(fixed), reader.remaining());
   }
-  coreset.fixed_vertices.reserve(static_cast<std::size_t>(fixed));
-  for (std::uint64_t i = 0; i < fixed; ++i) {
-    const VertexId v = reader.u32();
-    if (v >= n) {
-      wire_fail("fixed vertex %llu = %u leaves the %u-vertex universe",
-                static_cast<unsigned long long>(i), v, n);
+  // Like the edges: one block copy, then one validation pass.
+  std::vector<VertexId>& ids = coreset.fixed_vertices;
+  const std::uint8_t* records = reader.bytes(
+      static_cast<std::size_t>(fixed) * sizeof(VertexId), "fixed vertices");
+  ids.resize(static_cast<std::size_t>(fixed));
+  if (fixed != 0) std::memcpy(ids.data(), records, ids.size() * sizeof(VertexId));
+  bool bad = false;
+  for (const VertexId v : ids) bad |= v >= n;
+  for (std::size_t i = 0; bad && i < ids.size(); ++i) {
+    if (ids[i] >= n) {
+      wire_fail("fixed vertex %zu = %u leaves the %u-vertex universe", i,
+                ids[i], n);
     }
-    coreset.fixed_vertices.push_back(v);
   }
   return coreset;
 }
@@ -263,11 +289,6 @@ void SummaryCodec<GroupedVcSummary>::encode(const GroupedVcSummary& summary,
 
 PieceDeliveryView decode_piece_frame_view(const FrameHeader& header,
                                           const std::uint8_t* payload) {
-  // The borrow below reinterprets wire records as Edge values; this is only
-  // sound while Edge is exactly two packed little-endian u32s.
-  static_assert(std::is_trivially_copyable_v<Edge> && sizeof(Edge) == 8 &&
-                    sizeof(VertexId) == 4,
-                "PieceDeliveryView assumes Edge is two packed u32s");
   if (header.shape != SummaryShape::kPieceDelivery) {
     wire_fail("frame from machine %u carries shape tag %u, expected %u",
               header.machine, static_cast<unsigned>(header.shape),
@@ -285,18 +306,8 @@ PieceDeliveryView decode_piece_frame_view(const FrameHeader& header,
   }
   view.num_edges = static_cast<std::size_t>(m);
   view.edges = reinterpret_cast<const Edge*>(
-      payload + (static_cast<std::size_t>(header.payload_bytes) -
-                 reader.remaining()));
-  for (std::size_t i = 0; i < view.num_edges; ++i) {
-    const Edge e = view.edges[i];
-    if (e.u >= view.num_vertices || e.v >= view.num_vertices) {
-      wire_fail("edge %zu = (%u, %u) leaves the %u-vertex universe", i, e.u,
-                e.v, view.num_vertices);
-    }
-    if (e.u == e.v) {
-      wire_fail("edge %zu is a self-loop at vertex %u", i, e.u);
-    }
-  }
+      reader.bytes(view.num_edges * sizeof(Edge), "edges"));
+  check_edge_records(view.edges, view.num_edges, view.num_vertices);
   return view;
 }
 
@@ -304,8 +315,6 @@ void encode_piece_frame_prefix(std::size_t num_edges, VertexId num_vertices,
                                const std::array<std::uint64_t, 4>& rng_state,
                                std::uint32_t round, std::uint32_t machine,
                                std::uint8_t* out) {
-  static_assert(std::is_trivially_copyable_v<Edge> && sizeof(Edge) == 8,
-                "the frame body streams Edge records as raw bytes");
   std::vector<std::uint8_t> bytes(kFrameHeaderBytes, 0);
   bytes.reserve(kPieceFramePrefixBytes);
   WireWriter writer(bytes);
@@ -326,25 +335,41 @@ void encode_piece_frame_prefix(std::size_t num_edges, VertexId num_vertices,
   std::memcpy(out, bytes.data(), kPieceFramePrefixBytes);
 }
 
-void encode_edge_list_frame_prefix(const EdgeList& summary,
-                                   std::uint32_t machine, std::uint8_t* out) {
-  static_assert(std::is_trivially_copyable_v<Edge> && sizeof(Edge) == 8,
-                "the frame body streams Edge records as raw bytes");
-  std::vector<std::uint8_t> bytes(kFrameHeaderBytes, 0);
-  bytes.reserve(kEdgeListFramePrefixBytes);
-  WireWriter writer(bytes);
-  writer.u32(summary.num_vertices());
-  writer.u64(summary.num_edges());
-  RCC_CHECK(bytes.size() == kEdgeListFramePrefixBytes);
-  const std::uint64_t payload =
-      (kEdgeListFramePrefixBytes - kFrameHeaderBytes) + 8 * summary.num_edges();
+GatherFrame::GatherFrame(const EdgeList& summary, std::uint32_t machine) {
+  begin(summary, SummaryShape::kEdgeList, machine, 0);
+}
+
+GatherFrame::GatherFrame(const VcCoresetOutput& summary,
+                         std::uint32_t machine) {
+  const std::vector<VertexId>& fixed = summary.fixed_vertices;
+  begin(summary.residual_edges, SummaryShape::kVcCoreset, machine,
+        fixed_count_.size() + sizeof(VertexId) * fixed.size());
+  const std::uint64_t count = fixed.size();
+  std::memcpy(fixed_count_.data(), &count, sizeof count);
+  add(fixed_count_.data(), fixed_count_.size());
+  add(fixed.data(), sizeof(VertexId) * fixed.size());
+}
+
+void GatherFrame::begin(const EdgeList& edges, SummaryShape shape,
+                        std::uint32_t machine, std::uint64_t tail_bytes) {
+  const std::uint64_t payload = (head_.size() - kFrameHeaderBytes) +
+                                sizeof(Edge) * edges.num_edges() + tail_bytes;
   if (payload > kMaxFramePayloadBytes) {
     wire_fail("machine %u summary payload (%llu bytes) exceeds the frame cap",
               machine, static_cast<unsigned long long>(payload));
   }
-  encode_frame_header(FrameHeader{SummaryShape::kEdgeList, machine, payload},
-                      bytes.data());
-  std::memcpy(out, bytes.data(), kEdgeListFramePrefixBytes);
+  encode_frame_header(FrameHeader{shape, machine, payload}, head_.data());
+  const VertexId n = edges.num_vertices();
+  const std::uint64_t m = edges.num_edges();
+  std::memcpy(head_.data() + kFrameHeaderBytes, &n, sizeof n);
+  std::memcpy(head_.data() + kFrameHeaderBytes + sizeof n, &m, sizeof m);
+  add(head_.data(), head_.size());
+  add(edges.edges().data(), sizeof(Edge) * edges.num_edges());
+}
+
+void GatherFrame::add(const void* data, std::size_t size) {
+  segments_[count_++] = FrameSegment{static_cast<const std::uint8_t*>(data),
+                                     size};
 }
 
 std::vector<std::uint8_t> encode_shutdown_frame(std::uint32_t machine) {

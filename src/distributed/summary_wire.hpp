@@ -31,6 +31,7 @@
 #include <concepts>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "coreset/coreset.hpp"
@@ -106,12 +107,12 @@ class WireReader {
 
   std::uint32_t u32() {
     std::uint32_t v;
-    take(&v, sizeof v, "u32");
+    std::memcpy(&v, bytes(sizeof v, "u32"), sizeof v);
     return v;
   }
   std::uint64_t u64() {
     std::uint64_t v;
-    take(&v, sizeof v, "u64");
+    std::memcpy(&v, bytes(sizeof v, "u64"), sizeof v);
     return v;
   }
   double f64() {
@@ -121,11 +122,13 @@ class WireReader {
     return v;
   }
 
+  /// Consumes the next `size` bytes and returns them in place; fewer left
+  /// is a truncated frame (`what` names the field in the diagnostic).
+  const std::uint8_t* bytes(std::size_t size, const char* what);
+
   std::size_t remaining() const { return size_ - cursor_; }
 
  private:
-  void take(void* out, std::size_t size, const char* what);
-
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t cursor_ = 0;
@@ -205,19 +208,47 @@ struct SummaryCodec<GroupedVcSummary> {
 inline constexpr std::size_t kPieceFramePrefixBytes =
     kFrameHeaderBytes + 4 + 32 + 4 + 8;
 
-/// Frame header plus the fixed head of a kEdgeList payload (num_vertices,
-/// num_edges): everything before the edge records.
-inline constexpr std::size_t kEdgeListFramePrefixBytes =
-    kFrameHeaderBytes + 4 + 8;
+/// One contiguous run of a frame's bytes.
+struct FrameSegment {
+  const std::uint8_t* data = nullptr;
+  std::size_t size = 0;
+};
 
-/// Writes the header + fixed payload prefix of an EdgeList summary frame
-/// into `out` (kEdgeListFramePrefixBytes of space); the summary's raw edge
-/// bytes follow directly on the wire. prefix + edge bytes is byte-identical
-/// to encode_frame over the same EdgeList — the uplink counterpart of
-/// encode_piece_frame_prefix, for workers whose summary IS an edge list
-/// (the bulk shape of the coreset drivers).
-void encode_edge_list_frame_prefix(const EdgeList& summary,
-                                   std::uint32_t machine, std::uint8_t* out);
+/// A bulk summary frame laid out for a gather write — the uplink
+/// counterpart of encode_piece_frame_prefix. The fixed-width fields are
+/// staged in this object; the edge records and fixed vertices are pointed
+/// at in the summary's own storage (the wire's u32 records are their memory
+/// layout), so a worker writes its summary with no frame-sized staging
+/// copy. The segments back to back are byte-identical to encode_frame over
+/// the same summary. Borrows the summary, which must outlive the frame.
+class GatherFrame {
+ public:
+  GatherFrame(const EdgeList& summary, std::uint32_t machine);
+  GatherFrame(const VcCoresetOutput& summary, std::uint32_t machine);
+  GatherFrame(const GatherFrame&) = delete;  // segments point into it
+  GatherFrame& operator=(const GatherFrame&) = delete;
+
+  std::span<const FrameSegment> segments() const {
+    return {segments_.data(), count_};
+  }
+
+ private:
+  /// Stages the header and the edge list's (num_vertices, num_edges) head
+  /// and points at its edge records; `tail_bytes` more payload follows.
+  void begin(const EdgeList& edges, SummaryShape shape, std::uint32_t machine,
+             std::uint64_t tail_bytes);
+  void add(const void* data, std::size_t size);
+
+  std::array<std::uint8_t, kFrameHeaderBytes + 4 + 8> head_{};
+  std::array<std::uint8_t, 8> fixed_count_{};
+  std::array<FrameSegment, 4> segments_{};
+  std::size_t count_ = 0;
+};
+
+/// A summary type with a gather layout (GatherFrame).
+template <typename T>
+concept GatherWritable =
+    std::constructible_from<GatherFrame, const T&, std::uint32_t>;
 
 /// Writes the header + fixed payload prefix of a piece frame into `out`
 /// (kPieceFramePrefixBytes of space). The num_edges * 8 edge bytes follow

@@ -3,12 +3,14 @@
 #include <arpa/inet.h>
 #include <errno.h>
 #include <linux/futex.h>
+#include <malloc.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
 #include <string.h>
 #include <sys/mman.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
@@ -502,22 +504,23 @@ void WorkerChannel::write_bytes(const std::uint8_t* bytes, std::size_t size) {
   }
 }
 
-void WorkerChannel::write_frame(const std::uint8_t* prefix,
-                                std::size_t prefix_bytes,
-                                const std::uint8_t* body,
-                                std::size_t body_bytes) {
+void WorkerChannel::write_frame(std::span<const FrameSegment> segments) {
   if (faults_.partial_frame_machine == static_cast<int>(machine_)) {
     // All of the header, half the payload: the coordinator learns WHICH
     // machine tore its frame before the worker dies.
-    const std::size_t cut =
-        kFrameHeaderBytes + (prefix_bytes + body_bytes - kFrameHeaderBytes) / 2;
-    const std::size_t from_prefix = std::min(cut, prefix_bytes);
-    write_bytes(prefix, from_prefix);
-    write_bytes(body, cut - from_prefix);
+    std::size_t total = 0;
+    for (const FrameSegment& segment : segments) total += segment.size;
+    std::size_t left = kFrameHeaderBytes + (total - kFrameHeaderBytes) / 2;
+    for (const FrameSegment& segment : segments) {
+      const std::size_t part = std::min(left, segment.size);
+      write_bytes(segment.data, part);
+      left -= part;
+    }
     ::_exit(3);
   }
-  write_bytes(prefix, prefix_bytes);
-  write_bytes(body, body_bytes);
+  for (const FrameSegment& segment : segments) {
+    write_bytes(segment.data, segment.size);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -546,14 +549,30 @@ WorkerHost::~WorkerHost() {
     if (alive_[m] == 0) continue;
     ::kill(pids_[m], SIGKILL);
     int status = 0;
-    while (::waitpid(pids_[m], &status, 0) < 0 && errno == EINTR) {
+    while (wait_worker(m, &status, 0) < 0 && errno == EINTR) {
     }
   }
+}
+
+pid_t WorkerHost::wait_worker(std::size_t machine, int* status, int options) {
+  struct rusage usage {};
+  const pid_t r = ::wait4(pids_[machine], status, options, &usage);
+  if (r == pids_[machine]) {
+    alive_[machine] = 0;
+    worker_peak_rss_bytes_ =
+        std::max(worker_peak_rss_bytes_,
+                 static_cast<std::uint64_t>(usage.ru_maxrss) * 1024);  // KiB
+  }
+  return r;
 }
 
 void WorkerHost::spawn_impl(WorkerFn fn, void* ctx) {
   RCC_CHECK(pids_.empty());
   const pid_t coordinator = ::getpid();
+  // A forked worker maps every resident page of the coordinator's heap,
+  // free chunks included, and its RSS counts them. Hand the free pages
+  // back first, so each worker starts from what it reads.
+  ::malloc_trim(0);
   for (std::size_t m = 0; m < machines_; ++m) {
     auto [mine, theirs] = medium_->open(m);
     // The child _exits (never exit) so it runs no atexit handlers or static
@@ -601,10 +620,7 @@ void WorkerHost::begin_round() {
 
 bool WorkerHost::worker_gone(std::size_t machine) {
   int status = 0;
-  if (alive_[machine] != 0 &&
-      ::waitpid(pids_[machine], &status, WNOHANG) == pids_[machine]) {
-    alive_[machine] = 0;
-  }
+  if (alive_[machine] != 0) (void)wait_worker(machine, &status, WNOHANG);
   return alive_[machine] == 0 || ends_[machine]->peer_closed();
 }
 
@@ -788,9 +804,8 @@ void WorkerHost::reap() {
     for (std::size_t m = 0; m < pids_.size(); ++m) {
       if (alive_[m] == 0) continue;
       int status = 0;
-      const pid_t r = ::waitpid(pids_[m], &status, WNOHANG);
+      const pid_t r = wait_worker(m, &status, WNOHANG);
       if (r == pids_[m]) {
-        alive_[m] = 0;
         --live;
         reaped_any = true;
         if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
@@ -810,7 +825,7 @@ void WorkerHost::reap() {
         if (alive_[m] == 0) continue;
         ::kill(pids_[m], SIGKILL);
         int discard = 0;
-        ::waitpid(pids_[m], &discard, 0);
+        wait_worker(m, &discard, 0);
         alive_[m] = 0;
         transport_fail(medium_kind_,
                        "machine %zu worker ignored the shutdown handshake "

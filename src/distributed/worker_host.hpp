@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "distributed/summary_wire.hpp"
@@ -114,11 +115,13 @@ class WorkerChannel {
   /// land within timeout_ms.
   ReadyFrame read_frame();
 
-  /// Writes one frame as `prefix` then `body` back to back, so a summary
-  /// that is an edge list streams its edges without a staging copy.
-  void write_frame(const std::uint8_t* prefix, std::size_t prefix_bytes,
-                   const std::uint8_t* body = nullptr,
-                   std::size_t body_bytes = 0);
+  /// Writes one frame as its segments back to back, so a bulk summary
+  /// streams straight off its storage (GatherFrame) without a staging copy.
+  void write_frame(std::span<const FrameSegment> segments);
+  void write_frame(const std::uint8_t* bytes, std::size_t size) {
+    const FrameSegment whole{bytes, size};
+    write_frame({&whole, 1});
+  }
 
   std::size_t machine() const { return machine_; }
 
@@ -155,7 +158,9 @@ class WorkerHost {
 
   /// Forks one worker per machine, creating each channel right before its
   /// fork; worker i runs body(channel) in the child and _exit(0)s when it
-  /// returns. Call exactly once.
+  /// returns. Call exactly once. Free heap pages go back to the kernel
+  /// first, so no worker maps, counts or copy-on-write-shares the
+  /// coordinator's dead heap.
   template <typename Body>
   void spawn(const Body& body) {
     spawn_impl(
@@ -199,6 +204,12 @@ class WorkerHost {
   std::uint64_t piece_bytes() const { return piece_bytes_; }
   /// Worker processes forked over the host's lifetime.
   std::uint64_t forks() const { return pids_.size(); }
+  /// Largest peak RSS (ru_maxrss) among the workers reaped so far, in
+  /// bytes: each worker's own high-water mark, not a process-lifetime
+  /// maximum over every child the coordinator ever had.
+  std::uint64_t worker_peak_rss_bytes() const {
+    return worker_peak_rss_bytes_;
+  }
 
  private:
   /// Per-machine frame reassembly: the header lands in a fixed array and
@@ -220,6 +231,9 @@ class WorkerHost {
                       std::size_t size);
   /// True when machine's worker has exited or closed its channel.
   bool worker_gone(std::size_t machine);
+  /// wait4 on machine's worker; on reaping it, marks it dead and records
+  /// its peak RSS. Returns wait4's result.
+  pid_t wait_worker(std::size_t machine, int* status, int options);
   /// Reads machine's available bytes into its assembly; completed frames
   /// move to ready_. Returns true when any byte arrived.
   bool drain(std::size_t machine);
@@ -244,6 +258,7 @@ class WorkerHost {
   std::size_t delivered_this_round_ = 0;
   std::uint64_t wire_bytes_ = 0;
   std::uint64_t piece_bytes_ = 0;
+  std::uint64_t worker_peak_rss_bytes_ = 0;
 };
 
 }  // namespace rcc

@@ -40,6 +40,7 @@
 // that takes an MpcEngineConfig (a single-round run is max_rounds = 1).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -243,6 +244,8 @@ struct MpcExecutionStats {
   std::uint64_t worker_forks = 0;
   std::uint64_t transport_wire_bytes = 0;
   std::uint64_t transport_piece_bytes = 0;
+  /// Largest peak RSS among the run's workers, in bytes (0 in-process).
+  std::uint64_t worker_peak_rss_bytes = 0;
   ProtocolTiming total_timing;
   std::vector<MpcRoundReport> per_round;
   std::vector<std::string> round_labels;        // one per ledger super-step
@@ -386,6 +389,8 @@ MpcExecutionStats run_mpc_rounds(EdgeSource graph,
     stats.worker_forks += result.transport.forks;
     stats.transport_wire_bytes += result.transport.wire_bytes;
     stats.transport_piece_bytes += result.transport.piece_bytes;
+    stats.worker_peak_rss_bytes = std::max(
+        stats.worker_peak_rss_bytes, result.transport.worker_peak_rss_bytes);
     stats.total_timing.partition_seconds += result.timing.partition_seconds;
     stats.total_timing.summaries_seconds += result.timing.summaries_seconds;
     stats.total_timing.combine_seconds += result.timing.combine_seconds;
@@ -426,6 +431,8 @@ MpcExecutionStats run_mpc_rounds(EdgeSource graph,
     // Exit handshake: a shutdown frame per worker, then a bounded reap.
     host->send_shutdown();
     host->reap();
+    stats.worker_peak_rss_bytes =
+        std::max(stats.worker_peak_rss_bytes, host->worker_peak_rss_bytes());
   }
 
   stats.mpc_rounds = ledger.rounds();

@@ -15,7 +15,9 @@
 //       reporting zeros; fork accounting separates a host kept for a whole
 //       round-invariant run (k forks per RUN on either medium, piece frames
 //       down the channels) from the per-round hosts of single-round calls
-//       and of builds that read coordinator-evolving state,
+//       and of builds that read coordinator-evolving state; every forking
+//       call or run reports its own workers' peak RSS, and a worker does
+//       not inherit the coordinator's freed heap,
 //   (c) backpressure: frames far larger than the ring capacity flow through
 //       chunked writes without deadlock or corruption,
 //   (d) fault injection, on both media: a killed worker fails the run
@@ -27,9 +29,13 @@
 //       worker is a failed run, not a recoverable condition.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -460,6 +466,82 @@ TEST(DistributedTransport, PersistentPoolAmortizesForksOverFiveRounds) {
   EXPECT_EQ(expected, socket_rng.next_u64());
   EXPECT_EQ(expected, shm_rng.next_u64());
   expect_kept_host(shm, socket, k);  // k forks per run, not per round
+}
+
+TEST(DistributedTransport, WorkerPeakRssIsReportedForForkedWorkersOnly) {
+  Rng gen(21);
+  const EdgeList el = gnp(300, 6.0 / 300, gen);
+  const PeelingVcCoreset coreset;
+  Rng inproc_rng(21);
+  EXPECT_EQ(run_vc_protocol(el, 4, coreset, inproc_rng)
+                .transport.worker_peak_rss_bytes,
+            0u);
+  Rng inproc_rounds_rng(21);
+  EXPECT_EQ(run_recirculating_rounds(el, base_config(el, 2), inproc_rounds_rng)
+                .worker_peak_rss_bytes,
+            0u);
+  for (const StreamingOptions& medium : {socket_options(), shm_options()}) {
+    // A single-round call reaps its own host; a kept host reports once the
+    // run reaps it.
+    Rng rng(21);
+    EXPECT_GT(run_vc_protocol(el, 4, coreset, rng, nullptr, medium)
+                  .transport.worker_peak_rss_bytes,
+              0u);
+    MpcEngineConfig config = base_config(el, 2);
+    config.streaming = medium;
+    Rng rounds_rng(21);
+    EXPECT_GT(run_recirculating_rounds(el, config, rounds_rng)
+                  .worker_peak_rss_bytes,
+              0u);
+  }
+}
+
+TEST(DistributedTransport, WorkersDoNotInheritFreedHeap) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer owns the allocator";
+#endif
+  // A fresh process (threadsafe death-test style re-execs the binary), so
+  // its heap holds only what this test leaves and its child counters start
+  // at zero: every child it reaps is one of this call's workers.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        Rng gen(22);
+        const EdgeList el = gnp(400, 6.0 / 400, gen);
+        const PeelingVcCoreset coreset;
+        // 64 MiB of small chunks, touched and then freed below a live guard
+        // allocation: free() alone cannot hand these pages back, because
+        // they do not sit at the top of the heap. The guard is the last
+        // chunk carved, so it lies above the others whatever free chunks
+        // the heap held before.
+        constexpr std::size_t kChunk = 1024;
+        constexpr std::size_t kChunks = std::size_t{64} << 10;
+        std::vector<void*> chunks(kChunks + 1);
+        for (void*& chunk : chunks) {
+          chunk = std::malloc(kChunk);
+          std::memset(chunk, 0x5a, kChunk);
+        }
+        void* guard = chunks.back();
+        chunks.pop_back();
+        for (void* chunk : chunks) std::free(chunk);
+
+        Rng rng(22);
+        const VcProtocolResult r =
+            run_vc_protocol(el, 4, coreset, rng, nullptr, socket_options());
+        struct rusage children {};
+        ::getrusage(RUSAGE_CHILDREN, &children);
+        const std::uint64_t peak = r.transport.worker_peak_rss_bytes;
+        const auto kernel_peak =
+            static_cast<std::uint64_t>(children.ru_maxrss) * 1024;
+        std::fprintf(stderr, "worker peak %llu B (kernel: %llu B)\n",
+                     static_cast<unsigned long long>(peak),
+                     static_cast<unsigned long long>(kernel_peak));
+        std::free(guard);
+        constexpr std::uint64_t kLimit = std::uint64_t{32} << 20;
+        std::_Exit(peak > 0 && peak < kLimit && kernel_peak < kLimit ? 0
+                                                                     : 1);
+      },
+      ::testing::ExitedWithCode(0), "worker peak");
 }
 
 TEST(DistributedTransport, CoresetMatchingRoundsSurviveTinyUplinkRings) {

@@ -1,11 +1,12 @@
 // ProtocolEngine tests: the sharded partitioner's exactly-once /
 // determinism guarantees, equivalence of the full pipeline with the
-// pre-made-pieces driver (run_matching_protocol_on_partition), and the
-// transport flag bundle (add_streaming_flags) with its strict exit(2) on
-// bad values.
+// pre-made-pieces driver (run_matching_protocol_on_partition), the
+// partition arena's release before the combine, and the transport flag
+// bundle (add_streaming_flags) with its strict exit(2) on bad values.
 #include "distributed/protocol_engine.hpp"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <string>
@@ -206,6 +207,43 @@ TEST(ProtocolEngine, EmptyGraphAndSingleMachine) {
       coreset_matching_protocol(el, 1, 0, rng2, nullptr);
   EXPECT_TRUE(one.solution.valid());
   EXPECT_EQ(one.solution.size(), maximum_matching_size(el));
+}
+
+/// Bytes glibc's malloc holds for live allocations: heap chunks plus
+/// mmapped blocks (a multi-megabyte arena can land in either).
+std::size_t heap_in_use() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+TEST(ProtocolEngine, PartitionArenaIsFreedBeforeTheCombine) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer owns the allocator";
+#endif
+  Rng gen(8);
+  const EdgeList el = gnm(20000, 200000, gen);
+  const std::size_t arena_bytes = el.num_edges() * sizeof(Edge);
+  std::size_t in_build = 0;
+  std::size_t in_combine = 0;
+  Rng rng(8);
+  // Summaries are plain counts, so the arena is the only large block the
+  // call holds while its machines run.
+  (void)run_protocol(
+      el, /*k=*/4, /*left_size=*/0, rng, /*pool=*/nullptr,
+      [&](EdgeSpan piece, const PartitionContext&, Rng&) {
+        in_build = heap_in_use();
+        return piece.num_edges();
+      },
+      [](std::size_t) { return MessageSize{1, 0}; },
+      [&](std::vector<std::size_t>&, Rng&) {
+        in_combine = heap_in_use();
+        return 0;
+      });
+  // The engine's own per-machine ledger is allocated in between; a page
+  // covers it.
+  EXPECT_GE(in_build + 4096, in_combine + arena_bytes)
+      << "in build " << in_build << " B, in combine " << in_combine
+      << " B, arena " << arena_bytes << " B";
 }
 
 TEST(EngineFlags, TransportFlagsRoundTripIntoStreamingOptions) {

@@ -5,9 +5,11 @@
 //       bit-exactly (the weighted differential depends on it),
 //   (b) the frame header survives its own codec and self-describes the
 //       payload length,
-//   (c) the downlink piece path: a piece frame sent as
-//       encode_piece_frame_prefix + the shard's raw edge bytes decodes
-//       through decode_piece_frame_view to the same piece, borrowed in place,
+//   (c) the bulk paths: a piece frame sent as encode_piece_frame_prefix +
+//       the shard's raw edge bytes decodes through decode_piece_frame_view
+//       to the same piece, borrowed in place, and the uplink GatherFrame
+//       segments of an edge list or VC coreset are byte-identical to
+//       encode_frame,
 //   (d) adversarial inputs DIE with a "summary wire:" diagnostic instead of
 //       reaching a fold: bad magic, version skew, unknown shape tag,
 //       nonzero reserved word, oversize payload claim, shape mismatch,
@@ -176,6 +178,35 @@ TEST(SummaryWire, PieceFramePrefixPlusRawEdgesRoundTripsThroughTheView) {
                 frame.data() + kPieceFramePrefixBytes);
       EXPECT_EQ(std::vector<Edge>(view.edges, view.edges + view.num_edges),
                 piece.edges());
+    }
+  }
+}
+
+/// The gather segments of `summary`, concatenated.
+template <typename T>
+std::vector<std::uint8_t> gathered(const T& summary, std::uint32_t machine) {
+  const GatherFrame frame(summary, machine);
+  std::vector<std::uint8_t> bytes;
+  for (const FrameSegment& segment : frame.segments()) {
+    bytes.insert(bytes.end(), segment.data, segment.data + segment.size);
+  }
+  return bytes;
+}
+
+TEST(SummaryWire, GatherFramesAreByteIdenticalToEncodeFrame) {
+  for (std::uint32_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    for (const EdgeList& el :
+         {gnp(200, 0.05, rng), random_bipartite(60, 80, 0.1, rng),
+          EdgeList(5), EdgeList()}) {
+      EXPECT_EQ(gathered(el, seed), encode_frame(el, seed));
+      VcCoresetOutput coreset;
+      coreset.residual_edges = el;
+      EXPECT_EQ(gathered(coreset, seed), encode_frame(coreset, seed));
+      for (VertexId v = 0; v < el.num_vertices(); v += 3) {
+        coreset.fixed_vertices.push_back(v);
+      }
+      EXPECT_EQ(gathered(coreset, seed + 7), encode_frame(coreset, seed + 7));
     }
   }
 }

@@ -1,9 +1,8 @@
 // graph_pack: generate, inspect, and solve .rgp packed graphs (the
 // out-of-core ingestion format of src/graph/graph_pack.hpp).
 //
-//   # generator family -> pack file
-//   ./graph_pack --mode generate --family gnm --n 100000 --m 800000 \
-//       --seed 7 --out g.rgp
+//   # generator family -> pack file (--seed picks the draw)
+//   ./graph_pack --mode generate --family gnm --n 100000 --m 800000 --out g.rgp
 //
 //   # out-of-core: stream a random multigraph straight to disk; the edge
 //   # set is never materialized, so m is bounded by disk, not RAM
@@ -36,23 +35,34 @@
 namespace rcc {
 namespace {
 
+/// The integer flag `name`, which must lie in [lo, hi]; anything else exits
+/// 2 through flag_fail before the caller builds anything from it.
+std::uint64_t ranged_flag(const Options& opts, const char* name,
+                          std::uint64_t lo, std::uint64_t hi) {
+  const std::int64_t value = opts.get_int(name);
+  if (value < 0 || static_cast<std::uint64_t>(value) < lo ||
+      static_cast<std::uint64_t>(value) > hi) {
+    flag_fail(name, "%" PRId64 " is outside [%" PRIu64 ", %" PRIu64 "]",
+              value, lo, hi);
+  }
+  return static_cast<std::uint64_t>(value);
+}
+
 /// --n as a vertex count: it must fit VertexId.
 VertexId vertex_count_flag(const Options& opts) {
-  const std::int64_t n = opts.get_int("n");
-  if (n < 0 || static_cast<std::uint64_t>(n) > kInvalidVertex) {
-    flag_fail("n", "%" PRId64 " is outside [0, %u]", n, kInvalidVertex);
-  }
-  return static_cast<VertexId>(n);
+  return static_cast<VertexId>(ranged_flag(opts, "n", 0, kInvalidVertex));
 }
 
 /// --m as an edge count in [0, max_edges].
 std::uint64_t edge_count_flag(const Options& opts, std::uint64_t max_edges) {
-  const std::int64_t m = opts.get_int("m");
-  if (m < 0 || static_cast<std::uint64_t>(m) > max_edges) {
-    flag_fail("m", "%" PRId64 " is outside [0, %" PRIu64 "]", m, max_edges);
-  }
-  return static_cast<std::uint64_t>(m);
+  return ranged_flag(opts, "m", 0, max_edges);
 }
+
+/// Caps on solve's --k and --threads: each machine of a process transport
+/// is a forked worker and each thread a pool worker, so a wrapped or absurd
+/// value must fail before anything starts.
+constexpr std::uint64_t kMaxMachines = 1024;
+constexpr std::uint64_t kMaxThreads = 1024;
 
 EdgeList generate_family(const Options& opts, Rng& rng) {
   const std::string family = opts.get_string("family");
@@ -140,15 +150,19 @@ int run_inspect(const std::string& input) {
 }
 
 int run_solve(const Options& opts, Rng& rng) {
+  // Every count is range-checked before the pack is opened or a thread or
+  // worker starts; --left-size needs the pack's n.
+  const std::size_t k = ranged_flag(opts, "k", 1, kMaxMachines);
+  const std::size_t threads = ranged_flag(opts, "threads", 0, kMaxThreads);
   const std::string input = opts.get_string("input");
   const MappedGraph graph(input);
   if (graph.weighted()) {
     std::fprintf(stderr, "--mode solve expects an unweighted pack\n");
     return 2;
   }
-  const auto k = static_cast<std::size_t>(opts.get_int("k"));
-  const auto left_size = static_cast<VertexId>(opts.get_int("left-size"));
-  ThreadPool pool(static_cast<std::size_t>(opts.get_int("threads")));
+  const auto left_size = static_cast<VertexId>(
+      ranged_flag(opts, "left-size", 0, graph.num_vertices()));
+  ThreadPool pool(threads);
   const StreamingOptions streaming = streaming_options_from_options(opts);
   const std::string problem = opts.get_string("problem");
 
@@ -192,9 +206,10 @@ int graph_pack_main(int argc, char** argv) {
   opts.flag("weighted", "false", "generate: attach uniform weights");
   opts.flag("seed", "42", "PRNG seed");
   opts.flag("problem", "matching", "solve: matching | vc");
-  opts.flag("k", "8", "solve: number of machines");
-  opts.flag("left-size", "0", "solve: bipartition boundary (0 = general)");
-  opts.flag("threads", "0", "solve: worker threads (0 = hardware)");
+  opts.flag("k", "8", "solve: number of machines, 1 .. 1024");
+  opts.flag("left-size", "0",
+            "solve: bipartition boundary, 0 .. n (0 = general)");
+  opts.flag("threads", "0", "solve: worker threads, 0 .. 1024 (0 = hardware)");
   add_streaming_flags(opts);
   opts.parse(argc, argv);
 
