@@ -3,7 +3,7 @@
 //
 // The grid is instance family (sparse / dense / bipartite / crown-forest)
 // x protocol scenario (partition, single- and multi-round matching, VC,
-// augmenting rounds, filtering) x cluster shape (k machines, round budget).
+// transports, filtering) x cluster shape (k machines, round budget).
 // Rows are pinned: adding a scenario appends a row; changing an existing
 // row's parameters, or any row's exact columns, is a baseline reset and
 // must re-cut BENCH_scale025.json (see README "Performance playbook").
@@ -13,6 +13,8 @@
 // it: the exact columns must not change, and timing holds a ±25% band
 // ("Bench grid vs checked-in baseline"); ±10% is the quiet-machine band.
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -21,9 +23,7 @@
 #include "suite_row.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_pack.hpp"
-#include "mpc/augmenting_rounds.hpp"
 #include "mpc/coreset_mpc.hpp"
-#include "mpc/edcs_rounds.hpp"
 #include "mpc/filtering_mpc.hpp"
 #include "mpc/mpc_engine.hpp"
 #include "partition/sharded_partition.hpp"
@@ -152,11 +152,13 @@ int run_suite(int argc, char** argv) {
       "bench_suite: the pinned scenario grid every perf PR diffs against");
   opts.flag("seed", "42", "PRNG seed");
   opts.flag("scale", "1.0", "instance size multiplier");
-  opts.flag("reps", "3", "repetitions per row (median reported)");
+  opts.flag("reps", "3", "repetitions per row, >= 1 (median reported)");
   opts.flag("json", "", "write machine-readable results to this path");
   opts.flag("scenario", "", "only run rows whose scenario contains this substring");
   opts.flag("family", "", "only run rows whose family contains this substring");
-  opts.flag("threads", "0", "thread-pool size (0 = hardware concurrency, capped at 8)");
+  opts.flag("threads", "0",
+            "thread-pool size, 0 .. 1024 (0 = hardware concurrency, capped "
+            "at 8)");
   opts.flag("packed-scale", "1.0",
             "size multiplier for the out-of-core packed family (independent "
             "of --scale: the pack is streamed to disk, so large values are "
@@ -170,13 +172,15 @@ int run_suite(int argc, char** argv) {
   opts.parse(argc, argv);
 
   ExperimentSetup setup;
-  setup.seed = static_cast<std::uint64_t>(opts.get_int("seed"));
+  setup.seed =
+      static_cast<std::uint64_t>(opts.get_int_in("seed", 0, INT64_MAX));
   setup.scale = opts.get_double("scale");
-  setup.reps = static_cast<int>(opts.get_int("reps"));
+  setup.reps = static_cast<int>(opts.get_int_in("reps", 1, INT_MAX));
   const std::string json_path = opts.get_string("json");
   const std::string scenario_filter = opts.get_string("scenario");
   const std::string family_filter = opts.get_string("family");
-  std::size_t threads = static_cast<std::size_t>(opts.get_int("threads"));
+  std::size_t threads =
+      static_cast<std::size_t>(opts.get_int_in("threads", 0, kMaxThreadsFlag));
   if (threads == 0) {
     threads = std::min<std::size_t>(8, std::thread::hardware_concurrency());
     threads = std::max<std::size_t>(1, threads);
@@ -244,42 +248,6 @@ int run_suite(int argc, char** argv) {
           }));
     }
 
-    if (wanted("augmenting", f)) {
-      rows.push_back(measure(
-          "augmenting", f, 8, 5, setup.reps, setup.seed, [&](Rng& rng) {
-            AugmentingRoundsConfig aug;
-            aug.max_path_length = 5;
-            const auto result = run_matching_rounds_augmenting(
-                f.edges, engine_config(f, 8, 5), aug, f.left_size, rng, &pool);
-            RunOutcome out = processed_of(result.stats);
-            out.solution = result.matching.size();
-            return out;
-          }));
-    }
-
-    // EDCS round-combiner at three beta points (lambda = max(1, beta/8)).
-    // Together with comm_words these rows trace the quality-vs-communication
-    // frontier: larger beta ships more words per round and lands a larger
-    // matching. Distinct scenario names keep compare_bench's
-    // (scenario, family, k, rounds) row keys collision-free.
-    for (const std::size_t beta :
-         {std::size_t{8}, std::size_t{16}, std::size_t{32}}) {
-      const std::string scenario = "edcs_b" + std::to_string(beta);
-      if (!wanted(scenario, f)) continue;
-      rows.push_back(measure(
-          scenario, f, 8, 5, setup.reps, setup.seed, [&, beta](Rng& rng) {
-            EdcsRoundsConfig edcs;
-            edcs.edcs.beta = beta;
-            edcs.edcs.lambda = std::max<std::size_t>(1, beta / 8);
-            const auto result = run_matching_rounds_edcs(
-                f.edges, engine_config(f, 8, 5), edcs, f.left_size, rng,
-                &pool);
-            RunOutcome out = processed_of(result.stats);
-            out.solution = result.matching.size();
-            return out;
-          }));
-    }
-
     // Transport head-to-head: the SAME single-round coreset workload through
     // the in-process engine, forked workers over loopback sockets, and
     // forked workers over shared-memory rings. All rows produce
@@ -334,7 +302,6 @@ int run_suite(int argc, char** argv) {
               void absorb(EdgeList&, std::size_t, MpcRoundContext&) {}
               EdgeList finish(std::vector<EdgeList>&, MpcRoundContext& ctx,
                               Rng&) {
-                ctx.note_progress(1);
                 ctx.survivors_out().assign(ctx.active_edges());
                 return std::move(ctx.survivors_out());
               }

@@ -8,6 +8,8 @@
 // table; main prints the banner before it and the verdict line after it,
 // and exits 0 when the measured shape matches the claim and 1 when it does
 // not. A missing or unknown id prints the list and exits 2.
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -129,12 +131,13 @@ int main(int argc, char** argv) {
                     "): " + experiment->claim);
   opts.flag("seed", "42", "PRNG seed");
   opts.flag("scale", "1.0", "instance size multiplier");
-  opts.flag("reps", "3", "repetitions per configuration");
+  opts.flag("reps", "3", "repetitions per configuration, >= 1");
   opts.parse(argc - 1, argv + 1);  // argv[1], the id, stands in for argv[0]
   ExperimentSetup setup;
-  setup.seed = static_cast<std::uint64_t>(opts.get_int("seed"));
+  setup.seed =
+      static_cast<std::uint64_t>(opts.get_int_in("seed", 0, INT64_MAX));
   setup.scale = opts.get_double("scale");
-  setup.reps = static_cast<int>(opts.get_int("reps"));
+  setup.reps = static_cast<int>(opts.get_int_in("reps", 1, INT_MAX));
 
   std::printf("=== %s (%s) ===\n%s\n(seed=%llu scale=%.2f reps=%d)\n\n",
               experiment->id, experiment->anchor, experiment->claim,

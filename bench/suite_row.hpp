@@ -90,6 +90,7 @@ Row measure(const std::string& scenario, const std::string& family,
   row.rounds = rounds;
   row.n = n;
   row.m = m;
+  RCC_CHECK(reps >= 1);  // the median and minimum below need a sample
   std::vector<double> times;
   RunOutcome outcome;
   std::uint64_t worker_peak = 0;

@@ -9,6 +9,7 @@
 // matching size.
 //
 // Run:  ./distributed_matching --n 100000 --machines 16
+#include <cstdint>
 #include <cstdio>
 
 #include "distributed/protocols.hpp"
@@ -22,16 +23,17 @@
 int main(int argc, char** argv) {
   using namespace rcc;
   Options opts("distributed_matching: a 16-machine matching cluster in vitro");
-  opts.flag("n", "100000", "vertices");
+  opts.flag("n", "100000", "vertices, >= 2");
   opts.flag("avg-degree", "80", "average degree (dense: coresets compress)");
-  opts.flag("machines", "16", "cluster size k");
+  opts.flag("machines", "16", "cluster size k, 1 .. 1024");
   opts.flag("seed", "21", "PRNG seed");
   opts.parse(argc, argv);
 
-  const auto n = static_cast<VertexId>(opts.get_int("n"));
+  const auto n = static_cast<VertexId>(opts.get_int_in("n", 2, kInvalidVertex));
   const VertexId side = n / 2;  // users x resources: bipartite
-  const auto k = static_cast<std::size_t>(opts.get_int("machines"));
-  Rng rng(static_cast<std::uint64_t>(opts.get_int("seed")));
+  const auto k = static_cast<std::size_t>(
+      opts.get_int_in("machines", 1, kMaxMachinesFlag));
+  Rng rng(static_cast<std::uint64_t>(opts.get_int_in("seed", 0, INT64_MAX)));
   const EdgeList graph =
       random_bipartite(side, side, opts.get_double("avg-degree") / side, rng);
 

@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
   add_mpc_engine_flags(opts);  // --mpc-machines / -memory-budget / -rounds ...
   opts.parse(argc, argv);
 
-  const auto n = static_cast<VertexId>(opts.get_int("n"));
-  Rng rng(static_cast<std::uint64_t>(opts.get_int("seed")));
+  const auto n = static_cast<VertexId>(opts.get_int_in("n", 1, kInvalidVertex));
+  Rng rng(static_cast<std::uint64_t>(opts.get_int_in("seed", 0, INT64_MAX)));
   const EdgeList similarity = gnp(n, opts.get_double("p"), rng);
 
   MpcEngineConfig engine_cfg = mpc_engine_config_from_options(opts, n);

@@ -9,6 +9,7 @@
 //      (Theorem 2).
 //
 // Run:  ./quickstart --n 100000 --k 32 --seed 7
+#include <cstdint>
 #include <cstdio>
 
 #include "distributed/protocols.hpp"
@@ -21,15 +22,16 @@
 int main(int argc, char** argv) {
   using namespace rcc;
   Options opts("quickstart: coreset protocols on a random graph");
-  opts.flag("n", "50000", "number of vertices");
-  opts.flag("k", "32", "number of machines");
+  opts.flag("n", "50000", "number of vertices, >= 1");
+  opts.flag("k", "32", "number of machines, 1 .. 1024");
   opts.flag("avg-degree", "6", "average degree of the random graph");
   opts.flag("seed", "7", "PRNG seed");
   opts.parse(argc, argv);
 
-  const auto n = static_cast<VertexId>(opts.get_int("n"));
-  const auto k = static_cast<std::size_t>(opts.get_int("k"));
-  Rng rng(static_cast<std::uint64_t>(opts.get_int("seed")));
+  const auto n = static_cast<VertexId>(opts.get_int_in("n", 1, kInvalidVertex));
+  const auto k =
+      static_cast<std::size_t>(opts.get_int_in("k", 1, kMaxMachinesFlag));
+  Rng rng(static_cast<std::uint64_t>(opts.get_int_in("seed", 0, INT64_MAX)));
 
   // 1. A graph. Any EdgeList works: generators, io::read_edge_list, or your
   //    own construction.

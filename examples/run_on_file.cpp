@@ -9,6 +9,7 @@
 //
 // With --graph "" (default) a demo graph is generated, written to a temp
 // file, and loaded back — exercising the full I/O path.
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -25,13 +26,14 @@ int main(int argc, char** argv) {
   Options opts("run_on_file: coreset protocols over an edge-list file");
   opts.flag("graph", "", "path to an edge-list file (empty = demo graph)");
   opts.flag("problem", "matching", "matching | vc | both");
-  opts.flag("k", "16", "number of machines");
-  opts.flag("left-size", "0", "bipartition boundary (0 = general graph)");
+  opts.flag("k", "16", "number of machines, 1 .. 1024");
+  opts.flag("left-size", "0",
+            "bipartition boundary, 0 .. n (0 = general graph)");
   opts.flag("seed", "42", "PRNG seed");
-  opts.flag("threads", "0", "worker threads (0 = hardware)");
+  opts.flag("threads", "0", "worker threads, 0 .. 1024 (0 = hardware)");
   opts.parse(argc, argv);
 
-  Rng rng(static_cast<std::uint64_t>(opts.get_int("seed")));
+  Rng rng(static_cast<std::uint64_t>(opts.get_int_in("seed", 0, INT64_MAX)));
   std::string path = opts.get_string("graph");
   if (path.empty()) {
     path = "/tmp/rcc_demo_graph.txt";
@@ -45,9 +47,12 @@ int main(int argc, char** argv) {
   std::printf("loaded %s: n=%u m=%zu (%.0f ms)\n", path.c_str(),
               graph.num_vertices(), graph.num_edges(), load_timer.millis());
 
-  const auto k = static_cast<std::size_t>(opts.get_int("k"));
-  const auto left_size = static_cast<VertexId>(opts.get_int("left-size"));
-  ThreadPool pool(static_cast<std::size_t>(opts.get_int("threads")));
+  const auto k =
+      static_cast<std::size_t>(opts.get_int_in("k", 1, kMaxMachinesFlag));
+  const auto left_size = static_cast<VertexId>(
+      opts.get_int_in("left-size", 0, graph.num_vertices()));
+  ThreadPool pool(
+      static_cast<std::size_t>(opts.get_int_in("threads", 0, kMaxThreadsFlag)));
   const std::string problem = opts.get_string("problem");
 
   if (problem == "matching" || problem == "both") {

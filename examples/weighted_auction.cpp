@@ -7,6 +7,7 @@
 // matching per geometric price band per server.
 //
 // Run:  ./weighted_auction --bidders 20000 --items 20000
+#include <cstdint>
 #include <cstdio>
 
 #include "coreset/weighted_coreset.hpp"
@@ -23,15 +24,19 @@ int main(int argc, char** argv) {
   opts.flag("items", "5000", "right side size");
   opts.flag("bids-per-bidder", "100", "average bids per bidder (dense book)");
   opts.flag("max-price", "1000", "price range upper bound");
-  opts.flag("servers", "8", "ingestion servers (k)");
+  opts.flag("servers", "8", "ingestion servers (k), 1 .. 1024");
   opts.flag("seed", "55", "PRNG seed");
   opts.parse(argc, argv);
 
-  const auto bidders = static_cast<VertexId>(opts.get_int("bidders"));
-  const auto items = static_cast<VertexId>(opts.get_int("items"));
-  const auto k = static_cast<std::size_t>(opts.get_int("servers"));
+  // Bidders and items share one vertex universe below kInvalidVertex.
+  const auto bidders =
+      static_cast<VertexId>(opts.get_int_in("bidders", 1, kInvalidVertex - 1));
+  const auto items = static_cast<VertexId>(
+      opts.get_int_in("items", 1, kInvalidVertex - bidders));
+  const auto k = static_cast<std::size_t>(
+      opts.get_int_in("servers", 1, kMaxMachinesFlag));
   const double max_price = opts.get_double("max-price");
-  Rng rng(static_cast<std::uint64_t>(opts.get_int("seed")));
+  Rng rng(static_cast<std::uint64_t>(opts.get_int_in("seed", 0, INT64_MAX)));
 
   // Build the bid graph: heavy-tailed prices in [1, max_price].
   WeightedEdgeList bids;

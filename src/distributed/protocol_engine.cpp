@@ -42,20 +42,12 @@ StreamingOptions streaming_options_from_options(const Options& options) {
               "'shm'",
               transport.c_str());
   }
-  const std::int64_t timeout = options.get_int("engine-transport-timeout-ms");
   // The deadline is held as int milliseconds: a value past INT_MAX would
   // wrap instead of waiting longer.
-  if (timeout <= 0 || timeout > INT_MAX) {
-    flag_fail("engine-transport-timeout-ms", "%lld must be in [1, %d]",
-              static_cast<long long>(timeout), INT_MAX);
-  }
-  opts.timeout_ms = static_cast<int>(timeout);
-  const std::int64_t ring_bytes = options.get_int("engine-shm-ring-bytes");
-  if (ring_bytes < 64 || ring_bytes > (std::int64_t{1} << 30)) {
-    flag_fail("engine-shm-ring-bytes", "%lld must be in [64, 2^30]",
-              static_cast<long long>(ring_bytes));
-  }
-  opts.ring_bytes = static_cast<std::size_t>(ring_bytes);
+  opts.timeout_ms = static_cast<int>(
+      options.get_int_in("engine-transport-timeout-ms", 1, INT_MAX));
+  opts.ring_bytes = static_cast<std::size_t>(
+      options.get_int_in("engine-shm-ring-bytes", 64, std::int64_t{1} << 30));
   return opts;
 }
 

@@ -65,8 +65,10 @@ FrameHeader decode_frame_header(const std::uint8_t* bytes) {
               static_cast<unsigned>(version),
               static_cast<unsigned>(kWireVersion));
   }
+  // Tag 4 was the augmenting-path batch; it is retired, never reused.
   if (shape < static_cast<std::uint16_t>(SummaryShape::kEdgeList) ||
-      shape > static_cast<std::uint16_t>(SummaryShape::kShutdown)) {
+      shape > static_cast<std::uint16_t>(SummaryShape::kShutdown) ||
+      shape == 4) {
     wire_fail("unknown summary shape tag %u", static_cast<unsigned>(shape));
   }
   const std::uint32_t machine = reader.u32();
@@ -217,41 +219,6 @@ WeightedCoresetOutput SummaryCodec<WeightedCoresetOutput>::decode(
     coreset.edges.edges.push_back(WeightedEdge{u, v, w});
   }
   return coreset;
-}
-
-void SummaryCodec<std::vector<AugmentingPath>>::encode(
-    const std::vector<AugmentingPath>& paths, WireWriter& writer) {
-  writer.u64(paths.size());
-  for (const AugmentingPath& path : paths) {
-    writer.u32(static_cast<std::uint32_t>(path.vertices.size()));
-    for (const VertexId v : path.vertices) writer.u32(v);
-  }
-}
-
-std::vector<AugmentingPath> SummaryCodec<std::vector<AugmentingPath>>::decode(
-    WireReader& reader) {
-  const std::uint64_t count = reader.u64();
-  // Each path needs at least its 4-byte length prefix.
-  if (count > reader.remaining() / 4) {
-    wire_fail("path batch claims %llu paths but only %zu payload bytes remain",
-              static_cast<unsigned long long>(count), reader.remaining());
-  }
-  std::vector<AugmentingPath> paths;
-  paths.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint32_t length = reader.u32();
-    if (length > reader.remaining() / 4) {
-      wire_fail(
-          "path %llu claims %u vertices but only %zu payload bytes remain",
-          static_cast<unsigned long long>(i), length, reader.remaining());
-    }
-    AugmentingPath path;
-    for (std::uint32_t j = 0; j < length; ++j) {
-      path.vertices.push_back(reader.u32());
-    }
-    paths.push_back(std::move(path));
-  }
-  return paths;
 }
 
 void SummaryCodec<std::vector<VcCoresetOutput>>::encode(

@@ -37,7 +37,6 @@
 #include "coreset/coreset.hpp"
 #include "coreset/weighted_coreset.hpp"
 #include "graph/edge_list.hpp"
-#include "matching/augmenting_paths.hpp"
 #include "util/types.hpp"
 
 namespace rcc {
@@ -59,10 +58,10 @@ inline constexpr std::uint64_t kMaxFramePayloadBytes = std::uint64_t{1} << 30;
 /// same versioned framing as summaries, so one header decoder and one
 /// validation funnel serve both directions).
 enum class SummaryShape : std::uint16_t {
-  kEdgeList = 1,       // coreset matching / filtering / EDCS rounds
+  kEdgeList = 1,       // coreset matching / filtering rounds
   kVcCoreset = 2,      // vertex cover: residual edges + fixed vertices
   kWeightedEdges = 3,  // Crouch-Stubbs weighted matching coreset
-  kPathBatch = 4,      // augmenting-path round: batch of short paths
+  // 4 is retired (the augmenting-path batch); the decoder rejects it.
   kVcCoresetBatch = 5, // weighted VC: one VcCoresetOutput per weight level
   kGroupedVc = 6,      // grouped VC: core coreset + pinned group ids
   kPieceDelivery = 7,  // downlink: one round's piece + forked RNG stream
@@ -171,15 +170,6 @@ struct SummaryCodec<WeightedCoresetOutput> {
   // Layout: u32 num_vertices, u64 num_edges, then (u32, u32, f64-bits).
   static void encode(const WeightedCoresetOutput& coreset, WireWriter& writer);
   static WeightedCoresetOutput decode(WireReader& reader);
-};
-
-template <>
-struct SummaryCodec<std::vector<AugmentingPath>> {
-  static constexpr SummaryShape kShape = SummaryShape::kPathBatch;
-  // Layout: u64 path count, then per path u32 length + u32 per vertex.
-  static void encode(const std::vector<AugmentingPath>& paths,
-                     WireWriter& writer);
-  static std::vector<AugmentingPath> decode(WireReader& reader);
 };
 
 template <>

@@ -44,13 +44,13 @@ EdgeList complete_bipartite(VertexId nL, VertexId nR);
 /// SAME index on both sides (a_d and b_d free) is maximal — the "missing
 /// diagonal" kills the free-free edge — so greedy extension gets stuck one
 /// edge short while a single length-3 augmenting path closes the gap. This
-/// is the separator family for the augmenting-path round-combiner tests.
+/// is the trap family that separates greedy folds from maximum matchings.
 EdgeList crown(VertexId n_per_side);
 
 /// Disjoint union of `count` crown graphs with `size` vertices per side.
 /// Every component carries its own stranding trap (a random maximal matching
 /// of crown(3) is one edge short with probability 1/3), so greedy folds lose
-/// Theta(count) edges while short augmenting paths recover all of them.
+/// Theta(count) edges that a maximum matching keeps.
 EdgeList crown_forest(VertexId count, VertexId size);
 
 /// Star: center 0 connected to leaves 1..n-1 (the Section 1.2 instance that

@@ -10,10 +10,8 @@ Matching greedy_maximal_matching(EdgeSpan edges, GreedyOrder order, Rng& rng,
 }
 
 void greedy_extend(Matching& base, const EdgeList& extra) {
-  // A free-free edge is exactly a length-1 augmenting path — the degenerate
-  // case of matching/augmenting_paths.hpp — but this runs inside every
-  // fold's hot loop, so the flip stays a direct match() rather than an
-  // AugmentingPath allocation per edge.
+  // A free-free edge is exactly a length-1 augmenting path: matching it
+  // grows the matching by one.
   for (const Edge& e : extra) {
     if (!base.is_matched(e.u) && !base.is_matched(e.v)) base.match(e.u, e.v);
   }

@@ -14,9 +14,8 @@
 //    run it; they differ only in how the CSR is built.
 //  * maximum_matching_into — unseeded: Hopcroft-Karp when a bipartition tag
 //    is available, Edmonds' blossom otherwise. Callers that depend on which
-//    maximum matching they get keep it: the EDCS fold's survivors follow
-//    from its round-0 matching (mpc_edcs_test pins that run), and so do the
-//    weighted class solves, greedy_match and the mixed-solver ablation.
+//    maximum matching they get keep it: the weighted class solves,
+//    greedy_match and the mixed-solver ablation.
 //
 // Passing a MachineScratch routes the CSR build and the solver's O(n)
 // working arrays through the round-persistent workspace, so repeated solves

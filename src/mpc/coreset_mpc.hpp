@@ -12,12 +12,10 @@
 // The *_rounds entry points run Round 2 on the multi-round executor
 // (mpc_engine.hpp): each further round re-partitions the edges the current
 // solution leaves open and composes coresets of the residual, which can only
-// grow the matching (the round-iteration structure of "Coresets Meet EDCS",
-// arXiv:1711.03076). The paper's two-round algorithm is the config
+// grow the matching. The paper's two-round algorithm is the config
 // {.mpc = cfg, .max_rounds = 1, .input_already_random = false}; leave the
 // last field at its default (true) when the input is already random. The
-// greedy fold here never passes maximality; the (1+eps) sibling entry point,
-// run_matching_rounds_augmenting, lives in mpc/augmenting_rounds.hpp.
+// greedy fold here never passes maximality.
 #pragma once
 
 #include "matching/matching.hpp"

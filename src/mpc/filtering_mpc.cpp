@@ -32,14 +32,9 @@ struct FilteringRoundFold {
   }
 
   void absorb(EdgeList& sample, std::size_t /*machine*/,
-              MpcRoundContext& ctx) {
+              MpcRoundContext& /*ctx*/) {
     // Central machine: maximal matching of the collected sample, merged.
-    // Newly matched edges are the round's progress units — the executor's
-    // stagnation check must not stop a run whose survivors happen to be
-    // flat while the matching is still growing.
-    const std::size_t before = m.size();
     greedy_extend(m, sample);
-    ctx.note_progress(m.size() - before);
   }
 
   EdgeList finish(std::vector<EdgeList>& /*samples*/, MpcRoundContext& ctx,
@@ -85,11 +80,12 @@ FilteringMpcResult filtering_mpc_rounds(EdgeSource graph,
   MpcEngineConfig engine_config = config;
   // Filtering never reshuffles (sampling is oblivious to placement) and
   // models map-side residency in its own broadcast step. early_stop is
-  // honored as configured: the fold reports every newly matched edge as
-  // progress, so the executor only stops on a round that neither matched
-  // nor filtered anything. The only such round is an all-empty sample draw
-  // — survivors all have both endpoints unmatched, so any nonempty sample
-  // matches at least one edge. P(all empty) = (1-rate)^survivors <=
+  // honored as configured. Every round's input edges have both endpoints
+  // unmatched, so a newly matched edge is itself filtered out: the
+  // survivors shrink exactly when the matching grows, and the executor only
+  // stops on a round that matched nothing. The only such round is an
+  // all-empty sample draw — any nonempty sample matches at least one
+  // edge. P(all empty) = (1-rate)^survivors <=
   // e^(-memory_words/4) per round, negligible for any real budget; a
   // degenerate-budget caller that wants pure Las-Vegas resampling instead
   // can pass early_stop = false (the run is honestly marked incomplete

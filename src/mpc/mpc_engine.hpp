@@ -3,9 +3,8 @@
 //
 // The paper's MapReduce application (Section 1.1) runs the coreset protocol
 // as ONE round of an MPC computation; iterating that round on the edges the
-// current solution leaves uncovered drives the approximation down (the
-// round-iteration structure of Assadi et al., "Coresets Meet EDCS",
-// arXiv:1711.03076). This executor is the generic driver for that loop:
+// current solution leaves uncovered drives the approximation down. This
+// executor is the generic driver for that loop:
 //
 //   per round:
 //     partition — the surviving edges are scattered by the sharded
@@ -24,9 +23,9 @@
 //   fold.absorb(summary, machine, round)             once per machine, in
 //       machine order, after every summary has arrived
 //   fold.finish(summaries, round, rng) -> EdgeList   survivors for the next
-//       round; `round` is an MpcRoundContext: the round's input edges, the
-//       round index, and ledger access for protocols that model extra
-//       super-steps (e.g. filtering's broadcast round).
+//       round; `round` is an MpcRoundContext: the round's input edges,
+//       whether it is the last round, and ledger access for protocols that
+//       model extra super-steps (e.g. filtering's broadcast round).
 //
 // Resources are accounted like the single-round simulator: every super-step
 // is declared on an MpcLedger, every machine's residency is charged against
@@ -35,9 +34,9 @@
 // returned MpcExecutionStats carries per-round communication words, phase
 // timings, and per-machine peak memory.
 //
-// coreset_mpc.cpp, filtering_mpc.cpp, augmenting_rounds.cpp and
-// edcs_rounds.cpp are the in-tree instantiations, each with one entry point
-// that takes an MpcEngineConfig (a single-round run is max_rounds = 1).
+// coreset_mpc.cpp and filtering_mpc.cpp are the in-tree instantiations, each
+// with one entry point that takes an MpcEngineConfig (a single-round run is
+// max_rounds = 1).
 #pragma once
 
 #include <algorithm>
@@ -74,12 +73,8 @@ struct MpcEngineConfig {
   /// round (coreset_mpc.hpp, Round 1).
   bool input_already_random = true;
 
-  /// Stop as soon as an iteration leaves the surviving edge set unchanged
-  /// AND the fold reported no progress units (combiners whose survivors
-  /// never shrink — the augmenting-path fold recirculates every edge —
-  /// report real progress via MpcRoundContext::note_progress and are not
-  /// stopped by this check). Runs always stop when no edges survive or the
-  /// fold requests it.
+  /// Stop as soon as an iteration leaves the surviving edge set unchanged.
+  /// Runs always stop when no edges survive or the fold requests it.
   bool early_stop = true;
 
   /// The machine-phase transport: kSocket and kShm run every machine in a
@@ -99,10 +94,9 @@ struct MpcEngineConfig {
   /// first round's shards ride the fork copy-on-write, later rounds ship
   /// pieces down the channels — worker_forks == k however many rounds run).
   /// Builds that read coordinator-evolving state (filtering's rate
-  /// schedule, augmenting's current matching) must leave this false: each
-  /// round then forks fresh workers whose copy-on-write snapshot sees the
-  /// fresh state. Drivers set this, not callers: it is a property of the
-  /// build lambda, not of the run.
+  /// schedule) must leave this false: each round then forks fresh workers
+  /// whose copy-on-write snapshot sees the fresh state. Drivers set this,
+  /// not callers: it is a property of the build lambda, not of the run.
   bool round_invariant_build = false;
 
   /// Ledger label prefix for executor-declared super-steps.
@@ -129,20 +123,13 @@ class MpcRoundContext {
   /// concatenated), valid only during the fold call.
   EdgeSpan active_edges() const { return active_; }
 
-  std::size_t round_index() const { return round_index_; }  // 0-based
   bool last_round() const { return round_index_ + 1 == max_rounds_; }
   std::size_t num_machines() const { return ledger_.config().num_machines; }
-  std::uint64_t memory_budget_words() const {
-    return ledger_.config().memory_words;
-  }
 
   /// Ledger passthroughs: a combiner that needs more than the collect step
   /// (e.g. filtering's broadcast-and-filter) declares its own super-steps
   /// and charges the residency they create.
   void begin_round(const std::string& label) { ledger_.begin_round(label); }
-  void charge(std::size_t machine, std::uint64_t words) {
-    ledger_.charge(machine, words);
-  }
   void charge_all(std::uint64_t words) {
     for (std::size_t i = 0; i < num_machines(); ++i) ledger_.charge(i, words);
   }
@@ -150,24 +137,6 @@ class MpcRoundContext {
   /// Ends the execution after this round even if survivors remain.
   void request_stop() { stop_requested_ = true; }
   bool stop_requested() const { return stop_requested_; }
-
-  /// Progress accounting for folds whose survivors do not shrink (the
-  /// augmenting-path combiner re-circulates every edge): the units land in
-  /// this round's MpcRoundReport::augmentations, so per-round progress stays
-  /// visible even though the surviving edge counts are flat.
-  void note_progress(std::size_t units) { progress_units_ += units; }
-  std::size_t progress_units() const { return progress_units_; }
-
-  /// A fold that stops on a quality certificate (e.g. "no augmenting path of
-  /// length <= 2k+1 anywhere" => a (1 + 1/(k+1))-approximation) records the
-  /// certified worst-case ratio here; the executor copies it into
-  /// MpcExecutionStats::certified_ratio.
-  void certify_ratio(double ratio_bound) { certified_ratio_ = ratio_bound; }
-  double certified_ratio() const { return certified_ratio_; }
-
-  /// The run's round-persistent workspace (null only when a context is
-  /// built stand-alone, e.g. in tests — the executor always provides one).
-  ProtocolWorkspace* workspace() { return workspace_; }
 
   /// Coordinator-side scratch for the fold phase. Never shared with the
   /// machine scratches.
@@ -195,8 +164,6 @@ class MpcRoundContext {
   ProtocolWorkspace* workspace_ = nullptr;
   EdgeList* survivors_out_ = nullptr;
   bool stop_requested_ = false;
-  std::size_t progress_units_ = 0;
-  double certified_ratio_ = 0.0;
 };
 
 /// One executor iteration (one ProtocolEngine round; may span several ledger
@@ -211,10 +178,6 @@ struct MpcRoundReport {
   std::size_t surviving_edges = 0;  // edges carried into the next one
   std::uint64_t comm_words = 0;     // summary words collected by machine M
   std::uint64_t peak_machine_words = 0;  // peak residency across its steps
-  /// Combiner-reported progress units (MpcRoundContext::note_progress); the
-  /// augmenting combiner reports augmenting paths applied this round. Zero
-  /// for folds that do not report.
-  std::size_t augmentations = 0;
   /// Workspace buffer growths during this round (delta of the run
   /// workspace's WorkspaceStats). Rounds after the first are expected to
   /// report 0 — the allocation-discipline regression tested in
@@ -229,13 +192,6 @@ struct MpcExecutionStats {
   std::size_t engine_rounds = 0;  // executor iterations actually run
   std::uint64_t max_memory_words = 0;
   std::uint64_t total_comm_words = 0;
-  /// Sum of the per-round combiner progress units (augmenting combiner:
-  /// total augmenting paths applied across the run).
-  std::size_t total_augmentations = 0;
-  /// Worst-case approximation ratio the final round certified via
-  /// MpcRoundContext::certify_ratio (augmenting combiner: 1 + 1/(k+1) when
-  /// the no-augmenting-path early stop fired). 0.0 when no round certified.
-  double certified_ratio = 0.0;
   /// Transport accounting of cross-process runs (zeros for inproc): worker
   /// processes forked over the whole run, uplink summary-frame bytes, and
   /// downlink piece-frame bytes. The fork-amortization claim is read here:
@@ -309,8 +265,8 @@ MpcExecutionStats run_mpc_rounds(EdgeSource graph,
   // channels. k forks per run instead of k per round, on either medium.
   // Only round-invariant builds may keep workers: a worker's captures are
   // frozen at fork time, so a build that reads state the fold mutates
-  // between rounds (filtering's rate, augmenting's matching) would compute
-  // against round-0 values — those runs spawn a fresh host every round.
+  // between rounds (filtering's rate) would compute against round-0
+  // values — those runs spawn a fresh host every round.
   std::optional<WorkerHost> host;
   StreamingOptions streaming_opts = config.streaming;
   if (config.streaming.transport != EngineTransport::kInproc &&
@@ -404,27 +360,14 @@ MpcExecutionStats run_mpc_rounds(EdgeSource graph,
       report.peak_machine_words =
           std::max(report.peak_machine_words, ledger.round_peak_words()[s]);
     }
-    report.augmentations = round_ctx.progress_units();
     report.workspace_allocations =
         ws.counters().allocations - allocations_before;
-    stats.total_augmentations += round_ctx.progress_units();
-    // The certificate is a statement about the solution as of THIS round: an
-    // uncertified later round that keeps mutating the solution clears any
-    // stale ratio a previous round attached (a fold that certifies and keeps
-    // running must re-certify every round the bound still holds).
-    stats.certified_ratio = round_ctx.certified_ratio();
     report.timing = result.timing;
     stats.per_round.push_back(report);
 
     if (round_ctx.stop_requested() || survivors.empty()) break;
-    // Stagnation: nothing shrank AND the fold reported no progress units.
-    // Edge-recirculating combiners keep survivors == active on purpose;
-    // their note_progress calls are what distinguishes a working round from
-    // a stalled one.
-    if (config.early_stop && survivors.num_edges() == active &&
-        round_ctx.progress_units() == 0) {
-      break;
-    }
+    // Stagnation: the round left the surviving edge set as large as it was.
+    if (config.early_stop && survivors.num_edges() == active) break;
   }
 
   if (host) {
@@ -449,7 +392,7 @@ MpcExecutionStats run_mpc_rounds(EdgeSource graph,
 ///   --mpc-rounds         executor iterations (multi-round MPC)
 ///   --mpc-random-input   input already randomly partitioned (skips the
 ///                        re-partition round)
-///   --mpc-early-stop     stop when a round makes no progress
+///   --mpc-early-stop     stop when a round leaves the survivors unshrunk
 /// plus the engine transport knobs (add_streaming_flags):
 ///   --engine-transport / --engine-transport-timeout-ms /
 ///   --engine-shm-ring-bytes

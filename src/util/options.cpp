@@ -89,6 +89,17 @@ std::int64_t Options::get_int(const std::string& name) const {
   return parsed;
 }
 
+std::int64_t Options::get_int_in(const std::string& name, std::int64_t lo,
+                                 std::int64_t hi) const {
+  const std::int64_t value = get_int(name);
+  if (value < lo || value > hi) {
+    flag_fail(name, "%lld must be in [%lld, %lld]",
+              static_cast<long long>(value), static_cast<long long>(lo),
+              static_cast<long long>(hi));
+  }
+  return value;
+}
+
 double Options::get_double(const std::string& name) const {
   const std::string v = get_string(name);
   char* end = nullptr;

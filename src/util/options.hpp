@@ -18,6 +18,12 @@ namespace rcc {
 /// must not silently run the wrong configuration.
 [[noreturn]] void flag_fail(const std::string& name, const char* fmt, ...);
 
+/// Caps on machine-count and thread-count flags: each machine of a process
+/// transport is a forked worker and each thread a pool worker, so a wrapped
+/// or absurd count must fail before anything starts.
+inline constexpr std::int64_t kMaxMachinesFlag = 1024;
+inline constexpr std::int64_t kMaxThreadsFlag = 1024;
+
 class Options {
  public:
   Options(std::string program_description);
@@ -37,6 +43,11 @@ class Options {
 
   std::string get_string(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
+  /// get_int, but the value must lie in [lo, hi]; anything else flag_fails
+  /// with "<value> must be in [lo, hi]" before the caller builds anything
+  /// from it.
+  std::int64_t get_int_in(const std::string& name, std::int64_t lo,
+                          std::int64_t hi) const;
   double get_double(const std::string& name) const;
   /// Exactly 1/true/yes/on or 0/false/no/off; anything else flag_fails.
   bool get_bool(const std::string& name) const;

@@ -212,7 +212,7 @@ class MachineScratch {
 
   WorkspaceStats* stats() { return stats_; }
 
-  /// Epoch-stamped vertex marks (augmenting-path blocking, dedup, ...).
+  /// Epoch-stamped vertex marks (the VC peel's removed set, dedup, ...).
   EpochMarks& vertex_marks(std::size_t n) {
     marks_.reset(n, stats_);
     return marks_;

@@ -9,17 +9,11 @@
 //     deterministic grid),
 //   * the greedy multi-round combiner runs to its fixed point, which is a
 //     maximal matching: certified factor 2, never past maximality,
-//   * the augmenting combiner with path cap L = 2k+1 terminates via the
-//     no-augmenting-path early stop and never exceeds the certified
-//     1 + 1/(k+1) = (L+3)/(L+1) ratio (checked in exact integer arithmetic),
-//   * on the p4-forest and crown-forest families the augmenting combiner is
-//     STRICTLY better than a greedy fold: the natural-greedy baseline
-//     (maximal-matching coresets folded greedily — the Section 1.2 coreset
-//     the paper rejects) is stuck Theta(components) below the optimum the
-//     augmenting combiner reaches exactly. (The PR-2 maximum-coreset
-//     combiner composes exact per-shard maximum matchings, which this grid
-//     cannot trap past maximality-with-loss — asserted too: the augmenting
-//     result is never behind it.)
+//   * on the p4-forest and crown-forest families the greedy folds stay
+//     strictly below the optimum: the maximum-coreset fold in one round at
+//     every k and on crowns even after 64 rounds, and the natural-greedy
+//     baseline (maximal-matching coresets folded greedily — the Section 1.2
+//     coreset the paper rejects) even with 64 rounds.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -30,9 +24,7 @@
 #include "matching/blossom.hpp"
 #include "matching/greedy.hpp"
 #include "matching/hopcroft_karp.hpp"
-#include "mpc/augmenting_rounds.hpp"
 #include "mpc/coreset_mpc.hpp"
-#include "mpc/edcs_rounds.hpp"
 
 namespace rcc {
 namespace {
@@ -166,115 +158,11 @@ TEST(ApproximationRatio, GreedyMultiRoundReachesItsMaximalityCertificate) {
   }
 }
 
-TEST(ApproximationRatio, AugmentingRoundsNeverExceedTheCertifiedRatio) {
-  for (std::uint64_t seed : kSeeds) {
-    for (const Instance& inst : instance_grid(seed)) {
-      const std::size_t opt = exact_optimum(inst);
-      for (std::size_t max_path_length : {1u, 3u, 5u}) {
-        AugmentingRoundsConfig aug;
-        aug.max_path_length = max_path_length;
-        Rng rng(seed);
-        const AugmentingMpcResult r = run_matching_rounds_augmenting(
-            inst.edges, engine_config(inst.edges, 64), aug, inst.left_size,
-            rng);
-        expect_valid(r.matching, inst, opt, "augmenting-rounds");
-        // Termination must be the no-augmenting-path early stop, and the
-        // certificate must hold against the exact oracle: with L = 2k+1,
-        // opt/|M| <= 1 + 1/(k+1) = (L+3)/(L+1), in integer arithmetic.
-        EXPECT_TRUE(r.certified) << inst.name << " L=" << max_path_length;
-        EXPECT_LT(r.stats.engine_rounds, 64u) << inst.name;
-        EXPECT_GE(r.matching.size() * (max_path_length + 3),
-                  opt * (max_path_length + 1))
-            << inst.name << " seed=" << seed << " L=" << max_path_length;
-        EXPECT_DOUBLE_EQ(r.certified_ratio,
-                         1.0 + 2.0 / static_cast<double>(max_path_length + 1));
-        EXPECT_EQ(r.stats.certified_ratio, r.certified_ratio);
-      }
-    }
-  }
-}
-
-TEST(ApproximationRatio, AugmentingStrictlyBeatsGreedyOnTrapFamilies) {
-  // The separator satellite: on families whose components carry a stranding
-  // trap — P4s presented middle-first, crown(3) components with the missing
-  // diagonal — the greedy fold commits and can never recover, while length-3
-  // augmenting paths fix every stuck component.
-  struct Family {
-    const char* name;
-    EdgeList edges;
-  };
-  std::vector<Family> families;
-  families.push_back({"p4-forest", p4_forest_middle_first(100)});
-  families.push_back({"crown-forest", crown_forest(40, 3)});
-  for (const Family& family : families) {
-    const Instance inst{family.name, family.edges, 0};
-    const std::size_t opt = exact_optimum(inst);
-    for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-      Rng greedy_rng(seed);
-      const Matching greedy =
-          natural_greedy_rounds(family.edges, 64, greedy_rng);
-      AugmentingRoundsConfig aug;
-      aug.max_path_length = 3;
-      Rng aug_rng(seed);
-      const AugmentingMpcResult r = run_matching_rounds_augmenting(
-          family.edges, engine_config(family.edges, 64), aug, 0, aug_rng);
-      // Strictly better than the greedy fold, and in fact exactly optimal:
-      // every trap on these families is a length-3 augmentation away.
-      EXPECT_GT(r.matching.size(), greedy.size())
-          << family.name << " seed=" << seed;
-      EXPECT_EQ(r.matching.size(), opt) << family.name << " seed=" << seed;
-      EXPECT_TRUE(r.certified);
-      // And never behind the PR-2 maximum-coreset combiner either.
-      Rng coreset_rng(seed);
-      const CoresetMpcMatchingResult coreset_greedy =
-          coreset_mpc_matching_rounds(family.edges,
-                                      engine_config(family.edges, 64), 0,
-                                      coreset_rng);
-      EXPECT_GE(r.matching.size(), coreset_greedy.matching.size())
-          << family.name << " seed=" << seed;
-    }
-  }
-}
-
-TEST(ApproximationRatio, EdcsRoundsMeetTheMeasured32OnTheExactOracleGrid) {
-  for (std::uint64_t seed : kSeeds) {
-    for (const Instance& inst : instance_grid(seed)) {
-      const std::size_t opt = exact_optimum(inst);
-      EdcsRoundsConfig edcs;  // the flag defaults: beta = 16, lambda = 2
-      Rng rng(seed);
-      const EdcsMpcResult r = run_matching_rounds_edcs(
-          inst.edges, engine_config(inst.edges, 64), edcs, inst.left_size,
-          rng);
-      expect_valid(r.matching, inst, opt, "edcs-rounds");
-      // The deterministic certificate: the run ends on the maximality
-      // early stop (finish_maximal never has to fire within 64 rounds on
-      // this grid), so factor 2 is guaranteed — checked in integers.
-      EXPECT_TRUE(r.certified) << inst.name << " seed=" << seed;
-      EXPECT_DOUBLE_EQ(r.certified_ratio, 2.0);
-      EXPECT_EQ(r.stats.certified_ratio, r.certified_ratio);
-      EXPECT_TRUE(r.matching.maximal_in(inst.edges)) << inst.name;
-      EXPECT_LT(r.stats.engine_rounds, 64u) << inst.name;
-      EXPECT_GE(2 * r.matching.size(), opt) << inst.name << " seed=" << seed;
-      // The MEASURED EDCS quality (arXiv:1711.03076's almost-3/2, which the
-      // factor-2 certificate does not promise): 3|M| >= 2 opt holds on
-      // every instance x seed of this pinned grid, in integer arithmetic.
-      EXPECT_GE(3 * r.matching.size(), 2 * opt)
-          << inst.name << " seed=" << seed;
-      // The cover side: feasible, and within the measured factor of the
-      // LP lower bound opt <= vc_opt.
-      EXPECT_TRUE(r.cover.covers(inst.edges)) << inst.name;
-      EXPECT_LE(r.cover.size(), 2 * opt) << inst.name << " seed=" << seed;
-    }
-  }
-}
-
-TEST(ApproximationRatio, EdcsStrictlyBeatsTheGreedyFoldsOnTrapFamilies) {
-  // The acceptance-criterion separator: on the stranding families the
-  // greedy folds lock in a Theta(components) loss — a machine that kept
-  // only a maximum matching of its piece has already thrown away the outer
-  // edges a later round would need — while the EDCS summary's P2 invariant
-  // forces those low-degree edges to ship, so the union still contains an
-  // optimal matching and the exact union solve recovers it.
+TEST(ApproximationRatio, GreedyFoldsStayBelowTheOptimumOnTrapFamilies) {
+  // On families whose components carry a stranding trap — P4s presented
+  // middle-first, crown(3) components with the missing diagonal — a fold
+  // that commits machine matchings greedily loses components it can never
+  // recover.
   struct Family {
     const char* name;
     EdgeList edges;
@@ -287,47 +175,30 @@ TEST(ApproximationRatio, EdcsStrictlyBeatsTheGreedyFoldsOnTrapFamilies) {
     const std::size_t opt = exact_optimum(inst);
     for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
       // The composable-coreset setting proper — ONE round, summaries only:
-      // at every cluster size the maximum-coreset fold strands components
-      // while the EDCS union solves to the exact optimum.
+      // at every cluster size the maximum-coreset fold strands components.
       for (std::size_t k : {2u, 4u, 8u}) {
         MpcEngineConfig config;
         config.mpc.num_machines = k;
         config.mpc.memory_words = std::uint64_t{1} << 40;
         config.max_rounds = 1;
-        EdcsRoundsConfig edcs;
-        Rng edcs_rng(seed);
-        const EdcsMpcResult r =
-            run_matching_rounds_edcs(family.edges, config, edcs, 0, edcs_rng);
-        // Exactly optimal: every component's edges have degree sums far
-        // below beta - lambda, so P2 ships the pieces whole and the round
-        // union is the entire family.
-        EXPECT_EQ(r.matching.size(), opt)
-            << family.name << " seed=" << seed << " k=" << k;
-        EXPECT_TRUE(r.certified);
         Rng coreset_rng(seed);
         const CoresetMpcMatchingResult coreset_greedy =
             coreset_mpc_matching_rounds(family.edges, config, 0, coreset_rng);
-        EXPECT_GT(r.matching.size(), coreset_greedy.matching.size())
+        EXPECT_LT(coreset_greedy.matching.size(), opt)
             << family.name << " seed=" << seed << " k=" << k;
       }
-      // ... and the natural-greedy baseline of Section 1.2, even with a
-      // generous round budget (nothing ever undoes a committed middle edge).
-      Rng edcs_rng(seed);
-      const EdcsMpcResult multi = run_matching_rounds_edcs(
-          family.edges, engine_config(family.edges, 64), EdcsRoundsConfig{},
-          0, edcs_rng);
+      // The natural-greedy baseline of Section 1.2, even with a generous
+      // round budget (nothing ever undoes a committed middle edge).
       Rng greedy_rng(seed);
       const Matching greedy =
           natural_greedy_rounds(family.edges, 64, greedy_rng);
-      EXPECT_GT(multi.matching.size(), greedy.size())
-          << family.name << " seed=" << seed;
-      EXPECT_EQ(multi.matching.size(), opt) << family.name << " seed=" << seed;
+      EXPECT_LT(greedy.size(), opt) << family.name << " seed=" << seed;
     }
   }
-  // Round iteration does not close the crown gap for the greedy fold: a
-  // crown component that lost two same-class edges on the machines is
-  // matched 2-of-3 with no surviving edge to fix it, so even 64 rounds at
-  // k = 4 stay strictly below the optimum the EDCS combiner reaches in one.
+  // Round iteration does not close the crown gap for the maximum-coreset
+  // fold: a crown component that lost two same-class edges on the machines
+  // is matched 2-of-3 with no surviving edge to fix it, so even 64 rounds at
+  // k = 4 stay strictly below the optimum.
   const EdgeList crowns = crown_forest(40, 3);
   const std::size_t crown_opt =
       exact_optimum(Instance{"crown-forest", crowns, 0});
@@ -340,12 +211,6 @@ TEST(ApproximationRatio, EdcsStrictlyBeatsTheGreedyFoldsOnTrapFamilies) {
     const CoresetMpcMatchingResult coreset_greedy =
         coreset_mpc_matching_rounds(crowns, config, 0, coreset_rng);
     EXPECT_LT(coreset_greedy.matching.size(), crown_opt) << "seed=" << seed;
-    Rng edcs_rng(seed);
-    const EdcsMpcResult r = run_matching_rounds_edcs(
-        crowns, config, EdcsRoundsConfig{}, 0, edcs_rng);
-    EXPECT_EQ(r.matching.size(), crown_opt) << "seed=" << seed;
-    EXPECT_GT(r.matching.size(), coreset_greedy.matching.size())
-        << "seed=" << seed;
   }
 }
 

@@ -119,7 +119,8 @@ std::size_t textbook_edmonds_size(const Graph& g) {
 /// Frozen copy of the unseeded solver as it was before the search routine
 /// took a root set: greedy initialization, then one single-root search per
 /// free vertex in id order, with Hungarian pruning. The production solver
-/// must return the same mates: mpc_edcs_test pins goldens on them.
+/// must return the same mates: greedy_match and the weighted class solves
+/// depend on which maximum matching they get.
 std::vector<VertexId> frozen_unseeded_mates(const Graph& g, bool prune) {
   const VertexId n = g.num_vertices();
   std::vector<VertexId> mate(n, kInvalidVertex);

@@ -8,7 +8,7 @@
 //       the caller's RNG stream position — across a generator x seed x k
 //       grid for every single-round protocol driver (matching, VC, grouped
 //       VC, both weighted drivers) and every multi-round combiner (coreset
-//       matching, coreset VC, filtering, augmenting, EDCS),
+//       matching, coreset VC, filtering),
 //   (b) transport telemetry reports what actually crossed the process
 //       boundary: k frames, framed bytes >= k headers (byte-identical
 //       between socket and shm — same summary_wire frames), kInproc
@@ -48,9 +48,7 @@
 #include "distributed/weighted_vc_protocol.hpp"
 #include "distributed/worker_host.hpp"
 #include "graph/generators.hpp"
-#include "mpc/augmenting_rounds.hpp"
 #include "mpc/coreset_mpc.hpp"
-#include "mpc/edcs_rounds.hpp"
 #include "mpc/filtering_mpc.hpp"
 #include "mpc/mpc_engine.hpp"
 #include "util/thread_pool.hpp"
@@ -319,10 +317,10 @@ TEST(DistributedTransport, WeightedDriversMatchInprocSeedForSeed) {
 // ---------------------------------------------------------------------------
 // Multi-round combiners through run_mpc_rounds: requesting a cross-process
 // transport must replay the in-process barrier word for word, round for
-// round. Round-invariant builds (coreset matching/VC, EDCS) keep ONE worker
-// host for the whole run on either medium — worker_forks == k, pieces
-// shipped down the channels — and builds that read coordinator-evolving
-// state (filtering, augmenting) spawn a fresh host every round.
+// round. Round-invariant builds (coreset matching/VC) keep ONE worker host
+// for the whole run on either medium — worker_forks == k, pieces shipped
+// down the channels — and builds that read coordinator-evolving state
+// (filtering) spawn a fresh host every round.
 
 MpcEngineConfig base_config(const EdgeList& graph, std::size_t max_rounds) {
   MpcEngineConfig config;
@@ -407,7 +405,6 @@ MpcExecutionStats run_recirculating_rounds(const EdgeList& el,
   struct RecirculatingFold {
     void absorb(EdgeList&, std::size_t, MpcRoundContext&) {}
     EdgeList finish(std::vector<EdgeList>&, MpcRoundContext& ctx, Rng&) {
-      ctx.note_progress(1);
       ctx.survivors_out().assign(ctx.active_edges());
       return std::move(ctx.survivors_out());
     }
@@ -645,69 +642,6 @@ TEST(DistributedTransport, FilteringRoundsMatchOverSocketAndShm) {
     // The filtering build reads the coordinator's evolving sample rate, so
     // every round forks fresh workers — no kept host.
     expect_host_per_round(shm.stats, socket.stats, k);
-  }
-}
-
-TEST(DistributedTransport, AugmentingRoundsMatchOverSocketAndShm) {
-  const AugmentingRoundsConfig aug = AugmentingRoundsConfig::for_epsilon(0.34);
-  for (std::uint64_t seed : {17u, 18u}) {
-    Rng gen(seed);
-    const EdgeList el = gnp(260, 5.0 / 260, gen);
-    const std::size_t k = base_config(el, 20).mpc.num_machines;
-    Rng barrier_rng(seed);
-    const AugmentingMpcResult barrier = run_matching_rounds_augmenting(
-        el, base_config(el, 20), aug, 0, barrier_rng);
-    Rng socket_rng(seed);
-    const AugmentingMpcResult socket = run_matching_rounds_augmenting(
-        el, socket_config(el, 20), aug, 0, socket_rng);
-    Rng shm_rng(seed);
-    const AugmentingMpcResult shm = run_matching_rounds_augmenting(
-        el, shm_config(el, 20), aug, 0, shm_rng);
-    EXPECT_EQ(sorted_edges(barrier.matching), sorted_edges(socket.matching));
-    EXPECT_EQ(sorted_edges(barrier.matching), sorted_edges(shm.matching));
-    EXPECT_EQ(barrier.certified, socket.certified);
-    EXPECT_EQ(barrier.certified, shm.certified);
-    EXPECT_EQ(barrier.total_augmentations, socket.total_augmentations);
-    EXPECT_EQ(barrier.total_augmentations, shm.total_augmentations);
-    expect_same_rounds(barrier.stats, socket.stats);
-    expect_same_rounds(barrier.stats, shm.stats);
-    const std::uint64_t expected = barrier_rng.next_u64();
-    EXPECT_EQ(expected, socket_rng.next_u64());
-    EXPECT_EQ(expected, shm_rng.next_u64());
-    // The augmenting build searches the coordinator's current matching, so
-    // every round forks fresh workers — no kept host.
-    expect_host_per_round(shm.stats, socket.stats, k);
-  }
-}
-
-TEST(DistributedTransport, EdcsRoundsMatchOverSocketAndShm) {
-  for (std::uint64_t seed : {19u, 20u}) {
-    Rng gen(seed);
-    const EdgeList el = gnp(300, 4.0 / 300, gen);
-    const std::size_t k = base_config(el, 4).mpc.num_machines;
-    Rng barrier_rng(seed);
-    const EdcsMpcResult barrier = run_matching_rounds_edcs(
-        el, base_config(el, 4), EdcsRoundsConfig{}, 0, barrier_rng);
-    Rng socket_rng(seed);
-    const EdcsMpcResult socket = run_matching_rounds_edcs(
-        el, socket_config(el, 4), EdcsRoundsConfig{}, 0, socket_rng);
-    Rng shm_rng(seed);
-    const EdcsMpcResult shm = run_matching_rounds_edcs(
-        el, shm_config(el, 4), EdcsRoundsConfig{}, 0, shm_rng);
-    EXPECT_EQ(sorted_edges(barrier.matching), sorted_edges(socket.matching));
-    EXPECT_EQ(sorted_edges(barrier.matching), sorted_edges(shm.matching));
-    EXPECT_EQ(barrier.cover.vertices(), socket.cover.vertices());
-    EXPECT_EQ(barrier.cover.vertices(), shm.cover.vertices());
-    EXPECT_EQ(barrier.certified, socket.certified);
-    EXPECT_EQ(barrier.certified, shm.certified);
-    expect_same_rounds(barrier.stats, socket.stats);
-    expect_same_rounds(barrier.stats, shm.stats);
-    const std::uint64_t expected = barrier_rng.next_u64();
-    EXPECT_EQ(expected, socket_rng.next_u64());
-    EXPECT_EQ(expected, shm_rng.next_u64());
-    // build_edcs is a pure function of the shard and the const beta/lambda
-    // parameters, so EDCS rounds keep one host too.
-    expect_kept_host(shm.stats, socket.stats, k);
   }
 }
 

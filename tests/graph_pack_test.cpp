@@ -39,9 +39,7 @@
 #include "graph/edge_source.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_pack.hpp"
-#include "mpc/augmenting_rounds.hpp"
 #include "mpc/coreset_mpc.hpp"
-#include "mpc/edcs_rounds.hpp"
 #include "mpc/filtering_mpc.hpp"
 #include "mpc/mpc_engine.hpp"
 
@@ -388,38 +386,6 @@ TEST_F(PackDifferential, FilteringMpcRounds) {
                   sorted_edges(pack.maximal_matching));
         EXPECT_EQ(heap.filter_iterations, pack.filter_iterations);
         EXPECT_EQ(heap.stats.total_comm_words, pack.stats.total_comm_words);
-      });
-}
-
-TEST_F(PackDifferential, AugmentingRounds) {
-  MpcEngineConfig config;
-  config.mpc = MpcConfig::paper_default(graph_.num_vertices());
-  config.max_rounds = 10;
-  const AugmentingRoundsConfig aug = AugmentingRoundsConfig::for_epsilon(0.34);
-  expect_identical(
-      [&](EdgeSource src, Rng& rng) {
-        return run_matching_rounds_augmenting(src, config, aug, 0, rng);
-      },
-      [](const AugmentingMpcResult& heap, const AugmentingMpcResult& pack) {
-        EXPECT_EQ(sorted_edges(heap.matching), sorted_edges(pack.matching));
-        EXPECT_EQ(heap.total_augmentations, pack.total_augmentations);
-        EXPECT_EQ(heap.certified, pack.certified);
-      });
-}
-
-TEST_F(PackDifferential, EdcsRounds) {
-  MpcEngineConfig config;
-  config.mpc = MpcConfig::paper_default(graph_.num_vertices());
-  config.max_rounds = 4;
-  expect_identical(
-      [&](EdgeSource src, Rng& rng) {
-        return run_matching_rounds_edcs(src, config, EdcsRoundsConfig{}, 0,
-                                        rng);
-      },
-      [](const EdcsMpcResult& heap, const EdcsMpcResult& pack) {
-        EXPECT_EQ(sorted_edges(heap.matching), sorted_edges(pack.matching));
-        EXPECT_EQ(heap.cover.vertices(), pack.cover.vertices());
-        EXPECT_EQ(heap.certified, pack.certified);
       });
 }
 

@@ -27,7 +27,6 @@
 #include "distributed/protocols.hpp"
 #include "graph/generators.hpp"
 #include "matching/max_matching.hpp"
-#include "mpc/augmenting_rounds.hpp"
 #include "mpc/coreset_mpc.hpp"
 #include "mpc/filtering_mpc.hpp"
 #include "util/thread_pool.hpp"
@@ -193,18 +192,6 @@ TEST(ProtocolProperties, MultiRoundEntryPointsKeepTheInvariants) {
           inst.edges, config, inst.left_size, greedy_rng);
       expect_valid_matching(greedy.matching, inst, opt,
                             "coreset_mpc_matching_rounds");
-
-      AugmentingRoundsConfig aug;  // default length cap 3: certificate 1.5
-      Rng aug_rng(seed);
-      const AugmentingMpcResult augmented = run_matching_rounds_augmenting(
-          inst.edges, config, aug, inst.left_size, aug_rng);
-      expect_valid_matching(augmented.matching, inst, opt,
-                            "run_matching_rounds_augmenting");
-      // 32 rounds are generous for this grid, so the certificate must have
-      // fired, and it sandwiches the result against the exact optimum:
-      // opt <= (1 + 1/(k+1)) |M| with 2k+1 = 3, i.e. 2 opt <= 3 |M|.
-      EXPECT_TRUE(augmented.certified) << inst.name;
-      EXPECT_GE(3 * augmented.matching.size(), 2 * opt) << inst.name;
     }
   }
 }

@@ -306,7 +306,8 @@ TEST(EngineFlagsDeath, UndersizedShmRingExitsStrictly) {
   options.parse(2, const_cast<char**>(argv));
   EXPECT_EXIT(streaming_options_from_options(options),
               ::testing::ExitedWithCode(2),
-              "flag --engine-shm-ring-bytes: 32 must be in \\[64, 2\\^30\\]");
+              "flag --engine-shm-ring-bytes: 32 must be in "
+              "\\[64, 1073741824\\]");
 }
 
 TEST(EngineFlagsDeath, TimeoutPastIntRangeExitsStrictly) {

@@ -87,15 +87,6 @@ TEST(SummaryWire, WeightedEdgesRoundTripBitExactly) {
   }
 }
 
-TEST(SummaryWire, PathBatchRoundTrips) {
-  std::vector<AugmentingPath> paths(3);
-  paths[0].vertices = {1, 2};
-  paths[1].vertices = {3, 4, 5, 6};
-  paths[2].vertices = {7, 8, 9, 10, 11, 12, 13, 14, 15, 16};  // spills inline
-  const std::vector<AugmentingPath> back = round_trip(paths);
-  EXPECT_EQ(back, paths);
-}
-
 TEST(SummaryWire, VcCoresetBatchRoundTrips) {
   Rng rng(11);
   std::vector<VcCoresetOutput> batch(3);
@@ -127,7 +118,6 @@ TEST(SummaryWire, GroupedVcSummaryRoundTrips) {
 
 TEST(SummaryWire, EmptySummariesRoundTrip) {
   EXPECT_EQ(round_trip(EdgeList(0)).num_edges(), 0u);
-  EXPECT_TRUE(round_trip(std::vector<AugmentingPath>{}).empty());
   EXPECT_TRUE(round_trip(std::vector<VcCoresetOutput>{}).empty());
   const GroupedVcSummary empty_grouped = round_trip(GroupedVcSummary{});
   EXPECT_EQ(empty_grouped.core.residual_edges.num_edges(), 0u);
@@ -248,6 +238,9 @@ TEST(SummaryWireDeathTest, UnknownShapeTagDies) {
   frame[6] = 0;  // shape tag below the valid range
   EXPECT_DEATH(decode_full_frame(frame),
                "summary wire: unknown summary shape tag 0");
+  frame[6] = 4;  // the retired augmenting-path batch tag
+  EXPECT_DEATH(decode_full_frame(frame),
+               "summary wire: unknown summary shape tag 4");
   frame[6] = 9;  // beyond kShutdown
   EXPECT_DEATH(decode_full_frame(frame),
                "summary wire: unknown summary shape tag 9");
@@ -359,16 +352,6 @@ TEST(SummaryWireDeathTest, LyingLengthPrefixesDie) {
   WireReader reader(payload.data(), payload.size());
   EXPECT_DEATH((void)SummaryCodec<EdgeList>::decode(reader),
                "summary wire: edge list claims .* edges but only");
-
-  // Same for a path batch whose path lies about its vertex count.
-  std::vector<std::uint8_t> batch;
-  WireWriter batch_writer(batch);
-  batch_writer.u64(1);
-  batch_writer.u32(1000);  // 1000 vertices, zero bytes behind them
-  WireReader batch_reader(batch.data(), batch.size());
-  EXPECT_DEATH(
-      (void)SummaryCodec<std::vector<AugmentingPath>>::decode(batch_reader),
-      "summary wire: path 0 claims 1000 vertices");
 
   // And for a grouped summary lying about its pinned-group count.
   std::vector<std::uint8_t> grouped;

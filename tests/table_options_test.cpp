@@ -123,6 +123,20 @@ TEST(OptionsDeath, DoubleOverflowAndUnderflowAreRejected) {
               ::testing::ExitedWithCode(2), "outside the representable");
 }
 
+TEST(OptionsDeath, RangedIntegerKeepsItsInclusiveBounds) {
+  EXPECT_EQ(parsed_single_flag("1").get_int_in("x", 1, 1024), 1);
+  EXPECT_EQ(parsed_single_flag("1024").get_int_in("x", 1, 1024), 1024);
+  EXPECT_EXIT(parsed_single_flag("0").get_int_in("x", 1, 1024),
+              ::testing::ExitedWithCode(2),
+              "flag --x: 0 must be in \\[1, 1024\\]");
+  EXPECT_EXIT(parsed_single_flag("1025").get_int_in("x", 1, 1024),
+              ::testing::ExitedWithCode(2),
+              "flag --x: 1025 must be in \\[1, 1024\\]");
+  // A value that does not parse dies as before, not as out of range.
+  EXPECT_EXIT(parsed_single_flag("-1x").get_int_in("x", 0, 10),
+              ::testing::ExitedWithCode(2), "not a representable integer");
+}
+
 TEST(OptionsDeath, MalformedNumbersAreRejected) {
   EXPECT_EXIT(parsed_single_flag("12abc").get_int("x"),
               ::testing::ExitedWithCode(2), "not a representable integer");

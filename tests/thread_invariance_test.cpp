@@ -2,9 +2,8 @@
 // (distributed/protocol_engine.hpp): the in-process machine phase runs one
 // parallel_for over the machines when a pool is given and a plain loop
 // otherwise, and the coordinator combines only after every summary landed.
-// For every driver (matching, VC, grouped VC, weighted matching, weighted
-// VC, and the EDCS round-combiner through the multi-round executor), runs
-// with no pool, a one-thread pool, and a four-thread pool must be
+// For every driver (matching, VC, grouped VC, weighted matching and weighted
+// VC), runs with no pool, a one-thread pool, and a four-thread pool must be
 // seed-for-seed IDENTICAL — exact solutions, word-exact communication,
 // per-machine summary sizes, and the caller's RNG left at the same stream
 // position.
@@ -21,7 +20,6 @@
 #include "distributed/weighted_matching_protocol.hpp"
 #include "distributed/weighted_vc_protocol.hpp"
 #include "graph/generators.hpp"
-#include "mpc/edcs_rounds.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rcc {
@@ -159,53 +157,6 @@ TEST(ThreadInvariance, WeightedDriversAreIdenticalAcrossPoolShapes) {
       EXPECT_DOUBLE_EQ(vc_base.cover_cost, vc_got.cover_cost);
       EXPECT_EQ(vc_base.weight_classes, vc_got.weight_classes);
       EXPECT_EQ(Rng(vc_base_rng).next_u64(), vc_rng.next_u64()) << shape.name;
-    }
-  }
-}
-
-TEST(ThreadInvariance, EdcsCombinerIsIdenticalAcrossPoolShapes) {
-  // The EDCS round-combiner through the multi-round executor: matched edges,
-  // ledger communication, round count, and memory peaks must not depend on
-  // the pool, in both the one-round default regime and the degenerate
-  // beta = 2 regime whose survivors force a second engine round.
-  struct Regime {
-    EdgeList edges;
-    EdcsRoundsConfig edcs;
-  };
-  std::vector<Regime> regimes;
-  {
-    Rng gen(21);
-    regimes.push_back({gnp(400, 5.0 / 400, gen), EdcsRoundsConfig{}});
-    EdcsRoundsConfig thin;
-    thin.edcs.beta = 2;
-    thin.edcs.lambda = 1;
-    regimes.push_back({crown_forest(12, 3), thin});
-  }
-  MpcEngineConfig config;
-  config.mpc.num_machines = 4;
-  config.mpc.memory_words = std::uint64_t{1} << 40;
-  config.max_rounds = 32;
-  const std::vector<PoolShape> shapes = pool_shapes();
-  for (const Regime& regime : regimes) {
-    for (std::uint64_t seed : {7u, 22u}) {
-      Rng base_rng(seed);
-      const EdcsMpcResult base = run_matching_rounds_edcs(
-          regime.edges, config, regime.edcs, 0, base_rng);
-      for (const PoolShape& shape : shapes) {
-        Rng rng(seed);
-        const EdcsMpcResult got = run_matching_rounds_edcs(
-            regime.edges, config, regime.edcs, 0, rng, shape.get());
-        EXPECT_EQ(sorted_edges(base.matching), sorted_edges(got.matching))
-            << "seed=" << seed << " " << shape.name
-            << " beta=" << regime.edcs.edcs.beta;
-        EXPECT_EQ(base.cover.vertices(), got.cover.vertices());
-        EXPECT_EQ(base.stats.total_comm_words, got.stats.total_comm_words);
-        EXPECT_EQ(base.stats.engine_rounds, got.stats.engine_rounds);
-        EXPECT_EQ(base.max_memory_words, got.max_memory_words);
-        EXPECT_EQ(base.stats.round_peak_words, got.stats.round_peak_words);
-        EXPECT_EQ(base.certified, got.certified);
-        EXPECT_EQ(Rng(base_rng).next_u64(), rng.next_u64()) << shape.name;
-      }
     }
   }
 }

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "mpc/augmenting_rounds.hpp"
 #include "mpc/coreset_mpc.hpp"
 
 namespace rcc {
@@ -157,23 +156,29 @@ TEST(ParallelFor, TransientPoolOverload) {
 // without affinity pinning, and with no pool at all must be bit-identical.
 
 TEST(PoolShapeDifferential, MpcResultsIdenticalAcrossThreadCountsAndAffinity) {
+  // The coreset fold on a general graph (blossom-backed rounds) and on a
+  // bipartite one (Hopcroft-Karp-backed rounds).
+  struct Case {
+    const char* name;
+    EdgeList edges;
+    VertexId left_size;
+  };
   Rng gen(42);
-  const EdgeList general = gnp(500, 8.0 / 500, gen);
-  const EdgeList bipartite = random_bipartite(120, 150, 0.06, gen);
+  std::vector<Case> cases;
+  cases.push_back({"general", gnp(500, 8.0 / 500, gen), 0});
+  cases.push_back({"bipartite", random_bipartite(120, 150, 0.06, gen), 120});
 
   MpcEngineConfig config;
   config.mpc.num_machines = 8;
   config.mpc.memory_words = std::uint64_t{1} << 40;
   config.max_rounds = 3;
-  AugmentingRoundsConfig aug;
-  aug.max_path_length = 5;
 
-  Rng base_rng(7);
-  const AugmentingMpcResult base_aug = run_matching_rounds_augmenting(
-      general, config, aug, 0, base_rng);  // sequential: no pool
-  Rng base_rng2(7);
-  const CoresetMpcMatchingResult base_coreset =
-      coreset_mpc_matching_rounds(bipartite, config, 120, base_rng2);
+  std::vector<CoresetMpcMatchingResult> bases;
+  for (const Case& c : cases) {
+    Rng base_rng(7);  // sequential: no pool
+    bases.push_back(
+        coreset_mpc_matching_rounds(c.edges, config, c.left_size, base_rng));
+  }
 
   struct Shape {
     std::size_t threads;
@@ -184,38 +189,25 @@ TEST(PoolShapeDifferential, MpcResultsIdenticalAcrossThreadCountsAndAffinity) {
     ThreadPoolOptions options;
     options.pin_affinity = shape.pin;
     ThreadPool pool(shape.threads, options);
-    const std::string what = "threads=" + std::to_string(shape.threads) +
-                             " pin=" + std::to_string(shape.pin);
-
-    Rng rng(7);
-    const AugmentingMpcResult got = run_matching_rounds_augmenting(
-        general, config, aug, 0, rng, &pool);
-    ASSERT_EQ(got.matching.size(), base_aug.matching.size()) << what;
-    for (VertexId v = 0; v < general.num_vertices(); ++v) {
-      ASSERT_EQ(got.matching.mate(v), base_aug.matching.mate(v))
-          << what << " vertex " << v;
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const Case& c = cases[i];
+      const CoresetMpcMatchingResult& base = bases[i];
+      const std::string what = std::string(c.name) +
+                               " threads=" + std::to_string(shape.threads) +
+                               " pin=" + std::to_string(shape.pin);
+      Rng rng(7);
+      const CoresetMpcMatchingResult got =
+          coreset_mpc_matching_rounds(c.edges, config, c.left_size, rng, &pool);
+      ASSERT_EQ(got.matching.size(), base.matching.size()) << what;
+      for (VertexId v = 0; v < c.edges.num_vertices(); ++v) {
+        ASSERT_EQ(got.matching.mate(v), base.matching.mate(v))
+            << what << " vertex " << v;
+      }
+      EXPECT_EQ(got.rounds, base.rounds) << what;
+      EXPECT_EQ(got.stats.engine_rounds, base.stats.engine_rounds) << what;
+      EXPECT_EQ(got.stats.total_comm_words, base.stats.total_comm_words)
+          << what;
     }
-    EXPECT_EQ(got.rounds, base_aug.rounds) << what;
-    EXPECT_EQ(got.certified, base_aug.certified) << what;
-    EXPECT_EQ(got.total_augmentations, base_aug.total_augmentations) << what;
-    EXPECT_EQ(got.stats.total_comm_words, base_aug.stats.total_comm_words)
-        << what;
-
-    Rng rng2(7);
-    const CoresetMpcMatchingResult got_coreset =
-        coreset_mpc_matching_rounds(bipartite, config, 120, rng2, &pool);
-    ASSERT_EQ(got_coreset.matching.size(), base_coreset.matching.size())
-        << what;
-    for (VertexId v = 0; v < bipartite.num_vertices(); ++v) {
-      ASSERT_EQ(got_coreset.matching.mate(v), base_coreset.matching.mate(v))
-          << what << " vertex " << v;
-    }
-    EXPECT_EQ(got_coreset.stats.engine_rounds,
-              base_coreset.stats.engine_rounds)
-        << what;
-    EXPECT_EQ(got_coreset.stats.total_comm_words,
-              base_coreset.stats.total_comm_words)
-        << what;
   }
 }
 

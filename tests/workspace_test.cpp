@@ -15,13 +15,10 @@
 #include "coreset/weighted_coreset.hpp"
 #include "evidence/coreset/kernel.hpp"
 #include "graph/generators.hpp"
-#include "graph/incremental_csr.hpp"
-#include "matching/augmenting_paths.hpp"
 #include "matching/blossom.hpp"
 #include "matching/greedy.hpp"
 #include "matching/matching.hpp"
 #include "matching/max_matching.hpp"
-#include "mpc/augmenting_rounds.hpp"
 #include "mpc/coreset_mpc.hpp"
 #include "mpc/filtering_mpc.hpp"
 #include "mpc/mpc_engine.hpp"
@@ -111,67 +108,6 @@ void expect_steady_state_rounds_allocation_free(const MpcExecutionStats& stats,
   }
 }
 
-TEST(AllocationDiscipline, AugmentingRoundsAreWorkspaceAllocationFreeAfterRound0) {
-  // The augmenting combiner recirculates every edge, so all five rounds do
-  // full-size work — the strongest steady-state case on the pinned grid.
-  for (std::uint64_t seed : kSeeds) {
-    for (const Instance& inst : instance_grid(seed)) {
-      if (inst.edges.empty()) continue;
-      Rng rng(seed);
-      ProtocolWorkspace ws;
-      AugmentingRoundsConfig aug;
-      aug.max_path_length = 5;
-      MpcEngineConfig config = roomy_config(4, 5);
-      config.early_stop = false;
-      Matching matched(inst.edges.num_vertices());
-      // Drive the executor directly so the external workspace is observable.
-      const auto build = [&](EdgeSpan piece, const PartitionContext& ctx,
-                             Rng&) {
-        return find_augmenting_paths(piece, matched, aug.max_path_length,
-                                     ctx.scratch);
-      };
-      const auto account = [](const std::vector<AugmentingPath>& paths) {
-        std::uint64_t words = 0;
-        for (const AugmentingPath& p : paths) words += p.words();
-        return MessageSize{0, words};
-      };
-      struct Fold {
-        Matching& matched;
-        std::size_t max_len;
-        void absorb(std::vector<AugmentingPath>&, std::size_t,
-                    MpcRoundContext&) {}
-        EdgeList finish(std::vector<std::vector<AugmentingPath>>& all,
-                        MpcRoundContext& ctx, Rng&) {
-          EpochMarks& touched = ctx.coordinator_scratch().vertex_marks(
-              matched.num_vertices());
-          std::size_t applied = 0;
-          for (auto& batch : all) {
-            for (const AugmentingPath& p : batch) {
-              bool conflict = false;
-              for (VertexId v : p.vertices) {
-                conflict = conflict || touched.test(v);
-              }
-              if (conflict || !is_valid_augmenting_path(p, matched)) continue;
-              for (VertexId v : p.vertices) touched.set(v);
-              apply_augmenting_path(matched, p);
-              ++applied;
-            }
-          }
-          ctx.note_progress(applied + 1);  // never stall the executor
-          ctx.survivors_out().assign(ctx.active_edges());
-          return std::move(ctx.survivors_out());
-        }
-      } fold{matched, aug.max_path_length};
-      const MpcExecutionStats stats =
-          run_mpc_rounds(inst.edges, config, inst.left_size, rng, nullptr,
-                         build, account, fold, &ws);
-      EXPECT_EQ(stats.engine_rounds, 5u) << inst.name;
-      expect_steady_state_rounds_allocation_free(stats,
-                                                 "augmenting/" + inst.name);
-    }
-  }
-}
-
 TEST(AllocationDiscipline, MatchingVcAndFilteringRoundsStopAllocatingAfterRound0) {
   for (std::uint64_t seed : kSeeds) {
     for (const Instance& inst : instance_grid(seed)) {
@@ -257,83 +193,6 @@ TEST(FlatRewriteDifferential, SubsetOfMatchesHashReference) {
         outside.match(0, inst.edges.num_vertices() - 1);
         EXPECT_EQ(outside.subset_of(inst.edges),
                   subset_of_reference(outside, inst.edges))
-            << inst.name;
-      }
-    }
-  }
-}
-
-/// Reference validity check exactly as augmenting_paths.cpp had it.
-bool valid_path_reference(const AugmentingPath& path, const Matching& matching) {
-  const std::size_t len = path.vertices.size();
-  if (len < 2 || len % 2 != 0) return false;
-  const VertexId n = matching.num_vertices();
-  std::unordered_set<VertexId> seen;
-  for (VertexId v : path.vertices) {
-    if (v >= n || !seen.insert(v).second) return false;
-  }
-  if (matching.is_matched(path.vertices.front()) ||
-      matching.is_matched(path.vertices.back())) {
-    return false;
-  }
-  for (std::size_t i = 0; i + 1 < len; ++i) {
-    const VertexId a = path.vertices[i];
-    const VertexId b = path.vertices[i + 1];
-    if (i % 2 == 0) {
-      if (matching.is_matched(a) && matching.mate(a) == b) return false;
-    } else {
-      if (!matching.is_matched(a) || matching.mate(a) != b) return false;
-    }
-  }
-  return true;
-}
-
-bool valid_path_reference(const AugmentingPath& path, const Matching& matching,
-                          EdgeSpan edges) {
-  if (!valid_path_reference(path, matching)) return false;
-  std::unordered_set<Edge, EdgeHash> present;
-  present.reserve(edges.num_edges());
-  for (const Edge& e : edges) present.insert(e);
-  for (std::size_t i = 0; i + 1 < path.vertices.size(); i += 2) {
-    if (!present.count(make_edge(path.vertices[i], path.vertices[i + 1]))) {
-      return false;
-    }
-  }
-  return true;
-}
-
-TEST(FlatRewriteDifferential, PathValidatorsMatchHashReference) {
-  for (std::uint64_t seed : kSeeds) {
-    for (const Instance& inst : instance_grid(seed)) {
-      if (inst.edges.empty()) continue;
-      Rng rng(seed);
-      Matching m = greedy_maximal_matching(inst.edges, GreedyOrder::kRandom, rng);
-      // Real candidate paths from the search...
-      Matching partial(inst.edges.num_vertices());
-      greedy_extend(partial, inst.edges.sample_edges(3, rng));
-      const auto paths = find_augmenting_paths(inst.edges, partial, 5);
-      for (const AugmentingPath& p : paths) {
-        EXPECT_EQ(is_valid_augmenting_path(p, partial),
-                  valid_path_reference(p, partial))
-            << inst.name;
-        EXPECT_EQ(is_valid_augmenting_path(p, partial, inst.edges),
-                  valid_path_reference(p, partial, inst.edges))
-            << inst.name;
-      }
-      // ...and malformed ones: repeats, matched endpoints, absent hops.
-      std::vector<AugmentingPath> bad;
-      bad.push_back(AugmentingPath{{0, 0}});
-      bad.push_back(AugmentingPath{{0, 1, 2}});
-      bad.push_back(AugmentingPath{{0, inst.edges.num_vertices() - 1}});
-      if (m.size() > 0) {
-        const Edge e = m.to_edge_list()[0];
-        bad.push_back(AugmentingPath{{e.u, e.v}});
-      }
-      for (const AugmentingPath& p : bad) {
-        EXPECT_EQ(is_valid_augmenting_path(p, m), valid_path_reference(p, m))
-            << inst.name;
-        EXPECT_EQ(is_valid_augmenting_path(p, m, inst.edges),
-                  valid_path_reference(p, m, inst.edges))
             << inst.name;
       }
     }
@@ -442,21 +301,8 @@ TEST(ScratchDifferential, KernelsAreIdenticalWithAndWithoutScratch) {
   MachineScratch& scratch = ws.machine(0);
   for (std::uint64_t seed : kSeeds) {
     for (const Instance& inst : instance_grid(seed)) {
-      // find_augmenting_paths (the scratch is deliberately reused across
-      // grid points — stale contents must never leak into a result).
-      Matching partial(inst.edges.num_vertices());
-      Rng rng(seed);
-      greedy_extend(partial, inst.edges.sample_edges(4, rng));
-      const auto fresh_paths = find_augmenting_paths(inst.edges, partial, 5);
-      const auto scratch_paths =
-          find_augmenting_paths(inst.edges, partial, 5, &scratch);
-      ASSERT_EQ(fresh_paths.size(), scratch_paths.size()) << inst.name;
-      for (std::size_t i = 0; i < fresh_paths.size(); ++i) {
-        EXPECT_EQ(fresh_paths[i].vertices, scratch_paths[i].vertices)
-            << inst.name;
-      }
-
-      // vertex_cap_kernel.
+      // vertex_cap_kernel (the scratch is deliberately reused across grid
+      // points — stale contents must never leak into a result).
       for (VertexId cap : {1u, 2u, 5u}) {
         const EdgeList fresh = vertex_cap_kernel(inst.edges, cap);
         const EdgeList reused = vertex_cap_kernel(inst.edges, cap, &scratch);
@@ -538,119 +384,6 @@ TEST(WorkspaceDifferential, ExecutorResultsIndependentOfWorkspaceReuse) {
                   internal.stats.total_comm_words)
             << inst.name;
       }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Incremental CSR: the counting-sort build must be bit-identical to the
-// sort-based reference it replaced, and the signature must let ensure()
-// reuse in exactly the cases the contract promises.
-
-/// Reference adjacency exactly as the pre-PR6 hot path had it: counting
-/// scatter into a flat CSR followed by a per-row std::sort.
-struct ReferenceCsr {
-  std::vector<std::size_t> offsets;
-  std::vector<VertexId> neighbors;
-
-  explicit ReferenceCsr(EdgeSpan edges) {
-    const std::size_t n = edges.num_vertices();
-    offsets.assign(n + 1, 0);
-    for (const Edge& e : edges) {
-      ++offsets[e.u + 1];
-      ++offsets[e.v + 1];
-    }
-    for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
-    neighbors.resize(offsets[n]);
-    std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (const Edge& e : edges) {
-      neighbors[cursor[e.u]++] = e.v;
-      neighbors[cursor[e.v]++] = e.u;
-    }
-    for (std::size_t v = 0; v < n; ++v) {
-      std::sort(neighbors.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-                neighbors.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
-    }
-  }
-};
-
-void expect_csr_equals_reference(const IncrementalCsr& csr,
-                                 const ReferenceCsr& ref,
-                                 const std::string& what) {
-  const std::size_t n = ref.offsets.size() - 1;
-  ASSERT_EQ(csr.num_vertices(), n) << what;
-  ASSERT_EQ(csr.num_arcs(), ref.neighbors.size()) << what;
-  for (std::size_t v = 0; v <= n; ++v) {
-    ASSERT_EQ(csr.offsets_data()[v], ref.offsets[v]) << what << " offset " << v;
-  }
-  for (std::size_t i = 0; i < ref.neighbors.size(); ++i) {
-    ASSERT_EQ(csr.arcs_data()[i], ref.neighbors[i]) << what << " arc " << i;
-  }
-}
-
-TEST(IncrementalCsr, CountingSortBuildMatchesSortBasedReference) {
-  for (std::uint64_t seed : kSeeds) {
-    for (const Instance& inst : instance_grid(seed)) {
-      IncrementalCsr csr;
-      csr.build(inst.edges);
-      expect_csr_equals_reference(csr, ReferenceCsr(inst.edges), inst.name);
-    }
-  }
-}
-
-TEST(IncrementalCsr, EnsureReusesOnSameMultisetAndRebuildsOnChange) {
-  Rng rng(7);
-  EdgeList edges = gnp(200, 0.05, rng);
-  IncrementalCsr csr;
-  EXPECT_FALSE(csr.ensure(edges));  // cold: rebuild
-  EXPECT_TRUE(csr.ensure(edges));   // identical span: reuse
-  // Same multiset, permuted order: the sorted CSR is a function of the
-  // multiset, so this must reuse too.
-  EdgeList shuffled(edges.num_vertices());
-  std::vector<Edge> perm(edges.begin(), edges.end());
-  std::reverse(perm.begin(), perm.end());
-  for (const Edge& e : perm) shuffled.add(e);
-  EXPECT_TRUE(csr.ensure(shuffled));
-  // Different edge set: rebuild, and the result matches a cold build.
-  EdgeList pruned(edges.num_vertices());
-  for (std::size_t i = 0; i + 1 < edges.num_edges(); ++i) {
-    pruned.add(edges.begin()[i]);
-  }
-  EXPECT_FALSE(csr.ensure(pruned));
-  expect_csr_equals_reference(csr, ReferenceCsr(pruned), "pruned");
-  EXPECT_EQ(csr.rebuilds(), 2u);
-  EXPECT_EQ(csr.reuses(), 2u);
-}
-
-TEST(IncrementalCsr, SearchResultsIdenticalAcrossColdAndWarmScratch) {
-  // The augmenting searcher routes its adjacency through the workspace CSR;
-  // alternating edge sets through one warm scratch (forcing the
-  // rebuild/reuse state machine through every transition) must give the
-  // same paths as fresh cold scratches.
-  for (std::uint64_t seed : kSeeds) {
-    const std::vector<Instance> grid = instance_grid(seed);
-    MachineScratch warm;
-    for (const Instance& inst : grid) {
-      Rng rng(seed);
-      const Matching greedy =
-          greedy_maximal_matching(inst.edges, GreedyOrder::kRandom, rng);
-      // First warm search rebuilds (the scratch CSR still holds the
-      // previous instance), the second reuses; both must equal a cold run.
-      const std::uint64_t reuses_before =
-          warm.state<IncrementalCsr>().reuses();
-      for (int pass = 0; pass < 2; ++pass) {
-        const auto warm_paths =
-            find_augmenting_paths(inst.edges, greedy, 5, &warm);
-        const auto cold_paths = find_augmenting_paths(inst.edges, greedy, 5);
-        ASSERT_EQ(warm_paths.size(), cold_paths.size())
-            << inst.name << " pass " << pass;
-        for (std::size_t i = 0; i < warm_paths.size(); ++i) {
-          EXPECT_EQ(warm_paths[i].vertices, cold_paths[i].vertices)
-              << inst.name << " pass " << pass;
-        }
-      }
-      EXPECT_EQ(warm.state<IncrementalCsr>().reuses(), reuses_before + 1)
-          << inst.name;
     }
   }
 }

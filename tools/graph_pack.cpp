@@ -35,42 +35,26 @@
 namespace rcc {
 namespace {
 
-/// The integer flag `name`, which must lie in [lo, hi]; anything else exits
-/// 2 through flag_fail before the caller builds anything from it.
-std::uint64_t ranged_flag(const Options& opts, const char* name,
-                          std::uint64_t lo, std::uint64_t hi) {
-  const std::int64_t value = opts.get_int(name);
-  if (value < 0 || static_cast<std::uint64_t>(value) < lo ||
-      static_cast<std::uint64_t>(value) > hi) {
-    flag_fail(name, "%" PRId64 " is outside [%" PRIu64 ", %" PRIu64 "]",
-              value, lo, hi);
-  }
-  return static_cast<std::uint64_t>(value);
-}
-
 /// --n as a vertex count: it must fit VertexId.
 VertexId vertex_count_flag(const Options& opts) {
-  return static_cast<VertexId>(ranged_flag(opts, "n", 0, kInvalidVertex));
+  return static_cast<VertexId>(opts.get_int_in("n", 0, kInvalidVertex));
 }
 
 /// --m as an edge count in [0, max_edges].
-std::uint64_t edge_count_flag(const Options& opts, std::uint64_t max_edges) {
-  return ranged_flag(opts, "m", 0, max_edges);
+std::uint64_t edge_count_flag(const Options& opts, std::int64_t max_edges) {
+  return static_cast<std::uint64_t>(opts.get_int_in("m", 0, max_edges));
 }
-
-/// Caps on solve's --k and --threads: each machine of a process transport
-/// is a forked worker and each thread a pool worker, so a wrapped or absurd
-/// value must fail before anything starts.
-constexpr std::uint64_t kMaxMachines = 1024;
-constexpr std::uint64_t kMaxThreads = 1024;
 
 EdgeList generate_family(const Options& opts, Rng& rng) {
   const std::string family = opts.get_string("family");
   const VertexId n = vertex_count_flag(opts);
   // gnm draws m distinct pairs; the other families ignore --m.
+  // n(n-1)/2 < 2^63 for every n below 2^32, so the bound fits int64.
   const std::uint64_t m = edge_count_flag(
-      opts, family == "gnm" ? static_cast<std::uint64_t>(n) * (n - 1) / 2
-                            : std::uint64_t{INT64_MAX});
+      opts, family == "gnm"
+                ? static_cast<std::int64_t>(static_cast<std::uint64_t>(n) *
+                                            (n - 1) / 2)
+                : INT64_MAX);
   if (family == "gnp") return gnp(n, opts.get_double("p"), rng);
   if (family == "gnm") return gnm(n, m, rng);
   if (family == "random_bipartite") {
@@ -152,8 +136,10 @@ int run_inspect(const std::string& input) {
 int run_solve(const Options& opts, Rng& rng) {
   // Every count is range-checked before the pack is opened or a thread or
   // worker starts; --left-size needs the pack's n.
-  const std::size_t k = ranged_flag(opts, "k", 1, kMaxMachines);
-  const std::size_t threads = ranged_flag(opts, "threads", 0, kMaxThreads);
+  const auto k =
+      static_cast<std::size_t>(opts.get_int_in("k", 1, kMaxMachinesFlag));
+  const auto threads =
+      static_cast<std::size_t>(opts.get_int_in("threads", 0, kMaxThreadsFlag));
   const std::string input = opts.get_string("input");
   const MappedGraph graph(input);
   if (graph.weighted()) {
@@ -161,7 +147,7 @@ int run_solve(const Options& opts, Rng& rng) {
     return 2;
   }
   const auto left_size = static_cast<VertexId>(
-      ranged_flag(opts, "left-size", 0, graph.num_vertices()));
+      opts.get_int_in("left-size", 0, graph.num_vertices()));
   ThreadPool pool(threads);
   const StreamingOptions streaming = streaming_options_from_options(opts);
   const std::string problem = opts.get_string("problem");
@@ -213,7 +199,7 @@ int graph_pack_main(int argc, char** argv) {
   add_streaming_flags(opts);
   opts.parse(argc, argv);
 
-  Rng rng(static_cast<std::uint64_t>(opts.get_int("seed")));
+  Rng rng(static_cast<std::uint64_t>(opts.get_int_in("seed", 0, INT64_MAX)));
   const std::string mode = opts.get_string("mode");
   if (mode == "generate") return run_generate(opts, rng);
   if (mode == "stream") return run_stream(opts, rng);
