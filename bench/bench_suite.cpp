@@ -223,7 +223,7 @@ int run_suite(int argc, char** argv) {
 
     // Multi-round maximum-matching coreset rounds (the Theorem 1 protocol
     // iterated): THE headline perf scenario at k=8, 5 rounds.
-    for (const auto [k, rounds] :
+    for (const auto& [k, rounds] :
          {std::pair<std::size_t, std::size_t>{8, 1}, {8, 5}, {4, 5}}) {
       if (!wanted("multiround_matching", f)) continue;
       rows.push_back(measure(

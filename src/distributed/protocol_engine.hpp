@@ -31,11 +31,13 @@
 // summaries in machine order, and combine(summaries, rng) folds them.
 // Combiners never race a build.
 //
-// A machine holds only its piece: run_protocol frees its partition arena as
+// A machine holds only its piece. On a process transport the partition
+// arena is a shared mapping (arena_backing_for), so a forked worker maps
+// none of it until it reads its own shard. run_protocol frees the arena as
 // soon as no machine reads it — on a process transport once every worker is
 // forked and has its round-0 frame (the piece rode the fork), in-process
 // right after the machine phase — so the received summaries and the
-// combine reuse those pages instead of stacking on top of them.
+// combine do not stack on top of it.
 #pragma once
 
 #include <array>
@@ -182,7 +184,7 @@ auto run_protocol_on_pieces(const std::vector<std::span<const EdgeT>>& pieces,
             const ReadyFrame frame = channel.read_frame();
             if (frame.header.shape == SummaryShape::kShutdown) return;
             const PieceDeliveryView delivered =
-                decode_piece_frame_view(frame.header, frame.payload.data());
+                decode_piece_frame_view(frame.header, frame.bytes());
             if (delivered.round != round) {
               transport_fail(opts.transport,
                              "machine %zu expected a round-%u piece, got "
@@ -238,12 +240,11 @@ auto run_protocol_on_pieces(const std::vector<std::span<const EdgeT>>& pieces,
       if (own_host) host.send_shutdown();
       std::vector<char> arrived(k, 0);
       for (std::size_t received = 0; received < k; ++received) {
-        const ReadyFrame frame = host.next_ready();
+        ReadyFrame frame = host.next_ready();
         const std::size_t id = frame.header.machine;
         RCC_CHECK(id < k && arrived[id] == 0);
         arrived[id] = 1;
-        result.summaries[id] =
-            decode_frame_payload<Summary>(frame.header, frame.payload.data());
+        result.summaries[id] = decode_frame<Summary>(std::move(frame));
       }
       result.transport.kind = opts.transport;
       result.transport.wire_bytes = host.wire_bytes() - wire_before;
@@ -284,6 +285,13 @@ auto run_protocol_on_pieces(const std::vector<std::span<const EdgeT>>& pieces,
   return result;
 }
 
+/// Where a transport's partition arena lives: the heap when threads read the
+/// shards, a shared mapping when forked workers do (util/workspace.hpp).
+inline ArenaBacking arena_backing_for(EngineTransport transport) {
+  return transport == EngineTransport::kInproc ? ArenaBacking::kHeap
+                                               : ArenaBacking::kShared;
+}
+
 /// Adapts a sharded partition into engine pieces (zero-copy arena slices;
 /// the partition must outlive the call).
 template <typename EdgeT>
@@ -306,8 +314,9 @@ auto run_protocol(std::span<const EdgeT> edges, VertexId num_vertices,
                   const Build& build, const Account& account,
                   const Combine& combine, const StreamingOptions& opts = {}) {
   WallTimer timer;
-  std::optional<ShardedPartition<EdgeT>> parts(std::in_place, edges,
-                                               num_vertices, k, rng, pool);
+  std::optional<ShardedPartition<EdgeT>> parts(
+      std::in_place, edges, num_vertices, k, rng, pool,
+      arena_backing_for(opts.transport));
   const double partition_seconds = timer.seconds();
 
   auto result = run_protocol_on_pieces<EdgeT>(

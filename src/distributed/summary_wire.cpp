@@ -112,45 +112,56 @@ void check_edge_records(const Edge* edges, std::size_t m, VertexId n) {
   }
 }
 
-}  // namespace
+/// The checked edge records of an EdgeList payload, still in the frame.
+struct EdgeRecords {
+  VertexId n = 0;
+  std::size_t m = 0;
+  const std::uint8_t* records = nullptr;
+};
 
-void SummaryCodec<EdgeList>::encode(const EdgeList& list, WireWriter& writer) {
-  writer.u32(list.num_vertices());
-  writer.u64(list.num_edges());
-  for (const Edge& e : list) {
-    writer.u32(e.u);
-    writer.u32(e.v);
-  }
-}
-
-EdgeList SummaryCodec<EdgeList>::decode(WireReader& reader) {
-  const VertexId n = reader.u32();
+/// Reads an EdgeList payload's (num_vertices, num_edges) prefix and checks
+/// its records in place, dying on a lying count or a bad record.
+EdgeRecords read_edge_records(WireReader& reader) {
+  EdgeRecords list;
+  list.n = reader.u32();
   const std::uint64_t m = reader.u64();
   // Cheap sanity gate before reserving: each edge needs 8 payload bytes.
   if (m > reader.remaining() / 8) {
     wire_fail("edge list claims %llu edges but only %zu payload bytes remain",
               static_cast<unsigned long long>(m), reader.remaining());
   }
-  // One block copy of the records, then one validation pass over the copy.
-  const std::uint8_t* records =
-      reader.bytes(static_cast<std::size_t>(m) * sizeof(Edge), "edges");
-  std::vector<Edge> edges(static_cast<std::size_t>(m));
-  if (m != 0) std::memcpy(edges.data(), records, edges.size() * sizeof(Edge));
-  check_edge_records(edges.data(), edges.size(), n);
-  return EdgeList(n, std::move(edges));
+  list.m = static_cast<std::size_t>(m);
+  list.records = reader.bytes(list.m * sizeof(Edge), "edges");
+  check_edge_records(reinterpret_cast<const Edge*>(list.records), list.m,
+                     list.n);
+  return list;
 }
 
-void SummaryCodec<VcCoresetOutput>::encode(const VcCoresetOutput& coreset,
-                                           WireWriter& writer) {
-  SummaryCodec<EdgeList>::encode(coreset.residual_edges, writer);
-  writer.u64(coreset.fixed_vertices.size());
-  for (const VertexId v : coreset.fixed_vertices) writer.u32(v);
+/// Copies m checked records to `out`, each normalized to u < v (the
+/// EdgeList invariant), in one pass. `out` may overlap the records at a
+/// lower address: every record is read before the slots it lands on are
+/// written, which is how a frame's own storage takes its records.
+void copy_normalized(const std::uint8_t* records, Edge* out, std::size_t m) {
+  for (std::size_t i = 0; i < m; ++i) {
+    Edge e;
+    std::memcpy(&e, records + i * sizeof(Edge), sizeof(Edge));
+    out[i] = e.u < e.v ? e : Edge{e.v, e.u};
+  }
 }
 
-VcCoresetOutput SummaryCodec<VcCoresetOutput>::decode(WireReader& reader) {
-  VcCoresetOutput coreset;
-  coreset.residual_edges = SummaryCodec<EdgeList>::decode(reader);
-  const VertexId n = coreset.residual_edges.num_vertices();
+/// The checked records of `list`, which lie inside `storage`, become the
+/// edges of a list that owns `storage`: shifted to its front, normalized.
+EdgeList adopt_edge_records(std::vector<Edge>&& storage,
+                            const EdgeRecords& list) {
+  copy_normalized(list.records, storage.data(), list.m);
+  storage.resize(list.m);
+  return EdgeList::adopt(list.n, std::move(storage));
+}
+
+/// Reads a VC coreset's fixed vertices (u64 count, then u32 ids in the
+/// n-vertex universe) into `ids`: one block copy, then one check pass.
+void read_fixed_vertices(WireReader& reader, VertexId n,
+                         std::vector<VertexId>& ids) {
   const std::uint64_t fixed = reader.u64();
   if (fixed > reader.remaining() / 4) {
     wire_fail(
@@ -158,8 +169,6 @@ VcCoresetOutput SummaryCodec<VcCoresetOutput>::decode(WireReader& reader) {
         "remain",
         static_cast<unsigned long long>(fixed), reader.remaining());
   }
-  // Like the edges: one block copy, then one validation pass.
-  std::vector<VertexId>& ids = coreset.fixed_vertices;
   const std::uint8_t* records = reader.bytes(
       static_cast<std::size_t>(fixed) * sizeof(VertexId), "fixed vertices");
   ids.resize(static_cast<std::size_t>(fixed));
@@ -172,6 +181,72 @@ VcCoresetOutput SummaryCodec<VcCoresetOutput>::decode(WireReader& reader) {
                 ids[i], n);
     }
   }
+}
+
+}  // namespace
+
+void expect_shape(const FrameHeader& header, SummaryShape expected) {
+  if (header.shape != expected) {
+    wire_fail("frame from machine %u carries shape tag %u, expected %u",
+              header.machine, static_cast<unsigned>(header.shape),
+              static_cast<unsigned>(expected));
+  }
+}
+
+void expect_consumed(const FrameHeader& header, std::size_t remaining) {
+  if (remaining != 0) {
+    wire_fail("frame from machine %u leaves %zu trailing payload bytes",
+              header.machine, remaining);
+  }
+}
+
+void SummaryCodec<EdgeList>::encode(const EdgeList& list, WireWriter& writer) {
+  writer.u32(list.num_vertices());
+  writer.u64(list.num_edges());
+  for (const Edge& e : list) {
+    writer.u32(e.u);
+    writer.u32(e.v);
+  }
+}
+
+EdgeList SummaryCodec<EdgeList>::decode(WireReader& reader) {
+  const EdgeRecords list = read_edge_records(reader);
+  std::vector<Edge> edges(list.m);
+  copy_normalized(list.records, edges.data(), list.m);
+  return EdgeList::adopt(list.n, std::move(edges));
+}
+
+EdgeList SummaryCodec<EdgeList>::adopt(ReadyFrame&& frame) {
+  expect_shape(frame.header, kShape);
+  WireReader reader(frame.bytes(), frame.size());
+  const EdgeRecords list = read_edge_records(reader);
+  expect_consumed(frame.header, reader.remaining());
+  return adopt_edge_records(std::move(frame.payload), list);
+}
+
+void SummaryCodec<VcCoresetOutput>::encode(const VcCoresetOutput& coreset,
+                                           WireWriter& writer) {
+  SummaryCodec<EdgeList>::encode(coreset.residual_edges, writer);
+  writer.u64(coreset.fixed_vertices.size());
+  for (const VertexId v : coreset.fixed_vertices) writer.u32(v);
+}
+
+VcCoresetOutput SummaryCodec<VcCoresetOutput>::decode(WireReader& reader) {
+  VcCoresetOutput coreset;
+  coreset.residual_edges = SummaryCodec<EdgeList>::decode(reader);
+  read_fixed_vertices(reader, coreset.residual_edges.num_vertices(),
+                      coreset.fixed_vertices);
+  return coreset;
+}
+
+VcCoresetOutput SummaryCodec<VcCoresetOutput>::adopt(ReadyFrame&& frame) {
+  expect_shape(frame.header, kShape);
+  WireReader reader(frame.bytes(), frame.size());
+  const EdgeRecords list = read_edge_records(reader);
+  VcCoresetOutput coreset;
+  read_fixed_vertices(reader, list.n, coreset.fixed_vertices);
+  expect_consumed(frame.header, reader.remaining());
+  coreset.residual_edges = adopt_edge_records(std::move(frame.payload), list);
   return coreset;
 }
 
@@ -256,11 +331,7 @@ void SummaryCodec<GroupedVcSummary>::encode(const GroupedVcSummary& summary,
 
 PieceDeliveryView decode_piece_frame_view(const FrameHeader& header,
                                           const std::uint8_t* payload) {
-  if (header.shape != SummaryShape::kPieceDelivery) {
-    wire_fail("frame from machine %u carries shape tag %u, expected %u",
-              header.machine, static_cast<unsigned>(header.shape),
-              static_cast<unsigned>(SummaryShape::kPieceDelivery));
-  }
+  expect_shape(header, SummaryShape::kPieceDelivery);
   WireReader reader(payload, static_cast<std::size_t>(header.payload_bytes));
   PieceDeliveryView view;
   view.round = reader.u32();

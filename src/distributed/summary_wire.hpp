@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "coreset/coreset.hpp"
@@ -148,12 +149,44 @@ concept WireSerializable =
       { SummaryCodec<T>::decode(reader) } -> std::same_as<T>;
     };
 
+/// Decoded frame header; `payload_bytes` bytes of payload follow on the wire.
+struct FrameHeader {
+  SummaryShape shape;
+  std::uint32_t machine;
+  std::uint64_t payload_bytes;
+};
+
+/// One received frame: its validated header and its payload. The payload
+/// is held in 8-byte records, so decode_frame can hand the storage itself
+/// to the decoded summary's edge list instead of copying out of it.
+struct ReadyFrame {
+  ReadyFrame() = default;
+  /// Storage for `header`'s payload; the receiver fills bytes().
+  explicit ReadyFrame(const FrameHeader& header)
+      : header(header), payload((header.payload_bytes + 7) / 8) {}
+
+  std::uint8_t* bytes() {
+    return reinterpret_cast<std::uint8_t*>(payload.data());
+  }
+  const std::uint8_t* bytes() const {
+    return reinterpret_cast<const std::uint8_t*>(payload.data());
+  }
+  std::size_t size() const {
+    return static_cast<std::size_t>(header.payload_bytes);
+  }
+
+  FrameHeader header{};
+  std::vector<Edge> payload;  // size() bytes, rounded up to whole records
+};
+
 template <>
 struct SummaryCodec<EdgeList> {
   static constexpr SummaryShape kShape = SummaryShape::kEdgeList;
   // Layout: u32 num_vertices, u64 num_edges, then (u32 u, u32 v) per edge.
   static void encode(const EdgeList& list, WireWriter& writer);
   static EdgeList decode(WireReader& reader);
+  /// decode_frame's path: the list adopts the frame's storage.
+  static EdgeList adopt(ReadyFrame&& frame);
 };
 
 template <>
@@ -162,6 +195,8 @@ struct SummaryCodec<VcCoresetOutput> {
   // Layout: EdgeList residual, u64 fixed count, u32 per fixed vertex.
   static void encode(const VcCoresetOutput& coreset, WireWriter& writer);
   static VcCoresetOutput decode(WireReader& reader);
+  /// decode_frame's path: the residual list adopts the frame's storage.
+  static VcCoresetOutput adopt(ReadyFrame&& frame);
 };
 
 template <>
@@ -256,13 +291,6 @@ void encode_piece_frame_prefix(std::size_t num_edges, VertexId num_vertices,
 /// handshake.
 std::vector<std::uint8_t> encode_shutdown_frame(std::uint32_t machine);
 
-/// Decoded frame header; `payload_bytes` bytes of payload follow on the wire.
-struct FrameHeader {
-  SummaryShape shape;
-  std::uint32_t machine;
-  std::uint64_t payload_bytes;
-};
-
 /// Writes the 24-byte header into `out` (caller guarantees the space).
 void encode_frame_header(const FrameHeader& header, std::uint8_t* out);
 
@@ -308,23 +336,42 @@ std::vector<std::uint8_t> encode_frame(const T& summary,
   return bytes;
 }
 
+/// wire_fails unless `header` carries the `expected` shape tag.
+void expect_shape(const FrameHeader& header, SummaryShape expected);
+
+/// wire_fails when a decode left `remaining` of the header's payload
+/// bytes unread (trailing bytes are a framing error).
+void expect_consumed(const FrameHeader& header, std::size_t remaining);
+
 /// Decodes a received payload against a validated header: the shape must
-/// match T's and the payload must be consumed exactly (trailing bytes are a
-/// framing error).
+/// match T's and the payload must be consumed exactly.
 template <WireSerializable T>
 T decode_frame_payload(const FrameHeader& header, const std::uint8_t* data) {
-  if (header.shape != SummaryCodec<T>::kShape) {
-    wire_fail("frame from machine %u carries shape tag %u, expected %u",
-              header.machine, static_cast<unsigned>(header.shape),
-              static_cast<unsigned>(SummaryCodec<T>::kShape));
-  }
+  expect_shape(header, SummaryCodec<T>::kShape);
   WireReader reader(data, static_cast<std::size_t>(header.payload_bytes));
   T value = SummaryCodec<T>::decode(reader);
-  if (reader.remaining() != 0) {
-    wire_fail("frame from machine %u leaves %zu trailing payload bytes",
-              header.machine, reader.remaining());
-  }
+  expect_consumed(header, reader.remaining());
   return value;
+}
+
+/// A summary type whose decoder can adopt a received frame's storage.
+template <typename T>
+concept FrameAdoptable = requires(ReadyFrame&& frame) {
+  { SummaryCodec<T>::adopt(std::move(frame)) } -> std::same_as<T>;
+};
+
+/// Decodes a received frame: the checks, diagnostics and result of
+/// decode_frame_payload. An EdgeList or VcCoresetOutput takes the frame's
+/// storage as its (residual) edge list: the records move over the list's
+/// 12-byte prefix in place, normalized as they go, so the decode allocates
+/// no second edge buffer and copies no record out of the frame.
+template <WireSerializable T>
+T decode_frame(ReadyFrame&& frame) {
+  if constexpr (FrameAdoptable<T>) {
+    return SummaryCodec<T>::adopt(std::move(frame));
+  } else {
+    return decode_frame_payload<T>(frame.header, frame.bytes());
+  }
 }
 
 }  // namespace rcc

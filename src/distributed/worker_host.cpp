@@ -461,15 +461,13 @@ ReadyFrame WorkerChannel::read_frame() {
   };
   read_fully(header_bytes, kFrameHeaderBytes, have, "header");
 
-  ReadyFrame frame;
-  frame.header = decode_frame_header(header_bytes);
+  ReadyFrame frame(decode_frame_header(header_bytes));
   if (frame.header.machine != machine_) {
     transport_fail(medium_, "machine %zu: downlink frame is addressed to "
                    "machine %u",
                    machine_, frame.header.machine);
   }
-  frame.payload.resize(static_cast<std::size_t>(frame.header.payload_bytes));
-  read_fully(frame.payload.data(), frame.payload.size(), 0, "payload");
+  read_fully(frame.bytes(), frame.size(), 0, "payload");
 
   const int me = static_cast<int>(machine_);
   if (frame.header.shape == SummaryShape::kShutdown) {
@@ -690,32 +688,29 @@ bool WorkerHost::drain(std::size_t machine) {
       if (assembly.header_filled < kFrameHeaderBytes) continue;
       // decode_frame_header validates magic, version, reserved word, shape
       // and payload cap, and dies with a wire diagnostic on violation.
-      assembly.header = decode_frame_header(assembly.header_bytes.data());
+      assembly.frame =
+          ReadyFrame(decode_frame_header(assembly.header_bytes.data()));
       assembly.header_parsed = true;
-      if (assembly.header.machine != machine) {
+      if (assembly.frame.header.machine != machine) {
         transport_fail(medium_kind_,
                        "frame on machine %zu's channel names machine %u",
-                       machine, assembly.header.machine);
+                       machine, assembly.frame.header.machine);
       }
-      assembly.payload.resize(
-          static_cast<std::size_t>(assembly.header.payload_bytes));
     }
-    if (assembly.payload_filled < assembly.payload.size()) {
-      const std::size_t n = end.read_some(
-          assembly.payload.data() + assembly.payload_filled,
-          assembly.payload.size() - assembly.payload_filled);
+    ReadyFrame& frame = assembly.frame;
+    if (assembly.payload_filled < frame.size()) {
+      const std::size_t n =
+          end.read_some(frame.bytes() + assembly.payload_filled,
+                        frame.size() - assembly.payload_filled);
       if (n == 0) return progress;
       progress = true;
       wire_bytes_ += n;
       assembly.payload_filled += n;
-      if (assembly.payload_filled < assembly.payload.size()) continue;
+      if (assembly.payload_filled < frame.size()) continue;
     }
-    ReadyFrame frame;
-    frame.header = assembly.header;
-    frame.payload = std::move(assembly.payload);
+    ready_.push_back(std::move(frame));
     assembly = Assembly{};
     completed_[machine] = 1;
-    ready_.push_back(std::move(frame));
   }
 }
 
@@ -733,7 +728,7 @@ void WorkerHost::check_for_dead_workers() {
                      "(%zu of %llu payload bytes)",
                      m, round_, assembly.payload_filled,
                      static_cast<unsigned long long>(
-                         assembly.header.payload_bytes));
+                         assembly.frame.header.payload_bytes));
     }
     transport_fail(medium_kind_,
                    "machine %zu worker died before sending its round-%u "

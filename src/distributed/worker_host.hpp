@@ -94,12 +94,6 @@ struct StreamingOptions {
 /// violations, the same philosophy as wire_fail.
 [[noreturn]] void transport_fail(EngineTransport medium, const char* fmt, ...);
 
-/// One fully reassembled frame.
-struct ReadyFrame {
-  FrameHeader header;
-  std::vector<std::uint8_t> payload;
-};
-
 namespace host_detail {
 class ChannelEnd;
 class Medium;
@@ -213,14 +207,14 @@ class WorkerHost {
 
  private:
   /// Per-machine frame reassembly: the header lands in a fixed array and
-  /// the payload is read directly into the vector the ReadyFrame ships.
+  /// the payload is read directly into the storage the ReadyFrame ships
+  /// (which decode_frame hands on to the summary).
   struct Assembly {
     std::size_t header_filled = 0;
     std::array<std::uint8_t, kFrameHeaderBytes> header_bytes{};
     bool header_parsed = false;
-    FrameHeader header{};
     std::size_t payload_filled = 0;
-    std::vector<std::uint8_t> payload;
+    ReadyFrame frame;
   };
 
   using WorkerFn = void (*)(void* ctx, WorkerChannel& channel);

@@ -13,6 +13,17 @@ EdgeList::EdgeList(VertexId num_vertices, std::vector<Edge> edges)
   }
 }
 
+EdgeList EdgeList::adopt(VertexId num_vertices, std::vector<Edge> edges) {
+  EdgeList out(num_vertices);
+  out.edges_ = std::move(edges);
+#ifndef NDEBUG
+  for (const Edge& e : out.edges_) {
+    RCC_DCHECK(e.u < e.v && e.v < num_vertices);
+  }
+#endif
+  return out;
+}
+
 void EdgeList::add(VertexId a, VertexId b) {
   RCC_DCHECK(a < num_vertices_ && b < num_vertices_);
   RCC_CHECK(a != b);

@@ -28,6 +28,12 @@ class EdgeList {
 
   EdgeList(VertexId num_vertices, std::vector<Edge> edges);
 
+  /// Takes `edges` as the list's storage with no copy and no per-edge pass:
+  /// the adoption path for records that already hold the list's invariants
+  /// (ids in [0, n), u < v) — a wire decoder that checked and normalized
+  /// them, or a generator that emits them so. Checked in debug builds only.
+  static EdgeList adopt(VertexId num_vertices, std::vector<Edge> edges);
+
   VertexId num_vertices() const { return num_vertices_; }
   std::size_t num_edges() const { return edges_.size(); }
   bool empty() const { return edges_.empty(); }

@@ -41,23 +41,29 @@ EdgeList gnp(VertexId n, double p, Rng& rng) {
 EdgeList gnm(VertexId n, std::uint64_t m, Rng& rng) {
   const std::uint64_t universe = static_cast<std::uint64_t>(n) * (n - 1) / 2;
   RCC_CHECK(m <= universe);
-  EdgeList out(n);
-  out.reserve(static_cast<std::size_t>(m));
-  for (std::uint64_t code : rng.sample_distinct(universe, m)) {
-    // Decode as in gnp.
-    const double nn = static_cast<double>(n);
-    double approx =
-        nn - 0.5 - std::sqrt((nn - 0.5) * (nn - 0.5) - 2.0 * static_cast<double>(code));
-    auto u = static_cast<std::uint64_t>(approx);
-    auto row_start = [&](std::uint64_t r) {
-      return r * (2 * static_cast<std::uint64_t>(n) - r - 1) / 2;
-    };
+  // The list's storage is allocated before the sampler runs, so the
+  // sampler's scratch, freed on return, lies above it and folds back into
+  // the top of the heap instead of staying resident as a hole below it.
+  std::vector<Edge> edges(static_cast<std::size_t>(m));
+  const std::vector<std::uint64_t> codes = rng.sample_distinct(universe, m);
+  // Decode each code as in gnp, in draw order, straight into the list's
+  // storage: every record is (u, v) with u < v < n by construction, so the
+  // list adopts the buffer with no per-edge check.
+  const auto n64 = static_cast<std::uint64_t>(n);
+  const double half = static_cast<double>(n) - 0.5;
+  const auto row_start = [n64](std::uint64_t r) {
+    return r * (2 * n64 - r - 1) / 2;
+  };
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    const std::uint64_t code = codes[i];
+    auto u = static_cast<std::uint64_t>(
+        half - std::sqrt(half * half - 2.0 * static_cast<double>(code)));
     while (u > 0 && row_start(u) > code) --u;
     while (row_start(u + 1) <= code) ++u;
-    const std::uint64_t v = u + 1 + (code - row_start(u));
-    out.add(static_cast<VertexId>(u), static_cast<VertexId>(v));
+    edges[i] = Edge{static_cast<VertexId>(u),
+                    static_cast<VertexId>(u + 1 + (code - row_start(u)))};
   }
-  return out;
+  return EdgeList::adopt(n, std::move(edges));
 }
 
 EdgeList random_bipartite(VertexId nL, VertexId nR, double p, Rng& rng) {

@@ -284,7 +284,8 @@ MpcExecutionStats run_mpc_rounds(EdgeSource graph,
     // the surviving edges.
     WallTimer timer;
     parts.repartition(std::span<const Edge>(input.data(), input.num_edges()),
-                      n, k, rng, pool, &ws.partition());
+                      n, k, rng, pool, &ws.partition(),
+                      arena_backing_for(config.streaming.transport));
     const double partition_seconds = timer.seconds();
 
     if (r == 0 && !config.input_already_random) {

@@ -28,7 +28,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -53,10 +52,13 @@ class ShardedPartition {
 
   /// Partitions `edges` into k shards of one flat arena. Draws k-sided dice
   /// from one forked RNG stream per batch; `pool` may be null for
-  /// sequential execution (same result either way).
+  /// sequential execution (same result either way). `backing` places the
+  /// arena (util/workspace.hpp): the heap, or a shared mapping for runs
+  /// whose machines are forked workers. The layout does not depend on it.
   ShardedPartition(std::span<const EdgeT> edges, VertexId num_vertices,
-                   std::size_t k, Rng& rng, ThreadPool* pool = nullptr) {
-    repartition(edges, num_vertices, k, rng, pool);
+                   std::size_t k, Rng& rng, ThreadPool* pool = nullptr,
+                   ArenaBacking backing = ArenaBacking::kHeap) {
+    repartition(edges, num_vertices, k, rng, pool, nullptr, backing);
   }
 
   /// (Re)partitions into this object, reusing the arena (grow-only) and —
@@ -66,7 +68,8 @@ class ShardedPartition {
   /// calls this once per round so steady-state rounds allocate nothing here.
   void repartition(std::span<const EdgeT> edges, VertexId num_vertices,
                    std::size_t k, Rng& rng, ThreadPool* pool = nullptr,
-                   PartitionScratch* scratch = nullptr) {
+                   PartitionScratch* scratch = nullptr,
+                   ArenaBacking backing = ArenaBacking::kHeap) {
     num_vertices_ = num_vertices;
     RCC_CHECK(k >= 1);
     const std::size_t m = edges.size();
@@ -224,18 +227,10 @@ class ShardedPartition {
     // and — with a workspace scratch — owned by the workspace, so arenas
     // survive the partition object and whole RUNS stop allocating here.
     num_edges_ = m;
-    std::unique_ptr<std::byte[]>& storage =
-        scratch != nullptr ? s.arena : arena_storage_;
-    std::size_t& capacity = scratch != nullptr ? s.arena_capacity_bytes
-                                               : arena_capacity_bytes_;
-    if (capacity < m * sizeof(EdgeT)) {
-      if (stats != nullptr) {
-        stats->note_growth(m * sizeof(EdgeT) - capacity);
-      }
-      storage.reset(new std::byte[m * sizeof(EdgeT)]);
-      capacity = m * sizeof(EdgeT);
-    }
-    arena_ = reinterpret_cast<EdgeT*>(storage.get());
+    ArenaBuffer& storage = scratch != nullptr ? s.arena : arena_storage_;
+    const std::size_t grown = storage.reserve(m * sizeof(EdgeT), backing);
+    if (grown != 0 && stats != nullptr) stats->note_growth(grown);
+    arena_ = reinterpret_cast<EdgeT*>(storage.data());
     EdgeT* arena = arena_;
     const auto scatter_batch = [&](std::size_t b) {
       std::size_t* cur = cursors.data() + b * k;
@@ -294,8 +289,7 @@ class ShardedPartition {
   /// The scattered edges: either owned storage (below) or a view into the
   /// caller's PartitionScratch arena, which must then outlive this object.
   EdgeT* arena_ = nullptr;
-  std::unique_ptr<std::byte[]> arena_storage_;
-  std::size_t arena_capacity_bytes_ = 0;
+  ArenaBuffer arena_storage_;
   std::vector<std::size_t> offsets_{0};  // size k+1 ({0} = empty partition)
 };
 

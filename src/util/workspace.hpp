@@ -263,6 +263,52 @@ class MachineScratch {
   std::vector<StateSlot> states_;
 };
 
+/// Where a partition arena's pages live.
+///   kHeap   — the allocator's heap: in-process runs, where threads read the
+///             shards in the coordinator's own address space.
+///   kShared — a shared anonymous mapping: runs whose machines are forked
+///             workers. fork copies no page-table entry of a MAP_SHARED
+///             mapping, so a worker starts with none of the arena mapped and
+///             faults in only the shard it reads; its RSS counts its own
+///             piece, not every machine's.
+enum class ArenaBacking { kHeap, kShared };
+
+/// Grow-only uninitialized byte storage of a partition arena, on either
+/// backing. Contents are not kept across a growth or a change of backing.
+class ArenaBuffer {
+ public:
+  ArenaBuffer() = default;
+  ArenaBuffer(ArenaBuffer&& other) noexcept { swap(other); }
+  ArenaBuffer& operator=(ArenaBuffer&& other) noexcept {
+    ArenaBuffer(std::move(other)).swap(*this);
+    return *this;
+  }
+  ~ArenaBuffer() { release(); }
+
+  /// Makes the storage hold at least `bytes` on `backing`, reusing it when
+  /// it already does. Returns how far the storage grew on that backing in
+  /// bytes (0 on reuse, the whole size on a change of backing). A new
+  /// shared mapping first hands the heap's free pages back to the kernel
+  /// (malloc_trim): the mapping cannot reuse them as a heap arena would, so
+  /// without the trim they would stay resident beside it.
+  std::size_t reserve(std::size_t bytes, ArenaBacking backing);
+
+  std::byte* data() const { return data_; }
+
+ private:
+  /// Frees the storage (a shared mapping's pages go back at once).
+  void release();
+  void swap(ArenaBuffer& other) noexcept {
+    std::swap(data_, other.data_);
+    std::swap(capacity_, other.capacity_);
+    std::swap(backing_, other.backing_);
+  }
+
+  std::byte* data_ = nullptr;
+  std::size_t capacity_ = 0;
+  ArenaBacking backing_ = ArenaBacking::kHeap;
+};
+
 /// Reusable buffers of the sharded partitioner's two passes (counting /
 /// scatter) plus the edge arena itself. Owned by the workspace so every
 /// round's — and every run's — re-partition reuses the same per-batch RNG
@@ -276,8 +322,7 @@ struct PartitionScratch {
   std::vector<std::uint32_t> dest32;
   std::vector<std::size_t> cursors;
   std::vector<std::size_t> running;
-  std::unique_ptr<std::byte[]> arena;
-  std::size_t arena_capacity_bytes = 0;
+  ArenaBuffer arena;
   WorkspaceStats* stats = nullptr;
 };
 

@@ -6,6 +6,9 @@
 // the strongest form of the allocation-discipline contract: not "few", not
 // "tracked by the workspace counters" — none, measured at operator new.
 //
+// The same counters pin the uplink decode: a received summary frame's
+// storage becomes the decoded edge list, with no second edge buffer.
+//
 // Scope note: the counters are process-global, so every measured window must
 // avoid gtest assertions (they allocate on failure paths); windows compute
 // into plain variables and the EXPECTs run after the window closes.
@@ -13,9 +16,11 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 
 #include "evidence/coreset/kernel.hpp"
+#include "distributed/summary_wire.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/edge_source.hpp"
 #include "graph/generators.hpp"
@@ -348,6 +353,49 @@ TEST(AllocationFree, ValueTypeResetAndAssignKeepCapacity) {
   survivors.assign(graph);
   const std::size_t after = allocations();
   EXPECT_EQ(after, before) << "reset/assign on warm value types allocated";
+}
+
+/// A summary frame as the coordinator receives it: header decoded, payload
+/// in the frame's own storage.
+ReadyFrame received(const std::vector<std::uint8_t>& bytes) {
+  ReadyFrame frame(decode_frame_header(bytes.data()));
+  std::memcpy(frame.bytes(), bytes.data() + kFrameHeaderBytes, frame.size());
+  return frame;
+}
+
+TEST(AllocationFree, DecodingAReceivedFrameAdoptsItsStorage) {
+  Rng gen(18);
+  const EdgeList graph = gnp(2000, 8.0 / 2000, gen);
+  ReadyFrame frame = received(encode_frame(graph, 1));
+  const std::uint8_t* storage = frame.bytes();
+
+  std::size_t before = allocations();
+  const EdgeList list = decode_frame<EdgeList>(std::move(frame));
+  std::size_t after = allocations();
+  EXPECT_EQ(after, before) << "decoding an edge list frame allocated";
+  EXPECT_EQ(reinterpret_cast<const std::uint8_t*>(list.edges().data()),
+            storage);
+  EXPECT_EQ(list.edges(), graph.edges());
+
+  // A VC frame's residual edges adopt the storage too; the only allocation
+  // is the summary's own fixed-vertex list, at its exact size.
+  VcCoresetOutput coreset;
+  coreset.residual_edges = graph;
+  coreset.fixed_vertices = {3, 1999, 7};
+  frame = received(encode_frame(coreset, 2));
+  storage = frame.bytes();
+  before = allocations();
+  const std::size_t bytes_before = allocated_bytes();
+  const VcCoresetOutput vc = decode_frame<VcCoresetOutput>(std::move(frame));
+  after = allocations();
+  const std::size_t bytes = allocated_bytes() - bytes_before;
+  EXPECT_EQ(after - before, 1u) << "decoding a VC frame copied its edges";
+  EXPECT_EQ(bytes, sizeof(VertexId) * coreset.fixed_vertices.size());
+  EXPECT_EQ(
+      reinterpret_cast<const std::uint8_t*>(vc.residual_edges.edges().data()),
+      storage);
+  EXPECT_EQ(vc.residual_edges.edges(), graph.edges());
+  EXPECT_EQ(vc.fixed_vertices, coreset.fixed_vertices);
 }
 
 }  // namespace

@@ -16,8 +16,9 @@
 //       round-invariant run (k forks per RUN on either medium, piece frames
 //       down the channels) from the per-round hosts of single-round calls
 //       and of builds that read coordinator-evolving state; every forking
-//       call or run reports its own workers' peak RSS, and a worker does
-//       not inherit the coordinator's freed heap,
+//       call or run reports its own workers' peak RSS, a worker does not
+//       inherit the coordinator's freed heap, and a worker's RSS holds its
+//       own shard of the partition arena, not every machine's,
 //   (c) backpressure: frames far larger than the ring capacity flow through
 //       chunked writes without deadlock or corruption,
 //   (d) fault injection, on both media: a killed worker fails the run
@@ -29,6 +30,7 @@
 //       worker is a failed run, not a recoverable condition.
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -539,6 +541,87 @@ TEST(DistributedTransport, WorkersDoNotInheritFreedHeap) {
                                                                      : 1);
       },
       ::testing::ExitedWithCode(0), "worker peak");
+}
+
+/// Solves a 64 MiB arena over k = 4 machines on each process medium, once
+/// through run_protocol and once through the round executor's workspace
+/// arena, with a build that reads its whole piece; 0 when every worker's
+/// peak RSS holds its own shard and stays below the shard plus 16 MiB. The
+/// input sits in a shared mapping of its own, so no worker inherits its
+/// pages either: a worker's RSS is its shard plus the process's small
+/// working set (for the executor, plus its workspace's one-byte-per-edge
+/// destination memo, 8 MiB here).
+int check_workers_map_only_their_shard() {
+  constexpr std::size_t kEdges = std::size_t{8} << 20;
+  constexpr std::size_t kArenaBytes = kEdges * sizeof(Edge);
+  constexpr std::size_t k = 4;
+  constexpr VertexId n = 1 << 20;
+  void* mapped = ::mmap(nullptr, kArenaBytes, PROT_READ | PROT_WRITE,
+                        MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  if (mapped == MAP_FAILED) return 2;
+  Edge* input = static_cast<Edge*>(mapped);
+  for (std::size_t i = 0; i < kEdges; ++i) {
+    const auto u = static_cast<VertexId>(i % (n - 1));
+    input[i] = Edge{u, u + 1};
+  }
+  const auto build = [](EdgeSpan piece, const PartitionContext&, Rng&) {
+    std::uint64_t sum = 0;
+    for (const Edge& e : piece) sum += e.u ^ e.v;
+    EdgeList out(piece.num_vertices());
+    out.add(0, 1 + static_cast<VertexId>(sum % 7));
+    return out;
+  };
+  const auto account = [](const EdgeList& s) {
+    return MessageSize{s.num_edges(), 0};
+  };
+  const auto combine = [](std::vector<EdgeList>& summaries, Rng&) {
+    return summaries.size();
+  };
+  struct OneRoundFold {
+    void absorb(EdgeList&, std::size_t, MpcRoundContext&) {}
+    EdgeList finish(std::vector<EdgeList>&, MpcRoundContext& ctx, Rng&) {
+      return std::move(ctx.survivors_out());  // empty: the run stops
+    }
+  } fold;
+  constexpr std::uint64_t kLimit =
+      kArenaBytes / k + (std::uint64_t{16} << 20);
+  bool ok = true;
+  const auto check = [&](const char* path, std::uint64_t peak) {
+    std::fprintf(stderr, "%s: worker peak %llu B (limit %llu B)\n", path,
+                 static_cast<unsigned long long>(peak),
+                 static_cast<unsigned long long>(kLimit));
+    ok &= peak > kArenaBytes / k && peak < kLimit;
+  };
+  for (const StreamingOptions& medium : {socket_options(), shm_options()}) {
+    Rng rng(23);
+    const auto r = run_protocol<Edge>(std::span<const Edge>(input, kEdges), n,
+                                      k, 0, rng, nullptr, build, account,
+                                      combine, medium);
+    ok &= r.solution == k;
+    check("run_protocol", r.transport.worker_peak_rss_bytes);
+    MpcEngineConfig config;
+    config.mpc.num_machines = k;
+    config.mpc.memory_words = std::uint64_t{1} << 60;
+    config.streaming = medium;
+    const MpcExecutionStats stats = run_mpc_rounds(
+        EdgeSource(EdgeSpan(input, kEdges, n), EdgeOrigin::kMapped), config,
+        0, rng, nullptr, build, account, fold);
+    ok &= stats.engine_rounds == 1;
+    check("run_mpc_rounds", stats.worker_peak_rss_bytes);
+  }
+  ::munmap(mapped, kArenaBytes);
+  return ok ? 0 : 1;
+}
+
+TEST(DistributedTransport, WorkersMapOnlyTheirOwnShard) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer owns the allocator";
+#endif
+  // A fresh process, as in WorkersDoNotInheritFreedHeap: every child it
+  // reaps is one of this test's workers.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(std::_Exit(check_workers_map_only_their_shard()),
+              ::testing::ExitedWithCode(0), "worker peak");
 }
 
 TEST(DistributedTransport, CoresetMatchingRoundsSurviveTinyUplinkRings) {

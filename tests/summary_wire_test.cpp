@@ -9,13 +9,15 @@
 //       the shard's raw edge bytes decodes through decode_piece_frame_view
 //       to the same piece, borrowed in place, and the uplink GatherFrame
 //       segments of an edge list or VC coreset are byte-identical to
-//       encode_frame,
+//       encode_frame, and decode_frame's adopting path gives what the
+//       copying decode gives while its edge list keeps the received storage,
 //   (d) adversarial inputs DIE with a "summary wire:" diagnostic instead of
 //       reaching a fold: bad magic, version skew, unknown shape tag,
 //       nonzero reserved word, oversize payload claim, shape mismatch,
 //       truncation, trailing bytes, out-of-range ids, self-loops, negative,
 //       NaN and infinite weights, lying length prefixes, and piece frames
-//       whose edge count, ids or shape tag are wrong.
+//       whose edge count, ids or shape tag are wrong; the adopting decode
+//       dies with the copying decode's exact diagnostic, in the same order.
 #include "distributed/summary_wire.hpp"
 
 #include <gtest/gtest.h>
@@ -122,6 +124,73 @@ TEST(SummaryWire, EmptySummariesRoundTrip) {
   const GroupedVcSummary empty_grouped = round_trip(GroupedVcSummary{});
   EXPECT_EQ(empty_grouped.core.residual_edges.num_edges(), 0u);
   EXPECT_TRUE(empty_grouped.pinned_groups.empty());
+}
+
+/// A frame as the coordinator's reassembly hands it on: `header`, and the
+/// payload bytes in the frame's own storage.
+ReadyFrame received(const FrameHeader& header, const std::uint8_t* payload) {
+  ReadyFrame frame(header);
+  if (frame.size() != 0) std::memcpy(frame.bytes(), payload, frame.size());
+  return frame;
+}
+
+ReadyFrame received(const std::vector<std::uint8_t>& frame) {
+  return received(decode_frame_header(frame.data()),
+                  frame.data() + kFrameHeaderBytes);
+}
+
+const EdgeList& edges_of(const EdgeList& list) { return list; }
+const EdgeList& edges_of(const VcCoresetOutput& coreset) {
+  return coreset.residual_edges;
+}
+
+/// decode_frame over `frame`, checked against the copying decode; the
+/// result's edge list must be the received storage itself.
+template <typename T>
+T adopted(const std::vector<std::uint8_t>& frame) {
+  ReadyFrame ready = received(frame);
+  const std::uint8_t* storage = ready.bytes();
+  const T copied = decode_frame_payload<T>(ready.header, ready.bytes());
+  T value = decode_frame<T>(std::move(ready));
+  const EdgeList& edges = edges_of(value);
+  EXPECT_EQ(edges.num_vertices(), edges_of(copied).num_vertices());
+  EXPECT_EQ(edges.edges(), edges_of(copied).edges());
+  if (!edges.empty()) {
+    EXPECT_EQ(reinterpret_cast<const std::uint8_t*>(edges.edges().data()),
+              storage);
+  }
+  return value;
+}
+
+TEST(SummaryWire, AdoptingDecodeMatchesTheCopyingDecode) {
+  for (std::uint32_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    for (const EdgeList& el :
+         {gnp(200, 0.05, rng), random_bipartite(60, 80, 0.1, rng),
+          EdgeList(5), EdgeList()}) {
+      EXPECT_EQ(adopted<EdgeList>(encode_frame(el, seed)).edges(), el.edges());
+      VcCoresetOutput coreset;
+      coreset.residual_edges = el;
+      for (VertexId v = 0; v < el.num_vertices(); v += 3) {
+        coreset.fixed_vertices.push_back(v);
+      }
+      const VcCoresetOutput back =
+          adopted<VcCoresetOutput>(encode_frame(coreset, seed));
+      EXPECT_EQ(back.residual_edges.edges(), el.edges());
+      EXPECT_EQ(back.fixed_vertices, coreset.fixed_vertices);
+    }
+  }
+  // Records sent as (v, u) come back normalized, as from the copying path.
+  std::vector<std::uint8_t> frame(kFrameHeaderBytes, 0);
+  WireWriter writer(frame);
+  writer.u32(6);
+  writer.u64(3);
+  for (const VertexId id : {5u, 1u, 0u, 4u, 3u, 2u}) writer.u32(id);
+  encode_frame_header(FrameHeader{SummaryShape::kEdgeList, 1,
+                                  frame.size() - kFrameHeaderBytes},
+                      frame.data());
+  EXPECT_EQ(adopted<EdgeList>(frame).edges(),
+            (std::vector<Edge>{{1, 5}, {0, 4}, {2, 3}}));
 }
 
 /// A piece frame the way the worker host sends one: the fixed prefix, then
@@ -413,6 +482,103 @@ TEST(SummaryWireDeathTest, PieceViewOfAnotherShapeDies) {
   EXPECT_DEATH((void)decode_piece(frame),
                "summary wire: frame from machine 2 carries shape tag 1, "
                "expected 7");
+}
+
+/// Both decodes of a received payload die with the same diagnostic.
+template <typename T>
+void expect_both_decodes_die(SummaryShape shape,
+                             const std::vector<std::uint8_t>& payload,
+                             const char* diagnostic) {
+  const FrameHeader header{shape, 0, payload.size()};
+  EXPECT_DEATH((void)decode_frame_payload<T>(header, payload.data()),
+               diagnostic);
+  EXPECT_DEATH((void)decode_frame<T>(received(header, payload.data())),
+               diagnostic);
+}
+
+TEST(SummaryWireDeathTest, AdoptingDecodeDiesWithTheCopyingDiagnostics) {
+  // Shape, truncation and trailing bytes of a whole frame.
+  std::vector<std::uint8_t> frame = valid_frame();
+  EXPECT_DEATH((void)decode_frame<VcCoresetOutput>(received(frame)),
+               "summary wire: frame from machine 2 carries shape tag 1, "
+               "expected 2");
+  FrameHeader header = decode_frame_header(frame.data());
+  header.payload_bytes -= 3;
+  EXPECT_DEATH(
+      (void)decode_frame<EdgeList>(
+          received(header, frame.data() + kFrameHeaderBytes)),
+      "summary wire: edge list claims 2 edges but only 13 payload bytes "
+      "remain");
+  frame.push_back(0xee);
+  header.payload_bytes += 4;
+  EXPECT_DEATH(
+      (void)decode_frame<EdgeList>(
+          received(header, frame.data() + kFrameHeaderBytes)),
+      "summary wire: frame from machine 2 leaves 1 trailing payload bytes");
+
+  const auto payload = [](std::initializer_list<std::uint64_t> words,
+                          std::size_t u64_at) {
+    // u32 fields, except the one at index u64_at (a u64 count).
+    std::vector<std::uint8_t> bytes;
+    WireWriter writer(bytes);
+    std::size_t i = 0;
+    for (const std::uint64_t w : words) {
+      if (i++ == u64_at) {
+        writer.u64(w);
+      } else {
+        writer.u32(static_cast<std::uint32_t>(w));
+      }
+    }
+    return bytes;
+  };
+  for (const SummaryShape shape :
+       {SummaryShape::kEdgeList, SummaryShape::kVcCoreset}) {
+    const auto die = [&](const std::vector<std::uint8_t>& bytes,
+                         const char* diagnostic) {
+      if (shape == SummaryShape::kEdgeList) {
+        expect_both_decodes_die<EdgeList>(shape, bytes, diagnostic);
+      } else {
+        expect_both_decodes_die<VcCoresetOutput>(shape, bytes, diagnostic);
+      }
+    };
+    die(payload({4, 1, 1, 4}, 1),
+        "summary wire: edge 0 = \\(1, 4\\) leaves the 4-vertex universe");
+    die(payload({4, 1, 2, 2}, 1),
+        "summary wire: edge 0 is a self-loop at vertex 2");
+    die(payload({4, std::uint64_t{1} << 60}, 1),
+        "summary wire: edge list claims 1152921504606846976 edges but only 0 "
+        "payload bytes remain");
+  }
+  // The VC tail: checked after the edges, so a bad edge is named first.
+  std::vector<std::uint8_t> vc;
+  WireWriter writer(vc);
+  writer.u32(4);
+  writer.u64(0);
+  expect_both_decodes_die<VcCoresetOutput>(
+      SummaryShape::kVcCoreset, vc,
+      "summary wire: truncated payload: u64 needs 8 bytes at offset 12, 0 "
+      "left");
+  std::vector<std::uint8_t> lying = vc;
+  WireWriter(lying).u64(std::uint64_t{1} << 60);
+  expect_both_decodes_die<VcCoresetOutput>(
+      SummaryShape::kVcCoreset, lying,
+      "summary wire: vc coreset claims 1152921504606846976 fixed vertices but "
+      "only 0 payload bytes remain");
+  WireWriter(vc).u64(1);
+  WireWriter(vc).u32(4);
+  expect_both_decodes_die<VcCoresetOutput>(
+      SummaryShape::kVcCoreset, vc,
+      "summary wire: fixed vertex 0 = 4 leaves the 4-vertex universe");
+  std::vector<std::uint8_t> both;
+  WireWriter both_writer(both);
+  both_writer.u32(4);
+  both_writer.u64(1);
+  both_writer.u32(3);
+  both_writer.u32(3);
+  both_writer.u64(std::uint64_t{1} << 60);
+  expect_both_decodes_die<VcCoresetOutput>(
+      SummaryShape::kVcCoreset, both,
+      "summary wire: edge 0 is a self-loop at vertex 3");
 }
 
 }  // namespace
