@@ -29,7 +29,9 @@
 // transport: machines (threads, or forked workers behind a WorkerHost —
 // worker_host.hpp) fill the k-slot summary vector, the engine accounts the
 // summaries in machine order, and combine(summaries, rng) folds them.
-// Combiners never race a build.
+// Combiners never race a build. A process transport takes Edge pieces and a
+// summary with a wire layout (an EdgeList or a VcCoresetOutput,
+// summary_wire.hpp); the weighted and grouped protocols run in process.
 //
 // A machine holds only its piece. On a process transport the partition
 // arena is a shared mapping (arena_backing_for), so a forked worker maps
@@ -158,7 +160,9 @@ auto run_protocol_on_pieces(const std::vector<std::span<const EdgeT>>& pieces,
   };
 
   if (opts.transport != EngineTransport::kInproc) {
-    if constexpr (WireSerializable<Summary>) {
+    // Only Edge pieces ship down, and only a summary with a wire layout
+    // ships back up.
+    if constexpr (std::is_same_v<EdgeT, Edge> && WireSerializable<Summary>) {
       // Cross-process machine phase. Without a kept host this call spawns
       // its own for one round and queues every worker's shutdown right
       // behind its round-0 frame, so workers exit once their summary is
@@ -192,26 +196,15 @@ auto run_protocol_on_pieces(const std::vector<std::span<const EdgeT>>& pieces,
                              i, round, delivered.round);
             }
             Rng machine_rng = Rng::from_state(delivered.rng_state);
-            View piece = piece_of(i);
-            if constexpr (std::is_same_v<EdgeT, Edge>) {
-              if (round > 0) {
-                piece = View(delivered.edges, delivered.num_edges,
-                             delivered.num_vertices);
-              }
-            }
+            const View piece =
+                round == 0 ? piece_of(i)
+                           : View(delivered.edges, delivered.num_edges,
+                                  delivered.num_vertices);
             const Summary summary = build_machine(i, piece, machine_rng);
-            const auto machine = static_cast<std::uint32_t>(i);
-            if constexpr (GatherWritable<Summary>) {
-              // The coreset drivers' bulk shapes: fixed-width fields staged
-              // on the stack, edges and fixed vertices straight off the
-              // summary's storage.
-              const GatherFrame frame(summary, machine);
-              channel.write_frame(frame.segments());
-            } else {
-              const std::vector<std::uint8_t> out =
-                  encode_frame(summary, machine);
-              channel.write_frame(out.data(), out.size());
-            }
+            // Fixed-width fields staged on the stack, edges and fixed
+            // vertices straight off the summary's storage.
+            const GatherFrame out(summary, static_cast<std::uint32_t>(i));
+            channel.write_frame(out.segments());
           }
         });
       }
@@ -220,12 +213,8 @@ auto run_protocol_on_pieces(const std::vector<std::span<const EdgeT>>& pieces,
       for (std::size_t i = 0; i < k; ++i) {
         // Stack-built prefix + the shard bytes streamed straight from the
         // partition: the downlink never stages a frame-sized vector.
-        std::size_t body_edges = 0;
-        if constexpr (std::is_same_v<EdgeT, Edge>) {
-          if (!piece_rode_the_fork) body_edges = pieces[i].size();
-        } else {
-          RCC_CHECK(piece_rode_the_fork);  // only Edge pieces ship down
-        }
+        const std::size_t body_edges =
+            piece_rode_the_fork ? 0 : pieces[i].size();
         std::array<std::uint8_t, kPieceFramePrefixBytes> prefix;
         encode_piece_frame_prefix(body_edges, num_vertices,
                                   machine_rngs[i].state(), host.round(),
@@ -256,8 +245,8 @@ auto run_protocol_on_pieces(const std::vector<std::span<const EdgeT>>& pieces,
         result.transport.worker_peak_rss_bytes = host.worker_peak_rss_bytes();
       }
     } else {
-      RCC_CHECK(!"cross-process engine transports require a "
-                 "wire-serializable summary");
+      RCC_CHECK(!"cross-process engine transports require Edge pieces and "
+                 "a wire-serializable summary");
     }
   } else if (pool != nullptr) {
     // Machines write disjoint summary slots, so the schedule cannot leak

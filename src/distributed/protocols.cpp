@@ -96,9 +96,9 @@ struct GroupedVcPhases {
 
 }  // namespace
 
-GroupedVcProtocolResult grouped_vc_protocol(
-    EdgeSource graph, std::size_t k, double alpha, Rng& rng,
-    ThreadPool* pool, const StreamingOptions& streaming) {
+GroupedVcProtocolResult grouped_vc_protocol(EdgeSource graph, std::size_t k,
+                                            double alpha, Rng& rng,
+                                            ThreadPool* pool) {
   const PeelingVcCoreset coreset;
   const GroupedVcPhases phases = GroupedVcPhases::make(graph, alpha, coreset);
 
@@ -126,7 +126,7 @@ GroupedVcProtocolResult grouped_vc_protocol(
 
   GroupedVcProtocolResult result =
       run_protocol(graph, k, /*left_size=*/0, rng, pool, phases.build(),
-                   &GroupedVcPhases::account, combine, streaming);
+                   &GroupedVcPhases::account, combine);
   RCC_CHECK(result.solution.covers(graph.edges()));
   return result;
 }

@@ -44,9 +44,9 @@ using GroupedVcProtocolResult = ProtocolResult<VertexCover, GroupedVcSummary>;
 /// into the machine's fixed solution, since any cover must take one of its
 /// endpoints and the group expansion contains both). The returned cover
 /// lives in the *original* vertex universe.
-GroupedVcProtocolResult grouped_vc_protocol(
-    EdgeSource graph, std::size_t k, double alpha, Rng& rng,
-    ThreadPool* pool = nullptr, const StreamingOptions& streaming = {});
+GroupedVcProtocolResult grouped_vc_protocol(EdgeSource graph, std::size_t k,
+                                            double alpha, Rng& rng,
+                                            ThreadPool* pool = nullptr);
 
 /// Former names of coreset_matching_protocol / coreset_vc_protocol, kept as
 /// plain forwarders for callers that still use them.

@@ -1,12 +1,9 @@
 #include "distributed/summary_wire.hpp"
 
-#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <type_traits>
-
-#include "distributed/protocols.hpp"
 
 namespace rcc {
 
@@ -20,33 +17,62 @@ void wire_fail(const char* fmt, ...) {
   std::abort();
 }
 
-const std::uint8_t* WireReader::bytes(std::size_t size, const char* what) {
-  if (size > size_ - cursor_) {
-    wire_fail("truncated payload: %s needs %zu bytes at offset %zu, %zu left",
-              what, size, cursor_, remaining());
-  }
-  const std::uint8_t* at = data_ + cursor_;
-  cursor_ += size;
-  return at;
+namespace {
+
+/// Writes `v` little-endian at `out` and returns the byte after it.
+template <typename T>
+std::uint8_t* put(std::uint8_t* out, T v) {
+  std::memcpy(out, &v, sizeof v);
+  return out + sizeof v;
 }
 
+/// Cursor over a received payload. Reading past the end is a truncated
+/// frame: wire_fail, not UB.
+class WireReader {
+ public:
+  WireReader(const std::uint8_t* data, std::size_t size)
+      : data_(data), size_(size) {}
+
+  std::uint32_t u32() {
+    std::uint32_t v;
+    std::memcpy(&v, bytes(sizeof v, "u32"), sizeof v);
+    return v;
+  }
+  std::uint64_t u64() {
+    std::uint64_t v;
+    std::memcpy(&v, bytes(sizeof v, "u64"), sizeof v);
+    return v;
+  }
+
+  /// Consumes the next `size` bytes and returns them in place; fewer left
+  /// is a truncated frame (`what` names the field in the diagnostic).
+  const std::uint8_t* bytes(std::size_t size, const char* what) {
+    if (size > size_ - cursor_) {
+      wire_fail("truncated payload: %s needs %zu bytes at offset %zu, %zu left",
+                what, size, cursor_, remaining());
+    }
+    const std::uint8_t* at = data_ + cursor_;
+    cursor_ += size;
+    return at;
+  }
+
+  std::size_t remaining() const { return size_ - cursor_; }
+
+ private:
+  const std::uint8_t* data_;
+  std::size_t size_;
+  std::size_t cursor_ = 0;
+};
+
+}  // namespace
+
 void encode_frame_header(const FrameHeader& header, std::uint8_t* out) {
-  std::uint8_t* p = out;
-  const auto put32 = [&p](std::uint32_t v) {
-    std::memcpy(p, &v, sizeof v);
-    p += sizeof v;
-  };
-  const auto put16 = [&p](std::uint16_t v) {
-    std::memcpy(p, &v, sizeof v);
-    p += sizeof v;
-  };
-  put32(kWireMagic);
-  put16(kWireVersion);
-  put16(static_cast<std::uint16_t>(header.shape));
-  put32(header.machine);
-  put32(0);  // reserved
-  std::uint64_t payload = header.payload_bytes;
-  std::memcpy(p, &payload, sizeof payload);
+  out = put(out, kWireMagic);
+  out = put(out, kWireVersion);
+  out = put(out, static_cast<std::uint16_t>(header.shape));
+  out = put(out, header.machine);
+  out = put(out, std::uint32_t{0});  // reserved
+  put(out, header.payload_bytes);
 }
 
 FrameHeader decode_frame_header(const std::uint8_t* bytes) {
@@ -65,10 +91,10 @@ FrameHeader decode_frame_header(const std::uint8_t* bytes) {
               static_cast<unsigned>(version),
               static_cast<unsigned>(kWireVersion));
   }
-  // Tag 4 was the augmenting-path batch; it is retired, never reused.
+  // Tags 3-6 are retired (SummaryShape), never reused.
   if (shape < static_cast<std::uint16_t>(SummaryShape::kEdgeList) ||
       shape > static_cast<std::uint16_t>(SummaryShape::kShutdown) ||
-      shape == 4) {
+      (shape >= 3 && shape <= 6)) {
     wire_fail("unknown summary shape tag %u", static_cast<unsigned>(shape));
   }
   const std::uint32_t machine = reader.u32();
@@ -137,23 +163,18 @@ EdgeRecords read_edge_records(WireReader& reader) {
   return list;
 }
 
-/// Copies m checked records to `out`, each normalized to u < v (the
-/// EdgeList invariant), in one pass. `out` may overlap the records at a
-/// lower address: every record is read before the slots it lands on are
-/// written, which is how a frame's own storage takes its records.
-void copy_normalized(const std::uint8_t* records, Edge* out, std::size_t m) {
-  for (std::size_t i = 0; i < m; ++i) {
-    Edge e;
-    std::memcpy(&e, records + i * sizeof(Edge), sizeof(Edge));
-    out[i] = e.u < e.v ? e : Edge{e.v, e.u};
-  }
-}
-
 /// The checked records of `list`, which lie inside `storage`, become the
-/// edges of a list that owns `storage`: shifted to its front, normalized.
+/// edges of a list that owns `storage`: shifted to its front, each
+/// normalized to u < v (the EdgeList invariant), in one pass. Every record
+/// is read before the slots it lands on (at a lower address) are written.
 EdgeList adopt_edge_records(std::vector<Edge>&& storage,
                             const EdgeRecords& list) {
-  copy_normalized(list.records, storage.data(), list.m);
+  Edge* out = storage.data();
+  for (std::size_t i = 0; i < list.m; ++i) {
+    Edge e;
+    std::memcpy(&e, list.records + i * sizeof(Edge), sizeof(Edge));
+    out[i] = e.u < e.v ? e : Edge{e.v, e.u};
+  }
   storage.resize(list.m);
   return EdgeList::adopt(list.n, std::move(storage));
 }
@@ -183,8 +204,7 @@ void read_fixed_vertices(WireReader& reader, VertexId n,
   }
 }
 
-}  // namespace
-
+/// wire_fails unless `header` carries the `expected` shape tag.
 void expect_shape(const FrameHeader& header, SummaryShape expected) {
   if (header.shape != expected) {
     wire_fail("frame from machine %u carries shape tag %u, expected %u",
@@ -193,6 +213,8 @@ void expect_shape(const FrameHeader& header, SummaryShape expected) {
   }
 }
 
+/// wire_fails when a decode left `remaining` of the header's payload
+/// bytes unread (trailing bytes are a framing error).
 void expect_consumed(const FrameHeader& header, std::size_t remaining) {
   if (remaining != 0) {
     wire_fail("frame from machine %u leaves %zu trailing payload bytes",
@@ -200,21 +222,7 @@ void expect_consumed(const FrameHeader& header, std::size_t remaining) {
   }
 }
 
-void SummaryCodec<EdgeList>::encode(const EdgeList& list, WireWriter& writer) {
-  writer.u32(list.num_vertices());
-  writer.u64(list.num_edges());
-  for (const Edge& e : list) {
-    writer.u32(e.u);
-    writer.u32(e.v);
-  }
-}
-
-EdgeList SummaryCodec<EdgeList>::decode(WireReader& reader) {
-  const EdgeRecords list = read_edge_records(reader);
-  std::vector<Edge> edges(list.m);
-  copy_normalized(list.records, edges.data(), list.m);
-  return EdgeList::adopt(list.n, std::move(edges));
-}
+}  // namespace
 
 EdgeList SummaryCodec<EdgeList>::adopt(ReadyFrame&& frame) {
   expect_shape(frame.header, kShape);
@@ -222,21 +230,6 @@ EdgeList SummaryCodec<EdgeList>::adopt(ReadyFrame&& frame) {
   const EdgeRecords list = read_edge_records(reader);
   expect_consumed(frame.header, reader.remaining());
   return adopt_edge_records(std::move(frame.payload), list);
-}
-
-void SummaryCodec<VcCoresetOutput>::encode(const VcCoresetOutput& coreset,
-                                           WireWriter& writer) {
-  SummaryCodec<EdgeList>::encode(coreset.residual_edges, writer);
-  writer.u64(coreset.fixed_vertices.size());
-  for (const VertexId v : coreset.fixed_vertices) writer.u32(v);
-}
-
-VcCoresetOutput SummaryCodec<VcCoresetOutput>::decode(WireReader& reader) {
-  VcCoresetOutput coreset;
-  coreset.residual_edges = SummaryCodec<EdgeList>::decode(reader);
-  read_fixed_vertices(reader, coreset.residual_edges.num_vertices(),
-                      coreset.fixed_vertices);
-  return coreset;
 }
 
 VcCoresetOutput SummaryCodec<VcCoresetOutput>::adopt(ReadyFrame&& frame) {
@@ -248,85 +241,6 @@ VcCoresetOutput SummaryCodec<VcCoresetOutput>::adopt(ReadyFrame&& frame) {
   expect_consumed(frame.header, reader.remaining());
   coreset.residual_edges = adopt_edge_records(std::move(frame.payload), list);
   return coreset;
-}
-
-void SummaryCodec<WeightedCoresetOutput>::encode(
-    const WeightedCoresetOutput& coreset, WireWriter& writer) {
-  writer.u32(coreset.edges.num_vertices);
-  writer.u64(coreset.edges.edges.size());
-  for (const WeightedEdge& e : coreset.edges.edges) {
-    writer.u32(e.u);
-    writer.u32(e.v);
-    writer.f64(e.weight);
-  }
-}
-
-WeightedCoresetOutput SummaryCodec<WeightedCoresetOutput>::decode(
-    WireReader& reader) {
-  WeightedCoresetOutput coreset;
-  const VertexId n = reader.u32();
-  const std::uint64_t m = reader.u64();
-  if (m > reader.remaining() / 16) {
-    wire_fail(
-        "weighted edge list claims %llu edges but only %zu payload bytes "
-        "remain",
-        static_cast<unsigned long long>(m), reader.remaining());
-  }
-  coreset.edges.num_vertices = n;
-  coreset.edges.edges.reserve(static_cast<std::size_t>(m));
-  for (std::uint64_t i = 0; i < m; ++i) {
-    const VertexId u = reader.u32();
-    const VertexId v = reader.u32();
-    const double w = reader.f64();
-    if (u >= n || v >= n || u == v) {
-      wire_fail("weighted edge %llu = (%u, %u) is invalid for a %u-vertex "
-                "universe",
-                static_cast<unsigned long long>(i), u, v, n);
-    }
-    if (!(w >= 0.0)) {
-      wire_fail("weighted edge %llu carries a negative or NaN weight",
-                static_cast<unsigned long long>(i));
-    }
-    if (std::isinf(w)) {
-      wire_fail("weighted edge %llu carries an infinite weight",
-                static_cast<unsigned long long>(i));
-    }
-    coreset.edges.edges.push_back(WeightedEdge{u, v, w});
-  }
-  return coreset;
-}
-
-void SummaryCodec<std::vector<VcCoresetOutput>>::encode(
-    const std::vector<VcCoresetOutput>& batch, WireWriter& writer) {
-  writer.u64(batch.size());
-  for (const VcCoresetOutput& coreset : batch) {
-    SummaryCodec<VcCoresetOutput>::encode(coreset, writer);
-  }
-}
-
-std::vector<VcCoresetOutput> SummaryCodec<std::vector<VcCoresetOutput>>::decode(
-    WireReader& reader) {
-  const std::uint64_t count = reader.u64();
-  // Each nested coreset needs at least its fixed-size length fields.
-  if (count > reader.remaining() / (4 + 8 + 8)) {
-    wire_fail(
-        "vc coreset batch claims %llu coresets but only %zu payload bytes "
-        "remain",
-        static_cast<unsigned long long>(count), reader.remaining());
-  }
-  std::vector<VcCoresetOutput> batch;
-  batch.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    batch.push_back(SummaryCodec<VcCoresetOutput>::decode(reader));
-  }
-  return batch;
-}
-
-void SummaryCodec<GroupedVcSummary>::encode(const GroupedVcSummary& summary,
-                                            WireWriter& writer) {
-  SummaryCodec<VcCoresetOutput>::encode(summary.core, writer);
-  writer.u64(summary.pinned_groups.size());
-  for (const VertexId group : summary.pinned_groups) writer.u32(group);
 }
 
 PieceDeliveryView decode_piece_frame_view(const FrameHeader& header,
@@ -353,14 +267,6 @@ void encode_piece_frame_prefix(std::size_t num_edges, VertexId num_vertices,
                                const std::array<std::uint64_t, 4>& rng_state,
                                std::uint32_t round, std::uint32_t machine,
                                std::uint8_t* out) {
-  std::vector<std::uint8_t> bytes(kFrameHeaderBytes, 0);
-  bytes.reserve(kPieceFramePrefixBytes);
-  WireWriter writer(bytes);
-  writer.u32(round);
-  for (const std::uint64_t word : rng_state) writer.u64(word);
-  writer.u32(num_vertices);
-  writer.u64(num_edges);
-  RCC_CHECK(bytes.size() == kPieceFramePrefixBytes);
   const std::uint64_t payload =
       (kPieceFramePrefixBytes - kFrameHeaderBytes) + 8 * num_edges;
   if (payload > kMaxFramePayloadBytes) {
@@ -368,22 +274,23 @@ void encode_piece_frame_prefix(std::size_t num_edges, VertexId num_vertices,
               machine, static_cast<unsigned long long>(payload));
   }
   encode_frame_header(
-      FrameHeader{SummaryShape::kPieceDelivery, machine, payload},
-      bytes.data());
-  std::memcpy(out, bytes.data(), kPieceFramePrefixBytes);
+      FrameHeader{SummaryShape::kPieceDelivery, machine, payload}, out);
+  std::uint8_t* p = put(out + kFrameHeaderBytes, round);
+  for (const std::uint64_t word : rng_state) p = put(p, word);
+  p = put(p, num_vertices);
+  put(p, static_cast<std::uint64_t>(num_edges));
 }
 
 GatherFrame::GatherFrame(const EdgeList& summary, std::uint32_t machine) {
-  begin(summary, SummaryShape::kEdgeList, machine, 0);
+  begin(summary, SummaryCodec<EdgeList>::kShape, machine, 0);
 }
 
 GatherFrame::GatherFrame(const VcCoresetOutput& summary,
                          std::uint32_t machine) {
   const std::vector<VertexId>& fixed = summary.fixed_vertices;
-  begin(summary.residual_edges, SummaryShape::kVcCoreset, machine,
+  begin(summary.residual_edges, SummaryCodec<VcCoresetOutput>::kShape, machine,
         fixed_count_.size() + sizeof(VertexId) * fixed.size());
-  const std::uint64_t count = fixed.size();
-  std::memcpy(fixed_count_.data(), &count, sizeof count);
+  put(fixed_count_.data(), static_cast<std::uint64_t>(fixed.size()));
   add(fixed_count_.data(), fixed_count_.size());
   add(fixed.data(), sizeof(VertexId) * fixed.size());
 }
@@ -397,10 +304,8 @@ void GatherFrame::begin(const EdgeList& edges, SummaryShape shape,
               machine, static_cast<unsigned long long>(payload));
   }
   encode_frame_header(FrameHeader{shape, machine, payload}, head_.data());
-  const VertexId n = edges.num_vertices();
-  const std::uint64_t m = edges.num_edges();
-  std::memcpy(head_.data() + kFrameHeaderBytes, &n, sizeof n);
-  std::memcpy(head_.data() + kFrameHeaderBytes + sizeof n, &m, sizeof m);
+  std::uint8_t* p = put(head_.data() + kFrameHeaderBytes, edges.num_vertices());
+  put(p, static_cast<std::uint64_t>(edges.num_edges()));
   add(head_.data(), head_.size());
   add(edges.edges().data(), sizeof(Edge) * edges.num_edges());
 }
@@ -415,30 +320,6 @@ std::vector<std::uint8_t> encode_shutdown_frame(std::uint32_t machine) {
   encode_frame_header(FrameHeader{SummaryShape::kShutdown, machine, 0},
                       bytes.data());
   return bytes;
-}
-
-GroupedVcSummary SummaryCodec<GroupedVcSummary>::decode(WireReader& reader) {
-  GroupedVcSummary summary;
-  summary.core = SummaryCodec<VcCoresetOutput>::decode(reader);
-  // Pinned group ids live in the same contracted universe as the core.
-  const VertexId n_groups = summary.core.residual_edges.num_vertices();
-  const std::uint64_t pinned = reader.u64();
-  if (pinned > reader.remaining() / 4) {
-    wire_fail(
-        "grouped vc summary claims %llu pinned groups but only %zu payload "
-        "bytes remain",
-        static_cast<unsigned long long>(pinned), reader.remaining());
-  }
-  summary.pinned_groups.reserve(static_cast<std::size_t>(pinned));
-  for (std::uint64_t i = 0; i < pinned; ++i) {
-    const VertexId group = reader.u32();
-    if (group >= n_groups) {
-      wire_fail("pinned group %llu = %u leaves the %u-group universe",
-                static_cast<unsigned long long>(i), group, n_groups);
-    }
-    summary.pinned_groups.push_back(group);
-  }
-  return summary;
 }
 
 }  // namespace rcc

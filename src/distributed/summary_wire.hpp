@@ -13,10 +13,11 @@
 //       12     4  reserved       must be 0
 //       16     8  payload_bytes  payload length (<= kMaxFramePayloadBytes)
 //
-// All scalars are little-endian; doubles travel as their IEEE-754 bit
-// pattern in a u64, so weighted summaries round-trip BIT-identically (the
-// seed-for-seed differential depends on that — a decimal detour would
-// perturb the weighted merge).
+// All scalars are little-endian. Two summary shapes cross a process: an
+// edge list (Theorem 1's matching coreset, filtering's sample) and a VC
+// coreset (Theorem 2's peeling summary). Each has one encoder, GatherFrame,
+// and one decoder, SummaryCodec<T>::adopt; encode_frame and
+// decode_frame_payload are thin wrappers over those two.
 //
 // Error philosophy matches the rest of the library: a malformed frame
 // (bad magic, version skew, truncation, oversize, trailing bytes,
@@ -36,7 +37,6 @@
 #include <vector>
 
 #include "coreset/coreset.hpp"
-#include "coreset/weighted_coreset.hpp"
 #include "graph/edge_list.hpp"
 #include "util/types.hpp"
 
@@ -54,17 +54,16 @@ inline constexpr std::size_t kFrameHeaderBytes = 24;
 /// piece, so anything beyond 1 GiB is a corrupt length field, not data.
 inline constexpr std::uint64_t kMaxFramePayloadBytes = std::uint64_t{1} << 30;
 
-/// Payload tag of a frame: one per summary type a round-combiner sends,
+/// Payload tag of a frame: one per summary type that crosses a process,
 /// plus the coordinator->worker frames of the worker host (pieces ride the
 /// same versioned framing as summaries, so one header decoder and one
 /// validation funnel serve both directions).
 enum class SummaryShape : std::uint16_t {
   kEdgeList = 1,       // coreset matching / filtering rounds
   kVcCoreset = 2,      // vertex cover: residual edges + fixed vertices
-  kWeightedEdges = 3,  // Crouch-Stubbs weighted matching coreset
-  // 4 is retired (the augmenting-path batch); the decoder rejects it.
-  kVcCoresetBatch = 5, // weighted VC: one VcCoresetOutput per weight level
-  kGroupedVc = 6,      // grouped VC: core coreset + pinned group ids
+  // 3-6 are retired: weighted edges, the augmenting-path batch, the VC
+  // coreset batch and grouped VC. The header decoder rejects them, and
+  // they are never reused.
   kPieceDelivery = 7,  // downlink: one round's piece + forked RNG stream
   kShutdown = 8,       // downlink: worker exit handshake (empty)
 };
@@ -73,81 +72,6 @@ enum class SummaryShape : std::uint16_t {
 /// decode-side validation funnels through here so malformed input dies with
 /// a diagnostic instead of corrupting a fold.
 [[noreturn]] void wire_fail(const char* fmt, ...);
-
-/// Appends little-endian scalars to a byte buffer. Encoding never fails —
-/// writers serialize in-memory values that already satisfy the library's
-/// invariants.
-class WireWriter {
- public:
-  explicit WireWriter(std::vector<std::uint8_t>& out) : out_(&out) {}
-
-  void u32(std::uint32_t v) { append(&v, sizeof v); }
-  void u64(std::uint64_t v) { append(&v, sizeof v); }
-  /// IEEE-754 bit pattern via u64: bit-exact, NaN payloads included.
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
-
- private:
-  void append(const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const std::uint8_t*>(data);
-    out_->insert(out_->end(), bytes, bytes + size);
-  }
-  std::vector<std::uint8_t>* out_;
-};
-
-/// Cursor over a received payload. Reading past the end is a truncated
-/// frame: wire_fail, not UB.
-class WireReader {
- public:
-  WireReader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  std::uint32_t u32() {
-    std::uint32_t v;
-    std::memcpy(&v, bytes(sizeof v, "u32"), sizeof v);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v;
-    std::memcpy(&v, bytes(sizeof v, "u64"), sizeof v);
-    return v;
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-
-  /// Consumes the next `size` bytes and returns them in place; fewer left
-  /// is a truncated frame (`what` names the field in the diagnostic).
-  const std::uint8_t* bytes(std::size_t size, const char* what);
-
-  std::size_t remaining() const { return size_ - cursor_; }
-
- private:
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t cursor_ = 0;
-};
-
-/// Shape tag + byte-level codec for one summary type. Specializations are
-/// the single source of truth for each payload layout; encode and decode
-/// are exact inverses (decode(encode(s)) is bit-identical to s).
-template <typename T>
-struct SummaryCodec;  // specialized per summary shape below
-
-/// A summary type the cross-process transports can carry.
-template <typename T>
-concept WireSerializable =
-    requires(const T& value, WireWriter& writer, WireReader& reader) {
-      { SummaryCodec<T>::kShape } -> std::convertible_to<SummaryShape>;
-      SummaryCodec<T>::encode(value, writer);
-      { SummaryCodec<T>::decode(reader) } -> std::same_as<T>;
-    };
 
 /// Decoded frame header; `payload_bytes` bytes of payload follow on the wire.
 struct FrameHeader {
@@ -179,55 +103,6 @@ struct ReadyFrame {
   std::vector<Edge> payload;  // size() bytes, rounded up to whole records
 };
 
-template <>
-struct SummaryCodec<EdgeList> {
-  static constexpr SummaryShape kShape = SummaryShape::kEdgeList;
-  // Layout: u32 num_vertices, u64 num_edges, then (u32 u, u32 v) per edge.
-  static void encode(const EdgeList& list, WireWriter& writer);
-  static EdgeList decode(WireReader& reader);
-  /// decode_frame's path: the list adopts the frame's storage.
-  static EdgeList adopt(ReadyFrame&& frame);
-};
-
-template <>
-struct SummaryCodec<VcCoresetOutput> {
-  static constexpr SummaryShape kShape = SummaryShape::kVcCoreset;
-  // Layout: EdgeList residual, u64 fixed count, u32 per fixed vertex.
-  static void encode(const VcCoresetOutput& coreset, WireWriter& writer);
-  static VcCoresetOutput decode(WireReader& reader);
-  /// decode_frame's path: the residual list adopts the frame's storage.
-  static VcCoresetOutput adopt(ReadyFrame&& frame);
-};
-
-template <>
-struct SummaryCodec<WeightedCoresetOutput> {
-  static constexpr SummaryShape kShape = SummaryShape::kWeightedEdges;
-  // Layout: u32 num_vertices, u64 num_edges, then (u32, u32, f64-bits).
-  static void encode(const WeightedCoresetOutput& coreset, WireWriter& writer);
-  static WeightedCoresetOutput decode(WireReader& reader);
-};
-
-template <>
-struct SummaryCodec<std::vector<VcCoresetOutput>> {
-  static constexpr SummaryShape kShape = SummaryShape::kVcCoresetBatch;
-  // Layout: u64 coreset count, then each VcCoresetOutput as above.
-  static void encode(const std::vector<VcCoresetOutput>& batch,
-                     WireWriter& writer);
-  static std::vector<VcCoresetOutput> decode(WireReader& reader);
-};
-
-struct GroupedVcSummary;  // distributed/protocols.hpp
-
-template <>
-struct SummaryCodec<GroupedVcSummary> {
-  static constexpr SummaryShape kShape = SummaryShape::kGroupedVc;
-  // Layout: VcCoresetOutput core (in the contracted group universe — its
-  // residual edge list's num_vertices IS the group count), u64 pinned-group
-  // count, u32 per pinned group id.
-  static void encode(const GroupedVcSummary& summary, WireWriter& writer);
-  static GroupedVcSummary decode(WireReader& reader);
-};
-
 /// Frame header plus the fixed head of a kPieceDelivery payload (round, rng
 /// state, num_vertices, num_edges): everything before the edge records.
 inline constexpr std::size_t kPieceFramePrefixBytes =
@@ -239,16 +114,19 @@ struct FrameSegment {
   std::size_t size = 0;
 };
 
-/// A bulk summary frame laid out for a gather write — the uplink
-/// counterpart of encode_piece_frame_prefix. The fixed-width fields are
-/// staged in this object; the edge records and fixed vertices are pointed
-/// at in the summary's own storage (the wire's u32 records are their memory
-/// layout), so a worker writes its summary with no frame-sized staging
-/// copy. The segments back to back are byte-identical to encode_frame over
-/// the same summary. Borrows the summary, which must outlive the frame.
+/// The one encoder of a summary frame, laid out for a gather write — the
+/// uplink counterpart of encode_piece_frame_prefix. The fixed-width fields
+/// are staged in this object; the edge records and fixed vertices are
+/// pointed at in the summary's own storage (the wire's u32 records are
+/// their memory layout), so a worker writes its summary with no frame-sized
+/// staging copy. Borrows the summary, which must outlive the frame.
 class GatherFrame {
  public:
+  /// kEdgeList payload: u32 num_vertices, u64 num_edges, then (u32 u,
+  /// u32 v) per edge.
   GatherFrame(const EdgeList& summary, std::uint32_t machine);
+  /// kVcCoreset payload: the residual edge list laid out as above, u64
+  /// fixed count, u32 per fixed vertex.
   GatherFrame(const VcCoresetOutput& summary, std::uint32_t machine);
   GatherFrame(const GatherFrame&) = delete;  // segments point into it
   GatherFrame& operator=(const GatherFrame&) = delete;
@@ -270,10 +148,35 @@ class GatherFrame {
   std::size_t count_ = 0;
 };
 
-/// A summary type with a gather layout (GatherFrame).
+/// The one decoder of a summary shape: its tag, and adopt(), which checks a
+/// received frame (shape, lengths, ids, exact consumption) and hands the
+/// frame's storage to the summary's edge list. The records move over the
+/// list's 12-byte prefix in place, normalized to u < v as they go, so a
+/// decode allocates no second edge buffer and copies no record out of the
+/// frame.
 template <typename T>
-concept GatherWritable =
-    std::constructible_from<GatherFrame, const T&, std::uint32_t>;
+struct SummaryCodec;
+
+template <>
+struct SummaryCodec<EdgeList> {
+  static constexpr SummaryShape kShape = SummaryShape::kEdgeList;
+  static EdgeList adopt(ReadyFrame&& frame);
+};
+
+template <>
+struct SummaryCodec<VcCoresetOutput> {
+  static constexpr SummaryShape kShape = SummaryShape::kVcCoreset;
+  static VcCoresetOutput adopt(ReadyFrame&& frame);
+};
+
+/// A summary type the cross-process transports can carry: an EdgeList or a
+/// VcCoresetOutput.
+template <typename T>
+concept WireSerializable =
+    std::constructible_from<GatherFrame, const T&, std::uint32_t> &&
+    requires(ReadyFrame&& frame) {
+      { SummaryCodec<T>::adopt(std::move(frame)) } -> std::same_as<T>;
+    };
 
 /// Writes the header + fixed payload prefix of a piece frame into `out`
 /// (kPieceFramePrefixBytes of space). The num_edges * 8 edge bytes follow
@@ -281,7 +184,7 @@ concept GatherWritable =
 /// memory layout — so a sender streams the shard span itself as the frame
 /// body with no staging copy. The kPieceDelivery payload is u32 round,
 /// 4 x u64 rng state (the machine RNG stream the coordinator forked for
-/// this round), then an EdgeList piece laid out as in SummaryCodec<EdgeList>.
+/// this round), then an edge list piece laid out as a kEdgeList payload.
 void encode_piece_frame_prefix(std::size_t num_edges, VertexId num_vertices,
                                const std::array<std::uint64_t, 4>& rng_state,
                                std::uint32_t round, std::uint32_t machine,
@@ -301,10 +204,10 @@ FrameHeader decode_frame_header(const std::uint8_t* bytes);
 /// Zero-copy view of a received kPieceDelivery payload: `edges` points INTO
 /// the frame payload (the wire's (u32 u, u32 v) records are Edge's memory
 /// layout, asserted in the codec), so a worker reads its piece
-/// without materializing an owning EdgeList. Runs the checks of
-/// SummaryCodec<EdgeList>::decode — ids in range, no self-loops — plus exact
-/// payload consumption, just without the copy. The view borrows the payload
-/// buffer: it is valid only while the frame it was decoded from lives.
+/// without materializing an owning EdgeList. Runs the edge list decoder's
+/// checks — ids in range, no self-loops — plus exact payload consumption,
+/// just without taking the storage. The view borrows the payload buffer: it
+/// is valid only while the frame it was decoded from lives.
 struct PieceDeliveryView {
   std::uint32_t round = 0;
   std::array<std::uint64_t, 4> rng_state{};
@@ -315,63 +218,41 @@ struct PieceDeliveryView {
 
 /// Decodes and validates a piece frame as a borrowing view (shape-checked
 /// against kPieceDelivery; wire_fails on any violation, like
-/// decode_frame_payload).
+/// decode_frame).
 PieceDeliveryView decode_piece_frame_view(const FrameHeader& header,
                                           const std::uint8_t* payload);
 
-/// Encodes one complete frame (header + payload) ready for send_all.
+/// Encodes one complete frame (header + payload) into one buffer: the
+/// GatherFrame's segments back to back.
 template <WireSerializable T>
 std::vector<std::uint8_t> encode_frame(const T& summary,
                                        std::uint32_t machine) {
-  std::vector<std::uint8_t> bytes(kFrameHeaderBytes, 0);
-  WireWriter writer(bytes);
-  SummaryCodec<T>::encode(summary, writer);
-  const std::uint64_t payload = bytes.size() - kFrameHeaderBytes;
-  if (payload > kMaxFramePayloadBytes) {
-    wire_fail("machine %u summary payload (%llu bytes) exceeds the frame cap",
-              machine, static_cast<unsigned long long>(payload));
+  const GatherFrame frame(summary, machine);
+  std::size_t size = 0;
+  for (const FrameSegment& segment : frame.segments()) size += segment.size;
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(size);
+  for (const FrameSegment& segment : frame.segments()) {
+    bytes.insert(bytes.end(), segment.data, segment.data + segment.size);
   }
-  encode_frame_header(FrameHeader{SummaryCodec<T>::kShape, machine, payload},
-                      bytes.data());
   return bytes;
 }
 
-/// wire_fails unless `header` carries the `expected` shape tag.
-void expect_shape(const FrameHeader& header, SummaryShape expected);
-
-/// wire_fails when a decode left `remaining` of the header's payload
-/// bytes unread (trailing bytes are a framing error).
-void expect_consumed(const FrameHeader& header, std::size_t remaining);
-
-/// Decodes a received payload against a validated header: the shape must
-/// match T's and the payload must be consumed exactly.
-template <WireSerializable T>
-T decode_frame_payload(const FrameHeader& header, const std::uint8_t* data) {
-  expect_shape(header, SummaryCodec<T>::kShape);
-  WireReader reader(data, static_cast<std::size_t>(header.payload_bytes));
-  T value = SummaryCodec<T>::decode(reader);
-  expect_consumed(header, reader.remaining());
-  return value;
-}
-
-/// A summary type whose decoder can adopt a received frame's storage.
-template <typename T>
-concept FrameAdoptable = requires(ReadyFrame&& frame) {
-  { SummaryCodec<T>::adopt(std::move(frame)) } -> std::same_as<T>;
-};
-
-/// Decodes a received frame: the checks, diagnostics and result of
-/// decode_frame_payload. An EdgeList or VcCoresetOutput takes the frame's
-/// storage as its (residual) edge list: the records move over the list's
-/// 12-byte prefix in place, normalized as they go, so the decode allocates
-/// no second edge buffer and copies no record out of the frame.
+/// Decodes a received frame through T's decoder; wire_fails on any
+/// violation, shape mismatch and trailing bytes included.
 template <WireSerializable T>
 T decode_frame(ReadyFrame&& frame) {
-  if constexpr (FrameAdoptable<T>) {
-    return SummaryCodec<T>::adopt(std::move(frame));
-  } else {
-    return decode_frame_payload<T>(frame.header, frame.bytes());
-  }
+  return SummaryCodec<T>::adopt(std::move(frame));
+}
+
+/// Decodes a payload that lies in the caller's storage against a validated
+/// header: the payload is copied into a ReadyFrame and decoded by
+/// decode_frame, so its checks, diagnostics and result are that path's.
+template <WireSerializable T>
+T decode_frame_payload(const FrameHeader& header, const std::uint8_t* data) {
+  ReadyFrame frame(header);
+  if (frame.size() != 0) std::memcpy(frame.bytes(), data, frame.size());
+  return decode_frame<T>(std::move(frame));
 }
 
 }  // namespace rcc

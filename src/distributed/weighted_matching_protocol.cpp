@@ -28,7 +28,7 @@ struct WeightedMatchingPhases {
 
 WeightedMatchingProtocolResult weighted_matching_protocol(
     WeightedEdgeSource graph, std::size_t k, VertexId left_size, Rng& rng,
-    ThreadPool* pool, double class_base, const StreamingOptions& streaming) {
+    ThreadPool* pool, double class_base) {
   const WeightedMatchingPhases phases{class_base};
   const auto combine = [&](std::vector<WeightedCoresetOutput>& summaries,
                            Rng& /*coordinator_rng*/) {
@@ -39,7 +39,7 @@ WeightedMatchingProtocolResult weighted_matching_protocol(
   WeightedMatchingProtocolResult result;
   static_cast<ProtocolResult<Matching, WeightedCoresetOutput>&>(result) =
       run_protocol(graph, k, left_size, rng, pool, phases.build(),
-                   &WeightedMatchingPhases::account, combine, streaming);
+                   &WeightedMatchingPhases::account, combine);
   result.matching_weight = matching_weight(result.solution, graph.edges());
   for (const WeightedCoresetOutput& s : result.summaries) {
     result.max_classes_per_machine =

@@ -23,7 +23,6 @@ struct WeightedMatchingProtocolResult
 
 WeightedMatchingProtocolResult weighted_matching_protocol(
     WeightedEdgeSource graph, std::size_t k, VertexId left_size, Rng& rng,
-    ThreadPool* pool = nullptr, double class_base = 2.0,
-    const StreamingOptions& streaming = {});
+    ThreadPool* pool = nullptr, double class_base = 2.0);
 
 }  // namespace rcc

@@ -68,9 +68,10 @@ struct WeightedVcPhases {
 
 }  // namespace
 
-WeightedVcProtocolResult weighted_vc_protocol(
-    EdgeSource graph, const VertexWeights& weights, std::size_t k, Rng& rng,
-    ThreadPool* pool, const StreamingOptions& streaming) {
+WeightedVcProtocolResult weighted_vc_protocol(EdgeSource graph,
+                                              const VertexWeights& weights,
+                                              std::size_t k, Rng& rng,
+                                              ThreadPool* pool) {
   const WeightedVcPhases phases(graph, weights);
 
   // Coordinator: union the fixed vertices and the residual edges of every
@@ -98,7 +99,7 @@ WeightedVcProtocolResult weighted_vc_protocol(
   static_cast<ProtocolResult<VertexCover, std::vector<VcCoresetOutput>>&>(
       result) = run_protocol(graph, k, /*left_size=*/0, rng, pool,
                              phases.build(), &WeightedVcPhases::account,
-                             combine, streaming);
+                             combine);
   result.cover_cost = cover_weight(result.solution, phases.weights);
   result.weight_classes = static_cast<std::size_t>(phases.num_classes);
   return result;

@@ -35,8 +35,9 @@ struct WeightedVcProtocolResult
   std::size_t weight_classes = 0;
 };
 
-WeightedVcProtocolResult weighted_vc_protocol(
-    EdgeSource graph, const VertexWeights& weights, std::size_t k, Rng& rng,
-    ThreadPool* pool = nullptr, const StreamingOptions& streaming = {});
+WeightedVcProtocolResult weighted_vc_protocol(EdgeSource graph,
+                                              const VertexWeights& weights,
+                                              std::size_t k, Rng& rng,
+                                              ThreadPool* pool = nullptr);
 
 }  // namespace rcc

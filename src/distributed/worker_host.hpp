@@ -70,9 +70,11 @@ class WorkerHost;
 
 /// How the machine phase reaches the coordinator.
 struct StreamingOptions {
-  /// Where the machine phase runs. kSocket and kShm require a
-  /// WireSerializable summary type and ignore the thread pool — the worker
-  /// processes are the parallelism.
+  /// Where the machine phase runs. kSocket and kShm take Edge pieces and a
+  /// summary with a wire layout (WireSerializable: an EdgeList or a
+  /// VcCoresetOutput), so they serve the coreset matching and VC protocols,
+  /// the coreset MPC drivers and filtering; they ignore the thread pool —
+  /// the worker processes are the parallelism.
   EngineTransport transport = EngineTransport::kInproc;
   /// Deadline of every coordinator wait and of a worker's mid-frame waits.
   /// A worker silent this long fails the run with its machine id.

@@ -6,9 +6,10 @@
 //       in-process run, sequential and pooled — exact solutions, word-exact
 //       communication ledgers, per-machine summary sizes, round counts, and
 //       the caller's RNG stream position — across a generator x seed x k
-//       grid for every single-round protocol driver (matching, VC, grouped
-//       VC, both weighted drivers) and every multi-round combiner (coreset
-//       matching, coreset VC, filtering),
+//       grid for every protocol whose summary has a wire layout: the
+//       single-round coreset matching and VC drivers and every multi-round
+//       combiner (coreset matching, coreset VC, filtering); a build whose
+//       summary has none dies at the engine's guard before forking,
 //   (b) transport telemetry reports what actually crossed the process
 //       boundary: k frames, framed bytes >= k headers (byte-identical
 //       between socket and shm — same summary_wire frames), kInproc
@@ -30,6 +31,7 @@
 //       worker is a failed run, not a recoverable condition.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
 #include <sys/mman.h>
 #include <sys/resource.h>
 #include <unistd.h>
@@ -46,8 +48,6 @@
 #include "distributed/protocol.hpp"
 #include "distributed/protocols.hpp"
 #include "distributed/summary_wire.hpp"
-#include "distributed/weighted_matching_protocol.hpp"
-#include "distributed/weighted_vc_protocol.hpp"
 #include "distributed/worker_host.hpp"
 #include "graph/generators.hpp"
 #include "mpc/coreset_mpc.hpp"
@@ -199,120 +199,6 @@ TEST(DistributedTransport, VcProtocolMatchesInprocSeedForSeed) {
       expect_socket_telemetry(socket, k);
       expect_shm_telemetry(shm, socket, k);
     }
-  }
-}
-
-TEST(DistributedTransport, GroupedVcProtocolMatchesInprocSeedForSeed) {
-  // kGroupedVc on the wire: core coreset in the contracted group universe
-  // plus the machine's pinned group ids.
-  ThreadPool pool(4);
-  for (std::uint64_t seed : {7u, 8u}) {
-    Rng gen(seed);
-    const EdgeList el = gnp(240, 6.0 / 240, gen);
-    for (const std::size_t k : {4u, 6u}) {
-      for (const double alpha : {26.0, 96.0}) {
-        Rng barrier_rng(seed);
-        const GroupedVcProtocolResult barrier =
-            grouped_vc_protocol(el, k, alpha, barrier_rng);
-        Rng inproc_rng(seed);
-        const GroupedVcProtocolResult inproc =
-            grouped_vc_protocol(el, k, alpha, inproc_rng, &pool);
-        Rng socket_rng(seed);
-        const GroupedVcProtocolResult socket = grouped_vc_protocol(
-            el, k, alpha, socket_rng, /*pool=*/nullptr, socket_options());
-        Rng shm_rng(seed);
-        const GroupedVcProtocolResult shm = grouped_vc_protocol(
-            el, k, alpha, shm_rng, /*pool=*/nullptr, shm_options());
-
-        EXPECT_EQ(barrier.solution.vertices(), socket.solution.vertices())
-            << "seed=" << seed << " k=" << k << " alpha=" << alpha;
-        EXPECT_EQ(inproc.solution.vertices(), socket.solution.vertices());
-        EXPECT_EQ(barrier.solution.vertices(), shm.solution.vertices());
-        EXPECT_EQ(barrier.comm.total_words(), socket.comm.total_words());
-        EXPECT_EQ(barrier.comm.total_words(), shm.comm.total_words());
-        ASSERT_EQ(barrier.summaries.size(), socket.summaries.size());
-        ASSERT_EQ(barrier.summaries.size(), shm.summaries.size());
-        for (std::size_t i = 0; i < k; ++i) {
-          // The combine moves the core out of the retained summary; the
-          // pinned groups stay behind and must have crossed the wire intact.
-          EXPECT_EQ(barrier.summaries[i].pinned_groups,
-                    socket.summaries[i].pinned_groups);
-          EXPECT_EQ(barrier.summaries[i].pinned_groups,
-                    shm.summaries[i].pinned_groups);
-        }
-        const std::uint64_t expected = barrier_rng.next_u64();
-        EXPECT_EQ(expected, inproc_rng.next_u64());
-        EXPECT_EQ(expected, socket_rng.next_u64());
-        EXPECT_EQ(expected, shm_rng.next_u64());
-        expect_socket_telemetry(socket, k);
-        expect_shm_telemetry(shm, socket, k);
-      }
-    }
-  }
-}
-
-TEST(DistributedTransport, WeightedDriversMatchInprocSeedForSeed) {
-  // Covers the two remaining wire shapes: kWeightedEdges (bit-exact doubles
-  // through the frame) and kVcCoresetBatch (one coreset per weight class).
-  for (std::uint64_t seed : {5u, 6u}) {
-    Rng gen(seed);
-    WeightedEdgeList w;
-    w.num_vertices = 120;
-    for (int i = 0; i < 700; ++i) {
-      const auto u = static_cast<VertexId>(gen.next_below(119));
-      w.add(u, static_cast<VertexId>(u + 1), gen.uniform_real(0.5, 16.0));
-    }
-    constexpr std::size_t k = 5;
-
-    Rng barrier_rng(seed);
-    const WeightedMatchingProtocolResult barrier =
-        weighted_matching_protocol(w, k, 0, barrier_rng);
-    Rng socket_rng(seed);
-    const WeightedMatchingProtocolResult socket =
-        weighted_matching_protocol(w, k, 0, socket_rng, /*pool=*/nullptr,
-                                   /*class_base=*/2.0, socket_options());
-    Rng shm_rng(seed);
-    const WeightedMatchingProtocolResult shm =
-        weighted_matching_protocol(w, k, 0, shm_rng, /*pool=*/nullptr,
-                                   /*class_base=*/2.0, shm_options());
-    EXPECT_EQ(sorted_edges(barrier.solution), sorted_edges(socket.solution));
-    EXPECT_EQ(sorted_edges(barrier.solution), sorted_edges(shm.solution));
-    EXPECT_EQ(barrier.matching_weight, socket.matching_weight)
-        << "weights must cross the wire bit-exactly";
-    EXPECT_EQ(barrier.matching_weight, shm.matching_weight);
-    EXPECT_EQ(barrier.comm.total_words(), socket.comm.total_words());
-    EXPECT_EQ(barrier.comm.total_words(), shm.comm.total_words());
-    EXPECT_EQ(barrier.max_classes_per_machine, socket.max_classes_per_machine);
-    EXPECT_EQ(barrier.max_classes_per_machine, shm.max_classes_per_machine);
-    const std::uint64_t expected = barrier_rng.next_u64();
-    EXPECT_EQ(expected, socket_rng.next_u64());
-    EXPECT_EQ(expected, shm_rng.next_u64());
-    expect_socket_telemetry(socket, k);
-    expect_shm_telemetry(shm, socket, k);
-
-    const EdgeList el = gnp(180, 0.05, gen);
-    VertexWeights weights(el.num_vertices());
-    for (double& x : weights) x = gen.uniform_real(1.0, 64.0);
-    Rng vc_barrier_rng(seed);
-    const WeightedVcProtocolResult vc_barrier =
-        weighted_vc_protocol(el, weights, k, vc_barrier_rng);
-    Rng vc_socket_rng(seed);
-    const WeightedVcProtocolResult vc_socket = weighted_vc_protocol(
-        el, weights, k, vc_socket_rng, /*pool=*/nullptr, socket_options());
-    Rng vc_shm_rng(seed);
-    const WeightedVcProtocolResult vc_shm = weighted_vc_protocol(
-        el, weights, k, vc_shm_rng, /*pool=*/nullptr, shm_options());
-    EXPECT_EQ(vc_barrier.solution.vertices(), vc_socket.solution.vertices());
-    EXPECT_EQ(vc_barrier.solution.vertices(), vc_shm.solution.vertices());
-    EXPECT_EQ(vc_barrier.cover_cost, vc_socket.cover_cost);
-    EXPECT_EQ(vc_barrier.cover_cost, vc_shm.cover_cost);
-    EXPECT_EQ(vc_barrier.weight_classes, vc_socket.weight_classes);
-    EXPECT_EQ(vc_barrier.weight_classes, vc_shm.weight_classes);
-    const std::uint64_t vc_expected = vc_barrier_rng.next_u64();
-    EXPECT_EQ(vc_expected, vc_socket_rng.next_u64());
-    EXPECT_EQ(vc_expected, vc_shm_rng.next_u64());
-    expect_socket_telemetry(vc_socket, k);
-    expect_shm_telemetry(vc_shm, vc_socket, k);
   }
 }
 
@@ -870,6 +756,43 @@ TEST_P(TransportDeathTest, FrameNamingForeignMachineDiesNamingBoth) {
         (void)host.next_ready();
       },
       dies_with("frame on machine 1's channel names machine 0"));
+}
+
+TEST_P(TransportDeathTest, SummaryWithoutWireLayoutDiesBeforeForking) {
+  // A count has no wire layout, so the engine's guard must stop the run
+  // before any worker exists, whether the run would keep one host or fork
+  // per round. A fork would trip the prepare handler's own diagnostic
+  // first, which the expected message does not match.
+  Rng gen(37);
+  const EdgeList el = gnp(120, 0.05, gen);
+  const auto build = [](EdgeSpan piece, const PartitionContext&, Rng&) {
+    return piece.num_edges();
+  };
+  const auto account = [](std::size_t) { return MessageSize{0, 1}; };
+  struct RecirculatingFold {
+    void absorb(std::size_t&, std::size_t, MpcRoundContext&) {}
+    EdgeList finish(std::vector<std::size_t>&, MpcRoundContext& ctx, Rng&) {
+      return ctx.active_edges().to_edge_list();
+    }
+  } fold;
+  for (const bool keep_host : {false, true}) {
+    MpcEngineConfig cfg = config(el, 2, /*timeout_ms=*/5000);
+    cfg.round_invariant_build = keep_host;
+    Rng rng(37);
+    EXPECT_DEATH(
+        {
+          ::pthread_atfork(
+              [] {
+                std::fputs("a worker was forked\n", stderr);
+                std::abort();
+              },
+              nullptr, nullptr);
+          (void)run_mpc_rounds(el, cfg, 0, rng, nullptr, build, account,
+                               fold);
+        },
+        "RCC_CHECK failed: .*cross-process engine transports require Edge "
+        "pieces and .*a wire-serializable summary");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

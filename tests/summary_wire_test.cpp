@@ -1,39 +1,50 @@
 // Wire format of machine summaries (distributed/summary_wire.hpp):
 //
-//   (a) round-trip: decode(encode(s)) is IDENTICAL to s for every summary
-//       shape the transport carries, over a generator x seed grid — doubles
-//       bit-exactly (the weighted differential depends on it),
-//   (b) the frame header survives its own codec and self-describes the
-//       payload length,
+//   (a) golden bytes: literal frames pin both summary layouts (an edge
+//       list, a VC coreset without and with fixed vertices); encode_frame
+//       and GatherFrame reproduce them byte for byte, and
+//       decode_frame_payload and decode_frame read them back,
+//   (b) round-trip: decode(encode(s)) is IDENTICAL to s for both summary
+//       shapes over a generator x seed grid, and the frame header survives
+//       its own codec and self-describes the payload length,
 //   (c) the bulk paths: a piece frame sent as encode_piece_frame_prefix +
 //       the shard's raw edge bytes decodes through decode_piece_frame_view
-//       to the same piece, borrowed in place, and the uplink GatherFrame
-//       segments of an edge list or VC coreset are byte-identical to
-//       encode_frame, and decode_frame's adopting path gives what the
-//       copying decode gives while its edge list keeps the received storage,
+//       to the same piece, borrowed in place, and decode_frame's edge list
+//       keeps the received storage, (v, u) records normalized,
 //   (d) adversarial inputs DIE with a "summary wire:" diagnostic instead of
-//       reaching a fold: bad magic, version skew, unknown shape tag,
-//       nonzero reserved word, oversize payload claim, shape mismatch,
-//       truncation, trailing bytes, out-of-range ids, self-loops, negative,
-//       NaN and infinite weights, lying length prefixes, and piece frames
-//       whose edge count, ids or shape tag are wrong; the adopting decode
-//       dies with the copying decode's exact diagnostic, in the same order.
+//       reaching a fold: bad magic, version skew, unknown or retired shape
+//       tags, nonzero reserved word, oversize payload claim, shape
+//       mismatch, truncation, trailing bytes, out-of-range ids, self-loops,
+//       lying length prefixes, and piece frames whose edge count, ids or
+//       shape tag are wrong; the decoder's exact diagnostics and the order
+//       of its checks are pinned.
 #include "distributed/summary_wire.hpp"
 
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cmath>
 #include <cstring>
-#include <limits>
+#include <string>
+#include <type_traits>
 #include <vector>
 
-#include "distributed/protocols.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
 
 namespace rcc {
 namespace {
+
+/// Little-endian byte builder for hand-made payloads.
+struct Bytes {
+  Bytes& u32(std::uint32_t v) { return append(&v, sizeof v); }
+  Bytes& u64(std::uint64_t v) { return append(&v, sizeof v); }
+  Bytes& append(const void* data, std::size_t size) {
+    const auto* p = static_cast<const std::uint8_t*>(data);
+    bytes.insert(bytes.end(), p, p + size);
+    return *this;
+  }
+  std::vector<std::uint8_t> bytes;
+};
 
 /// Encodes `summary` as machine `machine` and decodes it through the same
 /// header-validation path the socket coordinator uses.
@@ -69,61 +80,11 @@ TEST(SummaryWire, VcCoresetRoundTrips) {
   EXPECT_EQ(back.fixed_vertices, coreset.fixed_vertices);
 }
 
-TEST(SummaryWire, WeightedEdgesRoundTripBitExactly) {
-  WeightedCoresetOutput coreset;
-  coreset.edges.num_vertices = 16;
-  // Weights chosen to catch any decimal detour: subnormal, non-representable
-  // fractions, huge magnitudes.
-  coreset.edges.edges = {{0, 1, 0.1}, {2, 3, 1.0 / 3.0},
-                         {4, 5, std::numeric_limits<double>::denorm_min()},
-                         {6, 7, 1e300}, {8, 9, 0.0}};
-  const WeightedCoresetOutput back = round_trip(coreset);
-  ASSERT_EQ(back.edges.edges.size(), coreset.edges.edges.size());
-  for (std::size_t i = 0; i < coreset.edges.edges.size(); ++i) {
-    EXPECT_EQ(back.edges.edges[i].u, coreset.edges.edges[i].u);
-    EXPECT_EQ(back.edges.edges[i].v, coreset.edges.edges[i].v);
-    std::uint64_t before, after;
-    std::memcpy(&before, &coreset.edges.edges[i].weight, sizeof before);
-    std::memcpy(&after, &back.edges.edges[i].weight, sizeof after);
-    EXPECT_EQ(before, after) << "weight bits drifted at edge " << i;
-  }
-}
-
-TEST(SummaryWire, VcCoresetBatchRoundTrips) {
-  Rng rng(11);
-  std::vector<VcCoresetOutput> batch(3);
-  for (VcCoresetOutput& coreset : batch) {
-    coreset.residual_edges = gnp(50, 0.08, rng);
-    coreset.fixed_vertices = {1, 2, 49};
-  }
-  batch[1].fixed_vertices.clear();  // an empty class must survive too
-  const std::vector<VcCoresetOutput> back = round_trip(batch);
-  ASSERT_EQ(back.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(back[i].residual_edges.edges(), batch[i].residual_edges.edges());
-    EXPECT_EQ(back[i].fixed_vertices, batch[i].fixed_vertices);
-  }
-}
-
-TEST(SummaryWire, GroupedVcSummaryRoundTrips) {
-  Rng rng(13);
-  GroupedVcSummary summary;
-  summary.core.residual_edges = gnp(60, 0.06, rng);  // the group universe
-  summary.core.fixed_vertices = {2, 5, 59};
-  summary.pinned_groups = {0, 7, 41, 59};
-  const GroupedVcSummary back = round_trip(summary);
-  EXPECT_EQ(back.core.residual_edges.edges(),
-            summary.core.residual_edges.edges());
-  EXPECT_EQ(back.core.fixed_vertices, summary.core.fixed_vertices);
-  EXPECT_EQ(back.pinned_groups, summary.pinned_groups);
-}
-
 TEST(SummaryWire, EmptySummariesRoundTrip) {
   EXPECT_EQ(round_trip(EdgeList(0)).num_edges(), 0u);
-  EXPECT_TRUE(round_trip(std::vector<VcCoresetOutput>{}).empty());
-  const GroupedVcSummary empty_grouped = round_trip(GroupedVcSummary{});
-  EXPECT_EQ(empty_grouped.core.residual_edges.num_edges(), 0u);
-  EXPECT_TRUE(empty_grouped.pinned_groups.empty());
+  const VcCoresetOutput empty_vc = round_trip(VcCoresetOutput{});
+  EXPECT_EQ(empty_vc.residual_edges.num_edges(), 0u);
+  EXPECT_TRUE(empty_vc.fixed_vertices.empty());
 }
 
 /// A frame as the coordinator's reassembly hands it on: `header`, and the
@@ -144,17 +105,14 @@ const EdgeList& edges_of(const VcCoresetOutput& coreset) {
   return coreset.residual_edges;
 }
 
-/// decode_frame over `frame`, checked against the copying decode; the
-/// result's edge list must be the received storage itself.
+/// decode_frame over `frame`; the result's edge list must be the received
+/// storage itself.
 template <typename T>
 T adopted(const std::vector<std::uint8_t>& frame) {
   ReadyFrame ready = received(frame);
   const std::uint8_t* storage = ready.bytes();
-  const T copied = decode_frame_payload<T>(ready.header, ready.bytes());
   T value = decode_frame<T>(std::move(ready));
   const EdgeList& edges = edges_of(value);
-  EXPECT_EQ(edges.num_vertices(), edges_of(copied).num_vertices());
-  EXPECT_EQ(edges.edges(), edges_of(copied).edges());
   if (!edges.empty()) {
     EXPECT_EQ(reinterpret_cast<const std::uint8_t*>(edges.edges().data()),
               storage);
@@ -162,7 +120,90 @@ T adopted(const std::vector<std::uint8_t>& frame) {
   return value;
 }
 
-TEST(SummaryWire, AdoptingDecodeMatchesTheCopyingDecode) {
+/// GatherFrame's segments of `summary`, concatenated.
+template <typename T>
+std::vector<std::uint8_t> gathered(const T& summary, std::uint32_t machine) {
+  const GatherFrame frame(summary, machine);
+  std::vector<std::uint8_t> bytes;
+  for (const FrameSegment& segment : frame.segments()) {
+    bytes.insert(bytes.end(), segment.data, segment.data + segment.size);
+  }
+  return bytes;
+}
+
+// Golden frames: the wire format version 1 defines these bytes, so a change
+// to either summary layout fails here before it reaches a peer.
+
+/// EdgeList(6) {(0, 1), (2, 5), (3, 4)} from machine 3.
+const std::vector<std::uint8_t> kGoldenEdgeList = {
+    0x57, 0x43, 0x43, 0x52, 0x01, 0x00, 0x01, 0x00, 0x03, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x24, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x06, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x05, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00};
+
+/// VC coreset from machine 1: residual EdgeList(5) {(0, 2), (1, 3)}, no
+/// fixed vertices.
+const std::vector<std::uint8_t> kGoldenVc = {
+    0x57, 0x43, 0x43, 0x52, 0x01, 0x00, 0x02, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x24, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x05, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+
+/// VC coreset from machine 2: residual EdgeList(7) {(1, 2), (4, 6)}, fixed
+/// vertices {0, 3, 5}.
+const std::vector<std::uint8_t> kGoldenVcFixed = {
+    0x57, 0x43, 0x43, 0x52, 0x01, 0x00, 0x02, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x30, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x07, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+    0x06, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00};
+
+/// Both encoders of `summary` give `golden`, and both decoders read
+/// `golden` back to `summary`.
+template <typename T>
+void expect_golden(const T& summary, std::uint32_t machine,
+                   const std::vector<std::uint8_t>& golden) {
+  EXPECT_EQ(encode_frame(summary, machine), golden);
+  EXPECT_EQ(gathered(summary, machine), golden);
+  const FrameHeader header = decode_frame_header(golden.data());
+  EXPECT_EQ(header.shape, SummaryCodec<T>::kShape);
+  EXPECT_EQ(header.machine, machine);
+  for (const T& back :
+       {decode_frame_payload<T>(header, golden.data() + kFrameHeaderBytes),
+        adopted<T>(golden)}) {
+    EXPECT_EQ(edges_of(back).num_vertices(), edges_of(summary).num_vertices());
+    EXPECT_EQ(edges_of(back).edges(), edges_of(summary).edges());
+    if constexpr (std::is_same_v<T, VcCoresetOutput>) {
+      EXPECT_EQ(back.fixed_vertices, summary.fixed_vertices);
+    }
+  }
+}
+
+TEST(SummaryWire, GoldenFramesPinBothSummaryLayouts) {
+  EdgeList el(6);
+  el.add(0, 1);
+  el.add(5, 2);  // stored normalized, as (2, 5)
+  el.add(3, 4);
+  expect_golden(el, 3, kGoldenEdgeList);
+
+  VcCoresetOutput vc;
+  vc.residual_edges = EdgeList(5);
+  vc.residual_edges.add(0, 2);
+  vc.residual_edges.add(1, 3);
+  expect_golden(vc, 1, kGoldenVc);
+
+  VcCoresetOutput fixed;
+  fixed.residual_edges = EdgeList(7);
+  fixed.residual_edges.add(1, 2);
+  fixed.residual_edges.add(4, 6);
+  fixed.fixed_vertices = {0, 3, 5};
+  expect_golden(fixed, 2, kGoldenVcFixed);
+}
+
+TEST(SummaryWire, DecodeFrameAdoptsTheReceivedStorage) {
   for (std::uint32_t seed : {1u, 2u, 3u}) {
     Rng rng(seed);
     for (const EdgeList& el :
@@ -180,16 +221,15 @@ TEST(SummaryWire, AdoptingDecodeMatchesTheCopyingDecode) {
       EXPECT_EQ(back.fixed_vertices, coreset.fixed_vertices);
     }
   }
-  // Records sent as (v, u) come back normalized, as from the copying path.
-  std::vector<std::uint8_t> frame(kFrameHeaderBytes, 0);
-  WireWriter writer(frame);
-  writer.u32(6);
-  writer.u64(3);
-  for (const VertexId id : {5u, 1u, 0u, 4u, 3u, 2u}) writer.u32(id);
+  // Records sent as (v, u) come back normalized.
+  Bytes frame;
+  frame.bytes.resize(kFrameHeaderBytes);
+  frame.u32(6).u64(3);
+  for (const VertexId id : {5u, 1u, 0u, 4u, 3u, 2u}) frame.u32(id);
   encode_frame_header(FrameHeader{SummaryShape::kEdgeList, 1,
-                                  frame.size() - kFrameHeaderBytes},
-                      frame.data());
-  EXPECT_EQ(adopted<EdgeList>(frame).edges(),
+                                  frame.bytes.size() - kFrameHeaderBytes},
+                      frame.bytes.data());
+  EXPECT_EQ(adopted<EdgeList>(frame.bytes).edges(),
             (std::vector<Edge>{{1, 5}, {0, 4}, {2, 3}}));
 }
 
@@ -241,35 +281,6 @@ TEST(SummaryWire, PieceFramePrefixPlusRawEdgesRoundTripsThroughTheView) {
   }
 }
 
-/// The gather segments of `summary`, concatenated.
-template <typename T>
-std::vector<std::uint8_t> gathered(const T& summary, std::uint32_t machine) {
-  const GatherFrame frame(summary, machine);
-  std::vector<std::uint8_t> bytes;
-  for (const FrameSegment& segment : frame.segments()) {
-    bytes.insert(bytes.end(), segment.data, segment.data + segment.size);
-  }
-  return bytes;
-}
-
-TEST(SummaryWire, GatherFramesAreByteIdenticalToEncodeFrame) {
-  for (std::uint32_t seed : {1u, 2u, 3u}) {
-    Rng rng(seed);
-    for (const EdgeList& el :
-         {gnp(200, 0.05, rng), random_bipartite(60, 80, 0.1, rng),
-          EdgeList(5), EdgeList()}) {
-      EXPECT_EQ(gathered(el, seed), encode_frame(el, seed));
-      VcCoresetOutput coreset;
-      coreset.residual_edges = el;
-      EXPECT_EQ(gathered(coreset, seed), encode_frame(coreset, seed));
-      for (VertexId v = 0; v < el.num_vertices(); v += 3) {
-        coreset.fixed_vertices.push_back(v);
-      }
-      EXPECT_EQ(gathered(coreset, seed + 7), encode_frame(coreset, seed + 7));
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Adversarial frames. Every mutation of a valid frame must abort through
 // wire_fail with a "summary wire:" diagnostic — death tests, because decode
@@ -307,9 +318,13 @@ TEST(SummaryWireDeathTest, UnknownShapeTagDies) {
   frame[6] = 0;  // shape tag below the valid range
   EXPECT_DEATH(decode_full_frame(frame),
                "summary wire: unknown summary shape tag 0");
-  frame[6] = 4;  // the retired augmenting-path batch tag
-  EXPECT_DEATH(decode_full_frame(frame),
-               "summary wire: unknown summary shape tag 4");
+  for (const std::uint8_t retired : {3, 4, 5, 6}) {
+    // Weighted edges, augmenting-path batch, VC coreset batch, grouped VC.
+    frame[6] = retired;
+    EXPECT_DEATH(decode_full_frame(frame),
+                 "summary wire: unknown summary shape tag " +
+                     std::to_string(retired));
+  }
   frame[6] = 9;  // beyond kShutdown
   EXPECT_DEATH(decode_full_frame(frame),
                "summary wire: unknown summary shape tag 9");
@@ -358,93 +373,29 @@ TEST(SummaryWireDeathTest, TrailingBytesDie) {
                "summary wire: frame from machine 0 leaves 1 trailing");
 }
 
+/// Decodes a hand-made edge list payload from machine 0.
+void decode_edge_list(const Bytes& payload) {
+  (void)decode_frame_payload<EdgeList>(
+      FrameHeader{SummaryShape::kEdgeList, 0, payload.bytes.size()},
+      payload.bytes.data());
+}
+
 TEST(SummaryWireDeathTest, OutOfRangeVertexDies) {
-  std::vector<std::uint8_t> payload;
-  WireWriter writer(payload);
-  writer.u32(4);   // universe of 4 vertices
-  writer.u64(1);   // one edge
-  writer.u32(1);
-  writer.u32(4);   // == n: out of range
-  WireReader reader(payload.data(), payload.size());
-  EXPECT_DEATH((void)SummaryCodec<EdgeList>::decode(reader),
+  // A universe of 4 vertices, one edge (1, 4): 4 == n is out of range.
+  EXPECT_DEATH(decode_edge_list(Bytes().u32(4).u64(1).u32(1).u32(4)),
                "summary wire: edge 0 = \\(1, 4\\) leaves the 4-vertex");
 }
 
 TEST(SummaryWireDeathTest, SelfLoopDies) {
-  std::vector<std::uint8_t> payload;
-  WireWriter writer(payload);
-  writer.u32(4);
-  writer.u64(1);
-  writer.u32(2);
-  writer.u32(2);
-  WireReader reader(payload.data(), payload.size());
-  EXPECT_DEATH((void)SummaryCodec<EdgeList>::decode(reader),
+  EXPECT_DEATH(decode_edge_list(Bytes().u32(4).u64(1).u32(2).u32(2)),
                "summary wire: edge 0 is a self-loop at vertex 2");
-}
-
-TEST(SummaryWireDeathTest, NegativeAndNanWeightsDie) {
-  for (const double bad :
-       {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
-    std::vector<std::uint8_t> payload;
-    WireWriter writer(payload);
-    writer.u32(4);
-    writer.u64(1);
-    writer.u32(0);
-    writer.u32(1);
-    writer.f64(bad);
-    WireReader reader(payload.data(), payload.size());
-    EXPECT_DEATH((void)SummaryCodec<WeightedCoresetOutput>::decode(reader),
-                 "summary wire: weighted edge 0 carries a negative or NaN");
-  }
-}
-
-TEST(SummaryWireDeathTest, InfiniteWeightDies) {
-  std::vector<std::uint8_t> payload;
-  WireWriter writer(payload);
-  writer.u32(4);
-  writer.u64(1);
-  writer.u32(0);
-  writer.u32(1);
-  writer.f64(std::numeric_limits<double>::infinity());
-  WireReader reader(payload.data(), payload.size());
-  EXPECT_DEATH((void)SummaryCodec<WeightedCoresetOutput>::decode(reader),
-               "summary wire: weighted edge 0 carries an infinite weight");
 }
 
 TEST(SummaryWireDeathTest, LyingLengthPrefixesDie) {
   // An edge list claiming more edges than the payload could hold must die at
   // the sanity gate, BEFORE any reserve.
-  std::vector<std::uint8_t> payload;
-  WireWriter writer(payload);
-  writer.u32(4);
-  writer.u64(std::uint64_t{1} << 60);
-  WireReader reader(payload.data(), payload.size());
-  EXPECT_DEATH((void)SummaryCodec<EdgeList>::decode(reader),
+  EXPECT_DEATH(decode_edge_list(Bytes().u32(4).u64(std::uint64_t{1} << 60)),
                "summary wire: edge list claims .* edges but only");
-
-  // And for a grouped summary lying about its pinned-group count.
-  std::vector<std::uint8_t> grouped;
-  WireWriter grouped_writer(grouped);
-  grouped_writer.u32(4);  // core: empty edge list over 4 groups
-  grouped_writer.u64(0);
-  grouped_writer.u64(0);  // no fixed vertices
-  grouped_writer.u64(std::uint64_t{1} << 60);
-  WireReader grouped_reader(grouped.data(), grouped.size());
-  EXPECT_DEATH((void)SummaryCodec<GroupedVcSummary>::decode(grouped_reader),
-               "summary wire: grouped vc summary claims .* pinned groups");
-}
-
-TEST(SummaryWireDeathTest, OutOfRangePinnedGroupDies) {
-  std::vector<std::uint8_t> payload;
-  WireWriter writer(payload);
-  writer.u32(4);  // core: empty edge list over a 4-group universe
-  writer.u64(0);
-  writer.u64(0);  // no fixed vertices
-  writer.u64(1);  // one pinned group...
-  writer.u32(4);  // ...== n_groups: out of range
-  WireReader reader(payload.data(), payload.size());
-  EXPECT_DEATH((void)SummaryCodec<GroupedVcSummary>::decode(reader),
-               "summary wire: pinned group 0 = 4 leaves the 4-group universe");
 }
 
 /// Offset of a piece frame's u64 edge count: header, round, rng state,
@@ -484,19 +435,18 @@ TEST(SummaryWireDeathTest, PieceViewOfAnotherShapeDies) {
                "expected 7");
 }
 
-/// Both decodes of a received payload die with the same diagnostic.
+/// decode_frame over a received `payload` of `shape` dies with
+/// `diagnostic`.
 template <typename T>
-void expect_both_decodes_die(SummaryShape shape,
-                             const std::vector<std::uint8_t>& payload,
-                             const char* diagnostic) {
+void expect_decode_dies(SummaryShape shape,
+                        const std::vector<std::uint8_t>& payload,
+                        const char* diagnostic) {
   const FrameHeader header{shape, 0, payload.size()};
-  EXPECT_DEATH((void)decode_frame_payload<T>(header, payload.data()),
-               diagnostic);
   EXPECT_DEATH((void)decode_frame<T>(received(header, payload.data())),
                diagnostic);
 }
 
-TEST(SummaryWireDeathTest, AdoptingDecodeDiesWithTheCopyingDiagnostics) {
+TEST(SummaryWireDeathTest, DecodeFrameDiesWithExactDiagnostics) {
   // Shape, truncation and trailing bytes of a whole frame.
   std::vector<std::uint8_t> frame = valid_frame();
   EXPECT_DEATH((void)decode_frame<VcCoresetOutput>(received(frame)),
@@ -516,68 +466,39 @@ TEST(SummaryWireDeathTest, AdoptingDecodeDiesWithTheCopyingDiagnostics) {
           received(header, frame.data() + kFrameHeaderBytes)),
       "summary wire: frame from machine 2 leaves 1 trailing payload bytes");
 
-  const auto payload = [](std::initializer_list<std::uint64_t> words,
-                          std::size_t u64_at) {
-    // u32 fields, except the one at index u64_at (a u64 count).
-    std::vector<std::uint8_t> bytes;
-    WireWriter writer(bytes);
-    std::size_t i = 0;
-    for (const std::uint64_t w : words) {
-      if (i++ == u64_at) {
-        writer.u64(w);
-      } else {
-        writer.u32(static_cast<std::uint32_t>(w));
-      }
-    }
-    return bytes;
-  };
   for (const SummaryShape shape :
        {SummaryShape::kEdgeList, SummaryShape::kVcCoreset}) {
-    const auto die = [&](const std::vector<std::uint8_t>& bytes,
-                         const char* diagnostic) {
+    const auto die = [&](const Bytes& bytes, const char* diagnostic) {
       if (shape == SummaryShape::kEdgeList) {
-        expect_both_decodes_die<EdgeList>(shape, bytes, diagnostic);
+        expect_decode_dies<EdgeList>(shape, bytes.bytes, diagnostic);
       } else {
-        expect_both_decodes_die<VcCoresetOutput>(shape, bytes, diagnostic);
+        expect_decode_dies<VcCoresetOutput>(shape, bytes.bytes, diagnostic);
       }
     };
-    die(payload({4, 1, 1, 4}, 1),
+    die(Bytes().u32(4).u64(1).u32(1).u32(4),
         "summary wire: edge 0 = \\(1, 4\\) leaves the 4-vertex universe");
-    die(payload({4, 1, 2, 2}, 1),
+    die(Bytes().u32(4).u64(1).u32(2).u32(2),
         "summary wire: edge 0 is a self-loop at vertex 2");
-    die(payload({4, std::uint64_t{1} << 60}, 1),
+    die(Bytes().u32(4).u64(std::uint64_t{1} << 60),
         "summary wire: edge list claims 1152921504606846976 edges but only 0 "
         "payload bytes remain");
   }
   // The VC tail: checked after the edges, so a bad edge is named first.
-  std::vector<std::uint8_t> vc;
-  WireWriter writer(vc);
-  writer.u32(4);
-  writer.u64(0);
-  expect_both_decodes_die<VcCoresetOutput>(
-      SummaryShape::kVcCoreset, vc,
+  const Bytes vc = Bytes().u32(4).u64(0);
+  expect_decode_dies<VcCoresetOutput>(
+      SummaryShape::kVcCoreset, vc.bytes,
       "summary wire: truncated payload: u64 needs 8 bytes at offset 12, 0 "
       "left");
-  std::vector<std::uint8_t> lying = vc;
-  WireWriter(lying).u64(std::uint64_t{1} << 60);
-  expect_both_decodes_die<VcCoresetOutput>(
-      SummaryShape::kVcCoreset, lying,
+  expect_decode_dies<VcCoresetOutput>(
+      SummaryShape::kVcCoreset, Bytes(vc).u64(std::uint64_t{1} << 60).bytes,
       "summary wire: vc coreset claims 1152921504606846976 fixed vertices but "
       "only 0 payload bytes remain");
-  WireWriter(vc).u64(1);
-  WireWriter(vc).u32(4);
-  expect_both_decodes_die<VcCoresetOutput>(
-      SummaryShape::kVcCoreset, vc,
+  expect_decode_dies<VcCoresetOutput>(
+      SummaryShape::kVcCoreset, Bytes(vc).u64(1).u32(4).bytes,
       "summary wire: fixed vertex 0 = 4 leaves the 4-vertex universe");
-  std::vector<std::uint8_t> both;
-  WireWriter both_writer(both);
-  both_writer.u32(4);
-  both_writer.u64(1);
-  both_writer.u32(3);
-  both_writer.u32(3);
-  both_writer.u64(std::uint64_t{1} << 60);
-  expect_both_decodes_die<VcCoresetOutput>(
-      SummaryShape::kVcCoreset, both,
+  expect_decode_dies<VcCoresetOutput>(
+      SummaryShape::kVcCoreset,
+      Bytes().u32(4).u64(1).u32(3).u32(3).u64(std::uint64_t{1} << 60).bytes,
       "summary wire: edge 0 is a self-loop at vertex 3");
 }
 
