@@ -33,11 +33,14 @@
 // 3.6-5.9 ms. It loses where thousands of free vertices can never augment
 // and the certificate is out of reach: next to 6,666 K_{2,4} cores (14k
 // free vertices, a final failed pass) it took 4.8-6.1 ms against
-// 3.5-3.9 ms. After the greedy initialization, which leaves ~25k free
-// vertices on a gnm n = m = 80k graph, restarting the forest per
-// augmentation took 1.6 s against 4.9 ms for single-root searches with
-// Hungarian pruning, so unseeded solves keep one root, and their searches
-// neither write nor compare tree ids.
+// 3.5-3.9 ms. The certificate counts the core's vertices, so a core with
+// several odd components (two triangles, say) also leaves it out of reach
+// and costs the final failed pass; on 13 of 512 perfbench gnm pieces
+// (seed 1) that pass is the whole finish. After the greedy
+// initialization, which leaves ~25k free vertices on a gnm n = m = 80k
+// graph, restarting the forest per augmentation took 1.6 s against 4.9 ms
+// for single-root searches with Hungarian pruning, so unseeded solves keep
+// one root, and their searches neither write nor compare tree ids.
 #pragma once
 
 #include <vector>
@@ -78,9 +81,10 @@ struct BlossomScratch {
 /// with thousands of free vertices is far slower than no seed. Hungarian
 /// pruning has no effect on a warm-started solve. `size_bound` is a
 /// caller-proven upper bound on the maximum matching size (e.g. the
-/// certificate of karp_sipser_into): augmenting stops once the matching
-/// reaches it, which skips the failed searches that would only prove
-/// maximality.
+/// core count certificate of karp_sipser_into): augmenting stops once the
+/// matching reaches it, which skips the failed searches that would only
+/// prove maximality. It never changes the mates: the solver changes them
+/// only when it augments.
 Matching blossom_maximum_matching(const Graph& g,
                                   MachineScratch* scratch = nullptr,
                                   bool prune_hungarian_trees = true,

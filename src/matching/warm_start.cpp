@@ -1,5 +1,7 @@
 #include "matching/warm_start.hpp"
 
+#include <algorithm>
+
 #include "util/workspace.hpp"
 
 namespace rcc {
@@ -8,42 +10,13 @@ namespace {
 
 /// karp_sipser_into's mark for a matched vertex in the live-degree array.
 constexpr VertexId kTaken = kInvalidVertex;
-/// The core walk's visited mark: the top bit of a live degree.
-constexpr VertexId kSeen = VertexId{1} << 31;
 
-/// The Tutte-Berge bound with S = {} of the Karp-Sipser core: the live
-/// vertices of positive live degree (vertices below `from` are all matched
-/// or isolated). Returns (n_core - #odd components of the core) / 2. The
-/// walk marks a visited vertex with the top bit of its live degree, runs
-/// its breadth-first search in `queue` (every core vertex enters once, so
-/// n slots suffice), and clears the marks before it returns.
-std::size_t core_bound(VertexId* live, VertexId* queue, VertexId from,
-                       VertexId n, const std::size_t* off,
-                       const VertexId* adj) {
-  std::size_t tail = 0;
-  std::size_t odd = 0;
-  for (VertexId root = from; root < n; ++root) {
-    const VertexId d = live[root];
-    if (d == kTaken || d == 0 || (d & kSeen) != 0) continue;
-    live[root] = d | kSeen;
-    const std::size_t start = tail;
-    queue[tail++] = root;
-    for (std::size_t head = start; head < tail; ++head) {
-      const VertexId v = queue[head];
-      for (std::size_t i = off[v]; i < off[v + 1]; ++i) {
-        // A live neighbor of a core vertex is in the core; self-loops
-        // find v already marked.
-        const VertexId w = adj[i];
-        const VertexId dw = live[w];
-        if (dw == kTaken || (dw & kSeen) != 0) continue;
-        live[w] = dw | kSeen;
-        queue[tail++] = w;
-      }
-    }
-    odd += (tail - start) & 1;
-  }
-  for (std::size_t i = 0; i < tail; ++i) live[queue[i]] &= ~kSeen;
-  return (tail - odd) / 2;
+/// The number of core vertices in [from, to): live (not kTaken) and of
+/// positive live degree. One branch-free sequential scan.
+std::size_t count_core(const VertexId* live, VertexId from, VertexId to) {
+  std::size_t count = 0;
+  for (VertexId v = from; v < to; ++v) count += live[v] - 1 < kTaken - 1;
+  return count;
 }
 
 }  // namespace
@@ -65,9 +38,8 @@ void karp_sipser_into(Matching& out, const Graph& g, KarpSipserScratch* scratch,
   std::size_t tail = 0;
   const std::size_t* const off = g.offsets_data();
   const VertexId* const adj = g.adjacency_data();
-  // A live degree is at most m: below that bound, a marked degree can
-  // neither carry a real top bit nor read as kTaken.
-  if (certificate != nullptr) RCC_CHECK(g.num_edges() < kSeen - 1);
+  // A live degree is at most m, so below this bound none reads as kTaken.
+  RCC_CHECK(g.num_edges() < kTaken);
 
   out.reset(n);
   if (g.num_self_loops() == 0) {
@@ -127,11 +99,18 @@ void karp_sipser_into(Matching& out, const Graph& g, KarpSipserScratch* scratch,
     while (next < n && (live[next] == kTaken || live[next] == 0)) ++next;
     if (certificate != nullptr) {
       // First stall: every match so far was a degree-one reduction, and
-      // the degree-one queue is empty, so the core walk may borrow it.
-      *certificate = out.size() + core_bound(live, queue, next, n, off, adj);
+      // every vertex below `next` is matched or dead. A core match takes
+      // two core vertices, one from each side when g is bipartite-tagged.
+      std::size_t core_matches = 0;
+      if (const auto& sides = g.bipartition()) {
+        const VertexId split = std::clamp(sides->left_size, next, n);
+        core_matches = std::min(count_core(live, next, split),
+                                count_core(live, split, n));
+      } else {
+        core_matches = count_core(live, next, n) / 2;
+      }
+      *certificate = out.size() + core_matches;
       certificate = nullptr;
-      head = 0;
-      tail = 0;
     }
     if (next == n) break;
     // Greedy step: the live neighbor with the fewest live neighbors of its

@@ -8,11 +8,11 @@
 //    so the seed applies that rule while it can and otherwise matches a
 //    live vertex greedily, then keeps reducing. Only the greedy steps can
 //    cost optimality, so few augmenting searches remain;
-//  * the certificate: an upper bound on the maximum matching size, the
-//    Tutte-Berge formula with S = {} on the seed's Karp-Sipser core (see
-//    karp_sipser_into). A matching that reaches it is maximum, so an exact
-//    solver warm-started from the seed may stop there and skip the failed
-//    searches that would only prove maximality.
+//  * the certificate: an upper bound on the maximum matching size, counted
+//    on the seed's Karp-Sipser core (see karp_sipser_into). A matching
+//    that reaches it is maximum, so an exact solver warm-started from the
+//    seed may stop there and skip the failed searches that would only
+//    prove maximality.
 //
 // Both come out of one O(n + m) call over a CSR graph whose working arrays
 // can come from caller-owned scratch, so repeated solves allocate nothing
@@ -45,10 +45,12 @@ struct KarpSipserScratch {
 /// size of g. The first time the degree-one queue empties, the seed has
 /// made only degree-one matches M1, and each lies in some maximum matching
 /// of the graph it was made in, so nu(g) = |M1| + nu(core), the core being
-/// the live vertices of positive live degree. The certificate is |M1| +
-/// (n_core - #odd components of the core) / 2: Tutte-Berge with S = {} on
-/// the core, never looser than the same bound on all of g. When the
-/// returned matching reaches it, the matching is maximum.
+/// the live vertices of positive live degree. A core match takes two core
+/// vertices, so the certificate is |M1| + floor(n_core / 2); on a
+/// bipartite-tagged g it takes one core vertex of each side, so the
+/// certificate is |M1| + min(|L & core|, |R & core|) (the tag is trusted, as
+/// hopcroft_karp_into trusts it). One O(n) count over the live degrees
+/// finds it. When the returned matching reaches it, the matching is maximum.
 void karp_sipser_into(Matching& out, const Graph& g,
                       KarpSipserScratch* scratch = nullptr,
                       WorkspaceStats* stats = nullptr,

@@ -15,6 +15,11 @@
 //     vertices leave over, and the fixed vertices are covered by the same
 //     budget on this grid — pinned empirically, worst realized ratio 2.0),
 //     and the maximal-matching pairs satisfy |M| <= |V(M)| <= 2|M|.
+//
+// The certified maximum matching solve that machines and the coordinator
+// run is pinned here too: its certificate only decides when the exact
+// finish stops, so it must return, mate for mate, the Karp-Sipser seed
+// finished with no bound at all.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,10 +31,14 @@
 #include "distributed/protocol.hpp"
 #include "distributed/protocols.hpp"
 #include "graph/generators.hpp"
+#include "matching/blossom.hpp"
+#include "matching/hopcroft_karp.hpp"
 #include "matching/max_matching.hpp"
+#include "matching/warm_start.hpp"
 #include "mpc/coreset_mpc.hpp"
 #include "mpc/filtering_mpc.hpp"
 #include "util/thread_pool.hpp"
+#include "util/workspace.hpp"
 #include "vertex_cover/approx.hpp"
 
 namespace rcc {
@@ -282,6 +291,72 @@ TEST(ProtocolProperties, TwoApproximationCoverSandwich) {
       expect_feasible_cover(cover, inst, opt, "vc_two_approximation");
       EXPECT_LE(cover.size(), 2 * opt) << inst.name;
     }
+  }
+}
+
+/// A hub joined to one vertex of each of three disjoint triangles: the
+/// whole graph is the Karp-Sipser core, whose count certifies 5 against a
+/// maximum of 4.
+EdgeList hub_with_triangles() {
+  EdgeList el(10);
+  for (VertexId t = 0; t < 3; ++t) {
+    const VertexId o = 1 + 3 * t;
+    el.add(o, o + 1);
+    el.add(o + 1, o + 2);
+    el.add(o + 2, o);
+    el.add(0, o);
+  }
+  return el;
+}
+
+TEST(CertifiedSolveProperties, EqualsTheSeedFinishedWithoutABound) {
+  // The grid's instances, sparse general multigraphs (every third edge
+  // doubled, as in a union of machine matchings), tagged random bipartite
+  // graphs, and the trap graphs: K_{2,4} and the hub, whose certificate is
+  // not tight, and a crown forest.
+  std::vector<Instance> instances;
+  for (const std::uint64_t seed : kSeeds) {
+    for (Instance& inst : instance_grid(seed)) instances.push_back(inst);
+    Rng rng(seed);
+    for (const std::uint64_t m : {200u, 300u, 450u, 700u}) {
+      EdgeList el = gnm(300, m, rng);
+      for (std::size_t i = 0; i < m; i += 3) el.add(el[i].u, el[i].v);
+      instances.push_back({"gnm-multi", el, 0});
+    }
+    for (const double p : {0.01, 0.02, 0.04}) {
+      instances.push_back(
+          {"bipartite-sparse", random_bipartite(150, 120, p, rng), 150});
+    }
+  }
+  instances.push_back({"K_{2,4}", complete_bipartite(2, 4), 2});
+  instances.push_back({"K_{2,4} (general)", complete_bipartite(2, 4), 0});
+  instances.push_back({"hub with triangles", hub_with_triangles(), 0});
+  instances.push_back({"crown forest", crown_forest(8, 3), 0});
+
+  MachineScratch scratch;
+  for (const Instance& inst : instances) {
+    const Graph g(inst.edges, bipartition_if(inst.left_size));
+    Matching certified;
+    certified_maximum_matching_into(certified, g, &scratch);
+
+    Matching finished;
+    karp_sipser_into(finished, g);
+    if (g.is_bipartite_tagged()) {
+      hopcroft_karp_into(finished, g, nullptr, &finished, kNoSizeBound);
+    } else {
+      blossom_maximum_matching_into(finished, g, nullptr,
+                                    /*prune_hungarian_trees=*/true, &finished,
+                                    kNoSizeBound);
+    }
+    ASSERT_EQ(certified.num_vertices(), finished.num_vertices()) << inst.name;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      ASSERT_EQ(certified.mate(v), finished.mate(v))
+          << inst.name << ", vertex " << v;
+    }
+    EXPECT_EQ(certified.size(),
+              maximum_matching_size(inst.edges, inst.left_size))
+        << inst.name;
+    EXPECT_TRUE(certified.subset_of(inst.edges)) << inst.name;
   }
 }
 

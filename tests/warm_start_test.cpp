@@ -1,5 +1,5 @@
 // The certified solve's helpers on their own: the Karp-Sipser seed and its
-// core certificate, then the certificate as a stop inside the exact solvers
+// core count certificate, then the certificate as a stop inside the exact solvers
 // and the certified solve built on both. A stop that fired below the
 // maximum would silently shrink the matching, so every solve here is
 // checked against the exhaustive blossom (no Hungarian-tree pruning, no
@@ -46,9 +46,8 @@ std::size_t brute_force_maximum(const std::vector<Edge>& edges,
 }
 
 /// (n - #odd connected components) / 2, the Tutte-Berge bound with S = {}
-/// on all of g: the reference the core certificate is never looser than.
-/// Isolated vertices are odd components; parallel edges and self-loops
-/// change nothing.
+/// on all of g. Isolated vertices are odd components; parallel edges and
+/// self-loops change nothing.
 std::size_t odd_component_bound(const Graph& g) {
   const VertexId n = g.num_vertices();
   std::vector<char> seen(n, 0);
@@ -250,7 +249,7 @@ TEST(KarpSipser, OffsetsInitMatchesTheRowScanningSeed) {
       Matching certified;
       karp_sipser_into(certified, g, &scratch, nullptr, &certificate);
       EXPECT_TRUE(same_mates(certified, frozen))
-          << "the certificate walk changed the seed, seed " << seed;
+          << "the certificate count changed the seed, seed " << seed;
     }
   }
 }
@@ -258,8 +257,10 @@ TEST(KarpSipser, OffsetsInitMatchesTheRowScanningSeed) {
 TEST(KarpSipserCertificate, BracketedByTheMaximumAndTheTutteBergeBound) {
   // Tiny multigraphs with parallel edges and self-loops, solved by brute
   // force: the certificate must never fall below the maximum (it would
-  // certify a non-maximum seed) and is never looser than the S = {} bound
-  // on the whole graph.
+  // certify a non-maximum seed). On these draws it is also no looser than
+  // the S = {} bound on the whole graph; that is not a theorem for the
+  // core count (two disjoint triangles certify 3 against a bound of 2),
+  // only a pin that the count stays close on random tiny graphs.
   for (int seed = 1; seed <= 300; ++seed) {
     Rng rng(seed);
     const auto n = static_cast<VertexId>(4 + rng.next_below(9));
@@ -315,10 +316,28 @@ TEST(KarpSipserCertificate, EqualsTheSeedOnForests) {
   }
 }
 
-TEST(KarpSipserCertificate, SubtractsTheCoresOddComponents) {
+/// Solves g with the certified solve into `out` and reports whether it ran
+/// its exact finish: the finish's working state is the only scratch the
+/// solve allocates beyond the seed's own.
+bool certified_solve_finishes(Matching& out, const Graph& g) {
+  WorkspaceStats seed_stats;
+  MachineScratch seed_scratch(&seed_stats);
+  Matching seed;
+  std::size_t certificate = 0;
+  karp_sipser_into(seed, g, &seed_scratch.state<KarpSipserScratch>(),
+                   &seed_stats, &certificate);
+  WorkspaceStats stats;
+  MachineScratch scratch(&stats);
+  certified_maximum_matching_into(out, g, &scratch);
+  return stats.allocations.load() > seed_stats.allocations.load();
+}
+
+TEST(KarpSipserCertificate, CountsTheCoreNotItsOddComponents) {
   // Two disjoint triangles and a path 6 - 7 - 8 - 9: the degree-one
-  // reductions match the path (2 edges) and stall on a core of two odd
-  // components, so the certificate is 2 + (6 - 2) / 2 = 4, the maximum.
+  // reductions match the path (2 edges) and stall on a core of 6 vertices,
+  // so the certificate is 2 + 6 / 2 = 5. The core is two odd components,
+  // so the maximum is 4: the seed reaches it, but only the certified
+  // solve's finish can tell, and it must return the seed's 4.
   EdgeList el(10);
   for (VertexId o : {VertexId{0}, VertexId{3}}) {
     el.add(o, o + 1);
@@ -331,8 +350,13 @@ TEST(KarpSipserCertificate, SubtractsTheCoresOddComponents) {
   std::size_t certificate = 0;
   Matching m;
   karp_sipser_into(m, Graph(el), nullptr, nullptr, &certificate);
-  EXPECT_EQ(certificate, 4u);
+  EXPECT_EQ(certificate, 5u);
   EXPECT_EQ(m.size(), 4u);
+  EXPECT_EQ(exhaustive_size(Graph(el)), 4u);
+  Matching certified;
+  EXPECT_TRUE(certified_solve_finishes(certified, Graph(el)));
+  EXPECT_EQ(certified.size(), 4u);
+  EXPECT_TRUE(same_mates(certified, m));
   // An even core: a 4-cycle beside an edge certifies 1 + 4 / 2 = 3.
   EdgeList even_core(6);
   for (VertexId v = 0; v < 4; ++v) even_core.add(v, (v + 1) % 4);
@@ -340,6 +364,86 @@ TEST(KarpSipserCertificate, SubtractsTheCoresOddComponents) {
   karp_sipser_into(m, Graph(even_core), nullptr, nullptr, &certificate);
   EXPECT_EQ(certificate, 3u);
   EXPECT_EQ(m.size(), 3u);
+}
+
+TEST(KarpSipserCertificate, CountsEachSideOfATaggedCore) {
+  // K_{2,4} has no degree-one vertex, so the whole graph is the core. The
+  // tag caps it at its 2 left vertices, which the seed reaches: the
+  // certified solve returns the seed with no finish. Untagged, the same
+  // core certifies 6 / 2 = 3.
+  const EdgeList k24 = complete_bipartite(2, 4);
+  std::size_t certificate = 0;
+  Matching seed;
+  const Graph tagged = bipartite_graph(k24, 2);
+  karp_sipser_into(seed, tagged, nullptr, nullptr, &certificate);
+  EXPECT_EQ(certificate, 2u);
+  EXPECT_EQ(seed.size(), 2u);
+  Matching certified;
+  EXPECT_FALSE(certified_solve_finishes(certified, tagged));
+  EXPECT_TRUE(same_mates(certified, seed));
+  karp_sipser_into(seed, Graph(k24), nullptr, nullptr, &certificate);
+  EXPECT_EQ(certificate, 3u);
+  EXPECT_TRUE(certified_solve_finishes(certified, Graph(k24)));
+  EXPECT_EQ(certified.size(), 2u);
+
+  // An unbalanced core beside a pendant path: K_{3,5} on L = {0, 1, 2} and
+  // R = {5, ..., 9}, and the path 3 - 10 - 4 - 11 (L, R, L, R). The
+  // reductions match the path (2 edges) and stall on K_{3,5}, whose 3 left
+  // vertices cap the certificate at 2 + 3 = 5, the maximum; untagged it is
+  // 2 + 8 / 2 = 6.
+  EdgeList unbalanced(12);
+  for (VertexId u = 0; u < 3; ++u) {
+    for (VertexId v = 5; v < 10; ++v) unbalanced.add(u, v);
+  }
+  unbalanced.add(3, 10);
+  unbalanced.add(10, 4);
+  unbalanced.add(4, 11);
+  const Graph sided = bipartite_graph(unbalanced, 5);
+  karp_sipser_into(seed, sided, nullptr, nullptr, &certificate);
+  EXPECT_EQ(certificate, 5u);
+  EXPECT_EQ(seed.size(), 5u);
+  EXPECT_FALSE(certified_solve_finishes(certified, sided));
+  EXPECT_TRUE(same_mates(certified, seed));
+  karp_sipser_into(seed, Graph(unbalanced), nullptr, nullptr, &certificate);
+  EXPECT_EQ(certificate, 6u);
+  EXPECT_TRUE(certified_solve_finishes(certified, Graph(unbalanced)));
+  EXPECT_EQ(certified.size(), 5u);
+}
+
+TEST(KarpSipserCertificate, SideCountBoundsTaggedMultigraphs) {
+  // Tiny tagged bipartite multigraphs (every edge drawn with replacement,
+  // so parallel edges are common), solved by brute force: the side count
+  // must never fall below the maximum, and it is never looser than the
+  // untagged count of the same core, min(a, b) <= (a + b) / 2.
+  for (int seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    const auto left = static_cast<VertexId>(1 + rng.next_below(5));
+    const auto right = static_cast<VertexId>(1 + rng.next_below(5));
+    const std::size_t m = 1 + rng.next_below(12);
+    EdgeList el(left + right);
+    for (std::size_t i = 0; i < m; ++i) {
+      el.add(static_cast<VertexId>(rng.next_below(left)),
+             left + static_cast<VertexId>(rng.next_below(right)));
+    }
+    std::vector<Edge> edges(el.begin(), el.end());
+    std::vector<char> used(left + right, 0);
+    const std::size_t maximum = brute_force_maximum(edges, used, 0);
+
+    std::size_t certificate = 0;
+    Matching m_seed;
+    karp_sipser_into(m_seed, bipartite_graph(el, left), nullptr, nullptr,
+                     &certificate);
+    std::size_t untagged = 0;
+    karp_sipser_into(m_seed, Graph(el), nullptr, nullptr, &untagged);
+    EXPECT_GE(certificate, maximum) << "seed " << seed;
+    EXPECT_LE(certificate, untagged) << "seed " << seed;
+
+    Matching piece;
+    certified_maximum_matching_into(piece, el, left);
+    EXPECT_EQ(piece.size(), maximum) << "seed " << seed;
+    EXPECT_TRUE(piece.valid());
+    EXPECT_TRUE(piece.subset_of(el));
+  }
 }
 
 TEST(KarpSipserCertificate, NonTightCoreForcesTheExactFallback) {
@@ -459,7 +563,9 @@ TEST(CertificateStop, StopsAtTheMaximumWhereTheCertificateIsTight) {
     Matching seed;
     karp_sipser_into(seed, g, nullptr, nullptr, &certificate);
     EXPECT_GE(certificate, exact) << "graph " << i;
-    if (i < tight.size()) EXPECT_EQ(certificate, exact);
+    if (i < tight.size()) {
+      EXPECT_EQ(certificate, exact);
+    }
     Matching kernel;
     union_maximum_matching_into(kernel, std::vector<EdgeList>{el}, 0);
     EXPECT_EQ(kernel.size(), exact) << "graph " << i;
