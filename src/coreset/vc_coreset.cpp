@@ -1,5 +1,6 @@
 #include "coreset/vc_coreset.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/workspace.hpp"
@@ -45,17 +46,23 @@ VcCoresetOutput PeelingVcCoreset::build(EdgeSpan piece,
   // Only a level that peels something changes the survivor set, and with it
   // the degrees: a level that peels nothing skips both rebuilds, so until
   // the first peel the machine reads its piece in place and never copies
-  // it. The degree buffer and the survivor lists double-buffer through the
-  // machine's workspace across levels (and across rounds).
+  // it. A level whose threshold exceeds the largest live degree cannot peel
+  // anything, so it skips its vertex scan too. The degree buffer and the
+  // survivor lists double-buffer through the machine's workspace across
+  // levels (and across rounds).
   bool peeled = false;
   bool degrees_stale = true;
+  VertexId max_degree = 0;  // of the survivors; removed vertices read 0
   for (int j = 1; j <= delta - 1; ++j) {
     const EdgeSpan survivors = peeled ? EdgeSpan(s.current) : piece;
     if (degrees_stale) {
       survivors.degrees_into(s.deg);
+      max_degree = 0;
+      for (const VertexId d : s.deg) max_degree = std::max(max_degree, d);
       degrees_stale = false;
     }
     const double thr = n / (k * std::exp2(j + 1));
+    if (static_cast<double>(max_degree) < thr) continue;
     const std::size_t fixed_before = out.fixed_vertices.size();
     for (VertexId v = 0; v < piece.num_vertices(); ++v) {
       if (!removed.test(v) && static_cast<double>(s.deg[v]) >= thr) {

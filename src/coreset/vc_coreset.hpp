@@ -20,6 +20,15 @@ namespace rcc {
 /// O(n log n) edges; the fixed set unions to O(log n) * VC(G) across all
 /// machines w.h.p. (Lemma 3.6). Logs are base 2 here; the paper's claims
 /// are insensitive to the base.
+///
+/// build() skips work that cannot change its output. V_j holds exactly the
+/// live vertices of degree >= the level's threshold, so a level whose
+/// threshold exceeds the largest live degree has an empty V_j: build()
+/// keeps that maximum beside the degrees (recomputed only when the degrees
+/// are, after a level that peeled) and skips such a level's vertex scan.
+/// A level with an empty V_j leaves G_j, and with it the degrees, as they
+/// were, so neither is rebuilt. Sparse pieces whose maximum degree sits
+/// below every threshold pay one degree count and no scan.
 class PeelingVcCoreset final : public VertexCoverCoreset {
  public:
   VcCoresetOutput build(EdgeSpan piece, const PartitionContext& ctx,

@@ -25,12 +25,22 @@ void Matching::unmatch(VertexId v) {
 }
 
 EdgeList Matching::to_edge_list() const {
-  EdgeList out(num_vertices());
-  out.reserve(size_);
-  for (VertexId v = 0; v < num_vertices(); ++v) {
-    if (mate_[v] != kInvalidVertex && v < mate_[v]) out.add(v, mate_[v]);
+  // Every vertex writes a candidate record at the cursor, which advances
+  // only past a real edge (v < mate[v], mate[v] set), so the pass has no
+  // data-dependent branch. It stops at the size_-th edge: the buffer holds
+  // exactly size_ records and no vertex after that edge's can add one.
+  const VertexId n = num_vertices();
+  const VertexId* const mate = mate_.data();
+  std::vector<Edge> edges(size_);
+  Edge* const out = edges.data();
+  std::size_t count = 0;
+  for (VertexId v = 0; v < n && count < size_; ++v) {
+    const VertexId w = mate[v];
+    out[count] = Edge{v, w};
+    count += (v < w) & (w != kInvalidVertex);
   }
-  return out;
+  RCC_CHECK(count == size_);
+  return EdgeList::adopt(n, std::move(edges));
 }
 
 bool Matching::valid() const {

@@ -49,10 +49,22 @@ class Matching {
   /// Adds edge (u, v); both endpoints must currently be unmatched.
   void match(VertexId u, VertexId v);
 
+  /// match() for a caller that has checked its precondition (u != v, both
+  /// unmatched) on state of its own: writes both mates without reading
+  /// them, saving two random reads per match.
+  void match_unread(VertexId u, VertexId v) {
+    RCC_DCHECK(u != v && mate_[u] == kInvalidVertex && mate_[v] == kInvalidVertex);
+    mate_[u] = v;
+    mate_[v] = u;
+    ++size_;
+  }
+
   /// Removes the edge covering v (and its mate); no-op if v is unmatched.
   void unmatch(VertexId v);
 
-  /// The matched edges as an EdgeList (each edge once, normalized).
+  /// The matched edges as an EdgeList: each edge once as (u, v) with u < v,
+  /// in increasing order of u. One branch-free pass over the mates fills a
+  /// buffer of exactly size() records, which the list adopts.
   EdgeList to_edge_list() const;
 
   /// Internal consistency: mate is an involution and size_ agrees.

@@ -63,9 +63,12 @@ void karp_sipser_into(Matching& out, const Graph& g, KarpSipserScratch* scratch,
   // Matching a and b removes them from their neighbors' live degrees; a
   // vertex whose live degree falls to one joins the queue. The update is
   // branch-free: whether a neighbor is live is a coin flip to the branch
-  // predictor, and this loop is most of the seed's time.
+  // predictor, and this loop is most of the seed's time. Matching::match's
+  // endpoint check is made on live[], which every caller has just read (a
+  // vertex is unmatched exactly when it is not kTaken).
   const auto take = [&](VertexId a, VertexId b) {
-    out.match(a, b);
+    RCC_CHECK(a != b && live[a] != kTaken && live[b] != kTaken);
+    out.match_unread(a, b);
     live[a] = kTaken;
     live[b] = kTaken;
     for (const VertexId x : {a, b}) {

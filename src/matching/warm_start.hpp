@@ -51,6 +51,12 @@ struct KarpSipserScratch {
 /// certificate is |M1| + min(|L & core|, |R & core|) (the tag is trusted, as
 /// hopcroft_karp_into trusts it). One O(n) count over the live degrees
 /// finds it. When the returned matching reaches it, the matching is maximum.
+///
+/// Each match checks Matching::match's precondition (distinct endpoints,
+/// both unmatched) on the two live-degree entries the seed has just read —
+/// a vertex is matched exactly when its entry is the taken mark — and
+/// writes through Matching::match_unread, so no match reads a mate. The
+/// check and the resulting matching are those of Matching::match.
 void karp_sipser_into(Matching& out, const Graph& g,
                       KarpSipserScratch* scratch = nullptr,
                       WorkspaceStats* stats = nullptr,

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "graph/generators.hpp"
+#include "matching/greedy.hpp"
+#include "matching/warm_start.hpp"
+#include "util/rng.hpp"
+
 namespace rcc {
 namespace {
 
@@ -90,6 +98,59 @@ TEST(Matching, MaximalIn) {
   EXPECT_FALSE(m.maximal_in(graph));  // (2,3) addable
   m.match(2, 3);
   EXPECT_TRUE(m.maximal_in(graph));
+}
+
+/// Frozen copy of Matching::to_edge_list before it became one branch-free
+/// pass: a per-vertex scan adding every (v, mate[v]) with v < mate[v].
+EdgeList frozen_to_edge_list(const Matching& m) {
+  EdgeList out(m.num_vertices());
+  out.reserve(m.size());
+  for (VertexId v = 0; v < m.num_vertices(); ++v) {
+    if (m.mate(v) != kInvalidVertex && v < m.mate(v)) out.add(v, m.mate(v));
+  }
+  return out;
+}
+
+void expect_same_edge_list(const Matching& m, const std::string& what) {
+  const EdgeList got = m.to_edge_list();
+  const EdgeList frozen = frozen_to_edge_list(m);
+  EXPECT_EQ(got.num_vertices(), m.num_vertices()) << what;
+  EXPECT_EQ(got.num_edges(), m.size()) << what;
+  EXPECT_EQ(got.edges(), frozen.edges()) << what;
+  for (const Edge& e : got) {
+    EXPECT_LT(e.u, e.v) << what;
+    EXPECT_EQ(m.mate(e.u), e.v) << what;
+  }
+}
+
+TEST(Matching, ToEdgeListMatchesTheFrozenScan) {
+  expect_same_edge_list(Matching(), "no vertices");
+  expect_same_edge_list(Matching(9), "empty matching");
+  {
+    // Edges at both ends of the universe, written high endpoint first.
+    Matching ends(9);
+    ends.match(8, 0);
+    expect_same_edge_list(ends, "edge (0, n-1)");
+    Matching corners(9);
+    corners.match(1, 0);
+    corners.match(8, 7);
+    corners.match(4, 6);
+    expect_same_edge_list(corners, "edges at 0 and n-1");
+  }
+  for (int seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const VertexId n = 200 + 37 * static_cast<VertexId>(seed);
+    const EdgeList g = gnm(n, 2 * std::size_t{n}, rng);
+    expect_same_edge_list(
+        greedy_maximal_matching(g, GreedyOrder::kRandom, rng),
+        "random maximal, seed " + std::to_string(seed));
+    Matching seeded;
+    karp_sipser_into(seeded, Graph(g));
+    expect_same_edge_list(seeded, "Karp-Sipser, seed " + std::to_string(seed));
+    // Unmatching some edges leaves holes the pass must step over.
+    for (VertexId v = 0; v < n; v += 5) seeded.unmatch(v);
+    expect_same_edge_list(seeded, "thinned, seed " + std::to_string(seed));
+  }
 }
 
 }  // namespace

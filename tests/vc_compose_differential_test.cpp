@@ -10,8 +10,11 @@
 // fixed-vertex order, the residual edge order, the cover indicator, and the
 // coordinator RNG position, on graphs where no level peels (sparse gnm),
 // where later levels peel (dense gnm), and where level 1 peels (hubs).
+// Two hand-built pieces pin the boundaries of the production build's skip
+// of levels whose threshold exceeds the largest live degree.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -213,6 +216,83 @@ TEST(VcComposeDifferential, GridCoversNoPeelLatePeelAndLevelOnePeel) {
                 star_level1);
     }
   }
+}
+
+/// The production build, fresh and on a reused scratch, against the
+/// frozen reference on one piece; returns the reference.
+VcCoresetOutput expect_build_matches_reference(const EdgeList& piece,
+                                               const PartitionContext& ctx) {
+  const VcCoresetOutput expected = reference_peeling_build(piece, ctx);
+  MachineScratch reused;
+  for (MachineScratch* scratch : {static_cast<MachineScratch*>(nullptr),
+                                  &reused, &reused}) {
+    PartitionContext c = ctx;
+    c.scratch = scratch;
+    Rng unused(0);
+    const VcCoresetOutput built = PeelingVcCoreset().build(piece, c, unused);
+    EXPECT_EQ(built.fixed_vertices, expected.fixed_vertices);
+    EXPECT_EQ(built.residual_edges.edges(), expected.residual_edges.edges());
+  }
+  return expected;
+}
+
+/// A star with center `center` on the leaves [first, first + leaves).
+void add_star(EdgeList& el, VertexId center, VertexId first, VertexId leaves) {
+  for (VertexId leaf = first; leaf < first + leaves; ++leaf) el.add(center, leaf);
+}
+
+/// A path on [first, last]: live degree at most 2, below every threshold.
+void add_path(EdgeList& el, VertexId first, VertexId last) {
+  for (VertexId v = first; v < last; ++v) el.add(v, v + 1);
+}
+
+TEST(VcComposeDifferential, LevelSkipStopsAtAThresholdEqualToTheMaximum) {
+  // n = 4096 and k = 4 give Delta = 5 and thresholds 256/128/64/32. The
+  // piece's largest degree is a 64-leaf star's center (200): levels 1-2
+  // cannot peel and are skipped, and level 3's threshold equals the
+  // maximum, so it must run (the peel test is >=) and fix the center. Its
+  // leaf 1000 has 31 more edges: 32 before level 3 and 31 after, so only a
+  // level 3 peel keeps it out of level 4. A 40-leaf star (center 100)
+  // peels at level 4, after the center: skipping level 3 (a skip test of
+  // <= where it must be <) would fix [100, 200, 1000] instead.
+  constexpr VertexId n = 4096;
+  constexpr std::size_t k = 4;
+  ASSERT_EQ(PeelingVcCoreset::num_levels(n, k), 5);
+  for (int j = 1; j <= 4; ++j) {
+    EXPECT_EQ(static_cast<double>(n) / (k * std::exp2(j + 1)), 512.0 / (1 << j));
+  }
+  EdgeList piece(n);
+  add_star(piece, 200, 1000, 64);
+  add_star(piece, 1000, 2000, 31);
+  add_star(piece, 100, 3000, 40);
+  add_path(piece, 4000, 4095);
+  const std::vector<VertexId> deg = piece.degrees();
+  EXPECT_EQ(*std::max_element(deg.begin(), deg.end()), 64u);
+  const VcCoresetOutput expected =
+      expect_build_matches_reference(piece, PartitionContext{n, k, 0, 0});
+  EXPECT_EQ(expected.fixed_vertices, (std::vector<VertexId>{200, 100}));
+  // Left: leaf 1000's 31 edges and the path.
+  EXPECT_EQ(expected.residual_edges.num_edges(), 31u + 95u);
+}
+
+TEST(VcComposeDifferential, LevelSkipResumesAfterAPeelLowersTheMaximum) {
+  // Level 1 peels a 301-degree hub (70). The largest live degree left is a
+  // 70-leaf star's (center 60), below level 2's 128, so level 2 is skipped;
+  // level 3 (64) must still run and peel it. Vertex 50 lost its edge to the
+  // hub at level 1 and peels at level 4 (32 >= 32). A skip that ended the
+  // peel instead of moving to the next level would fix [70] only.
+  constexpr VertexId n = 4096;
+  constexpr std::size_t k = 4;
+  EdgeList piece(n);
+  add_star(piece, 70, 500, 300);
+  piece.add(70, 50);
+  add_star(piece, 60, 1000, 70);
+  add_star(piece, 50, 3000, 32);
+  add_path(piece, 4000, 4095);
+  const VcCoresetOutput expected =
+      expect_build_matches_reference(piece, PartitionContext{n, k, 0, 0});
+  EXPECT_EQ(expected.fixed_vertices, (std::vector<VertexId>{70, 60, 50}));
+  EXPECT_EQ(expected.residual_edges.num_edges(), 95u);
 }
 
 /// gnm with every third edge doubled, at a shuffled position: the grid's

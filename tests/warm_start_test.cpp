@@ -251,6 +251,29 @@ TEST(KarpSipser, OffsetsInitMatchesTheRowScanningSeed) {
       EXPECT_TRUE(same_mates(certified, frozen))
           << "the certificate count changed the seed, seed " << seed;
     }
+    // A bipartite-tagged graph (parallel edges doubled, no self-loops) reads
+    // its live degrees from the offsets too; the tag changes only which
+    // certificate is counted, never the seed.
+    const EdgeList sides = random_bipartite(250, 250, 0.004 * seed, rng);
+    std::vector<Edge> edges(sides.begin(), sides.end());
+    for (std::size_t i = 0; i < sides.num_edges(); i += 3) {
+      edges.push_back(sides[i]);
+    }
+    rng.shuffle(edges);
+    const Graph tagged(EdgeSpan(edges.data(), edges.size(), 500),
+                       Bipartition{250});
+    ASSERT_TRUE(tagged.bipartition_consistent());
+    Matching frozen;
+    row_scanning_karp_sipser(frozen, tagged);
+    std::size_t tagged_certificate = 0;
+    for (std::size_t* certificate :
+         {static_cast<std::size_t*>(nullptr), &tagged_certificate}) {
+      Matching seeded;
+      karp_sipser_into(seeded, tagged, &scratch, nullptr, certificate);
+      EXPECT_TRUE(same_mates(seeded, frozen)) << "tagged, seed " << seed;
+    }
+    EXPECT_GE(tagged_certificate, exhaustive_size(tagged))
+        << "tagged, seed " << seed;
   }
 }
 
